@@ -84,18 +84,17 @@ def einstein_residual(e: FormField, omega: FormField, cfg: PcConfig):
     return residual, residual.region_norm(**cfg.region_kwargs())
 
 
-def _internal_plane(x: PoincareElement, reference: PoincareElement = None):
-    """Lambda^2 coefficients entering the equivariant coupling for x.
+# a pure translation has no Lorentz part, so by default the coupling
+# borrows this fixed rotation plane to keep tracking X.e
+REFERENCE_PLANE = PoincareElement.from_name("L3").rotation_pair_components
 
-    The coupling wedges against the Lorentz part of the generator; for a
-    pure translation that part vanishes and the diagnostic would be
-    identically zero, so ``extra_eom_term`` substitutes a fixed reference
-    rotation plane (default L3) unless told to stay literal.
-    """
+
+def _internal_plane(x: PoincareElement, strict: bool) -> np.ndarray:
+    """Lambda^2 coefficients entering the equivariant coupling for x."""
     comps = x.rotation_pair_components
-    if np.any(comps != 0.0) or reference is None:
+    if strict or np.any(comps != 0.0):
         return comps
-    return reference.rotation_pair_components
+    return REFERENCE_PLANE
 
 
 def _alpha_times_plane(t: EquivariantTestForm, cutoff: CutoffFunction,
@@ -110,20 +109,16 @@ def _alpha_times_plane(t: EquivariantTestForm, cutoff: CutoffFunction,
 
 def extra_eom_term(e: FormField, t: EquivariantTestForm,
                    cutoff: CutoffFunction, cfg: PcConfig,
-                   reference_plane: PoincareElement = None,
                    strict: bool = False, residual: FormField = None):
     """(X.e) ^ (Upsilon alpha (x) X_R), with max-norm outside the ball.
 
     ``strict=True`` always uses the generator's own Lorentz part (giving the
     zero field for pure translations); by default a pure translation falls
-    back to the reference plane so the diagnostic tracks X.e for every
+    back to ``REFERENCE_PLANE`` (L3) so the diagnostic tracks X.e for every
     generator.  Pass ``residual`` to reuse an already computed X.e.
     """
     t.check_support(cfg.grid.inner_radius, cfg.radius_mode)
-    if reference_plane is None and not strict:
-        reference_plane = PoincareElement.from_name("L3")
-    plane = _internal_plane(t.generator,
-                            None if strict else reference_plane)
+    plane = _internal_plane(t.generator, strict)
     if residual is None:
         residual = symmetry_residual(e, t.generator)
     if np.any(plane != 0.0):
@@ -142,7 +137,7 @@ def equivariant_coupling(e: FormField, t: EquivariantTestForm,
     generator is a pure translation.
     """
     t.check_support(cfg.grid.inner_radius, cfg.radius_mode)
-    plane = _internal_plane(t.generator, None)
+    plane = _internal_plane(t.generator, strict=True)
     if not np.any(plane != 0.0):
         return 0.0
     residual = symmetry_residual(e, t.generator)

@@ -224,26 +224,6 @@ def dgla_from_json(doc) -> Dgla:
     return Dgla(GradedLieAlgebra(basis, brackets), Differential(rows))
 
 
-def dgla_to_json(d: Dgla) -> dict:
-    labels = d.basis.labels
-    doc = {
-        "basis": [{"label": lab, "degree": deg}
-                  for lab, deg in zip(labels, d.basis.degrees)],
-        "brackets": [
-            {"i": labels[i], "j": labels[j],
-             "out": [{"k": labels[k], "c": exact.format_rational(c)}
-                     for k, c in sorted(row.items())]}
-            for (i, j), row in sorted(d.algebra.brackets.items())],
-    }
-    if d.differential.rows:
-        doc["differential"] = [
-            {"i": labels[i],
-             "out": [{"k": labels[k], "c": exact.format_rational(c)}
-                     for k, c in sorted(row.items())]}
-            for i, row in sorted(d.differential.rows.items())]
-    return doc
-
-
 def action_from_json(doc, actor: Dgla, module: Dgla) -> ActionMap:
     if not isinstance(doc, dict) or "action" not in doc:
         raise AlgebraFormatError("document must be an object with an 'action' key")

@@ -19,6 +19,7 @@ byte-identical across --threads settings (all reductions are fixed-order).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -31,7 +32,8 @@ from .algebras import (AlgebraFormatError, action_from_json, dgla_from_json)
 from .graded import StructureError, build_action_dgla, check_dgla, check_exactness
 from .mass import MassDomainError, adm_energy, komar_mass, positivity_check
 from .report import RunManifest, write_csv, write_report
-from .scenarios import (Scenario, ScenarioError, build_fields, eom_study,
+from .scenarios import (Scenario, ScenarioError, classify_sequence,
+                        eom_study, eom_verdict, fold_verdicts,
                         generator_study, load_scenario, residual_csv_rows,
                         run_scenario, standard_test_form)
 from .symmetry import PoincareElement
@@ -79,7 +81,6 @@ def _apply_overrides(args, scenario: Scenario) -> Scenario:
         changes["radii"] = tuple(args.radii)
     if not changes:
         return scenario
-    import dataclasses
     return dataclasses.replace(scenario, **changes)
 
 
@@ -115,15 +116,16 @@ def cmd_algebra(args) -> int:
 
 def cmd_pc(args) -> int:
     scenario = _apply_overrides(args, load_scenario(args.scenario))
-    grid, e, omega, _ = build_fields(scenario, scenario.points)
+    if args.pc_command == "eom" and not scenario.generators:
+        raise ScenarioError("generators: pc eom needs at least one generator")
+    grid = scenario.grid()
+    chart = scenario.chart()
+    e, omega = chart.tetrad(grid), chart.connection(grid)
     cfg = scenario.config()
     body = {"scenario": scenario.echo(), "N": scenario.points,
-            "h": grid.spacing}
-    if args.pc_command == "action":
-        body["S"] = action_pc(e, omega, cfg)
-        verdict = "pass"
-    else:
-        body["S"] = action_pc(e, omega, cfg)
+            "h": grid.spacing, "S": action_pc(e, omega, cfg)}
+    verdict = "pass"
+    if args.pc_command == "eom":
         _, body["torsion_norm"] = torsion_residual(e, omega, cfg)
         _, body["einstein_norm"] = einstein_residual(e, omega, cfg)
         cutoff = scenario.cutoff()
@@ -163,8 +165,7 @@ def cmd_killing(args) -> int:
 
 def cmd_mass(args) -> int:
     scenario = _apply_overrides(args, load_scenario(args.scenario))
-    _, _, _, metric = build_fields(scenario, scenario.points,
-                                   need_connection=False)
+    metric = scenario.chart().metric(scenario.grid())
     if args.mass_command == "adm":
         result = adm_energy(metric, scenario.radii)
         result["positivity"] = positivity_check(result["extrapolated"],
@@ -215,9 +216,8 @@ def leibniz_residual_norms(scenario: Scenario, resolutions):
 
 
 def cmd_convergence(args) -> int:
-    from .scenarios import classify_sequence, eom_verdict
     scenario = _apply_overrides(args, load_scenario(args.scenario))
-    resolutions = tuple(args.ns) if args.ns else scenario.resolutions
+    resolutions = scenario.resolutions
     quantities = args.quantities or ["torsion", "einstein"]
     if len(resolutions) < 3:
         print("convergence needs at least 3 resolutions", file=sys.stderr)
@@ -227,7 +227,6 @@ def cmd_convergence(args) -> int:
     requested = [q.split(":", 1)[1] for q in quantities
                  if q.startswith(("symmetry:", "extra:"))]
     if set(requested) - set(scenario.generators):
-        import dataclasses
         extra_names = [n for n in requested if n not in scenario.generators]
         scenario = dataclasses.replace(
             scenario, generators=tuple(scenario.generators) + tuple(
@@ -242,7 +241,7 @@ def cmd_convergence(args) -> int:
         elif quantity == "leibniz":
             norms, spacings = leibniz_residual_norms(scenario, resolutions)
             entry = classify_sequence(norms, spacings, scenario.thresholds)
-            eom_verdict(entry, scenario.thresholds)
+            eom_verdict(entry)
         elif quantity.startswith(("symmetry:", "extra:")):
             if gen_study is None:
                 gen_study = generator_study(scenario, scenario.geometry,
@@ -250,13 +249,9 @@ def cmd_convergence(args) -> int:
             family, name = quantity.split(":", 1)
             key = ("symmetry_residuals" if family == "symmetry"
                    else "extra_eom_terms")
-            if name not in gen_study[key]:
-                print(f"unknown generator {name!r}", file=sys.stderr)
-                return USAGE_ERROR
-            entry = gen_study[key][name]
             # a convergence run verdicts decay alone, not family thresholds
-            entry = dict(entry)
-            eom_verdict(entry, scenario.thresholds)
+            entry = dict(gen_study[key][name])
+            eom_verdict(entry)
         else:
             print(f"unknown quantity {quantity!r}", file=sys.stderr)
             return USAGE_ERROR
@@ -268,10 +263,8 @@ def cmd_convergence(args) -> int:
             entry["verdict"] = "inconclusive"
             entry["note"] = "non-monotone residuals; refine"
         body["quantities"][quantity] = entry
-    verdicts = [q["verdict"] for q in body["quantities"].values()]
-    body["verdict"] = ("pass" if all(v == "pass" for v in verdicts)
-                       else "inconclusive" if "inconclusive" in verdicts
-                       else "fail")
+    body["verdict"] = fold_verdicts(
+        q["verdict"] for q in body["quantities"].values())
     manifest = _manifest(args, scenario, "convergence")
     write_report(_out_dir(args), "convergence", manifest, body, echo=True)
     rows = [[name, repr(entry["norms"]),

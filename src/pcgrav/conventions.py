@@ -52,11 +52,6 @@ def perm_sign(seq) -> int:
     return sign
 
 
-def eps4(a, b, c, d) -> int:
-    """Levi-Civita symbol with eps4(0,1,2,3) = +1."""
-    return perm_sign((a, b, c, d))
-
-
 def lorentz_generator(a: int, b: int) -> np.ndarray:
     """Matrix of J_ab acting on V: (J_ab)^c_d = d^c_a eta_bd - d^c_b eta_ad."""
     m = np.zeros((4, 4), dtype=np.int64)
@@ -137,17 +132,3 @@ GENERATOR_ALIASES = {
     "K3": {"J03": 1},
 }
 
-
-def rotation_matrix(i: int) -> np.ndarray:
-    """Matrix of L_i on V (integer entries)."""
-    (name, coeff), = GENERATOR_ALIASES["L%d" % i].items()
-    pair = (int(name[1]), int(name[2]))
-    return coeff * lorentz_generator(*pair)
-
-
-def rotation_pair_vector(i: int) -> np.ndarray:
-    """L_i expressed in the LAMBDA2 basis (length-6 integer vector)."""
-    v = np.zeros(6, dtype=np.int64)
-    (name, coeff), = GENERATOR_ALIASES["L%d" % i].items()
-    v[PAIR_INDEX[(int(name[1]), int(name[2]))]] = coeff
-    return v

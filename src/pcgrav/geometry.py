@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conventions import PAIR_INDEX
-from .fields import FormField, MetricField, tetrad_field
+from .fields import FormField, MetricField, tetrad_field, zeros
 from .grid import Grid4
 
 _ORDER = 5  # truncated series length (value + 4 derivatives)
@@ -71,6 +71,19 @@ def minkowski_metric(grid: Grid4) -> MetricField:
     for i in range(1, 4):
         data[i, i] = 1.0
     return MetricField(grid, data)
+
+
+class MinkowskiChart:
+    """Flat space with the chart methods of ``SchwarzschildIsotropic``."""
+
+    def tetrad(self, grid: Grid4) -> FormField:
+        return minkowski_tetrad(grid)
+
+    def connection(self, grid: Grid4) -> FormField:
+        return zeros(grid, 1, 2)
+
+    def metric(self, grid: Grid4) -> MetricField:
+        return minkowski_metric(grid)
 
 
 @lru_cache(maxsize=16)

@@ -85,15 +85,19 @@ class GradedLieAlgebra:
                 f"coefficient vectors must have length {self.dim}, "
                 f"got {len(x)} and {len(y)}"
             )
-        x = [Fraction(v) for v in x]
-        y = [Fraction(v) for v in y]
+        # Only nonzero coefficient pairs can contribute; the axiom checks
+        # feed mostly basis and zero vectors, so this is the hot path.
+        nx = [(i, Fraction(v)) for i, v in enumerate(x) if v != 0]
+        ny = [(j, Fraction(v)) for j, v in enumerate(y) if v != 0]
         out = [ZERO] * self.dim
-        for (i, j), row in self.brackets.items():
-            c = x[i] * y[j]
-            if c == 0:
-                continue
-            for k, v in row.items():
-                out[k] += c * v
+        for i, xi in nx:
+            for j, yj in ny:
+                row = self.brackets.get((i, j))
+                if row is None:
+                    continue
+                c = xi * yj
+                for k, v in row.items():
+                    out[k] += c * v
         return out
 
 

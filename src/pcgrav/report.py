@@ -16,7 +16,7 @@ import io
 import json
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,6 @@ from . import __version__
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def body_bytes(body) -> bytes:
-    return canonical_json(body).encode()
 
 
 def sha256_of_file(path) -> str:
@@ -47,7 +43,6 @@ class RunManifest:
     grid: dict
     thresholds: dict
     threads: int = 1
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -63,7 +58,6 @@ class RunManifest:
             },
             "timestamp": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
-            **self.extras,
         }
 
 

@@ -21,6 +21,7 @@ exterior (expected: exactly the static-spherical four pass).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,18 +32,16 @@ from . import fields as F
 from .action import (EquivariantTestForm, PcConfig, einstein_residual,
                      extra_eom_term, torsion_residual)
 from .conventions import LAMBDA_BASES
-from .geometry import (SchwarzschildIsotropic, minkowski_metric,
-                       minkowski_tetrad)
+from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import Grid4
 from .mass import adm_energy, komar_mass, positivity_check
 from .report import sha256_of_file, sha256_of_text, canonical_json
-from .symmetry import (CutoffFunction, PoincareElement, killing_residual,
+from .symmetry import (POINCARE_GENERATOR_NAMES, SPHERICAL_GENERATOR_NAMES,
+                       CutoffFunction, PoincareElement, killing_residual,
                        symmetry_residual)
 
 SCENARIO_KINDS = ("poincare", "spherical")
-SPHERICAL_GENERATORS = ("P0", "L1", "L2", "L3")
-POINCARE_GENERATORS = ("P0", "L1", "L2", "L3", "P1", "P2", "P3",
-                       "K1", "K2", "K3")
+GEOMETRIES = ("schwarzschild", "minkowski")
 
 DEFAULT_THRESHOLDS = {
     "slope_min": 1.7,
@@ -78,26 +77,50 @@ class Scenario:
     source_hash: str = "inline"
 
     def __post_init__(self):
+        """Validate the whole scenario before any field is built.
+
+        Grid, cutoff and generator rules live in ``Grid4``,
+        ``CutoffFunction`` and ``PoincareElement``; their errors come back
+        as ``ScenarioError`` naming the offending field.
+        """
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-        if self.geometry not in ("schwarzschild", "minkowski"):
+        if self.geometry not in GEOMETRIES:
             raise ScenarioError(f"unknown geometry {self.geometry!r}")
-        if not self.cutoff_outer > self.cutoff_inner > 0:
-            raise ScenarioError("cutoff needs R > r > 0")
-        if self.cutoff_inner >= self.half_width:
-            raise ScenarioError("excluded ball swallows the box (r >= L)")
         if self.radius_mode not in ("4d", "spatial"):
             raise ScenarioError("radius_mode must be '4d' or 'spatial'")
-        if self.points % 2 == 0 or self.points < 5:
-            raise ScenarioError("grid points must be odd and >= 5")
+        numbers = [("M", self.mass), ("Lambda", self.cosmological_constant),
+                   ("L", self.half_width), ("r", self.cutoff_inner),
+                   ("R", self.cutoff_outer)]
+        for name, value in numbers + [("radii", r) for r in self.radii]:
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value!r}")
+        if self.cutoff_inner >= self.half_width:
+            raise ScenarioError("excluded ball swallows the box (r >= L)")
+        ns = self.resolutions
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ScenarioError(
+                f"Ns must be distinct and strictly ascending, got {list(ns)}")
+        gens = self.generators
+        if gens is None:
+            gens = (SPHERICAL_GENERATOR_NAMES if self.kind == "spherical"
+                    else POINCARE_GENERATOR_NAMES)
+        object.__setattr__(self, "generators", tuple(gens))
+        _owned_rule("cutoff r, R", self.cutoff)
+        box = _owned_rule(f"grid N = {self.points}", self.grid, self.points)
+        for n in ns:
+            _owned_rule(f"Ns entry {n}", self.grid, n)
+        for name in self.generators:
+            _owned_rule("generators", PoincareElement.from_name, name)
+        # the mass surface integrals need a stencil's width inside the box
+        if self.radii and max(self.radii) >= box.half_width - box.spacing:
+            raise ScenarioError(
+                f"radii must stay below L - h = "
+                f"{box.half_width - box.spacing!r} at N = {self.points}, "
+                f"got {max(self.radii)!r}")
         merged = dict(DEFAULT_THRESHOLDS)
         merged.update(self.thresholds)
         object.__setattr__(self, "thresholds", merged)
-        gens = self.generators
-        if gens is None:
-            gens = (SPHERICAL_GENERATORS if self.kind == "spherical"
-                    else POINCARE_GENERATORS)
-        object.__setattr__(self, "generators", tuple(gens))
         if self.geometry == "schwarzschild" and self.radius_mode == "4d":
             warnings.warn(
                 "static chart is singular on the spatial axis, which a 4d "
@@ -106,7 +129,15 @@ class Scenario:
                 stacklevel=3)
 
     def grid(self, n=None) -> Grid4:
-        return Grid4(self.half_width, n or self.points, self.cutoff_inner)
+        return Grid4(self.half_width, self.points if n is None else n,
+                     self.cutoff_inner)
+
+    def chart(self, geometry: str = None):
+        """Chart of ``geometry`` (default: the scenario's own): its
+        ``tetrad``, ``connection`` and ``metric`` methods sample a grid."""
+        if (geometry or self.geometry) == "minkowski":
+            return MinkowskiChart()
+        return SchwarzschildIsotropic(self.mass)
 
     def cutoff(self) -> CutoffFunction:
         return CutoffFunction(self.cutoff_inner, self.cutoff_outer)
@@ -126,6 +157,14 @@ class Scenario:
             "generators": list(self.generators),
             "thresholds": self.thresholds,
         }
+
+
+def _owned_rule(field_name: str, build, *args):
+    """``build(*args)``, its ValueError or KeyError as a ScenarioError."""
+    try:
+        return build(*args)
+    except (KeyError, ValueError) as exc:
+        raise ScenarioError(f"{field_name}: {exc.args[0]}") from None
 
 
 def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
@@ -149,9 +188,12 @@ def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
             generators=(tuple(doc["generators"])
                         if "generators" in doc else None),
             thresholds=dict(doc.get("thresholds", {})),
-            source_hash=source_hash or sha256_of_text(
-                canonical_json(doc)),
+            source_hash=source_hash or "inline",
         )
+        if source_hash is None:
+            # hashed once validated: canonical JSON refuses non-finite numbers
+            object.__setattr__(scenario, "source_hash",
+                               sha256_of_text(canonical_json(doc)))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -168,22 +210,8 @@ def load_scenario(path) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Field construction
+# Test form
 # ---------------------------------------------------------------------------
-
-def build_fields(scenario: Scenario, n: int, geometry: str = None,
-                 need_connection: bool = True):
-    """(grid, tetrad, connection, metric) for the named geometry at N = n."""
-    geometry = geometry or scenario.geometry
-    grid = scenario.grid(n)
-    if geometry == "minkowski":
-        e = minkowski_tetrad(grid)
-        omega = F.zeros(grid, 1, 2) if need_connection else None
-        return grid, e, omega, minkowski_metric(grid)
-    chart = SchwarzschildIsotropic(scenario.mass)
-    omega = chart.connection(grid) if need_connection else None
-    return grid, chart.tetrad(grid), omega, chart.metric(grid)
-
 
 def standard_test_form(grid: Grid4, cutoff: CutoffFunction, generator,
                        mode: str) -> EquivariantTestForm:
@@ -252,7 +280,7 @@ def apply_family_verdicts(entries: dict, thresholds) -> float:
     return threshold
 
 
-def eom_verdict(entry: dict, thresholds) -> None:
+def eom_verdict(entry: dict) -> None:
     if entry["kind"] in ("exact", "decaying"):
         entry["verdict"] = "pass"
     elif entry["kind"] == "non-decaying":
@@ -261,18 +289,29 @@ def eom_verdict(entry: dict, thresholds) -> None:
         entry["verdict"] = "inconclusive"
 
 
+def fold_verdicts(verdicts) -> str:
+    """pass if all pass, else inconclusive if any is, else fail."""
+    verdicts = list(verdicts)
+    if all(v == "pass" for v in verdicts):
+        return "pass"
+    if "inconclusive" in verdicts:
+        return "inconclusive"
+    return "fail"
+
+
 # ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------
 
 def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
            killing_n: int = None) -> dict:
-    """One pass over resolutions, building each field set exactly once."""
-    names = scenario.generators
+    """One pass over resolutions, building each field only where it is read."""
+    gens = [PoincareElement.from_name(name) for name in scenario.generators]
     cutoff = scenario.cutoff()
+    chart = scenario.chart(geometry)
     raw = {
-        "sym": {name: [] for name in names},
-        "extra": {name: [] for name in names},
+        "sym": {gen.name: [] for gen in gens},
+        "extra": {gen.name: [] for gen in gens},
         "gen_spacings": [],
         "torsion": [], "einstein": [], "eom_spacings": [],
         "killing": None,
@@ -280,35 +319,36 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
     every_n = sorted(set(gen_ns) | set(eom_ns)
                      | ({killing_n} if killing_n else set()))
     for n in every_n:
-        grid, e, omega, metric = build_fields(
-            scenario, n, geometry, need_connection=n in eom_ns)
+        grid = scenario.grid(n)
         cfg = scenario.config(n)
+        if n in gen_ns or n in eom_ns:
+            e = chart.tetrad(grid)
         if n in gen_ns:
             raw["gen_spacings"].append(grid.spacing)
-            ups = cutoff.on_grid(grid, scenario.radius_mode)
-            alpha = F.scalar_form(grid, 2,
-                                  {st: ups for st in LAMBDA_BASES[2]})
-            for name in names:
-                gen = PoincareElement.from_name(name)
+            alpha = standard_test_form(grid, cutoff, gens[0],
+                                       scenario.radius_mode).alpha
+            for gen in gens:
                 residual = symmetry_residual(e, gen)
-                raw["sym"][name].append(
+                raw["sym"][gen.name].append(
                     residual.region_norm(**cfg.region_kwargs()))
                 form = EquivariantTestForm(alpha, gen)
                 _, enorm = extra_eom_term(e, form, cutoff, cfg,
                                           residual=residual)
-                raw["extra"][name].append(enorm)
+                raw["extra"][gen.name].append(enorm)
         if n in eom_ns:
             raw["eom_spacings"].append(grid.spacing)
+            omega = chart.connection(grid)
             _, tn = torsion_residual(e, omega, cfg)
             raw["torsion"].append(tn)
             _, en = einstein_residual(e, omega, cfg)
             raw["einstein"].append(en)
         if n == killing_n:
+            metric = chart.metric(grid)
             raw["killing"] = {
-                name: killing_residual(
-                    metric, PoincareElement.from_name(name),
-                    r=scenario.cutoff_inner, mode=scenario.radius_mode)[1]
-                for name in names}
+                gen.name: killing_residual(
+                    metric, gen, r=scenario.cutoff_inner,
+                    mode=scenario.radius_mode)[1]
+                for gen in gens}
     return raw
 
 
@@ -338,8 +378,8 @@ def _eom_section(scenario, raw, resolutions) -> dict:
                                         raw["eom_spacings"], th),
            "einstein": classify_sequence(raw["einstein"],
                                          raw["eom_spacings"], th)}
-    eom_verdict(out["torsion"], th)
-    eom_verdict(out["einstein"], th)
+    eom_verdict(out["torsion"])
+    eom_verdict(out["einstein"])
     return out
 
 
@@ -355,8 +395,7 @@ def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
 
 
 def mass_study(scenario: Scenario, geometry: str) -> dict:
-    _, _, _, metric = build_fields(scenario, scenario.points, geometry,
-                                   need_connection=False)
+    metric = scenario.chart(geometry).metric(scenario.grid())
     adm = adm_energy(metric, scenario.radii)
     komar = komar_mass(metric, scenario.radii)
     th = scenario.thresholds
@@ -392,10 +431,10 @@ def mass_study(scenario: Scenario, geometry: str) -> dict:
 # ---------------------------------------------------------------------------
 
 EXPECTED_KILLING = {
-    ("poincare", "minkowski"): set(POINCARE_GENERATORS),
-    ("poincare", "schwarzschild"): set(SPHERICAL_GENERATORS),
-    ("spherical", "minkowski"): set(SPHERICAL_GENERATORS),
-    ("spherical", "schwarzschild"): set(SPHERICAL_GENERATORS),
+    ("poincare", "minkowski"): set(POINCARE_GENERATOR_NAMES),
+    ("poincare", "schwarzschild"): set(SPHERICAL_GENERATOR_NAMES),
+    ("spherical", "minkowski"): set(SPHERICAL_GENERATOR_NAMES),
+    ("spherical", "schwarzschild"): set(SPHERICAL_GENERATOR_NAMES),
 }
 
 
@@ -422,11 +461,7 @@ def _pattern_verdict(section: dict, expected: set, names) -> str:
             want = "pass" if name in expected else "fail"
             verdicts.append("pass" if entry["verdict"] == want
                             else entry["verdict"])
-    if all(v == "pass" for v in verdicts):
-        return "pass"
-    if any(v == "inconclusive" for v in verdicts):
-        return "inconclusive"
-    return "fail"
+    return fold_verdicts(verdicts)
 
 
 def run_scenario(scenario, params: dict = None) -> ScenarioReport:
@@ -476,12 +511,7 @@ def run_scenario(scenario, params: dict = None) -> ScenarioReport:
         body["masses"] = masses
         verdicts.append(masses["verdict"])
 
-    if all(v == "pass" for v in verdicts):
-        body["verdict"] = "pass"
-    elif any(v == "inconclusive" for v in verdicts):
-        body["verdict"] = "inconclusive"
-    else:
-        body["verdict"] = "fail"
+    body["verdict"] = fold_verdicts(verdicts)
     return ScenarioReport(scenario, body)
 
 

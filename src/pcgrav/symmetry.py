@@ -75,9 +75,9 @@ class PoincareElement:
                          for a, b in LAMBDA2])
 
 
-POINCARE_GENERATOR_NAMES = ("P0", "P1", "P2", "P3",
-                            "K1", "K2", "K3", "L1", "L2", "L3")
 SPHERICAL_GENERATOR_NAMES = ("P0", "L1", "L2", "L3")
+POINCARE_GENERATOR_NAMES = SPHERICAL_GENERATOR_NAMES + (
+    "P1", "P2", "P3", "K1", "K2", "K3")
 
 
 def poincare_generators(names=POINCARE_GENERATOR_NAMES):
@@ -101,10 +101,6 @@ def spherical_subalgebra() -> KillingSubalgebra:
                              poincare_generators(SPHERICAL_GENERATOR_NAMES))
 
 
-def poincare_subalgebra() -> KillingSubalgebra:
-    return KillingSubalgebra("poincare", poincare_generators())
-
-
 # ---------------------------------------------------------------------------
 # Cutoff
 # ---------------------------------------------------------------------------
@@ -118,7 +114,7 @@ class CutoffFunction:
 
     def __post_init__(self):
         if not self.outer > self.inner > 0:
-            raise ValueError("cutoff needs outer > inner > 0")
+            raise ValueError("cutoff needs R > r > 0 (outer > inner)")
 
     def profile(self, rho):
         s = np.clip((np.asarray(rho, float) - self.inner)
@@ -151,18 +147,24 @@ def generated_vector_field(x: PoincareElement, grid: Grid4) -> np.ndarray:
     return out
 
 
-def lie_derivative_one_form(field: FormField, x: PoincareElement) -> np.ndarray:
-    """(L_xi a)^I_mu for a 1-form, internal indices untouched.
+def _lie_transport(data: np.ndarray, x: PoincareElement,
+                   grid: Grid4) -> np.ndarray:
+    """xi^lambda d_lambda of every component: the transport part of L_xi.
 
-    Grid stencils differentiate the components; the Jacobian of the affine
-    xi is its exact rotation matrix.
+    Grid stencils differentiate the components; callers add the Jacobian
+    terms of the affine xi, which are its exact rotation matrix.
     """
-    grid, h = field.grid, field.grid.spacing
-    out = np.zeros_like(field.data)
+    out = np.zeros_like(data)
     xi = generated_vector_field(x, grid)
-    for nu in range(4):
-        if np.any(xi[nu] != 0.0):
-            out += xi[nu] * diff_axis(field.data, 2 + nu, h)
+    for lam in range(4):
+        if np.any(xi[lam] != 0.0):
+            out += xi[lam] * diff_axis(data, 2 + lam, grid.spacing)
+    return out
+
+
+def lie_derivative_one_form(field: FormField, x: PoincareElement) -> np.ndarray:
+    """(L_xi a)^I_mu for a 1-form, internal indices untouched."""
+    out = _lie_transport(field.data, x, field.grid)
     # + a^I_nu d_mu xi^nu with d_mu xi^nu = R^nu_mu
     out += np.einsum("na...,nm->ma...", field.data, x.rotation)
     return out
@@ -180,13 +182,8 @@ def symmetry_residual(e: FormField, x: PoincareElement) -> FormField:
 def killing_residual(g: MetricField, x: PoincareElement,
                      r: float = None, mode: str = "4d"):
     """(L_xi g)_{mu nu} and its max-norm outside the excluded ball."""
-    grid, h = g.grid, g.grid.spacing
-    out = np.zeros_like(g.data)
-    xi = generated_vector_field(x, grid)
-    for lam in range(4):
-        if np.any(xi[lam] != 0.0):
-            out += xi[lam] * diff_axis(g.data, 2 + lam, h)
+    out = _lie_transport(g.data, x, g.grid)
     out += np.einsum("ln...,lm->mn...", g.data, x.rotation)
     out += np.einsum("ml...,ln->mn...", g.data, x.rotation)
-    norm = region_max(out, grid, r, mode)
+    norm = region_max(out, g.grid, r, mode)
     return out, norm

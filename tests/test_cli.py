@@ -203,3 +203,36 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
     code, _ = run(["pc", "action", "--scenario", str(path)], tmp_path, capsys)
     assert code == 0
     assert (tmp_path / "env_out" / "pc_action.json").exists()
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides, command, field", [
+    ({"Ns": [13, 9]}, ["killing", "residuals"], "Ns"),
+    ({}, ["convergence", "--Ns", "9,9,9"], "Ns"),
+    ({}, ["convergence", "--Ns", "6,8,10"], "Ns"),
+    ({"radii": [4.0, 5.0, 30.0]}, ["killing", "residuals"], "radii"),
+    ({"scenario": "poincare", "radii": [4.0, 30.0]},
+     ["killing", "residuals"], "radii"),
+    ({}, ["mass", "komar", "--radii", "4,7"], "radii"),
+    ({"M": NAN}, ["mass", "adm"], "M"),
+    ({"Lambda": INF}, ["pc", "action"], "Lambda"),
+    ({"grid": {"L": NAN, "N": 13}}, ["pc", "action"], "L"),
+    ({"cutoff": {"r": NAN, "R": 5.0}}, ["pc", "action"], "r"),
+    ({"cutoff": {"r": 3.0, "R": INF}}, ["pc", "action"], "R"),
+    ({"radii": [4.0, NAN]}, ["mass", "adm"], "radii"),
+    ({"generators": ["P0", "Q9"]}, ["killing", "residuals"], "generators"),
+    ({}, ["convergence", "--Ns", "9,13,17", "--quantities", "symmetry:Q9"],
+     "generators"),
+    ({"generators": []}, ["pc", "eom"], "generators"),
+])
+def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
+                                                     overrides, command,
+                                                     field):
+    path = small_scenario_file(tmp_path, **overrides)
+    out_dir = tmp_path / "reports"
+    code = main([*command, "--scenario", str(path), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {field}" in err
+    assert not out_dir.exists()

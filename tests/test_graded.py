@@ -11,10 +11,11 @@ from pcgrav.algebras import (abelian, closure_check, poincare_algebra,
                              poincare_coefficients, poincare_dgla, so3,
                              so3_subalgebra, vector_representation_so3)
 from pcgrav.conventions import ETA_DIAG, LAMBDA2, lorentz_generator
-from pcgrav.graded import (ActionMap, Dgla, Differential, GradedBasis,
-                           GradedLieAlgebra, StructureError, adjoint_action,
-                           build_action_dgla, check_action_map, check_dgla,
-                           check_exactness, extract_action_map, zero_action)
+from pcgrav.graded import (ActionMap, Dgla, DglaMorphism, Differential,
+                           GradedBasis, GradedLieAlgebra, StructureError,
+                           adjoint_action, build_action_dgla,
+                           check_action_map, check_dgla, check_exactness,
+                           check_morphism, extract_action_map, zero_action)
 
 Q = Fraction
 
@@ -323,6 +324,32 @@ def test_adding_boost_breaks_spherical_closure():
     gens = [poincare_coefficients(n)
             for n in ("dt", "L1", "L2", "L3", "K1")]
     assert not closure_check(gens)
+
+
+# ---------------------------------------------------------------------------
+# Strict morphisms
+# ---------------------------------------------------------------------------
+
+def so3_into_poincare(signs=(1, 1, 1)):
+    rows = [[sign * c for c in poincare_coefficients(name)]
+            for sign, name in zip(signs, ("L1", "L2", "L3"))]
+    return DglaMorphism(so3(), poincare_dgla(), rows)
+
+
+def test_identity_is_a_strict_morphism():
+    identity = [basis_vec(3, i) for i in range(3)]
+    assert check_morphism(DglaMorphism(so3(), so3(), identity)) == []
+
+
+def test_rotation_inclusion_into_poincare_is_a_strict_morphism():
+    assert check_morphism(so3_into_poincare()) == []
+
+
+def test_negated_rotation_breaks_brackets_with_witness():
+    violations = check_morphism(so3_into_poincare(signs=(-1, 1, 1)))
+    assert violations
+    assert {v.axiom for v in violations} == {"morphism-bracket"}
+    assert ("L1", "L2") in [v.witness for v in violations]
 
 
 # ---------------------------------------------------------------------------

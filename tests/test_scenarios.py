@@ -37,6 +37,22 @@ def test_scenario_validation_errors():
         scenario_from_dict({"geometry": "minkowski"})
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"Ns": [9, 9, 9]}, "Ns"),
+    ({"Ns": [13, 9]}, "Ns"),
+    ({"Ns": [6, 8, 10]}, "Ns"),
+    ({"grid": {"L": 8.0, "N": 12}}, "grid N"),
+    ({"radii": [4.0, 5.0, 7.0]}, "radii"),
+    ({"M": float("nan")}, "M"),
+    ({"Lambda": float("-inf")}, "Lambda"),
+    ({"radii": [4.0, float("inf")]}, "radii"),
+    ({"generators": ["P0", "Q9"]}, "generators"),
+])
+def test_scenario_validation_names_the_field(overrides, field):
+    with pytest.raises(ScenarioError, match=f"^{field}"):
+        small_scenario(**overrides)
+
+
 def test_shipped_scenarios_load():
     for name in ("minkowski_lambda1", "spherical_schwarzschild",
                  "poincare_schwarzschild", "eom_schwarzschild"):
