@@ -2,8 +2,8 @@
 
 Basis order and sign conventions come from :mod:`pcgrav.conventions`:
 Poincare basis is ``P0..P3, J01, J02, J03, J12, J13, J23`` (all degree 0),
-with ``[J_ab, P_c] = eta_bc P_a - eta_ac P_b`` and the J-J bracket listed
-there.  Rotations ``L1 = -J23, L2 = +J13, L3 = -J12`` satisfy
+with ``[J_ab, P_c] = eta_bc P_a - eta_ac P_b`` and the J-J bracket read
+from the tables there.  Rotations ``L1 = -J23, L2 = +J13, L3 = -J12`` satisfy
 ``[L_i, L_j] = eps_ijk L_k``.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact
-from .conventions import (ETA_DIAG, GENERATOR_ALIASES, LAMBDA2,
-                          POINCARE_NAMES, perm_sign)
+from .conventions import (GENERATOR_ALIASES, J_MATS, POINCARE_NAMES,
+                          SO31_STRUCTURE, perm_sign)
 from .graded import (ActionMap, Dgla, Differential, GradedBasis,
                      GradedLieAlgebra, StructureError)
 
@@ -26,62 +26,51 @@ def _degree0_basis(labels) -> GradedBasis:
     return GradedBasis(tuple(labels), (0,) * len(labels))
 
 
-def abelian(labels, degrees=None) -> Dgla:
-    basis = (_degree0_basis(labels) if degrees is None
-             else GradedBasis(tuple(labels), tuple(degrees)))
-    return Dgla(GradedLieAlgebra(basis, {}), Differential({}))
+def abelian(labels) -> Dgla:
+    return Dgla(GradedLieAlgebra(_degree0_basis(labels), {}), Differential({}))
+
+
+def _eps_brackets(offset: int = 0) -> dict:
+    """[L_i, L_j] = eps_ijk L_k, with L_i at basis index offset + i."""
+    brackets = {}
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                k = 3 - i - j
+                brackets[(offset + i, offset + j)] = {
+                    offset + k: Fraction(perm_sign((i, j, k)))}
+    return brackets
+
+
+def _lorentz_brackets(offset: int = 0) -> dict:
+    """[J_p, J_q] = sum_s SO31_STRUCTURE[p, q, s] J_s, J_p at offset + p."""
+    return {(offset + p, offset + q): {offset + s: Fraction(int(f))
+                                       for s, f in enumerate(row) if f}
+            for p, rows in enumerate(SO31_STRUCTURE)
+            for q, row in enumerate(rows) if row.any()}
 
 
 def so3() -> Dgla:
     """Rotation algebra, [L_i, L_j] = eps_ijk L_k, zero differential."""
-    brackets = {}
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            k = 3 - i - j
-            brackets[(i, j)] = {k: Fraction(perm_sign((i, j, k)))}
-    return Dgla(GradedLieAlgebra(_degree0_basis(("L1", "L2", "L3")), brackets))
+    return Dgla(GradedLieAlgebra(_degree0_basis(("L1", "L2", "L3")),
+                                 _eps_brackets()))
 
 
 def poincare_algebra() -> GradedLieAlgebra:
-    """The 10-dim Poincare algebra in the P/J basis, exact integer constants."""
-    labels = POINCARE_NAMES
-    idx = {name: n for n, name in enumerate(labels)}
+    """The 10-dim Poincare algebra in the P/J basis, exact integer constants.
+
+    [J_p, P_c] = sum_a J_MATS[p][a, c] P_a, and the J-J block is
+    SO31_STRUCTURE, both read from :mod:`pcgrav.conventions`.
+    """
     brackets = {}
-
-    def add(i, j, k, c):
-        if c == 0:
-            return
-        row = brackets.setdefault((i, j), {})
-        row[k] = row.get(k, Fraction(0)) + Fraction(c)
-
-    for p, (a, b) in enumerate(LAMBDA2):
-        jp = idx["J%d%d" % (a, b)]
+    for p, jmat in enumerate(J_MATS):
         for c in range(4):
-            pc = idx["P%d" % c]
-            # [J_ab, P_c] = eta_bc P_a - eta_ac P_b
-            if b == c:
-                add(jp, pc, idx["P%d" % a], ETA_DIAG[b])
-                add(pc, jp, idx["P%d" % a], -ETA_DIAG[b])
-            if a == c:
-                add(jp, pc, idx["P%d" % b], -ETA_DIAG[a])
-                add(pc, jp, idx["P%d" % b], ETA_DIAG[a])
-        for q, (c, d) in enumerate(LAMBDA2):
-            jq = idx["J%d%d" % (c, d)]
-            for coeff, (x, y) in (
-                (ETA_DIAG[b] if b == c else 0, (a, d)),
-                (-ETA_DIAG[b] if b == d else 0, (a, c)),
-                (-ETA_DIAG[a] if a == c else 0, (b, d)),
-                (ETA_DIAG[a] if a == d else 0, (b, c)),
-            ):
-                if coeff == 0 or x == y:
-                    continue
-                if x < y:
-                    add(jp, jq, idx["J%d%d" % (x, y)], coeff)
-                else:
-                    add(jp, jq, idx["J%d%d" % (y, x)], -coeff)
-    return GradedLieAlgebra(_degree0_basis(labels), brackets)
+            row = {a: Fraction(int(x)) for a, x in enumerate(jmat[:, c]) if x}
+            if row:
+                brackets[(4 + p, c)] = row
+                brackets[(c, 4 + p)] = {a: -x for a, x in row.items()}
+    brackets.update(_lorentz_brackets(offset=4))
+    return GradedLieAlgebra(_degree0_basis(POINCARE_NAMES), brackets)
 
 
 def poincare_dgla() -> Dgla:
@@ -105,15 +94,8 @@ def poincare_coefficients(name: str) -> list:
 
 def so3_subalgebra() -> GradedLieAlgebra:
     """Time translation plus the three rotations: the static spherical algebra."""
-    brackets = {}
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            k = 3 - i - j
-            brackets[(1 + i, 1 + j)] = {1 + k: Fraction(perm_sign((i, j, k)))}
-    return GradedLieAlgebra(
-        _degree0_basis(("dt", "L1", "L2", "L3")), brackets)
+    return GradedLieAlgebra(_degree0_basis(("dt", "L1", "L2", "L3")),
+                            _eps_brackets(offset=1))
 
 
 def closure_check(generators) -> bool:
@@ -148,13 +130,8 @@ def vector_representation_so3() -> ActionMap:
 
 def so31_dgla() -> Dgla:
     """Lorentz algebra so(3,1) in the J-pair basis, zero differential."""
-    p = poincare_algebra()
-    labels = POINCARE_NAMES[4:]
-    brackets = {}
-    for (i, j), row in p.brackets.items():
-        if i >= 4 and j >= 4:
-            brackets[(i - 4, j - 4)] = {k - 4: c for k, c in row.items()}
-    return Dgla(GradedLieAlgebra(_degree0_basis(labels), brackets))
+    return Dgla(GradedLieAlgebra(_degree0_basis(POINCARE_NAMES[4:]),
+                                 _lorentz_brackets()))
 
 
 # ---------------------------------------------------------------------------

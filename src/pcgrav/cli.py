@@ -138,8 +138,7 @@ def cmd_pc(args) -> int:
                                  body["einstein_norm"]) <= tol else "fail")
     body["verdict"] = verdict
     manifest = _manifest(args, scenario, f"pc {args.pc_command}")
-    write_report(_out_dir(args), f"pc_{args.pc_command}", manifest, body,
-                 echo=True)
+    write_report(_out_dir(args), f"pc_{args.pc_command}", manifest, body)
     return VERDICT_CODES[verdict]
 
 
@@ -152,7 +151,7 @@ def cmd_killing(args) -> int:
     report = run_scenario(scenario)
     manifest = _manifest(args, scenario, "killing residuals")
     out = _out_dir(args)
-    write_report(out, "killing_residuals", manifest, report.body, echo=True)
+    write_report(out, "killing_residuals", manifest, report.body)
     for geometry, section in report.body.get("sections", {}).items():
         header, rows = residual_csv_rows(section, scenario.generators)
         write_csv(out, f"residuals_{geometry}", header, rows)
@@ -178,7 +177,7 @@ def cmd_mass(args) -> int:
     result["verdict"] = verdict
     manifest = _manifest(args, scenario, f"mass {args.mass_command}")
     write_report(_out_dir(args), f"mass_{args.mass_command}", manifest,
-                 result, echo=True)
+                 result)
     return VERDICT_CODES[verdict]
 
 
@@ -266,7 +265,7 @@ def cmd_convergence(args) -> int:
     body["verdict"] = fold_verdicts(
         q["verdict"] for q in body["quantities"].values())
     manifest = _manifest(args, scenario, "convergence")
-    write_report(_out_dir(args), "convergence", manifest, body, echo=True)
+    write_report(_out_dir(args), "convergence", manifest, body)
     rows = [[name, repr(entry["norms"]),
              "exact" if entry["kind"] == "exact" else repr(entry["slope"]),
              entry["verdict"]]

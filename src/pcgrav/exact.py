@@ -46,48 +46,44 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rank(m: Matrix) -> int:
-    """Row rank by fraction-exact Gaussian elimination (input not modified)."""
-    if not m:
-        return 0
-    work = [row[:] for row in m]
-    rows, cols = len(work), len(work[0])
+def _row_reduce(work: Matrix, cols: int) -> int:
+    """Gauss-Jordan elimination on the first ``cols`` columns, in place.
+
+    Pivot rows end up first, scaled to 1 and cleared above and below;
+    returns their count, the rank of that column block.
+    """
+    rows = len(work)
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        inv = ONE / prow[c]
-        work[r] = [x * inv for x in prow]
+        inv = ONE / work[r][c]
+        work[r] = [x * inv for x in work[r]]
         for i in range(rows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         r += 1
-        if r == rows:
-            break
     return r
+
+
+def rank(m: Matrix) -> int:
+    """Row rank by fraction-exact Gaussian elimination (input not modified)."""
+    if not m:
+        return 0
+    return _row_reduce([row[:] for row in m], len(m[0]))
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square fraction matrix (Gauss-Jordan)."""
     n = len(m)
     work = [row[:] + ident_row for row, ident_row in zip(m, identity(n))]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if work[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
+    if _row_reduce(work, n) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in work]
 
 

@@ -90,9 +90,9 @@ class FormField:
     def max_abs(self) -> float:
         return float(np.abs(self.data).max())
 
-    def region_norm(self, r=None, mode="4d", layers=2) -> float:
+    def region_norm(self, r=None, mode="4d") -> float:
         """Max |component| outside the excluded ball, away from box faces."""
-        return region_max(self.data, self.grid, r, mode, layers)
+        return region_max(self.data, self.grid, r, mode)
 
 
 def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
@@ -292,7 +292,7 @@ def tetrad_determinants(e: FormField) -> np.ndarray:
 
 def check_nondegenerate(e: FormField) -> None:
     dets = np.abs(tetrad_determinants(e))
-    bad = dets <= DEGENERACY_THRESHOLD
+    bad = ~(dets > DEGENERACY_THRESHOLD)  # NaN counts as degenerate
     if bad.any():
         node = np.unravel_index(np.argmax(bad), e.grid.shape)
         coords = [float(e.grid.axis_coordinates()[i]) for i in node]

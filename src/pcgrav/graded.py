@@ -509,8 +509,8 @@ def _sum_structure(g: Dgla, h: Dgla, cross) -> ActionStructure:
         project=DglaMorphism(total, g, proj))
 
 
-def build_action_dgla(alpha: ActionMap, plus_variant: bool = False,
-                      validate: bool = True) -> ActionStructure:
+def build_action_dgla(alpha: ActionMap,
+                      plus_variant: bool = False) -> ActionStructure:
     """Semidirect-sum dgla on g (+) h from an action map.
 
     Cross bracket: [[(X,0),(0,w)]] = (0, alpha(X) w), extended to the other
@@ -522,11 +522,9 @@ def build_action_dgla(alpha: ActionMap, plus_variant: bool = False,
     alpha != 0; it is kept only so the axiom checker can exhibit the
     antisymmetry witness.  No self-check is run for the variant.
     """
-    if validate:
-        report = check_action_map(alpha)
-        if not report.passed:
-            raise StructureError(
-                f"invalid action map: {report.violations[0]}")
+    report = check_action_map(alpha)
+    if not report.passed:
+        raise StructureError(f"invalid action map: {report.violations[0]}")
     g, h = alpha.actor, alpha.module
     ng = g.dim
 
@@ -546,11 +544,10 @@ def build_action_dgla(alpha: ActionMap, plus_variant: bool = False,
                      structure.total.differential)
         return ActionStructure(g, h, total, structure.inject, structure.project)
 
-    if validate:
-        report = check_dgla(structure.total)
-        if not report.passed:
-            raise StructureError(
-                f"constructed sum fails dgla axioms: {report.violations[0]}")
+    report = check_dgla(structure.total)
+    if not report.passed:
+        raise StructureError(
+            f"constructed sum fails dgla axioms: {report.violations[0]}")
     return structure
 
 

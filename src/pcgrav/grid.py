@@ -20,6 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
+# Nodes within this many of a box face use the lower-order stencils; norms
+# leave them out.
+FACE_LAYERS = 2
+
 
 @dataclass(frozen=True)
 class Grid4:
@@ -66,10 +70,10 @@ class Grid4:
         r = self.inner_radius if r is None else r
         return self.radius(mode) > r
 
-    def interior_mask(self, layers: int = 2) -> np.ndarray:
-        """Nodes at least ``layers`` nodes away from every box face."""
+    def interior_mask(self) -> np.ndarray:
+        """Nodes at least ``FACE_LAYERS`` nodes away from every box face."""
         mask = np.zeros(self.shape, dtype=bool)
-        sl = slice(layers, self.points - layers)
+        sl = slice(FACE_LAYERS, self.points - FACE_LAYERS)
         mask[sl, sl, sl, sl] = True
         return mask
 
@@ -114,13 +118,13 @@ def integrate_samples(values: np.ndarray, grid: Grid4,
 
 
 def region_max(values: np.ndarray, grid: Grid4, r: float = None,
-               mode: str = "4d", layers: int = 2) -> float:
+               mode: str = "4d") -> float:
     """Max |component| over (outside ball) & (away from box faces).
 
     ``values`` has the grid on its last four axes; leading axes are
     component indices and are maximized over as well.
     """
-    mask = grid.region_mask(r, mode) & grid.interior_mask(layers)
+    mask = grid.region_mask(r, mode) & grid.interior_mask()
     if not mask.any():
         warnings.warn("norm region is empty", stacklevel=2)
         return 0.0

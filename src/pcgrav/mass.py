@@ -2,9 +2,8 @@
 
 Both take the metric on the central t = const slice of the 4D grid.
 Spatial derivatives use the grid stencils; values are interpolated to the
-quadrature spheres with separable Lagrange interpolation (cubic by
-default); sums are fixed-order and exactly rounded, so results are
-bit-reproducible.
+quadrature spheres with separable cubic Lagrange interpolation; sums are
+fixed-order and exactly rounded, so results are bit-reproducible.
 
 Conventions (documented in docs/conventions.md):
 
@@ -34,6 +33,12 @@ class MassDomainError(ValueError):
     """Input metric outside the operator's domain (not flat enough/static)."""
 
 
+# The fixed surface-integral rule (docs/conventions.md, "Mass normalizations")
+N_THETA, N_PHI = 8, 16        # Gauss-Legendre x uniform-azimuth nodes
+INTERPOLATION_ORDER = 3       # cubic Lagrange
+STATIONARITY_TOL = 1e-8       # Komar: Killing residual / max(1, max|g|)
+
+
 # ---------------------------------------------------------------------------
 # Sphere quadrature
 # ---------------------------------------------------------------------------
@@ -42,19 +47,17 @@ class MassDomainError(ValueError):
 class SphereQuadrature:
     """Gauss-Legendre x uniform-azimuth product rule on a coordinate sphere.
 
-    Exact for spherical harmonics up to degree min(2 n_theta - 1,
-    n_phi - 1); unit weights sum to 4 pi, area weights to 4 pi rho^2.
+    Exact for spherical harmonics up to degree min(2 N_THETA - 1,
+    N_PHI - 1); unit weights sum to 4 pi, area weights to 4 pi rho^2.
     """
 
     radius: float
-    n_theta: int = 8
-    n_phi: int = 16
 
     def nodes_and_weights(self):
-        c, w = np.polynomial.legendre.leggauss(self.n_theta)
-        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        c, w = np.polynomial.legendre.leggauss(N_THETA)
+        phi = 2.0 * np.pi * np.arange(N_PHI) / N_PHI
         cc, pp = np.meshgrid(c, phi, indexing="ij")
-        ww = np.repeat(w[:, None], self.n_phi, axis=1) * (2.0 * np.pi / self.n_phi)
+        ww = np.repeat(w[:, None], N_PHI, axis=1) * (2.0 * np.pi / N_PHI)
         s = np.sqrt(1.0 - cc ** 2)
         direction = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
         return direction.reshape(-1, 3), cc.reshape(-1), pp.reshape(-1), ww.reshape(-1)
@@ -63,9 +66,6 @@ class SphereQuadrature:
     def weights(self) -> np.ndarray:
         """Area weights on the sphere of this radius (sum 4 pi rho^2)."""
         return self.nodes_and_weights()[3] * self.radius ** 2
-
-    def points(self) -> np.ndarray:
-        return self.radius * self.nodes_and_weights()[0]
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -81,24 +81,25 @@ def central_slice(g: MetricField) -> np.ndarray:
     return g.data[:, :, (g.grid.points - 1) // 2]
 
 
-def _lagrange_coefficients(frac: float, order: int):
-    """Weights of the points i0..i0+order for unit-spaced samples."""
-    nodes = np.arange(order + 1, dtype=float)
-    weights = np.ones(order + 1)
-    for k in range(order + 1):
-        for m in range(order + 1):
+def _lagrange_coefficients(frac: float):
+    """Weights of the points i0..i0+INTERPOLATION_ORDER for unit spacing."""
+    nodes = np.arange(INTERPOLATION_ORDER + 1, dtype=float)
+    weights = np.ones_like(nodes)
+    for k in range(len(nodes)):
+        for m in range(len(nodes)):
             if m != k:
                 weights[k] *= (frac - nodes[m]) / (nodes[k] - nodes[m])
     return weights
 
 
-def interpolate_slice(values: np.ndarray, grid: Grid4, points: np.ndarray,
-                      order: int = 3) -> np.ndarray:
-    """Separable Lagrange interpolation of slice samples at spatial points.
+def interpolate_slice(values: np.ndarray, grid: Grid4,
+                      points: np.ndarray) -> np.ndarray:
+    """Separable cubic Lagrange interpolation of slice samples at points.
 
     ``values`` has shape (..., N, N, N) with components leading; ``points``
     is (n, 3) in box coordinates.  Returns (n, ...).
     """
+    order = INTERPOLATION_ORDER
     n = grid.points
     h = grid.spacing
     coords = (np.asarray(points) + grid.half_width) / h
@@ -107,9 +108,9 @@ def interpolate_slice(values: np.ndarray, grid: Grid4, points: np.ndarray,
     frac = coords - base
     out = np.empty((len(points),) + values.shape[:-3])
     for p in range(len(points)):
-        wx = _lagrange_coefficients(frac[p, 0], order)
-        wy = _lagrange_coefficients(frac[p, 1], order)
-        wz = _lagrange_coefficients(frac[p, 2], order)
+        wx = _lagrange_coefficients(frac[p, 0])
+        wy = _lagrange_coefficients(frac[p, 1])
+        wz = _lagrange_coefficients(frac[p, 2])
         block = values[..., base[p, 0]:base[p, 0] + order + 1,
                        base[p, 1]:base[p, 1] + order + 1,
                        base[p, 2]:base[p, 2] + order + 1]
@@ -153,32 +154,40 @@ def extrapolate_in_radius(radii, values):
 
 
 # ---------------------------------------------------------------------------
-# ADM energy
+# Surface integrals over a ladder of spheres
 # ---------------------------------------------------------------------------
 
-def adm_energy(g: MetricField, radii, quadrature_order: int = 8,
-               interpolation_order: int = 3):
+def _spheres(grid: Grid4, radii):
+    """Sorted radii, checked inside the box, and the unit-sphere rule."""
+    radii = sorted(float(r) for r in radii)
+    if not radii:
+        raise ValueError("need at least one radius")
+    if radii[-1] >= grid.half_width - grid.spacing:
+        raise ValueError("largest radius too close to the box boundary")
+    return radii, SphereQuadrature(radii[-1]).nodes_and_weights()
+
+
+def _surface_integrals(radii, weighted_integrand, normalization: float):
+    """Exactly rounded sum of ``weighted_integrand(rho)`` per radius, over
+    ``normalization``, and the 1/rho extrapolation of those values."""
+    values = [_fsum(weighted_integrand(rho)) / normalization for rho in radii]
+    extrapolated, slope = extrapolate_in_radius(radii, values)
+    return {"radii": radii, "values": values,
+            "extrapolated": extrapolated, "slope": slope}
+
+
+def adm_energy(g: MetricField, radii):
     """Per-radius surface energies and their 1/rho extrapolation.
 
     The slice must be asymptotically flat in the chart: |g_ij - delta| < 1
     at the largest requested radius.
     """
     grid = g.grid
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise ValueError("need at least one radius")
-    if radii[-1] >= grid.half_width - grid.spacing:
-        raise ValueError("largest radius too close to the box boundary")
+    radii, (directions, _, _, unit_w) = _spheres(grid, radii)
     spatial = central_slice(g)[1:, 1:]
-    h = grid.spacing
-
-    quad = SphereQuadrature(radii[-1], quadrature_order, 2 * quadrature_order)
-    directions = quad.nodes_and_weights()[0]
-    unit_w = quad.nodes_and_weights()[3]
 
     # flatness check at the largest radius
-    probe = interpolate_slice(spatial, grid, radii[-1] * directions,
-                              order=interpolation_order)
+    probe = interpolate_slice(spatial, grid, radii[-1] * directions)
     deviation = np.abs(probe - np.eye(3)).max()
     if deviation >= 1.0:
         raise MassDomainError(
@@ -186,40 +195,28 @@ def adm_energy(g: MetricField, radii, quadrature_order: int = 8,
             f"at rho = {radii[-1]}")
 
     # V_i = d_j g_ij - d_i g_jj, from grid stencils on the slice
-    grads = _slice_gradient(spatial, h)            # [k, i, j] = d_k g_ij
+    grads = _slice_gradient(spatial, grid.spacing)  # [k, i, j] = d_k g_ij
     v = np.einsum("jij...->i...", grads) - np.einsum("ijj...->i...", grads)
 
-    values = []
-    for rho in radii:
-        samples = interpolate_slice(v, grid, rho * directions,
-                                    order=interpolation_order)
-        integrand = np.einsum("ni,ni->n", samples, directions)
-        values.append(_fsum(integrand * unit_w * rho ** 2) / (16.0 * np.pi))
-    extrapolated, slope = extrapolate_in_radius(radii, values)
-    return {"radii": radii, "values": values,
-            "extrapolated": extrapolated, "slope": slope}
+    def flux(rho):
+        samples = interpolate_slice(v, grid, rho * directions)
+        return np.einsum("ni,ni->n", samples, directions) * unit_w * rho ** 2
+
+    return _surface_integrals(radii, flux, 16.0 * np.pi)
 
 
-# ---------------------------------------------------------------------------
-# Komar mass
-# ---------------------------------------------------------------------------
-
-def komar_mass(g: MetricField, radii, stationarity_tol: float = 1e-8,
-               quadrature_order: int = 8, interpolation_order: int = 3,
-               killing: PoincareElement = None):
+def komar_mass(g: MetricField, radii):
     """Komar surface integrals of the static lapse, per radius.
 
-    Precondition: the metric is stationary for the given Killing field
-    (default: time translation), checked through the Killing residual.
+    Precondition: the metric is stationary under time translation P0,
+    checked through the Killing residual.
     """
     grid = g.grid
-    radii = sorted(float(r) for r in radii)
-    if radii[-1] >= grid.half_width - grid.spacing:
-        raise ValueError("largest radius too close to the box boundary")
-    killing = killing or PoincareElement.from_name("P0")
-    _, kr_norm = killing_residual(g, killing, r=min(radii), mode="spatial")
+    radii, (directions, cosines, phis, unit_w) = _spheres(grid, radii)
+    _, kr_norm = killing_residual(g, PoincareElement.from_name("P0"),
+                                  r=min(radii), mode="spatial")
     scale = float(np.abs(g.data).max())
-    if kr_norm > stationarity_tol * max(1.0, scale):
+    if kr_norm > STATIONARITY_TOL * max(1.0, scale):
         raise MassDomainError(
             f"metric is not stationary: Killing residual {kr_norm:.3e}")
 
@@ -229,40 +226,32 @@ def komar_mass(g: MetricField, radii, stationarity_tol: float = 1e-8,
         raise MassDomainError("slice has non-timelike Killing direction")
     lapse = np.sqrt(-g_tt)
     spatial = full[1:, 1:]
-    h = grid.spacing
-    dlapse = _slice_gradient(lapse, h)
+    dlapse = _slice_gradient(lapse, grid.spacing)
+    # embedding tangents in (c, phi) on the unit sphere; d/dc of
+    # (s cosp, s sinp, c) uses ds/dc = -c/s (Gauss nodes are interior, s > 0)
+    s = np.sqrt(1.0 - cosines ** 2)
+    unit_t_c = np.stack([-cosines / s * np.cos(phis),
+                         -cosines / s * np.sin(phis),
+                         np.ones_like(s)], axis=-1)
+    unit_t_p = np.stack([-np.sin(phis) * s, np.cos(phis) * s,
+                         np.zeros_like(s)], axis=-1)
 
-    quad = SphereQuadrature(radii[-1], quadrature_order, 2 * quadrature_order)
-    directions, cosines, phis, unit_w = quad.nodes_and_weights()
-
-    values = []
-    for rho in radii:
+    def flux(rho):
         pts = rho * directions
-        gamma = interpolate_slice(spatial, grid, pts,
-                                  order=interpolation_order)
-        grad_a = interpolate_slice(dlapse, grid, pts,
-                                   order=interpolation_order)
+        gamma = interpolate_slice(spatial, grid, pts)
+        grad_a = interpolate_slice(dlapse, grid, pts)
         gamma_inv = np.linalg.inv(gamma)
         raised = np.einsum("nij,nj->ni", gamma_inv, directions)
         length = np.sqrt(np.einsum("ni,ni->n", raised, directions))
         normal = raised / length[:, None]
-        # embedding tangents in (c, phi); d/dc of (s cosp, s sinp, c) uses
-        # ds/dc = -c/s (Gauss nodes are interior, s > 0)
-        s = np.sqrt(1.0 - cosines ** 2)
-        t_c = np.stack([-cosines / s * np.cos(phis),
-                        -cosines / s * np.sin(phis),
-                        np.ones_like(s)], axis=-1) * rho
-        t_p = np.stack([-np.sin(phis) * s, np.cos(phis) * s,
-                        np.zeros_like(s)], axis=-1) * rho
+        t_c, t_p = unit_t_c * rho, unit_t_p * rho
         e_cc = np.einsum("nij,ni,nj->n", gamma, t_c, t_c)
         e_cp = np.einsum("nij,ni,nj->n", gamma, t_c, t_p)
         e_pp = np.einsum("nij,ni,nj->n", gamma, t_p, t_p)
         area = np.sqrt(np.clip(e_cc * e_pp - e_cp ** 2, 0.0, None))
-        integrand = np.einsum("ni,ni->n", normal, grad_a) * area
-        values.append(_fsum(integrand * unit_w) / (4.0 * np.pi))
-    extrapolated, slope = extrapolate_in_radius(radii, values)
-    return {"radii": radii, "values": values,
-            "extrapolated": extrapolated, "slope": slope}
+        return np.einsum("ni,ni->n", normal, grad_a) * area * unit_w
+
+    return _surface_integrals(radii, flux, 4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,14 @@ def assemble_report(manifest: RunManifest, body: dict) -> dict:
     return {"manifest": manifest.as_dict(), "body": body}
 
 
-def write_report(out_dir, name: str, manifest: RunManifest, body: dict,
-                 echo=False) -> Path:
+def write_report(out_dir, name: str, manifest: RunManifest,
+                 body: dict) -> Path:
+    """Write the report file and echo its canonical body to stdout."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     path.write_text(canonical_json(assemble_report(manifest, body)))
-    if echo:
-        sys.stdout.write(canonical_json(body))
+    sys.stdout.write(canonical_json(body))
     return path
 
 

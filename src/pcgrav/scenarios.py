@@ -112,8 +112,13 @@ class Scenario:
             _owned_rule(f"Ns entry {n}", self.grid, n)
         for name in self.generators:
             _owned_rule("generators", PoincareElement.from_name, name)
+        if len(set(self.generators)) != len(self.generators):
+            raise ScenarioError(
+                f"generators must be distinct, got {list(self.generators)}")
+        if not self.radii:
+            raise ScenarioError("radii must list at least one radius")
         # the mass surface integrals need a stencil's width inside the box
-        if self.radii and max(self.radii) >= box.half_width - box.spacing:
+        if max(self.radii) >= box.half_width - box.spacing:
             raise ScenarioError(
                 f"radii must stay below L - h = "
                 f"{box.half_width - box.spacing!r} at N = {self.points}, "

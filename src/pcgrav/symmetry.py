@@ -61,11 +61,8 @@ class PoincareElement:
 
     def coefficients(self):
         """Exact Poincare coefficient vector (translations then J pairs)."""
-        out = [Fraction(float(x)) for x in self.translation]
-        lowered = ETA.astype(float) @ self.rotation
-        for a, b in LAMBDA2:
-            out.append(Fraction(ETA[a, a] * ETA[b, b] * lowered[a, b]))
-        return out
+        return [Fraction(float(x)) for x in
+                (*self.translation, *self.rotation_pair_components)]
 
     @property
     def rotation_pair_components(self) -> np.ndarray:

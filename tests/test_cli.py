@@ -225,6 +225,8 @@ NAN, INF = float("nan"), float("inf")
     ({}, ["convergence", "--Ns", "9,13,17", "--quantities", "symmetry:Q9"],
      "generators"),
     ({"generators": []}, ["pc", "eom"], "generators"),
+    ({"radii": []}, ["mass", "komar"], "radii"),
+    ({"generators": ["P0", "P0"]}, ["killing", "residuals"], "generators"),
 ])
 def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
                                                      overrides, command,

@@ -317,6 +317,15 @@ def test_degenerate_tetrad_reports_node():
         F.tetrad_field(GRID, data)
 
 
+def test_nan_tetrad_is_degenerate():
+    data = np.zeros((4, 4) + GRID.shape)
+    for mu in range(4):
+        data[mu, mu] = 1.0
+    data[1, 2, 4, 4, 4, 4] = np.nan
+    with pytest.raises(F.DegenerateTetradError, match=r"node \(4, 4, 4, 4\)"):
+        F.tetrad_field(GRID, data)
+
+
 # ---------------------------------------------------------------------------
 # Levi-Civita connection
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Exact axiom checks, action construction/extraction, and their oracles."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcgrav import exact
-from pcgrav.algebras import (abelian, closure_check, poincare_algebra,
-                             poincare_coefficients, poincare_dgla, so3,
-                             so3_subalgebra, vector_representation_so3)
+from pcgrav.algebras import (abelian, closure_check, dgla_from_json,
+                             poincare_algebra, poincare_coefficients,
+                             poincare_dgla, so3, so3_subalgebra,
+                             vector_representation_so3)
 from pcgrav.conventions import ETA_DIAG, LAMBDA2, lorentz_generator
 from pcgrav.graded import (ActionMap, Dgla, DglaMorphism, Differential,
                            GradedBasis, GradedLieAlgebra, StructureError,
@@ -18,6 +21,7 @@ from pcgrav.graded import (ActionMap, Dgla, DglaMorphism, Differential,
                            check_morphism, extract_action_map, zero_action)
 
 Q = Fraction
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def basis_vec(dim, i, c=1):
@@ -294,6 +298,13 @@ def test_exactness_detects_degree_shift_in_inject():
 # ---------------------------------------------------------------------------
 # Poincare utilities
 # ---------------------------------------------------------------------------
+
+def test_shipped_poincare_document_matches_the_code_table():
+    shipped = dgla_from_json(json.loads(
+        (SCENARIOS / "poincare_algebra.json").read_text()))
+    assert shipped.basis.labels == poincare_algebra().basis.labels
+    assert shipped.algebra.brackets == poincare_algebra().brackets
+
 
 def test_poincare_dimension_is_ten():
     assert poincare_algebra().dim == 10

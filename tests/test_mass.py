@@ -103,6 +103,12 @@ def test_komar_rejects_non_stationary_metric():
         komar_mass(MetricField(grid, data), RADII)
 
 
+@pytest.mark.parametrize("integral", [adm_energy, komar_mass])
+def test_radii_must_not_be_empty(integral):
+    with pytest.raises(ValueError, match="at least one radius"):
+        integral(minkowski_metric(big_grid(9)), [])
+
+
 def test_radius_must_fit_in_box():
     with pytest.raises(ValueError, match="box"):
         adm_energy(minkowski_metric(big_grid(17)), [19.5])

@@ -47,6 +47,8 @@ def test_scenario_validation_errors():
     ({"Lambda": float("-inf")}, "Lambda"),
     ({"radii": [4.0, float("inf")]}, "radii"),
     ({"generators": ["P0", "Q9"]}, "generators"),
+    ({"radii": []}, "radii"),
+    ({"generators": ["P0", "P0"]}, "generators"),
 ])
 def test_scenario_validation_names_the_field(overrides, field):
     with pytest.raises(ScenarioError, match=f"^{field}"):

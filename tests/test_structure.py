@@ -1,11 +1,18 @@
-"""Every public module-level function and class of pcgrav is used somewhere.
+"""Every public name of pcgrav is used, and every default is overridden.
 
 A definition counts as used when some ``Name`` or ``Attribute`` node in
 ``src/``, ``tests/`` or ``demos/`` refers to it by name.  Re-exports in
 ``pcgrav/__init__.py`` do not count, and neither does the definition itself.
+
+A parameter with a default counts as set when some call in ``src/``,
+``tests/``, ``demos/`` or ``bench/`` to a function of that name passes it,
+by keyword or by position; a call that unpacks ``*args`` or ``**kwargs``
+counts as setting everything.  Calls are matched by name alone, so the scan
+can miss a knob but does not flag one that is set.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +46,58 @@ def test_no_public_helper_goes_uncalled():
     unused = [f"{module}:{name}" for module, name in public_definitions()
               if name not in used]
     assert unused == []
+
+
+def defaulted_parameters():
+    """(module, function, parameter, positional index or None) per default."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                # positional index as seen by a caller: self or cls is bound
+                functions = [
+                    (item, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                    for d in item.decorator_list) else 1)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+            else:
+                continue
+            for fn, bound in functions:
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                for n, arg in enumerate(args[first:], start=first):
+                    yield path.name, fn.name, arg.arg, n - bound
+                for arg, default in zip(fn.args.kwonlyargs,
+                                        fn.args.kw_defaults):
+                    if default is not None:
+                        yield path.name, fn.name, arg.arg, None
+
+
+def calls_by_name():
+    """name -> [(positional count, keyword names, unpacks)] per call."""
+    calls = defaultdict(list)
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    keywords = {k.arg for k in node.keywords}
+                    unpacks = (None in keywords or any(
+                        isinstance(a, ast.Starred) for a in node.args))
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls[name].append((len(node.args), keywords, unpacks))
+    return calls
+
+
+def test_no_defaulted_parameter_goes_unset():
+    calls = calls_by_name()
+    unset = [f"{module}:{function}({parameter})"
+             for module, function, parameter, index in defaulted_parameters()
+             if not any(unpacks or parameter in keywords
+                        or (index is not None and positional > index)
+                        for positional, keywords, unpacks in calls[function])]
+    assert unset == []
