@@ -165,14 +165,17 @@ def cmd_killing(args) -> int:
 def cmd_mass(args) -> int:
     scenario = _apply_overrides(args, load_scenario(args.scenario))
     metric = scenario.chart().metric(scenario.grid())
-    if args.mass_command == "adm":
-        result = adm_energy(metric, scenario.radii)
-        result["positivity"] = positivity_check(result["extrapolated"],
-                                                (0.0, 0.0, 0.0))
-        verdict = "pass" if result["positivity"]["passed"] else "fail"
-    else:
-        result = komar_mass(metric, scenario.radii)
-        verdict = "pass"
+    try:
+        if args.mass_command == "adm":
+            result = adm_energy(metric, scenario.radii)
+            result["positivity"] = positivity_check(result["extrapolated"],
+                                                    (0.0, 0.0, 0.0))
+            verdict = "pass" if result["positivity"]["passed"] else "fail"
+        else:
+            result = komar_mass(metric, scenario.radii)
+            verdict = "pass"
+    except MassDomainError as exc:
+        result, verdict = {"reason": str(exc)}, "fail"
     result["scenario"] = scenario.echo()
     result["verdict"] = verdict
     manifest = _manifest(args, scenario, f"mass {args.mass_command}")

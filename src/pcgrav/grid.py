@@ -66,9 +66,8 @@ class Grid4:
         return np.sqrt(np.broadcast_to(sq, self.shape))
 
     def region_mask(self, r: float = None, mode: str = "4d") -> np.ndarray:
-        """Nodes outside the excluded ball (|x| > r)."""
-        r = self.inner_radius if r is None else r
-        return self.radius(mode) > r
+        """Nodes outside the excluded ball (|x| > r); cached, read-only."""
+        return _region_mask(self, self.inner_radius if r is None else r, mode)
 
     def interior_mask(self) -> np.ndarray:
         """Nodes at least ``FACE_LAYERS`` nodes away from every box face."""
@@ -76,6 +75,21 @@ class Grid4:
         sl = slice(FACE_LAYERS, self.points - FACE_LAYERS)
         mask[sl, sl, sl, sl] = True
         return mask
+
+
+@lru_cache(maxsize=16)
+def _region_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
+    mask = grid.radius(mode) > r
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=16)
+def _norm_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
+    """Region of the residual max-norms: outside the ball, off the faces."""
+    mask = grid.region_mask(r, mode) & grid.interior_mask()
+    mask.setflags(write=False)
+    return mask
 
 
 def diff_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -124,9 +138,9 @@ def region_max(values: np.ndarray, grid: Grid4, r: float = None,
     ``values`` has the grid on its last four axes; leading axes are
     component indices and are maximized over as well.
     """
-    mask = grid.region_mask(r, mode) & grid.interior_mask()
+    mask = _norm_mask(grid, grid.inner_radius if r is None else r, mode)
     if not mask.any():
         warnings.warn("norm region is empty", stacklevel=2)
         return 0.0
-    comps = np.abs(values).reshape((-1,) + grid.shape)
-    return float(max(c[mask].max() for c in comps))
+    comps = values.reshape((-1,) + grid.shape)
+    return float(max(np.abs(c[mask]).max() for c in comps))

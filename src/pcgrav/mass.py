@@ -30,7 +30,8 @@ from .symmetry import PoincareElement, killing_residual
 
 
 class MassDomainError(ValueError):
-    """Input metric outside the operator's domain (not flat enough/static)."""
+    """Input metric outside the operator's domain (not flat enough, not
+    static, or giving a non-finite mass)."""
 
 
 # The fixed surface-integral rule (docs/conventions.md, "Mass normalizations")
@@ -167,10 +168,17 @@ def _spheres(grid: Grid4, radii):
     return radii, SphereQuadrature(radii[-1]).nodes_and_weights()
 
 
-def _surface_integrals(radii, weighted_integrand, normalization: float):
+def _surface_integrals(quantity: str, radii, weighted_integrand,
+                       normalization: float):
     """Exactly rounded sum of ``weighted_integrand(rho)`` per radius, over
-    ``normalization``, and the 1/rho extrapolation of those values."""
+    ``normalization``, and the 1/rho extrapolation of those values.
+
+    A non-finite value is refused, naming ``quantity`` and its radius.
+    """
     values = [_fsum(weighted_integrand(rho)) / normalization for rho in radii]
+    for rho, value in zip(radii, values):
+        if not math.isfinite(value):
+            raise MassDomainError(f"{quantity} is {value!r} at rho = {rho!r}")
     extrapolated, slope = extrapolate_in_radius(radii, values)
     return {"radii": radii, "values": values,
             "extrapolated": extrapolated, "slope": slope}
@@ -202,7 +210,7 @@ def adm_energy(g: MetricField, radii):
         samples = interpolate_slice(v, grid, rho * directions)
         return np.einsum("ni,ni->n", samples, directions) * unit_w * rho ** 2
 
-    return _surface_integrals(radii, flux, 16.0 * np.pi)
+    return _surface_integrals("ADM energy", radii, flux, 16.0 * np.pi)
 
 
 def komar_mass(g: MetricField, radii):
@@ -216,7 +224,8 @@ def komar_mass(g: MetricField, radii):
     _, kr_norm = killing_residual(g, PoincareElement.from_name("P0"),
                                   r=min(radii), mode="spatial")
     scale = float(np.abs(g.data).max())
-    if kr_norm > STATIONARITY_TOL * max(1.0, scale):
+    # a NaN residual compares false either way: only a small one passes
+    if not kr_norm <= STATIONARITY_TOL * max(1.0, scale):
         raise MassDomainError(
             f"metric is not stationary: Killing residual {kr_norm:.3e}")
 
@@ -251,7 +260,7 @@ def komar_mass(g: MetricField, radii):
         area = np.sqrt(np.clip(e_cc * e_pp - e_cp ** 2, 0.0, None))
         return np.einsum("ni,ni->n", normal, grad_a) * area * unit_w
 
-    return _surface_integrals(radii, flux, 4.0 * np.pi)
+    return _surface_integrals("Komar mass", radii, flux, 4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -24,8 +25,21 @@ import numpy as np
 from . import __version__
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted keys, repr floats, non-finite numbers as null."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def sha256_of_file(path) -> str:

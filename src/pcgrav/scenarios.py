@@ -34,11 +34,12 @@ from .action import (EquivariantTestForm, PcConfig, einstein_residual,
 from .conventions import LAMBDA_BASES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import Grid4
-from .mass import adm_energy, komar_mass, positivity_check
+from .mass import (MassDomainError, adm_energy, komar_mass,
+                   positivity_check)
 from .report import sha256_of_file, sha256_of_text, canonical_json
 from .symmetry import (POINCARE_GENERATOR_NAMES, SPHERICAL_GENERATOR_NAMES,
-                       CutoffFunction, PoincareElement, killing_residual,
-                       symmetry_residual)
+                       CutoffFunction, PoincareElement, axis_derivatives,
+                       killing_residual, symmetry_residual)
 
 SCENARIO_KINDS = ("poincare", "spherical")
 GEOMETRIES = ("schwarzschild", "minkowski")
@@ -196,7 +197,7 @@ def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
             source_hash=source_hash or "inline",
         )
         if source_hash is None:
-            # hashed once validated: canonical JSON refuses non-finite numbers
+            # hashed once validated, so no non-finite number reaches it
             object.__setattr__(scenario, "source_hash",
                                sha256_of_text(canonical_json(doc)))
     except (TypeError, ValueError) as exc:
@@ -308,6 +309,34 @@ def fold_verdicts(verdicts) -> str:
 # Studies
 # ---------------------------------------------------------------------------
 
+def _generator_norms(e, gens, cutoff, cfg: PcConfig):
+    """Symmetry-residual and coupling-term norms of each generator at one N.
+
+    The derivative set and the test form do not depend on the generator,
+    so they are built once; both are dropped on return, before the field
+    equations of the same N.
+    """
+    alpha = standard_test_form(e.grid, cutoff, gens[0], cfg.radius_mode).alpha
+    derivatives = axis_derivatives(e.data, e.grid, gens)
+    sym, extra = [], []
+    for gen in gens:
+        residual = symmetry_residual(e, gen, derivatives)
+        sym.append(residual.region_norm(**cfg.region_kwargs()))
+        form = EquivariantTestForm(alpha, gen)
+        _, enorm = extra_eom_term(e, form, cutoff, cfg, residual=residual)
+        extra.append(enorm)
+    return sym, extra
+
+
+def _killing_norms(scenario: Scenario, metric, gens) -> dict:
+    """Killing-residual norm of each generator, one derivative set shared."""
+    derivatives = axis_derivatives(metric.data, metric.grid, gens)
+    return {gen.name: killing_residual(metric, gen, r=scenario.cutoff_inner,
+                                       mode=scenario.radius_mode,
+                                       derivatives=derivatives)[1]
+            for gen in gens}
+
+
 def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
            killing_n: int = None) -> dict:
     """One pass over resolutions, building each field only where it is read."""
@@ -330,15 +359,9 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
             e = chart.tetrad(grid)
         if n in gen_ns:
             raw["gen_spacings"].append(grid.spacing)
-            alpha = standard_test_form(grid, cutoff, gens[0],
-                                       scenario.radius_mode).alpha
-            for gen in gens:
-                residual = symmetry_residual(e, gen)
-                raw["sym"][gen.name].append(
-                    residual.region_norm(**cfg.region_kwargs()))
-                form = EquivariantTestForm(alpha, gen)
-                _, enorm = extra_eom_term(e, form, cutoff, cfg,
-                                          residual=residual)
+            sym, extra = _generator_norms(e, gens, cutoff, cfg)
+            for gen, snorm, enorm in zip(gens, sym, extra):
+                raw["sym"][gen.name].append(snorm)
                 raw["extra"][gen.name].append(enorm)
         if n in eom_ns:
             raw["eom_spacings"].append(grid.spacing)
@@ -348,12 +371,7 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
             _, en = einstein_residual(e, omega, cfg)
             raw["einstein"].append(en)
         if n == killing_n:
-            metric = chart.metric(grid)
-            raw["killing"] = {
-                gen.name: killing_residual(
-                    metric, gen, r=scenario.cutoff_inner,
-                    mode=scenario.radius_mode)[1]
-                for gen in gens}
+            raw["killing"] = _killing_norms(scenario, chart.metric(grid), gens)
     return raw
 
 
@@ -401,8 +419,11 @@ def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
 
 def mass_study(scenario: Scenario, geometry: str) -> dict:
     metric = scenario.chart(geometry).metric(scenario.grid())
-    adm = adm_energy(metric, scenario.radii)
-    komar = komar_mass(metric, scenario.radii)
+    try:
+        adm = adm_energy(metric, scenario.radii)
+        komar = komar_mass(metric, scenario.radii)
+    except MassDomainError as exc:
+        return {"reason": str(exc), "verdict": "fail"}
     th = scenario.thresholds
     # time-symmetric slices carry zero momentum (general P is out of scope)
     positivity = positivity_check(adm["extrapolated"], (0.0, 0.0, 0.0))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,7 +120,16 @@ class CutoffFunction:
         return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
     def on_grid(self, grid: Grid4, mode: str = "4d") -> np.ndarray:
-        return self.profile(grid.radius(mode))
+        """The profile at every node; cached per (grid, mode), read-only."""
+        return _profile_on_grid(self, grid, mode)
+
+
+@lru_cache(maxsize=8)
+def _profile_on_grid(cutoff: CutoffFunction, grid: Grid4,
+                     mode: str) -> np.ndarray:
+    ups = cutoff.profile(grid.radius(mode))
+    ups.setflags(write=False)
+    return ups
 
 
 def cutoff_eval(c: CutoffFunction, point, mode: str = "4d") -> float:
@@ -144,43 +154,102 @@ def generated_vector_field(x: PoincareElement, grid: Grid4) -> np.ndarray:
     return out
 
 
-def _lie_transport(data: np.ndarray, x: PoincareElement,
-                   grid: Grid4) -> np.ndarray:
+@dataclass(frozen=True)
+class AxisDerivatives:
+    """d_0 ... d_3 of the components of a field that are not identically zero.
+
+    ``live`` holds the flat indices of those components (leading axes
+    flattened); ``by_axis[lam]`` holds d_lam of each, stacked in that order.
+    A component that is zero everywhere has zero derivatives, so the
+    transport skips it exactly.
+    """
+
+    live: np.ndarray
+    by_axis: dict
+
+
+def _moved_axes(x: PoincareElement):
+    """Axes lambda along which xi^lambda = T^lambda + R^lambda_nu x^nu
+    is not identically zero."""
+    return [lam for lam in range(4)
+            if x.translation[lam] or np.any(x.rotation[lam])]
+
+
+def axis_derivatives(data: np.ndarray, grid: Grid4,
+                     generators) -> AxisDerivatives:
+    """Stencil derivatives of the live components of ``data`` along every
+    axis that one of ``generators`` moves: one set serves them all."""
+    axes = sorted({lam for x in generators for lam in _moved_axes(x)})
+    comps = data.reshape((-1,) + grid.shape)
+    live = np.flatnonzero([np.any(c != 0.0) for c in comps])
+    stacked = comps[live]
+    return AxisDerivatives(live, {lam: diff_axis(stacked, 1 + lam,
+                                                 grid.spacing)
+                                  for lam in axes})
+
+
+def _lie_transport(data: np.ndarray, x: PoincareElement, grid: Grid4,
+                   derivatives: AxisDerivatives = None) -> np.ndarray:
     """xi^lambda d_lambda of every component: the transport part of L_xi.
 
-    Grid stencils differentiate the components; callers add the Jacobian
-    terms of the affine xi, which are its exact rotation matrix.
+    Grid stencils differentiate the components, read from ``derivatives``
+    (built here when not given); callers add the Jacobian terms of the
+    affine xi, which are its exact rotation matrix.
     """
-    out = np.zeros_like(data)
+    if derivatives is None:
+        derivatives = axis_derivatives(data, grid, (x,))
     xi = generated_vector_field(x, grid)
-    for lam in range(4):
-        if np.any(xi[lam] != 0.0):
-            out += xi[lam] * diff_axis(data, 2 + lam, grid.spacing)
+    transported = np.zeros((len(derivatives.live),) + grid.shape)
+    for lam in _moved_axes(x):
+        transported += xi[lam] * derivatives.by_axis[lam]
+    out = np.zeros(data.shape)
+    out.reshape((-1,) + grid.shape)[derivatives.live] = transported
     return out
 
 
-def lie_derivative_one_form(field: FormField, x: PoincareElement) -> np.ndarray:
+def _entries(matrix: np.ndarray):
+    """(row, column, value) of the nonzero entries, row-major."""
+    return [(i, j, matrix[i, j]) for i, j in zip(*np.nonzero(matrix))]
+
+
+def lie_derivative_one_form(field: FormField, x: PoincareElement,
+                            derivatives: AxisDerivatives = None) -> np.ndarray:
     """(L_xi a)^I_mu for a 1-form, internal indices untouched."""
-    out = _lie_transport(field.data, x, field.grid)
+    out = _lie_transport(field.data, x, field.grid, derivatives)
     # + a^I_nu d_mu xi^nu with d_mu xi^nu = R^nu_mu
-    out += np.einsum("na...,nm->ma...", field.data, x.rotation)
+    for nu, mu, r in _entries(x.rotation):
+        out[mu] += r * field.data[nu]
     return out
 
 
-def symmetry_residual(e: FormField, x: PoincareElement) -> FormField:
-    """X . e = L_xi e - rho_V(R) e; zero iff xi acts isometrically on g_e."""
+def symmetry_residual(e: FormField, x: PoincareElement,
+                      derivatives: AxisDerivatives = None) -> FormField:
+    """X . e = L_xi e - rho_V(R) e; zero iff xi acts isometrically on g_e.
+
+    ``derivatives`` is ``axis_derivatives(e.data, e.grid, generators)``,
+    shared by the generators of a sweep; it is built here when not given.
+    """
     if e.degree != 1 or e.internal != 1:
         raise ValueError("symmetry residual is defined for V-valued 1-forms")
-    data = lie_derivative_one_form(e, x)
-    data -= np.einsum("ab,mb...->ma...", x.rotation, e.data)
+    data = lie_derivative_one_form(e, x, derivatives)
+    for a, b, r in _entries(x.rotation):
+        data[:, a] -= r * e.data[:, b]
     return FormField(e.grid, 1, 1, data)
 
 
 def killing_residual(g: MetricField, x: PoincareElement,
-                     r: float = None, mode: str = "4d"):
-    """(L_xi g)_{mu nu} and its max-norm outside the excluded ball."""
-    out = _lie_transport(g.data, x, g.grid)
-    out += np.einsum("ln...,lm->mn...", g.data, x.rotation)
-    out += np.einsum("ml...,ln->mn...", g.data, x.rotation)
+                     r: float = None, mode: str = "4d",
+                     derivatives: AxisDerivatives = None):
+    """(L_xi g)_{mu nu} and its max-norm outside the excluded ball.
+
+    ``derivatives`` is ``axis_derivatives(g.data, g.grid, generators)``,
+    shared by the generators of a sweep; it is built here when not given.
+    """
+    out = _lie_transport(g.data, x, g.grid, derivatives)
+    entries = _entries(x.rotation)
+    for lam, mu, value in entries:
+        out[mu] += value * g.data[lam]
+    for lam, nu, value in entries:
+        out[:, nu] += value * g.data[:, lam]
     norm = region_max(out, g.grid, r, mode)
     return out, norm

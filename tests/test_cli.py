@@ -238,3 +238,23 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     assert code == 2
     assert f"error: {field}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, quantity", [
+    ("adm", "ADM energy is nan"),
+    ("komar", "Killing residual nan"),
+])
+def test_non_finite_mass_is_a_fail_verdict(tmp_path, capsys, command,
+                                           quantity):
+    # the default core radius 2M overflows, so the metric is NaN
+    path = small_scenario_file(tmp_path, M=1e308, grid={"L": 8.0, "N": 9},
+                               Ns=[5, 9], radii=[4.0, 5.0])
+    out_dir = tmp_path / "reports"
+    code, out = run(["mass", command, "--scenario", str(path),
+                     "--out", str(out_dir)], tmp_path, capsys)
+    assert code == 1
+    body = json.loads(out)
+    assert body["verdict"] == "fail"
+    assert quantity in body["reason"]
+    report = json.loads((out_dir / f"mass_{command}.json").read_text())
+    assert report["body"] == body

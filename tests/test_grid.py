@@ -103,3 +103,27 @@ def test_region_max_component_axes_lead():
     values = np.zeros((2, 3) + g.shape)
     values[1, 2, 2, 2, 2, 2] = -7.0
     assert region_max(values, g) == 7.0
+
+
+def test_region_max_mask_cache_matches_a_fresh_mask():
+    from pcgrav.grid import _norm_mask, _region_mask
+    g = Grid4(2.0, 9, inner_radius=0.5)
+    rng = np.random.default_rng(3)
+    # largest near the centre, so each region has its own maximum
+    values = np.exp(-g.radius("4d")) * (1.0 + 0.1 * rng.random((3,) + g.shape))
+    keys = [(0.7, "4d"), (1.2, "spatial")]
+
+    def fresh(r, mode):
+        mask = (g.radius(mode) > r) & g.interior_mask()
+        return float(np.abs(values)[:, mask].max())
+
+    assert fresh(*keys[0]) != fresh(*keys[1])
+    for order in (keys, keys[::-1]):
+        _region_mask.cache_clear()
+        _norm_mask.cache_clear()
+        for r, mode in order + order:      # the second pass reads the cache
+            assert region_max(values, g, r, mode) == fresh(r, mode)
+    for r, mode in keys:
+        for cached in (g.region_mask(r, mode), _norm_mask(g, r, mode)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0, 0, 0] = True

@@ -124,3 +124,18 @@ def test_positivity_verdicts():
     assert "dominant energy condition" in bad["message"]
     assert positivity_check(1.0, (0.0, 0.6, 0.8))["mass"] == \
         pytest.approx(0.0, abs=1e-12)
+
+def test_komar_counts_a_nan_residual_as_non_stationary():
+    grid = big_grid(9)
+    data = minkowski_metric(grid).data.copy()
+    data[0, 0, 4] = np.nan
+    with pytest.raises(MassDomainError, match="stationary.*nan"):
+        komar_mass(MetricField(grid, data), [8.0, 12.0])
+
+
+def test_non_finite_surface_integral_names_the_quantity():
+    grid = big_grid(9)
+    data = minkowski_metric(grid).data.copy()
+    data[1, 1, 4] = np.nan
+    with pytest.raises(MassDomainError, match="ADM energy is nan"):
+        adm_energy(MetricField(grid, data), [8.0, 12.0])

@@ -166,3 +166,61 @@ def test_residual_csv_rows_shape():
     assert float(rows[1][1]) == \
         report.body["sections"]["schwarzschild"][
             "symmetry_residuals"]["L1"]["norms"][0]
+
+
+def test_non_finite_mass_study_is_a_fail_verdict():
+    from pcgrav.scenarios import mass_study
+    sc = small_scenario(M=1e308, grid={"L": 8.0, "N": 9}, Ns=[5, 9],
+                        radii=[4.0, 5.0])
+    masses = mass_study(sc, "schwarzschild")
+    assert masses["verdict"] == "fail"
+    assert "ADM energy is nan" in masses["reason"]
+    json.dumps(masses, allow_nan=False)
+
+
+def test_report_writes_non_finite_numbers_as_null():
+    from pcgrav.report import canonical_json
+    text = canonical_json({"a": float("nan"), "b": [1.5, float("-inf")],
+                           "c": (float("inf"),), "d": "nan"})
+    assert json.loads(text) == {"a": None, "b": [1.5, None], "c": [None],
+                                "d": "nan"}
+
+
+def test_sweep_does_generator_independent_work_once(monkeypatch):
+    import pcgrav.grid as grid_module
+    import pcgrav.symmetry as symmetry
+    from pcgrav.scenarios import _sweep
+    from pcgrav.symmetry import POINCARE_GENERATOR_NAMES
+    calls = {"diff_axis": 0, "radius": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symmetry, "diff_axis",
+                        counted("diff_axis", symmetry.diff_axis))
+    monkeypatch.setattr(grid_module.Grid4, "radius",
+                        counted("radius", grid_module.Grid4.radius))
+
+    def sweep(generators, **stages):
+        for cached in (grid_module._region_mask, grid_module._norm_mask,
+                       symmetry._profile_on_grid):
+            cached.cache_clear()
+        calls.update(diff_axis=0, radius=0)
+        sc = small_scenario(scenario="poincare", generators=generators)
+        return _sweep(sc, "schwarzschild", **stages)
+
+    every = list(POINCARE_GENERATOR_NAMES)
+    for stage in ({"gen_ns": (9,)}, {"killing_n": 9}):
+        sweep(every, **stage)
+        # one derivative per axis, all ten generators moving all four
+        assert calls["diff_axis"] <= 4, stage
+    # the tetrad, the metric, one cutoff sample and one norm mask; the
+    # 30 region_max calls of the ten generators read the cached mask
+    sweep(["P0"], gen_ns=(9,), killing_n=9)
+    single = calls["radius"]
+    raw = sweep(every, gen_ns=(9,), killing_n=9)
+    assert calls["radius"] == single <= 4
+    assert len(raw["killing"]) == len(raw["sym"]) == 10

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from pcgrav.fields import FormField, MetricField
 from pcgrav.geometry import (SchwarzschildIsotropic, minkowski_metric,
                              minkowski_tetrad)
-from pcgrav.grid import Grid4, diff_axis
+from pcgrav.grid import Grid4, diff_axis, region_max
 from pcgrav.symmetry import (CutoffFunction, KillingSubalgebra,
-                             PoincareElement, cutoff_eval,
+                             PoincareElement, axis_derivatives, cutoff_eval,
                              generated_vector_field, killing_residual,
                              poincare_generators, spherical_subalgebra,
                              symmetry_residual)
@@ -228,3 +229,76 @@ def test_pointwise_killing_bound_follows_symmetry_residual():
         lg_max = np.abs(lg).reshape((-1,) + grid.shape).max(axis=0)
         slack = lg_max[mask] - 8.0 * (e_max * xe_max)[mask]
         assert slack.max() <= 0.02, (name, slack.max())
+
+
+# ---------------------------------------------------------------------------
+# shared derivatives against the per-generator reference
+# ---------------------------------------------------------------------------
+
+def reference_transport(data, x, grid):
+    """xi^lambda d_lambda, differentiating the whole field per generator."""
+    out = np.zeros_like(data)
+    xi = generated_vector_field(x, grid)
+    for lam in range(4):
+        if np.any(xi[lam] != 0.0):
+            out += xi[lam] * diff_axis(data, 2 + lam, grid.spacing)
+    return out
+
+
+def reference_symmetry_residual(e, x):
+    out = reference_transport(e.data, x, e.grid)
+    out += np.einsum("na...,nm->ma...", e.data, x.rotation)
+    out -= np.einsum("ab,mb...->ma...", x.rotation, e.data)
+    return out
+
+
+def reference_killing_residual(g, x):
+    out = reference_transport(g.data, x, g.grid)
+    out += np.einsum("ln...,lm->mn...", g.data, x.rotation)
+    out += np.einsum("ml...,ln->mn...", g.data, x.rotation)
+    return out
+
+
+def dense_fields():
+    """Random 1-form and metric with every component live at every t."""
+    grid = Grid4(2.0, 9, inner_radius=0.5)
+    rng = np.random.default_rng(2026)
+    e = FormField(grid, 1, 1, rng.normal(size=(4, 4) + grid.shape))
+    a = rng.normal(size=(4, 4) + grid.shape)
+    return grid, e, MetricField(grid, a + a.swapaxes(0, 1))
+
+
+def test_shared_derivatives_match_the_reference_exactly():
+    grid, e, g = dense_fields()
+    gens = poincare_generators()
+    e_set = axis_derivatives(e.data, grid, gens)
+    g_set = axis_derivatives(g.data, grid, gens)
+    for x in gens:
+        want = reference_symmetry_residual(e, x)
+        assert np.array_equal(symmetry_residual(e, x, e_set).data, want)
+        assert np.array_equal(symmetry_residual(e, x).data, want)
+        want = reference_killing_residual(g, x)
+        for derivatives in (g_set, None):
+            got, norm = killing_residual(g, x, r=0.5, derivatives=derivatives)
+            assert np.array_equal(got, want), x.name
+            assert norm == region_max(want, grid, 0.5)
+
+
+def test_shared_derivatives_match_the_reference_for_a_general_element():
+    grid, e, g = dense_fields()
+    # a translation plus rotations and boosts sharing rows and columns
+    x = PoincareElement.from_coefficients(
+        [0.5, -1.0, 0.0, 2.0, 1.0, -2.0, 0.5, 3.0, 0.0, -1.5])
+    assert np.count_nonzero(x.rotation) > 4
+    # the sparse loop adds the rotation terms one at a time, the reference
+    # sums them first: entries may differ by a few ulp of their largest term,
+    # which near a cancellation is not small relative to the entry itself
+    e_set = axis_derivatives(e.data, grid, [x])
+    g_set = axis_derivatives(g.data, grid, [x])
+    cases = [(symmetry_residual(e, x, e_set).data,
+              reference_symmetry_residual(e, x)),
+             (killing_residual(g, x, derivatives=g_set)[0],
+              reference_killing_residual(g, x))]
+    for got, want in cases:
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
