@@ -54,7 +54,8 @@ class EquivariantTestForm:
 
     def check_support(self, r: float, mode: str = "4d") -> None:
         outside = self.alpha.grid.region_mask(r, mode)
-        if np.any(self.alpha.data[:, :, ~outside] != 0.0):
+        # alpha and the mask broadcast against each other
+        if np.any((self.alpha.data != 0.0) & ~outside):
             raise ValueError("test form must vanish on the excluded ball")
 
 

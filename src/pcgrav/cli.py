@@ -242,7 +242,8 @@ def cmd_convergence(args) -> int:
             entry = eom[quantity]
         elif quantity == "leibniz":
             norms, spacings = leibniz_residual_norms(scenario, resolutions)
-            entry = classify_sequence(norms, spacings, scenario.thresholds)
+            entry = classify_sequence(norms, spacings, scenario.thresholds,
+                                      resolutions)
             eom_verdict(entry)
         elif quantity.startswith(("symmetry:", "extra:")):
             if gen_study is None:
@@ -259,7 +260,7 @@ def cmd_convergence(args) -> int:
             return USAGE_ERROR
         # non-monotone decaying sequences are not trustworthy: flag them
         norms = entry["norms"]
-        if (entry["kind"] not in ("exact", "non-decaying")
+        if (entry["kind"] not in ("exact", "non-decaying", "non-finite")
                 and any(b > a for a, b in zip(norms, norms[1:]))):
             entry = dict(entry)
             entry["verdict"] = "inconclusive"

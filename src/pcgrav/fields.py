@@ -10,7 +10,9 @@ for both the spacetime and the internal slots:
 
 so each component is a contiguous node array and the bilinear products
 below are fixed-order contiguous multiply-adds (deterministic output,
-independent of threading).
+independent of threading).  Each grid axis has extent N or 1: a field
+that does not depend on a coordinate (a static field on t) stores one node
+along it, and products, sums and norms broadcast over that axis.
 """
 
 from __future__ import annotations
@@ -45,13 +47,8 @@ class FormField:
     data: np.ndarray
 
     def __post_init__(self):
-        expected = (len(LAMBDA_BASES[self.degree]),
-                    INTERNAL_DIMS[self.internal]) + self.grid.shape
-        if self.data.shape != expected:
-            raise FormFieldError(
-                f"component array has shape {self.data.shape}, "
-                f"expected {expected}")
-        self.data.setflags(write=False)
+        _check_shape(self.data, (len(LAMBDA_BASES[self.degree]),
+                                 INTERNAL_DIMS[self.internal]), self.grid)
 
     @property
     def internal_tag(self) -> str:
@@ -95,14 +92,36 @@ class FormField:
         return region_max(self.data, self.grid, r, mode)
 
 
+def _check_shape(data: np.ndarray, leading: tuple, grid: Grid4) -> None:
+    """Component axes ``leading``, then extent N or 1 on each grid axis."""
+    extents = data.shape[len(leading):]
+    if (data.shape[:len(leading)] != leading or len(extents) != 4
+            or any(n not in (1, grid.points) for n in extents)):
+        raise FormFieldError(
+            f"component array has shape {data.shape}, expected "
+            f"{leading + grid.shape} (or extent 1 on a grid axis)")
+    data.setflags(write=False)
+
+
+def live_components(data: np.ndarray) -> np.ndarray:
+    """Which components (leading axes) are not zero at every node."""
+    return np.any(data != 0.0, axis=(-4, -3, -2, -1))
+
+
 def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
-    shape = (len(LAMBDA_BASES[degree]), INTERNAL_DIMS[internal]) + grid.shape
+    """The zero field, stored with extent 1 on every grid axis."""
+    shape = (len(LAMBDA_BASES[degree]), INTERNAL_DIMS[internal], 1, 1, 1, 1)
     return FormField(grid, degree, internal, np.zeros(shape))
 
 
 def scalar_form(grid: Grid4, degree: int, components: dict) -> FormField:
-    """Scalar-valued p-form from {increasing multi-index: node samples}."""
-    out = np.zeros((len(LAMBDA_BASES[degree]), 1) + grid.shape)
+    """Scalar-valued p-form from {increasing multi-index: node samples}.
+
+    The samples broadcast; the form keeps their common grid extents.
+    """
+    shape = np.broadcast_shapes((1, 1, 1, 1),
+                                *(np.shape(v) for v in components.values()))
+    out = np.zeros((len(LAMBDA_BASES[degree]), 1) + shape)
     for mi, samples in components.items():
         out[_INDEX[degree][tuple(mi)], 0] = samples
     return FormField(grid, degree, 0, out)
@@ -183,18 +202,16 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
         raise FormFieldError("spacetime degree overflow")
     k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
     p_out = a.degree + b.degree
-    nodes = a.grid.points ** 4
-    at = a.data.reshape(a.data.shape[:2] + (nodes,))
-    bt = b.data.reshape(b.data.shape[:2] + (nodes,))
+    shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
     # all-zero components contribute exact zeros: skip their products
-    a_live = np.any(at != 0.0, axis=-1)
-    b_live = np.any(bt != 0.0, axis=-1)
-    out = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out], nodes))
-    prod = np.empty(nodes)
+    a_live = live_components(a.data)
+    b_live = live_components(b.data)
+    out = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape)
+    prod = np.empty(shape)
     for i, u, j, v, outs in plan:
         if not (a_live[i, u] and b_live[j, v]):
             continue
-        np.multiply(at[i, u], bt[j, v], out=prod)
+        np.multiply(a.data[i, u], b.data[j, v], out=prod)
         for k, m, c in outs:
             if c == 1.0:
                 out[k, m] += prod
@@ -202,8 +219,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
                 out[k, m] -= prod
             else:
                 out[k, m] += c * prod
-    return FormField(a.grid, p_out, k_out,
-                     out.reshape(out.shape[:2] + a.grid.shape))
+    return FormField(a.grid, p_out, k_out, out)
 
 
 def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
@@ -214,15 +230,21 @@ def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
 
 
 def ext_d(a: FormField) -> FormField:
-    """Finite-difference exterior derivative (4th order interior stencils)."""
+    """Finite-difference exterior derivative (4th order interior stencils).
+
+    Derivatives along a grid axis of extent 1 are exact zeros and skipped.
+    """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
     p, h = a.degree, a.grid.spacing
     targets = LAMBDA_BASES[p + 1]
-    out = np.zeros((len(targets), INTERNAL_DIMS[a.internal]) + a.grid.shape)
+    out = np.zeros((len(targets), INTERNAL_DIMS[a.internal])
+                   + a.data.shape[2:])
     for t, target in enumerate(targets):
         acc = out[t]
         for m, mu in enumerate(target):
+            if a.data.shape[2 + mu] == 1:
+                continue
             source = target[:m] + target[m + 1:]
             term = diff_axis(a.data[_INDEX[p][source]], 1 + mu, h)
             if m % 2:
@@ -271,12 +293,10 @@ DEGENERACY_THRESHOLD = 1e-8
 @dataclass(frozen=True)
 class MetricField:
     grid: Grid4
-    data: np.ndarray  # (4, 4) + grid.shape, symmetric in the leading axes
+    data: np.ndarray  # (4, 4) + grid extents, symmetric in the leading axes
 
     def __post_init__(self):
-        if self.data.shape != (4, 4) + self.grid.shape:
-            raise FormFieldError("metric components must be (4, 4, grid)")
-        self.data.setflags(write=False)
+        _check_shape(self.data, (4, 4), self.grid)
 
 
 def tetrad_field(grid: Grid4, data: np.ndarray) -> FormField:
@@ -294,7 +314,9 @@ def check_nondegenerate(e: FormField) -> None:
     dets = np.abs(tetrad_determinants(e))
     bad = ~(dets > DEGENERACY_THRESHOLD)  # NaN counts as degenerate
     if bad.any():
-        node = np.unravel_index(np.argmax(bad), e.grid.shape)
+        # along an axis of extent 1 the field is the same at every node;
+        # index 0 names a real one
+        node = np.unravel_index(np.argmax(bad), bad.shape)
         coords = [float(e.grid.axis_coordinates()[i]) for i in node]
         raise DegenerateTetradError(
             f"tetrad degenerate at node {tuple(int(i) for i in node)} "
@@ -330,13 +352,14 @@ def levi_civita_connection(e: FormField) -> FormField:
     same stencils are used.
     """
     grid = e.grid
+    shape = e.data.shape[2:]
     einv = inverse_tetrad(e)          # einv[a, mu] = E^mu_a
     de = ext_d(e)                     # A^h_(mu nu) on increasing pairs
 
     # frame-index anholonomy on pairs: A^h_ab = E^mu_a E^nu_b (de)^h_mu_nu,
     # with the internal index lowered on the fly: A_{h,(ab)}
     pairs = LAMBDA_BASES[2]
-    lowered = np.zeros((6, 4) + grid.shape)
+    lowered = np.zeros((6, 4) + shape)
     for t, (aa, bb) in enumerate(pairs):
         for s, (mu, nu) in enumerate(pairs):
             pp = (einv[aa, mu] * einv[bb, nu] - einv[bb, mu] * einv[aa, nu])
@@ -353,7 +376,7 @@ def levi_civita_connection(e: FormField) -> FormField:
 
     # W_afb = (A_abf - A_fab - A_bfa)/2, then
     # omega^{fb}_mu = e^a_mu eta^f eta^b W_afb
-    omega = np.zeros((4, 6) + grid.shape)
+    omega = np.zeros((4, 6) + shape)
     for t, (f, b) in enumerate(pairs):
         sign = ETA_DIAG[f] * ETA_DIAG[b]
         for a in range(4):

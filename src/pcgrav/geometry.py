@@ -15,6 +15,9 @@ junction.  The continued fields are smooth on the whole box, positive
 *identical* to Schwarzschild for rho >= rho_c; the closed-form Levi-Civita
 connection below is the connection of the continued tetrad everywhere, so
 its covariant torsion vanishes identically in the continuum.
+
+Both geometries are static, so their fields are stored with extent 1 on
+the t axis of the grid (flat space: on every axis).
 """
 
 from __future__ import annotations
@@ -58,15 +61,18 @@ def _series_log(u):
     return out
 
 
+_CONSTANT = (1, 1, 1, 1)    # grid extents of a field constant on the box
+
+
 def minkowski_tetrad(grid: Grid4) -> FormField:
-    data = np.zeros((4, 4) + grid.shape)
+    data = np.zeros((4, 4) + _CONSTANT)
     for mu in range(4):
         data[mu, mu] = 1.0
     return tetrad_field(grid, data)
 
 
 def minkowski_metric(grid: Grid4) -> MetricField:
-    data = np.zeros((4, 4) + grid.shape)
+    data = np.zeros((4, 4) + _CONSTANT)
     data[0, 0] = -1.0
     for i in range(1, 4):
         data[i, i] = 1.0
@@ -171,7 +177,7 @@ class SchwarzschildIsotropic:
 
     def tetrad(self, grid: Grid4) -> FormField:
         rho, a, b, _, _ = self._grid_profiles(grid)
-        data = np.zeros((4, 4) + grid.shape)
+        data = np.zeros((4, 4) + rho.shape)
         data[0, 0] = a
         for i in range(1, 4):
             data[i, i] = b
@@ -183,7 +189,7 @@ class SchwarzschildIsotropic:
         omega^{0i} = (A'/B) n_i dt,  omega^{ij} = (B'/B)(n_j dx^i - n_i dx^j).
         """
         rho, a, b, da_r, db_r = self._grid_profiles(grid)
-        data = np.zeros((4, 6) + grid.shape)
+        data = np.zeros((4, 6) + rho.shape)
         for i in range(1, 4):
             xi = grid.coordinate(i)
             data[0, PAIR_INDEX[(0, i)]] = (da_r / b) * xi
@@ -198,7 +204,7 @@ class SchwarzschildIsotropic:
 
     def metric(self, grid: Grid4) -> MetricField:
         rho, a, b, _, _ = self._grid_profiles(grid)
-        data = np.zeros((4, 4) + grid.shape)
+        data = np.zeros((4, 4) + rho.shape)
         data[0, 0] = -a ** 2
         for i in range(1, 4):
             data[i, i] = b ** 2

@@ -9,6 +9,11 @@ nodes and 2nd-order 3-point stencils within two nodes of a box face
 (one-sided at the face itself).  Integrals are product-trapezoid sums
 accumulated with exact compensated summation (math.fsum) in a fixed node
 order, so results are bit-reproducible regardless of threading.
+
+Node samples have extent N or 1 on each grid axis: a field that does not
+depend on a coordinate stores one node along it and broadcasts.  Stencils
+give exact zeros along such an axis (NaN where a sample is not finite), and
+norms and integrals equal those of the broadcast samples.
 """
 
 from __future__ import annotations
@@ -58,12 +63,16 @@ class Grid4:
         return c.reshape(shape)
 
     def radius(self, mode: str = "4d") -> np.ndarray:
-        """Euclidean radius, either all four axes or the spatial three."""
-        axes = range(4) if mode == "4d" else range(1, 4)
+        """Euclidean radius, either all four axes or the spatial three.
+
+        The spatial radius has extent 1 on t: shape (1, N, N, N).
+        """
         if mode not in ("4d", "spatial"):
             raise ValueError(f"radius mode must be '4d' or 'spatial', got {mode!r}")
+        axes = range(4) if mode == "4d" else range(1, 4)
+        shape = self.shape if mode == "4d" else (1,) + self.shape[1:]
         sq = sum(self.coordinate(mu) ** 2 for mu in axes)
-        return np.sqrt(np.broadcast_to(sq, self.shape))
+        return np.sqrt(np.broadcast_to(sq, shape))
 
     def region_mask(self, r: float = None, mode: str = "4d") -> np.ndarray:
         """Nodes outside the excluded ball (|x| > r); cached, read-only."""
@@ -84,16 +93,31 @@ def _region_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=16)
-def _norm_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
-    """Region of the residual max-norms: outside the ball, off the faces."""
+@lru_cache(maxsize=32)
+def _norm_mask(grid: Grid4, r: float, mode: str,
+               shape: tuple = None) -> np.ndarray:
+    """Region of the residual max-norms: outside the ball, off the faces.
+
+    For samples of grid ``shape``, the mask is reduced with ``any`` over
+    the axes where that shape has extent 1.
+    """
     mask = grid.region_mask(r, mode) & grid.interior_mask()
+    static = tuple(ax for ax, n in enumerate(shape or ()) if n == 1)
+    if static:
+        mask = mask.any(axis=static, keepdims=True)
     mask.setflags(write=False)
     return mask
 
 
 def diff_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """d/dx^axis of node samples; leading 4 axes are the grid."""
+    """d/dx^axis of node samples; leading 4 axes are the grid.
+
+    Along an axis of extent 1 the samples are constant: the result is
+    exact zeros, and NaN where a sample is not finite, as the stencil
+    gives on constant samples.
+    """
+    if values.shape[axis] == 1:
+        return values - values
     a = np.moveaxis(values, axis, 0)
     out = np.empty_like(a)
     h = spacing
@@ -121,13 +145,17 @@ def node_weights(grid: Grid4) -> np.ndarray:
 
 def integrate_samples(values: np.ndarray, grid: Grid4,
                       region: np.ndarray = None) -> float:
-    """Quadrature of scalar node samples, exactly-rounded fixed-order sum."""
+    """Quadrature of scalar node samples, exactly-rounded fixed-order sum.
+
+    Samples and region broadcast against the full-grid weights, so the sum
+    runs over the same products as for dense samples.
+    """
     weighted = values * node_weights(grid)
     if region is not None:
         if not region.any():
             warnings.warn("integration region is empty", stacklevel=2)
             return 0.0
-        weighted = weighted[region]
+        weighted = weighted[np.broadcast_to(region, grid.shape)]
     return math.fsum(weighted.ravel().tolist())
 
 
@@ -136,11 +164,15 @@ def region_max(values: np.ndarray, grid: Grid4, r: float = None,
     """Max |component| over (outside ball) & (away from box faces).
 
     ``values`` has the grid on its last four axes; leading axes are
-    component indices and are maximized over as well.
+    component indices and are maximized over as well.  Along an axis of
+    extent 1 the mask is reduced with ``any``, which gives the max of the
+    broadcast samples exactly.
     """
-    mask = _norm_mask(grid, grid.inner_radius if r is None else r, mode)
+    shape = values.shape[-4:]
+    mask = _norm_mask(grid, grid.inner_radius if r is None else r, mode,
+                      shape)
     if not mask.any():
         warnings.warn("norm region is empty", stacklevel=2)
         return 0.0
-    comps = values.reshape((-1,) + grid.shape)
+    comps = values.reshape((-1,) + shape)
     return float(max(np.abs(c[mask]).max() for c in comps))

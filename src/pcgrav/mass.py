@@ -78,8 +78,14 @@ def _fsum(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def central_slice(g: MetricField) -> np.ndarray:
-    """Metric components on the t = 0 slice, shape (4, 4, N, N, N)."""
-    return g.data[:, :, (g.grid.points - 1) // 2]
+    """Metric components on the t = 0 slice, shape (4, 4, N, N, N).
+
+    A static metric stores one t node, which is that slice; a read-only
+    view broadcasts any spatial axis of extent 1.
+    """
+    n = g.grid.points
+    return np.broadcast_to(g.data[:, :, (g.data.shape[2] - 1) // 2],
+                           (4, 4, n, n, n))
 
 
 def _lagrange_coefficients(frac: float):
@@ -197,7 +203,7 @@ def adm_energy(g: MetricField, radii):
     # flatness check at the largest radius
     probe = interpolate_slice(spatial, grid, radii[-1] * directions)
     deviation = np.abs(probe - np.eye(3)).max()
-    if deviation >= 1.0:
+    if not deviation < 1.0:    # NaN is not flat
         raise MassDomainError(
             f"slice is not asymptotically flat: |g - delta| = {deviation:.3f} "
             f"at rho = {radii[-1]}")

@@ -5,6 +5,8 @@ samples residual norms over a ladder of resolutions and reduces them to
 pass / fail / inconclusive verdicts:
 
 * a sequence at rounding level is "exact";
+* a non-finite norm makes it "non-finite", a fail; a zero norm in a
+  sequence that is not exact leaves it without a slope, inconclusive;
 * log-log slope >= slope_min counts as decaying (order >= 2 in practice);
 * slope <= decay_max_slope counts as non-decaying;
 * the pass threshold is pass_factor times the largest final norm among the
@@ -233,28 +235,41 @@ def standard_test_form(grid: Grid4, cutoff: CutoffFunction, generator,
 # ---------------------------------------------------------------------------
 
 def fit_slope(norms, spacings):
-    pairs = [(h, v) for h, v in zip(spacings, norms) if v > 0.0]
-    if len(pairs) < 2:
-        return None
-    hs, vs = zip(*pairs)
-    return float(np.polyfit(np.log(hs), np.log(vs), 1)[0])
+    """Least-squares log-log slope of positive norms against spacings."""
+    return float(np.polyfit(np.log(spacings), np.log(norms), 1)[0])
 
 
-def classify_sequence(norms, spacings, thresholds) -> dict:
-    """Slope fit plus a qualitative kind: exact / decaying / non-decaying."""
+def classify_sequence(norms, spacings, thresholds, resolutions=None) -> dict:
+    """Slope fit plus a qualitative kind: exact / decaying / non-decaying.
+
+    A non-finite norm gives kind "non-finite"; a zero norm in a sequence
+    that is not exact gives "ambiguous" with no slope.  Both carry a
+    ``reason`` naming the N of that norm (its ladder position when
+    ``resolutions`` is not given).
+    """
     norms = [float(v) for v in norms]
     out = {"norms": norms, "slope": None, "kind": "ambiguous"}
+    where = [f"N = {n}" for n in resolutions] if resolutions else [
+        f"ladder entry {k + 1}" for k in range(len(norms))]
+    for at, v in zip(where, norms):
+        if not math.isfinite(v):
+            out["kind"] = "non-finite"
+            out["reason"] = f"norm {v!r} at {at}"
+            return out
     if max(norms) <= thresholds["exact_floor"]:
         out["kind"] = "exact"
         return out
     if len(norms) < 2:
         out["kind"] = "single"
         return out
+    for at, v in zip(where, norms):
+        if v == 0.0:
+            out["reason"] = (f"norm 0.0 at {at} in a sequence that is not "
+                             "exact: no slope")
+            return out
     slope = fit_slope(norms, spacings)
     out["slope"] = slope
-    if slope is None:
-        out["kind"] = "ambiguous"
-    elif slope >= thresholds["slope_min"]:
+    if slope >= thresholds["slope_min"]:
         out["kind"] = "decaying"
     elif slope <= thresholds["decay_max_slope"]:
         out["kind"] = "non-decaying"
@@ -264,11 +279,13 @@ def classify_sequence(norms, spacings, thresholds) -> dict:
 def apply_family_verdicts(entries: dict, thresholds) -> float:
     """Set verdicts within one residual family; returns the pass threshold.
 
-    The reference scale is the largest final norm among members that decay
-    (or are exact); fails must clear fail_factor times the pass threshold.
+    The reference scale is the largest finite final norm among members
+    that decay (or are exact); fails must clear fail_factor times the pass
+    threshold.  A non-finite member fails.
     """
     finals = [e["norms"][-1] for e in entries.values()
-              if e["kind"] in ("exact", "decaying")]
+              if e["kind"] in ("exact", "decaying")
+              and math.isfinite(e["norms"][-1])]
     reference = max([thresholds["exact_floor"]] + finals)
     threshold = thresholds["pass_factor"] * reference
     for entry in entries.values():
@@ -277,8 +294,9 @@ def apply_family_verdicts(entries: dict, thresholds) -> float:
             entry["verdict"] = "pass"
         elif entry["kind"] == "decaying" and final <= threshold:
             entry["verdict"] = "pass"
-        elif entry["kind"] == "non-decaying" and \
-                final >= thresholds["fail_factor"] * threshold:
+        elif entry["kind"] == "non-finite" or (
+                entry["kind"] == "non-decaying"
+                and final >= thresholds["fail_factor"] * threshold):
             entry["verdict"] = "fail"
         else:
             entry["verdict"] = "inconclusive"
@@ -289,7 +307,7 @@ def apply_family_verdicts(entries: dict, thresholds) -> float:
 def eom_verdict(entry: dict) -> None:
     if entry["kind"] in ("exact", "decaying"):
         entry["verdict"] = "pass"
-    elif entry["kind"] == "non-decaying":
+    elif entry["kind"] in ("non-decaying", "non-finite"):
         entry["verdict"] = "fail"
     else:
         entry["verdict"] = "inconclusive"
@@ -377,9 +395,11 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
 
 def _generator_section(scenario, raw, resolutions) -> dict:
     th = scenario.thresholds
-    sym_entries = {k: classify_sequence(v, raw["gen_spacings"], th)
+    sym_entries = {k: classify_sequence(v, raw["gen_spacings"], th,
+                                        resolutions)
                    for k, v in raw["sym"].items()}
-    extra_entries = {k: classify_sequence(v, raw["gen_spacings"], th)
+    extra_entries = {k: classify_sequence(v, raw["gen_spacings"], th,
+                                          resolutions)
                      for k, v in raw["extra"].items()}
     sym_thr = apply_family_verdicts(sym_entries, th)
     extra_thr = apply_family_verdicts(extra_entries, th)
@@ -398,9 +418,11 @@ def _eom_section(scenario, raw, resolutions) -> dict:
     out = {"resolutions": list(resolutions),
            "spacings": raw["eom_spacings"],
            "torsion": classify_sequence(raw["torsion"],
-                                        raw["eom_spacings"], th),
+                                        raw["eom_spacings"], th,
+                                        resolutions),
            "einstein": classify_sequence(raw["einstein"],
-                                         raw["eom_spacings"], th)}
+                                         raw["eom_spacings"], th,
+                                         resolutions)}
     eom_verdict(out["torsion"])
     eom_verdict(out["einstein"])
     return out
@@ -479,14 +501,18 @@ class ScenarioReport:
 
 
 def _pattern_verdict(section: dict, expected: set, names) -> str:
-    """pass iff expected generators pass and the rest cleanly fail."""
+    """pass iff expected generators pass and the rest cleanly fail.
+
+    A non-finite norm is not a clean fail.
+    """
     verdicts = []
     for family in ("symmetry_residuals", "extra_eom_terms"):
         for name in names:
             entry = section[family][name]
             want = "pass" if name in expected else "fail"
-            verdicts.append("pass" if entry["verdict"] == want
-                            else entry["verdict"])
+            clean = (entry["verdict"] == want
+                     and entry["kind"] != "non-finite")
+            verdicts.append("pass" if clean else entry["verdict"])
     return fold_verdicts(verdicts)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebras import closure_check, poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
-from .fields import FormField, MetricField
+from .fields import FormField, MetricField, live_components
 from .grid import Grid4, diff_axis, region_max
 
 
@@ -142,16 +142,28 @@ def cutoff_eval(c: CutoffFunction, point, mode: str = "4d") -> float:
 # Vector fields and residuals
 # ---------------------------------------------------------------------------
 
-def generated_vector_field(x: PoincareElement, grid: Grid4) -> np.ndarray:
-    """xi[mu] = T^mu + R^mu_nu x^nu on the grid, components leading."""
-    out = np.empty((4,) + grid.shape)
+def _affine_components(x: PoincareElement, grid: Grid4) -> list:
+    """xi^mu = T^mu + R^mu_nu x^nu, each with extent 1 on the axes it is
+    constant along."""
+    comps = []
     for mu in range(4):
-        comp = np.full(grid.shape, x.translation[mu])
+        comp = np.full((1, 1, 1, 1), x.translation[mu])
         for nu in range(4):
             if x.rotation[mu, nu]:
                 comp = comp + x.rotation[mu, nu] * grid.coordinate(nu)
-        out[mu] = comp
-    return out
+        comps.append(comp)
+    return comps
+
+
+def generated_vector_field(x: PoincareElement, grid: Grid4) -> np.ndarray:
+    """xi[mu] = T^mu + R^mu_nu x^nu on the grid, components leading.
+
+    A read-only broadcast view of shape (4,) + grid.shape.
+    """
+    comps = _affine_components(x, grid)
+    shape = np.broadcast_shapes(*(c.shape for c in comps))
+    stacked = np.stack([np.broadcast_to(c, shape) for c in comps])
+    return np.broadcast_to(stacked, (4,) + grid.shape)
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,9 @@ class AxisDerivatives:
     ``live`` holds the flat indices of those components (leading axes
     flattened); ``by_axis[lam]`` holds d_lam of each, stacked in that order.
     A component that is zero everywhere has zero derivatives, so the
-    transport skips it exactly.
+    transport skips it exactly.  Along a grid axis of extent 1 the
+    derivatives keep that extent (``diff_axis`` gives exact zeros, NaN
+    where a sample is not finite), so they cost one slice.
     """
 
     live: np.ndarray
@@ -180,8 +194,8 @@ def axis_derivatives(data: np.ndarray, grid: Grid4,
     """Stencil derivatives of the live components of ``data`` along every
     axis that one of ``generators`` moves: one set serves them all."""
     axes = sorted({lam for x in generators for lam in _moved_axes(x)})
-    comps = data.reshape((-1,) + grid.shape)
-    live = np.flatnonzero([np.any(c != 0.0) for c in comps])
+    comps = data.reshape((-1,) + data.shape[-4:])
+    live = np.flatnonzero(live_components(comps))
     stacked = comps[live]
     return AxisDerivatives(live, {lam: diff_axis(stacked, 1 + lam,
                                                  grid.spacing)
@@ -194,16 +208,25 @@ def _lie_transport(data: np.ndarray, x: PoincareElement, grid: Grid4,
 
     Grid stencils differentiate the components, read from ``derivatives``
     (built here when not given); callers add the Jacobian terms of the
-    affine xi, which are its exact rotation matrix.
+    affine xi, which are its exact rotation matrix.  Along an axis where
+    ``data`` has extent 1 the derivative is exact zeros (NaN at a
+    non-finite sample), which xi^lambda would only rescale: that term is
+    the derivative itself, so it keeps the extent of ``data``.
     """
     if derivatives is None:
         derivatives = axis_derivatives(data, grid, (x,))
-    xi = generated_vector_field(x, grid)
-    transported = np.zeros((len(derivatives.live),) + grid.shape)
-    for lam in _moved_axes(x):
-        transported += xi[lam] * derivatives.by_axis[lam]
-    out = np.zeros(data.shape)
-    out.reshape((-1,) + grid.shape)[derivatives.live] = transported
+    xi = _affine_components(x, grid)
+    terms = [derivatives.by_axis[lam] if data.shape[-4 + lam] == 1
+             else xi[lam] * derivatives.by_axis[lam]
+             for lam in _moved_axes(x)]
+    # the result has extent N on an axis only where data or a term does
+    shape = np.broadcast_shapes(data.shape[-4:],
+                                *(term.shape[1:] for term in terms))
+    transported = np.zeros((len(derivatives.live),) + shape)
+    for term in terms:
+        transported += term
+    out = np.zeros(data.shape[:-4] + shape)
+    out.reshape((-1,) + shape)[derivatives.live] = transported
     return out
 
 

@@ -241,7 +241,7 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, quantity", [
-    ("adm", "ADM energy is nan"),
+    ("adm", "slice is not asymptotically flat"),
     ("komar", "Killing residual nan"),
 ])
 def test_non_finite_mass_is_a_fail_verdict(tmp_path, capsys, command,

@@ -99,8 +99,8 @@ def test_kretschmann_profile_on_mid_shell():
 
     # K = R_abmn R^abmn: raise spacetime pairs with the inverse metric,
     # lower internal pairs with eta; antisymmetric pairs double-count by 4
-    comps = f.data[:, :, shell]                      # (6 st, 6 int, nodes)
-    einv_shell = einv[:, :, shell]                   # (4, 4, nodes) = E^mu_a
+    comps = np.broadcast_to(f.data, (6, 6) + grid.shape)[:, :, shell]
+    einv_shell = np.broadcast_to(einv, (4, 4) + grid.shape)[:, :, shell]
     eta = np.asarray(ETA_DIAG, dtype=float)
     ginv = np.einsum("amx,a,anx->mnx", einv_shell, eta, einv_shell)
     k = np.zeros(comps.shape[-1])
@@ -111,6 +111,6 @@ def test_kretschmann_profile_on_mid_shell():
             for i, (a1, b1) in enumerate(pairs):
                 efac = eta[a1] * eta[b1]
                 k += 4.0 * gfac * efac * comps[s1, i] * comps[s2, i]
-    expected = schw.kretschmann(rho[shell])
+    expected = schw.kretschmann(np.broadcast_to(rho, grid.shape)[shell])
     rel = np.abs(k - expected) / expected
     assert rel.max() < 0.02, rel.max()

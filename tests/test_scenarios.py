@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pcgrav.scenarios import (DEFAULT_THRESHOLDS, ScenarioError,
@@ -90,6 +91,57 @@ def test_family_verdicts_separate_pass_and_fail():
     assert entries["weak"]["verdict"] == "inconclusive"  # in the gap
 
 
+def test_non_finite_norm_fails_naming_its_n():
+    from pcgrav.scenarios import eom_verdict
+    hs = [0.5, 0.25, 0.125]
+    for bad in (float("nan"), float("inf")):
+        entry = classify_sequence([1e-3, bad, 1e-5], hs, TH, (9, 13, 17))
+        assert entry["kind"] == "non-finite" and entry["slope"] is None
+        assert entry["reason"] == f"norm {bad!r} at N = 13"
+        family = {"good": classify_sequence([4e-4, 1e-4, 2.5e-5], hs, TH),
+                  "bad": dict(entry)}
+        apply_family_verdicts(family, TH)
+        assert family["bad"]["verdict"] == "fail"
+        eom_verdict(entry)
+        assert entry["verdict"] == "fail"
+
+
+def test_zero_norm_in_a_sequence_that_is_not_exact_is_inconclusive():
+    from pcgrav.scenarios import eom_verdict
+    hs = [0.5, 0.25, 0.125]
+    entry = classify_sequence([1e-3, 0.0, 1e-5], hs, TH, (9, 13, 17))
+    assert entry["kind"] == "ambiguous" and entry["slope"] is None
+    assert "N = 13" in entry["reason"]
+    family = {"zero": dict(entry)}
+    apply_family_verdicts(family, TH)
+    assert family["zero"]["verdict"] == "inconclusive"
+    eom_verdict(entry)
+    assert entry["verdict"] == "inconclusive"
+
+
+def test_family_threshold_ignores_non_finite_finals():
+    decaying = {"norms": [4e-4, 1e-4, 2.5e-5], "kind": "decaying"}
+    broken = {"norms": [4e-4, 1e-4, float("nan")], "kind": "decaying"}
+    for order in (("ok", "nan"), ("nan", "ok")):
+        entries = {name: dict(decaying if name == "ok" else broken)
+                   for name in order}
+        threshold = apply_family_verdicts(entries, TH)
+        assert threshold == TH["pass_factor"] * 2.5e-5
+        assert entries["nan"]["verdict"] == "inconclusive"
+
+
+def test_finite_ladders_keep_their_entries():
+    hs = [0.5, 0.25, 0.125]
+    norms = [4e-2, 1e-2, 2.5e-3]
+    slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
+    want = {"norms": norms, "slope": slope, "kind": "decaying"}
+    assert classify_sequence(norms, hs, TH, (9, 13, 17)) == want
+    assert classify_sequence(norms, hs, TH) == want
+    flat = classify_sequence([0.0, 1e-14, 0.0], hs, TH, (9, 13, 17))
+    assert flat == {"norms": [0.0, 1e-14, 0.0], "slope": None,
+                    "kind": "exact"}
+
+
 def small_scenario(**overrides):
     doc = {"scenario": "spherical", "geometry": "schwarzschild", "M": 0.5,
            "grid": {"L": 8.0, "N": 13}, "Ns": [9, 13],
@@ -174,7 +226,7 @@ def test_non_finite_mass_study_is_a_fail_verdict():
                         radii=[4.0, 5.0])
     masses = mass_study(sc, "schwarzschild")
     assert masses["verdict"] == "fail"
-    assert "ADM energy is nan" in masses["reason"]
+    assert "slice is not asymptotically flat" in masses["reason"]
     json.dumps(masses, allow_nan=False)
 
 

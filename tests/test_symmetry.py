@@ -224,9 +224,13 @@ def test_pointwise_killing_bound_follows_symmetry_residual():
         xe = symmetry_residual(e, gen)
         lg, _ = killing_residual(g, gen, mode="spatial")
         mask = grid.region_mask(mode="spatial") & grid.interior_mask()
-        e_max = np.abs(e.data).reshape((-1,) + grid.shape).max(axis=0)
-        xe_max = np.abs(xe.data).reshape((-1,) + grid.shape).max(axis=0)
-        lg_max = np.abs(lg).reshape((-1,) + grid.shape).max(axis=0)
+        full = (4, 4) + grid.shape
+        e_max = np.abs(np.broadcast_to(e.data, full)).reshape(
+            (-1,) + grid.shape).max(axis=0)
+        xe_max = np.abs(np.broadcast_to(xe.data, full)).reshape(
+            (-1,) + grid.shape).max(axis=0)
+        lg_max = np.abs(np.broadcast_to(lg, full)).reshape(
+            (-1,) + grid.shape).max(axis=0)
         slack = lg_max[mask] - 8.0 * (e_max * xe_max)[mask]
         assert slack.max() <= 0.02, (name, slack.max())
 
