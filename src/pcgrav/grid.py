@@ -95,14 +95,14 @@ def _region_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _norm_mask(grid: Grid4, r: float, mode: str,
-               shape: tuple = None) -> np.ndarray:
+               shape: tuple) -> np.ndarray:
     """Region of the residual max-norms: outside the ball, off the faces.
 
     For samples of grid ``shape``, the mask is reduced with ``any`` over
     the axes where that shape has extent 1.
     """
     mask = grid.region_mask(r, mode) & grid.interior_mask()
-    static = tuple(ax for ax, n in enumerate(shape or ()) if n == 1)
+    static = tuple(ax for ax, n in enumerate(shape) if n == 1)
     if static:
         mask = mask.any(axis=static, keepdims=True)
     mask.setflags(write=False)

@@ -239,22 +239,19 @@ def fit_slope(norms, spacings):
     return float(np.polyfit(np.log(spacings), np.log(norms), 1)[0])
 
 
-def classify_sequence(norms, spacings, thresholds, resolutions=None) -> dict:
+def classify_sequence(norms, spacings, thresholds, resolutions) -> dict:
     """Slope fit plus a qualitative kind: exact / decaying / non-decaying.
 
     A non-finite norm gives kind "non-finite"; a zero norm in a sequence
     that is not exact gives "ambiguous" with no slope.  Both carry a
-    ``reason`` naming the N of that norm (its ladder position when
-    ``resolutions`` is not given).
+    ``reason`` naming the N of that norm.
     """
     norms = [float(v) for v in norms]
     out = {"norms": norms, "slope": None, "kind": "ambiguous"}
-    where = [f"N = {n}" for n in resolutions] if resolutions else [
-        f"ladder entry {k + 1}" for k in range(len(norms))]
-    for at, v in zip(where, norms):
+    for n, v in zip(resolutions, norms):
         if not math.isfinite(v):
             out["kind"] = "non-finite"
-            out["reason"] = f"norm {v!r} at {at}"
+            out["reason"] = f"norm {v!r} at N = {n}"
             return out
     if max(norms) <= thresholds["exact_floor"]:
         out["kind"] = "exact"
@@ -262,10 +259,10 @@ def classify_sequence(norms, spacings, thresholds, resolutions=None) -> dict:
     if len(norms) < 2:
         out["kind"] = "single"
         return out
-    for at, v in zip(where, norms):
+    for n, v in zip(resolutions, norms):
         if v == 0.0:
-            out["reason"] = (f"norm 0.0 at {at} in a sequence that is not "
-                             "exact: no slope")
+            out["reason"] = (f"norm 0.0 at N = {n} in a sequence that is "
+                             "not exact: no slope")
             return out
     slope = fit_slope(norms, spacings)
     out["slope"] = slope

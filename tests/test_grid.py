@@ -124,6 +124,7 @@ def test_region_max_mask_cache_matches_a_fresh_mask():
         for r, mode in order + order:      # the second pass reads the cache
             assert region_max(values, g, r, mode) == fresh(r, mode)
     for r, mode in keys:
-        for cached in (g.region_mask(r, mode), _norm_mask(g, r, mode)):
+        for cached in (g.region_mask(r, mode),
+                       _norm_mask(g, r, mode, g.shape)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0, 0, 0] = True

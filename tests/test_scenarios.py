@@ -11,6 +11,7 @@ from pcgrav.scenarios import (DEFAULT_THRESHOLDS, ScenarioError,
                               scenario_from_dict)
 
 TH = dict(DEFAULT_THRESHOLDS)
+NS = (9, 13, 17)
 
 
 def test_minimal_document_loads_with_defaults():
@@ -65,23 +66,24 @@ def test_shipped_scenarios_load():
 
 def test_classify_exact_and_decaying():
     hs = [0.5, 0.25, 0.125]
-    assert classify_sequence([0.0, 1e-14, 0.0], hs, TH)["kind"] == "exact"
-    entry = classify_sequence([4e-2, 1e-2, 2.5e-3], hs, TH)
+    exact = classify_sequence([0.0, 1e-14, 0.0], hs, TH, NS)
+    assert exact["kind"] == "exact"
+    entry = classify_sequence([4e-2, 1e-2, 2.5e-3], hs, TH, NS)
     assert entry["kind"] == "decaying"
     assert entry["slope"] == pytest.approx(2.0, abs=0.01)
-    flat = classify_sequence([3e-2, 3.1e-2, 2.9e-2], hs, TH)
+    flat = classify_sequence([3e-2, 3.1e-2, 2.9e-2], hs, TH, NS)
     assert flat["kind"] == "non-decaying"
-    mid = classify_sequence([4e-2, 2.4e-2, 1.9e-2], hs, TH)
+    mid = classify_sequence([4e-2, 2.4e-2, 1.9e-2], hs, TH, NS)
     assert mid["kind"] == "ambiguous"
 
 
 def test_family_verdicts_separate_pass_and_fail():
     hs = [0.5, 0.25, 0.125]
     entries = {
-        "good": classify_sequence([4e-4, 1e-4, 2.5e-5], hs, TH),
-        "zero": classify_sequence([0.0, 0.0, 0.0], hs, TH),
-        "bad": classify_sequence([6e-2, 6.2e-2, 6.1e-2], hs, TH),
-        "weak": classify_sequence([3e-4, 3.2e-4, 3.1e-4], hs, TH),
+        "good": classify_sequence([4e-4, 1e-4, 2.5e-5], hs, TH, NS),
+        "zero": classify_sequence([0.0, 0.0, 0.0], hs, TH, NS),
+        "bad": classify_sequence([6e-2, 6.2e-2, 6.1e-2], hs, TH, NS),
+        "weak": classify_sequence([3e-4, 3.2e-4, 3.1e-4], hs, TH, NS),
     }
     threshold = apply_family_verdicts(entries, TH)
     assert threshold == pytest.approx(TH["pass_factor"] * 2.5e-5)
@@ -95,10 +97,11 @@ def test_non_finite_norm_fails_naming_its_n():
     from pcgrav.scenarios import eom_verdict
     hs = [0.5, 0.25, 0.125]
     for bad in (float("nan"), float("inf")):
-        entry = classify_sequence([1e-3, bad, 1e-5], hs, TH, (9, 13, 17))
+        entry = classify_sequence([1e-3, bad, 1e-5], hs, TH, NS)
         assert entry["kind"] == "non-finite" and entry["slope"] is None
         assert entry["reason"] == f"norm {bad!r} at N = 13"
-        family = {"good": classify_sequence([4e-4, 1e-4, 2.5e-5], hs, TH),
+        family = {"good": classify_sequence([4e-4, 1e-4, 2.5e-5], hs, TH,
+                                            NS),
                   "bad": dict(entry)}
         apply_family_verdicts(family, TH)
         assert family["bad"]["verdict"] == "fail"
@@ -109,7 +112,7 @@ def test_non_finite_norm_fails_naming_its_n():
 def test_zero_norm_in_a_sequence_that_is_not_exact_is_inconclusive():
     from pcgrav.scenarios import eom_verdict
     hs = [0.5, 0.25, 0.125]
-    entry = classify_sequence([1e-3, 0.0, 1e-5], hs, TH, (9, 13, 17))
+    entry = classify_sequence([1e-3, 0.0, 1e-5], hs, TH, NS)
     assert entry["kind"] == "ambiguous" and entry["slope"] is None
     assert "N = 13" in entry["reason"]
     family = {"zero": dict(entry)}
@@ -135,9 +138,8 @@ def test_finite_ladders_keep_their_entries():
     norms = [4e-2, 1e-2, 2.5e-3]
     slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
     want = {"norms": norms, "slope": slope, "kind": "decaying"}
-    assert classify_sequence(norms, hs, TH, (9, 13, 17)) == want
-    assert classify_sequence(norms, hs, TH) == want
-    flat = classify_sequence([0.0, 1e-14, 0.0], hs, TH, (9, 13, 17))
+    assert classify_sequence(norms, hs, TH, NS) == want
+    flat = classify_sequence([0.0, 1e-14, 0.0], hs, TH, NS)
     assert flat == {"norms": [0.0, 1e-14, 0.0], "slope": None,
                     "kind": "exact"}
 
@@ -190,7 +192,8 @@ def test_every_verdict_is_recomputable_from_reported_numbers():
     for family in ("symmetry_residuals", "extra_eom_terms"):
         entries = {k: dict(v) for k, v in section[family].items()}
         recomputed = {
-            k: classify_sequence(v["norms"], section["spacings"], th)
+            k: classify_sequence(v["norms"], section["spacings"], th,
+                                 section["resolutions"])
             for k, v in entries.items()}
         apply_family_verdicts(recomputed, th)
         for name in entries:
