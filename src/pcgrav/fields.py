@@ -8,11 +8,12 @@ for both the spacetime and the internal slots:
 
     data[S, I, t, x, y, z]   S over LAMBDA_BASES[p], I over LAMBDA_BASES[k]
 
-so each component is a contiguous node array and the bilinear products
-below are fixed-order contiguous multiply-adds (deterministic output,
-independent of threading).  Each grid axis has extent N or 1: a field
-that does not depend on a coordinate (a static field on t) stores one node
-along it, and products, sums and norms broadcast over that axis.
+so each component is a contiguous node array.  The bilinear products
+below run one t slice at a time, and at each node they add their terms
+in one fixed order, the same as over the whole array (deterministic
+output, independent of threading).  Each grid axis has extent N or 1: a
+field that does not depend on a coordinate (a static field on t) stores
+one node along it, and products, sums and norms broadcast over that axis.
 """
 
 from __future__ import annotations
@@ -206,19 +207,25 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     # all-zero components contribute exact zeros: skip their products
     a_live = live_components(a.data)
     b_live = live_components(b.data)
+    plan = [(i, u, j, v, outs) for i, u, j, v, outs in plan
+            if a_live[i, u] and b_live[j, v]]
     out = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape)
-    prod = np.empty(shape)
-    for i, u, j, v, outs in plan:
-        if not (a_live[i, u] and b_live[j, v]):
-            continue
-        np.multiply(a.data[i, u], b.data[j, v], out=prod)
-        for k, m, c in outs:
-            if c == 1.0:
-                out[k, m] += prod
-            elif c == -1.0:
-                out[k, m] -= prod
-            else:
-                out[k, m] += c * prod
+    prod = np.empty(shape[1:])
+    # one t slice at a time, so a slice's operands stay in cache; an
+    # operand of t extent 1 reads its single slice
+    for t in range(shape[0]):
+        a_t = a.data[:, :, min(t, a.data.shape[2] - 1)]
+        b_t = b.data[:, :, min(t, b.data.shape[2] - 1)]
+        out_t = out[:, :, t]
+        for i, u, j, v, outs in plan:
+            np.multiply(a_t[i, u], b_t[j, v], out=prod)
+            for k, m, c in outs:
+                if c == 1.0:
+                    out_t[k, m] += prod
+                elif c == -1.0:
+                    out_t[k, m] -= prod
+                else:
+                    out_t[k, m] += c * prod
     return FormField(a.grid, p_out, k_out, out)
 
 

@@ -110,18 +110,28 @@ def _norm_mask(grid: Grid4, r: float, mode: str,
 
 
 def diff_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """d/dx^axis of node samples; leading 4 axes are the grid.
+    """d/dx^mu of node samples along ``axis``, the grid axis of x^mu.
 
-    Along an axis of extent 1 the samples are constant: the result is
-    exact zeros, and NaN where a sample is not finite, as the stencil
-    gives on constant samples.
+    ``values`` is a float array of any rank and ``axis`` any index into
+    it, negative too: component-leading arrays name the grid axis past
+    their leading axes.  Along an axis of extent 1 the samples are
+    constant: the result is exact zeros, and NaN where a sample is not
+    finite, as the stencil gives on constant samples.
     """
     if values.shape[axis] == 1:
         return values - values
     a = np.moveaxis(values, axis, 0)
     out = np.empty_like(a)
     h = spacing
-    out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+    # interior stencil in place, ((a0 - 8 a1) + 8 a3) - a4 then / 12h
+    inner = out[2:-2]
+    scratch = np.empty_like(inner)
+    np.multiply(8.0, a[1:-3], out=scratch)
+    np.subtract(a[:-4], scratch, out=inner)
+    np.multiply(8.0, a[3:-1], out=scratch)
+    np.add(inner, scratch, out=inner)
+    np.subtract(inner, a[4:], out=inner)
+    np.divide(inner, 12.0 * h, out=inner)
     out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
     out[1] = (a[2] - a[0]) / (2.0 * h)
     out[-2] = (a[-1] - a[-3]) / (2.0 * h)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from pcgrav.cli import main
+from pcgrav.cli import leibniz_residual_norms, main
+from pcgrav.scenarios import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -135,6 +136,14 @@ def test_convergence_command_reports_slopes(tmp_path, capsys):
     assert set(body["quantities"]) == {"torsion", "leibniz"}
     assert body["quantities"]["leibniz"]["slope"] >= 1.7
     assert code in (0, 3)
+
+
+def test_leibniz_ladder_norms_are_pinned():
+    # a change to the order of the float operations in wedge moves these
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
+    assert norms == [1.5557802852622662, 0.7384922107658585,
+                     0.3962308738065563]
 
 
 def test_convergence_reports_exact_sequences_without_a_slope(tmp_path, capsys):

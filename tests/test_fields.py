@@ -130,6 +130,58 @@ def test_wedge_degree_overflow():
         F.wedge(a, a)
 
 
+def whole_array_wedge(a, b, rule):
+    """Reference: the product plan run over whole node arrays at once."""
+    k_out, plan = F._wedge_plan(a.degree, a.internal, b.degree, b.internal,
+                                rule)
+    p_out = a.degree + b.degree
+    shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
+    a_live = F.live_components(a.data)
+    b_live = F.live_components(b.data)
+    out = np.zeros((len(LAMBDA_BASES[p_out]), F.INTERNAL_DIMS[k_out]) + shape)
+    prod = np.empty(shape)
+    for i, u, j, v, outs in plan:
+        if not (a_live[i, u] and b_live[j, v]):
+            continue
+        np.multiply(a.data[i, u], b.data[j, v], out=prod)
+        for k, m, c in outs:
+            if c == 1.0:
+                out[k, m] += prod
+            elif c == -1.0:
+                out[k, m] -= prod
+            else:
+                out[k, m] += c * prod
+    return out
+
+
+@pytest.mark.parametrize("rule,pa,ka,pb,kb", [
+    ("wedge", 1, 1, 1, 1), ("wedge", 2, 0, 1, 2), ("wedge", 1, 2, 2, 1),
+    ("bracket", 1, 2, 1, 2), ("bracket", 2, 2, 1, 2),
+    ("action", 1, 2, 1, 1), ("action", 1, 2, 2, 2), ("action", 0, 2, 1, 3)])
+@pytest.mark.parametrize("a_extents,b_extents", [
+    ((9, 9, 9, 9), (9, 9, 9, 9)),
+    ((1, 9, 9, 9), (9, 9, 9, 9)),       # static times time-dependent
+    ((9, 9, 9, 9), (1, 9, 9, 9)),
+    ((9, 1, 9, 9), (1, 9, 9, 9)),       # one operand constant along x
+    ((1, 9, 1, 9), (1, 1, 1, 1))])
+def test_wedge_matches_whole_array_products_bit_for_bit(
+        rule, pa, ka, pb, kb, a_extents, b_extents):
+    rng = np.random.default_rng(7)
+    grid = Grid4(2.0, 9)
+
+    def form(p, k, extents):
+        data = rng.normal(size=(len(LAMBDA_BASES[p]), F.INTERNAL_DIMS[k])
+                          + extents)
+        data[0, 0] = 0.0                  # a dead component is skipped
+        return F.FormField(grid, p, k, data)
+
+    a, b = form(pa, ka, a_extents), form(pb, kb, b_extents)
+    got = F.wedge(a, b, rule=rule).data
+    want = whole_array_wedge(a, b, rule)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # ext_d
 # ---------------------------------------------------------------------------

@@ -43,6 +43,47 @@ def test_interior_stencils_exact_on_quartics():
     assert err.max() > 1e-3  # one-sided layers are only 2nd order
 
 
+def one_expression_stencil(values, axis, spacing):
+    """Reference: each stencil written as one whole-array expression."""
+    a = np.moveaxis(values, axis, 0)
+    out = np.empty_like(a)
+    h = spacing
+    out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+    out[1] = (a[2] - a[0]) / (2.0 * h)
+    out[-2] = (a[-1] - a[-3]) / (2.0 * h)
+    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_diff_axis_matches_one_expression_stencil_bit_for_bit(n):
+    g = Grid4(1.5, n)
+    rng = np.random.default_rng(n)
+    # component-leading, as ext_d passes it: every axis, the leading one too
+    values = rng.normal(size=(6,) + g.shape)
+    for axis in range(5):
+        assert np.array_equal(diff_axis(values, axis, g.spacing),
+                              one_expression_stencil(values, axis, g.spacing))
+    # grid-only samples named by negative axes, as the mass integrals do
+    values = rng.normal(size=g.shape)
+    for axis in range(-4, 0):
+        assert np.array_equal(diff_axis(values, axis, g.spacing),
+                              one_expression_stencil(values, axis, g.spacing))
+
+
+def test_diff_axis_along_extent_one_is_exact_zero_or_nan():
+    g = Grid4(1.5, 9)
+    values = np.random.default_rng(1).normal(size=(3, 1, 9, 9, 9))
+    values[1, 0, 2, 3, 4] = np.nan
+    out = diff_axis(values, 1, g.spacing)
+    assert out.shape == values.shape
+    assert np.isnan(out[1, 0, 2, 3, 4])
+    assert np.isnan(out).sum() == 1
+    finite = ~np.isnan(out)
+    assert np.all(out[finite] == 0.0)
+
+
 def test_weights_sum_to_box_volume():
     g = Grid4(2.0, 9)
     assert abs(node_weights(g).sum() - 4.0 ** 4) < 1e-10
