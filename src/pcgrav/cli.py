@@ -205,7 +205,8 @@ def leibniz_residual_norms(scenario: Scenario, resolutions):
             for s in range(4):
                 for i in range(6):
                     amp = rng.normal(size=4)
-                    data[s, i] = sum(amp[mu] * waves[mu] for mu in range(4))
+                    partial = sum(amp[mu] * waves[mu] for mu in range(3))
+                    np.add(partial, amp[3] * waves[3], out=data[s, i])
             return F.FormField(grid, 1, 2, data)
 
         a, b = smooth(), smooth()

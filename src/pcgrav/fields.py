@@ -105,8 +105,15 @@ def _check_shape(data: np.ndarray, leading: tuple, grid: Grid4) -> None:
 
 
 def live_components(data: np.ndarray) -> np.ndarray:
-    """Which components (leading axes) are not zero at every node."""
-    return np.any(data != 0.0, axis=(-4, -3, -2, -1))
+    """Which components (leading axes) are not zero at every node.
+
+    The first t slice decides most components; only those zero on it are
+    scanned whole.
+    """
+    live = np.any(data[..., :1, :, :, :] != 0.0, axis=(-4, -3, -2, -1))
+    for c in zip(*np.nonzero(~live)):
+        live[c] = np.any(data[c] != 0.0)
+    return live
 
 
 def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
@@ -240,24 +247,39 @@ def ext_d(a: FormField) -> FormField:
     """Finite-difference exterior derivative (4th order interior stencils).
 
     Derivatives along a grid axis of extent 1 are exact zeros and skipped.
+    Each target's first live term is differentiated straight into the
+    output (negated in place if its sign is odd), the later ones into one
+    reused buffer and then added in order.  A target with no live term is
+    0.0.  Against adding every term to zeros, only the sign of an exact
+    zero can differ.
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
     p, h = a.degree, a.grid.spacing
     targets = LAMBDA_BASES[p + 1]
-    out = np.zeros((len(targets), INTERNAL_DIMS[a.internal])
+    out = np.empty((len(targets), INTERNAL_DIMS[a.internal])
                    + a.data.shape[2:])
+    term = np.empty(out.shape[1:])
     for t, target in enumerate(targets):
         acc = out[t]
+        first = True
         for m, mu in enumerate(target):
             if a.data.shape[2 + mu] == 1:
                 continue
-            source = target[:m] + target[m + 1:]
-            term = diff_axis(a.data[_INDEX[p][source]], 1 + mu, h)
+            source = a.data[_INDEX[p][target[:m] + target[m + 1:]]]
+            if first:
+                diff_axis(source, 1 + mu, h, out=acc)
+                if m % 2:
+                    np.negative(acc, out=acc)
+                first = False
+                continue
+            diff_axis(source, 1 + mu, h, out=term)
             if m % 2:
                 acc -= term
             else:
                 acc += term
+        if first:
+            acc[...] = 0.0
     return FormField(a.grid, p + 1, a.internal, out)
 
 

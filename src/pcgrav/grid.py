@@ -6,9 +6,12 @@ coordinates ``x_i = -L + i h`` with ``h = 2L/(N-1)``, axis order
 
 First derivatives use the 4th-order central 5-point stencil at interior
 nodes and 2nd-order 3-point stencils within two nodes of a box face
-(one-sided at the face itself).  Integrals are product-trapezoid sums
-accumulated with exact compensated summation (math.fsum) in a fixed node
-order, so results are bit-reproducible regardless of threading.
+(one-sided at the face itself).  The interior stencil reads flat offsets
+in C-contiguous blocks, so every axis is read in contiguous runs; the face
+stencils overwrite the nodes it computes across lines.  Integrals are
+product-trapezoid sums accumulated with exact compensated summation
+(math.fsum) in a fixed node order, so results are bit-reproducible
+regardless of threading.
 
 Node samples have extent N or 1 on each grid axis: a field that does not
 depend on a coordinate stores one node along it and broadcasts.  Stencils
@@ -28,6 +31,9 @@ import numpy as np
 # Nodes within this many of a box face use the lower-order stencils; norms
 # leave them out.
 FACE_LAYERS = 2
+
+# Nodes per chunk of the interior stencil: its operands stay in cache.
+STENCIL_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,20 @@ def _norm_mask(grid: Grid4, r: float, mode: str,
     return mask
 
 
-def diff_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+def _contiguous_from(values: np.ndarray) -> int:
+    """Smallest k such that every ``values[i_0, ..., i_{k-1}]`` is one
+    C-contiguous block (the stride of an axis of extent 1 is ignored)."""
+    step = values.itemsize
+    for k in range(values.ndim, 0, -1):
+        n = values.shape[k - 1]
+        if n != 1 and values.strides[k - 1] != step:
+            return k
+        step *= n
+    return 0
+
+
+def diff_axis(values: np.ndarray, axis: int, spacing: float,
+              out: np.ndarray = None) -> np.ndarray:
     """d/dx^mu of node samples along ``axis``, the grid axis of x^mu.
 
     ``values`` is a float array of any rank and ``axis`` any index into
@@ -117,26 +136,54 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     their leading axes.  Along an axis of extent 1 the samples are
     constant: the result is exact zeros, and NaN where a sample is not
     finite, as the stencil gives on constant samples.
+
+    The interior stencil runs on each C-contiguous trailing block of
+    ``values`` that holds ``axis``, so a strided view is read in place;
+    only an input without such a block (a stride-0 broadcast, a transposed
+    view) is copied.  The result goes to ``out`` if given (a C-contiguous
+    float array of the shape of ``values``, not overlapping it) and is
+    returned.
     """
+    if out is None:
+        out = np.empty(values.shape)
+    elif out.shape != values.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous with the shape of values")
     if values.shape[axis] == 1:
-        return values - values
-    a = np.moveaxis(values, axis, 0)
-    out = np.empty_like(a)
+        return np.subtract(values, values, out=out)
+    axis %= values.ndim
+    lead = _contiguous_from(values)
+    if lead > axis:
+        # no contiguous block holds the axis: a broadcast or transposed view
+        values = np.ascontiguousarray(values)
+        lead = 0
     h = spacing
-    # interior stencil in place, ((a0 - 8 a1) + 8 a3) - a4 then / 12h
-    inner = out[2:-2]
-    scratch = np.empty_like(inner)
-    np.multiply(8.0, a[1:-3], out=scratch)
-    np.subtract(a[:-4], scratch, out=inner)
-    np.multiply(8.0, a[3:-1], out=scratch)
-    np.add(inner, scratch, out=inner)
-    np.subtract(inner, a[4:], out=inner)
-    np.divide(inner, 12.0 * h, out=inner)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-    out[1] = (a[2] - a[0]) / (2.0 * h)
-    out[-2] = (a[-1] - a[-3]) / (2.0 * h)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    # in a C-contiguous block the neighbours of flat node k along the axis
+    # are k +- s and k +- 2s; the interior stencil runs over flat nodes
+    # [2s, size - 2s), ((f0 - 8 f1) + 8 f3) - f4 then / 12h, in chunks
+    s = math.prod(values.shape[axis + 1:])
+    size = math.prod(values.shape[lead:])
+    scratch = np.empty(min(STENCIL_CHUNK, size - 4 * s))
+    for block in np.ndindex(values.shape[:lead]):
+        f = values[block].reshape(-1)
+        d = out[block].reshape(-1)
+        for k0 in range(2 * s, size - 2 * s, STENCIL_CHUNK):
+            k1 = min(k0 + STENCIL_CHUNK, size - 2 * s)
+            inner, tmp = d[k0:k1], scratch[:k1 - k0]
+            np.multiply(8.0, f[k0 - s:k1 - s], out=tmp)
+            np.subtract(f[k0 - 2 * s:k1 - 2 * s], tmp, out=inner)
+            np.multiply(8.0, f[k0 + s:k1 + s], out=tmp)
+            np.add(inner, tmp, out=inner)
+            np.subtract(inner, f[k0 + 2 * s:k1 + 2 * s], out=inner)
+            np.divide(inner, 12.0 * h, out=inner)
+    # nodes within two of a face along the axis read across lines above;
+    # the face stencils overwrite them
+    a = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    o[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+    o[1] = (a[2] - a[0]) / (2.0 * h)
+    o[-2] = (a[-1] - a[-3]) / (2.0 * h)
+    o[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -8,7 +8,7 @@ from pcgrav.algebras import so31_dgla
 from pcgrav.conventions import (ETA_DIAG, J_MATS, LAMBDA2, LAMBDA_BASES,
                                 RHO_ON_LAMBDA, SO31_STRUCTURE)
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_tetrad
-from pcgrav.grid import Grid4
+from pcgrav.grid import Grid4, diff_axis
 
 GRID = Grid4(2.0, 9)
 RNG = np.random.default_rng(42)
@@ -182,9 +182,70 @@ def test_wedge_matches_whole_array_products_bit_for_bit(
     assert np.array_equal(got, want)
 
 
+def full_scan_live(data):
+    """Reference: every node of every component compared with zero."""
+    return np.any(data != 0.0, axis=(-4, -3, -2, -1))
+
+
+def test_live_components_matches_full_scan():
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(4, 6, 5, 5, 5, 5))
+    data[0, 0] = 0.0                      # zero everywhere
+    data[1, 2, 0] = 0.0                   # zero on the first t slice only
+    data[2, 3] = 0.0
+    data[2, 3, 3, 1, 2, 4] = np.nan       # a NaN in a later slice only
+    data[3, 5, 1:] = 0.0                  # zero past the first slice
+    live = F.live_components(data)
+    assert np.array_equal(live, full_scan_live(data))
+    assert not live[0, 0] and live[1, 2] and live[2, 3] and live[3, 5]
+    static = data[:, :, :1]               # t extent 1
+    assert np.array_equal(F.live_components(static), full_scan_live(static))
+    # the flattened component axis that symmetry.axis_derivatives passes
+    flat = data.reshape((-1,) + data.shape[-4:])
+    assert np.array_equal(F.live_components(flat), full_scan_live(flat))
+
+
 # ---------------------------------------------------------------------------
 # ext_d
 # ---------------------------------------------------------------------------
+
+def accumulated_ext_d(a):
+    """Reference: every live term added in order to a zero-filled output."""
+    p, h = a.degree, a.grid.spacing
+    targets = LAMBDA_BASES[p + 1]
+    out = np.zeros((len(targets), F.INTERNAL_DIMS[a.internal])
+                   + a.data.shape[2:])
+    for t, target in enumerate(targets):
+        for m, mu in enumerate(target):
+            if a.data.shape[2 + mu] == 1:
+                continue
+            source = target[:m] + target[m + 1:]
+            term = diff_axis(a.data[F._INDEX[p][source]], 1 + mu, h)
+            if m % 2:
+                out[t] -= term
+            else:
+                out[t] += term
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("extents", [
+    (9, 9, 9, 9),
+    (1, 9, 9, 9),        # static: the first term of target (0, ...) is skipped
+    (1, 9, 1, 9),
+    (1, 1, 1, 1)])       # no live term at all
+def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents):
+    rng = np.random.default_rng(100 * p + k)
+    grid = Grid4(2.0, 9)
+    data = rng.normal(size=(len(LAMBDA_BASES[p]), F.INTERNAL_DIMS[k])
+                      + extents)
+    a = F.FormField(grid, p, k, data)
+    got = F.ext_d(a).data
+    want = accumulated_ext_d(a)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
 
 def test_d_of_constant_vanishes():
     c = F.scalar_form(GRID, 0, {(): np.full(GRID.shape, 3.25)})

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pcgrav.grid import (Grid4, diff_axis, integrate_samples, node_weights,
-                         region_max)
+from pcgrav.grid import (Grid4, _contiguous_from, diff_axis, integrate_samples,
+                         node_weights, region_max)
 
 
 def test_grid_geometry():
@@ -70,6 +70,36 @@ def test_diff_axis_matches_one_expression_stencil_bit_for_bit(n):
     for axis in range(-4, 0):
         assert np.array_equal(diff_axis(values, axis, g.spacing),
                               one_expression_stencil(values, axis, g.spacing))
+    # views that are not C-contiguous: the strided spatial block of a slice
+    # metric, a stride-0 broadcast of a constant one, a transposed array
+    views = [(rng.normal(size=(4, 4) + g.shape[1:])[1:, 1:], (-3, -2, -1)),
+             (np.broadcast_to(rng.normal(size=(4, 4, 1, 1, 1)),
+                              (4, 4) + g.shape[1:]), (-3, -2, -1)),
+             (rng.normal(size=(3,) + g.shape).transpose(0, 3, 1, 4, 2),
+              (1, 2, 3, 4))]
+    for values, axes in views:
+        for axis in axes:
+            want = one_expression_stencil(values, axis, g.spacing)
+            assert np.array_equal(diff_axis(values, axis, g.spacing), want)
+            out = np.empty(values.shape)
+            assert diff_axis(values, axis, g.spacing, out=out) is out
+            assert np.array_equal(out, want)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        diff_axis(values, 1, g.spacing, out=np.empty(values.shape[::-1]).T)
+
+
+def test_contiguous_blocks_of_strided_views():
+    # diff_axis reads these blocks in place; a copy only where none holds
+    # the axis
+    values = np.zeros((4, 4, 9, 9, 9))
+    assert _contiguous_from(values) == 0
+    assert _contiguous_from(values[1:, 1:]) == 1     # the mass slice view
+    assert _contiguous_from(values[1:, 1]) == 1
+    assert _contiguous_from(values[:, :, None]) == 0  # extent 1: any stride
+    assert _contiguous_from(values[..., ::2]) == 5
+    assert _contiguous_from(np.broadcast_to(values[:1, :1, :1, :1, :1],
+                                            values.shape)) == 5
+    assert _contiguous_from(values.transpose(0, 1, 3, 2, 4)) == 4
 
 
 def test_diff_axis_along_extent_one_is_exact_zero_or_nan():
