@@ -42,10 +42,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def _row_reduce(work: Matrix, cols: int) -> int:
     """Gauss-Jordan elimination on the first ``cols`` columns, in place.
 

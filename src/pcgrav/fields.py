@@ -414,21 +414,3 @@ def levi_civita_connection(e: FormField) -> FormField:
                 omega[mu, t] += sign * e.data[mu, a] * w
     return FormField(grid, 1, 2, omega)
 
-
-# ---------------------------------------------------------------------------
-# Snapshot io (flat binary with header, documented in docs/conventions.md)
-# ---------------------------------------------------------------------------
-
-def save_field(path, a: FormField) -> None:
-    np.savez(path, data=a.data, half_width=a.grid.half_width,
-             points=a.grid.points, inner_radius=a.grid.inner_radius,
-             degree=a.degree, internal=a.internal,
-             component_order="C: (spacetime multi-index, internal, t, x, y, z)")
-
-
-def load_field(path) -> FormField:
-    with np.load(path) as f:
-        grid = Grid4(float(f["half_width"]), int(f["points"]),
-                     float(f["inner_radius"]))
-        return FormField(grid, int(f["degree"]), int(f["internal"]),
-                         f["data"].copy())

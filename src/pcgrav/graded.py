@@ -6,14 +6,17 @@ finite exact loop -- no tolerances anywhere in this module.
 
 Brackets are stored sparsely: ``brackets[(i, j)] = {k: c}`` means
 ``[b_i, b_j] = sum_k c b_k``.  Linear maps (differentials, morphisms,
-action endomorphisms) use the row convention ``f(b_i) = sum_k M[i][k] b_k``.
+action endomorphisms) use the row convention ``f(b_i) = sum_k M[i][k] b_k``;
+the dense ones are applied to a coefficient vector with :func:`exact.matmul`.
+One helper checks graded derivations, for ``d`` (Leibniz) and for each
+``alpha(x)`` of an action map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
 
 from . import exact
 from .exact import ZERO
@@ -40,9 +43,6 @@ class GradedBasis:
 
     def __len__(self):
         return len(self.labels)
-
-    def index(self, label) -> int:
-        return self.labels.index(label)
 
 
 def _normalize_sparse(table):
@@ -116,9 +116,9 @@ class Differential:
     def apply(self, vec) -> list:
         out = [ZERO] * len(vec)
         for i, c in enumerate(vec):
-            c = Fraction(c)
             if c == 0:
                 continue
+            c = Fraction(c)
             for k, v in self.of_basis(i).items():
                 out[k] += c * v
         return out
@@ -147,15 +147,7 @@ class DglaMorphism:
     matrix: list  # dense rows: source basis -> target coefficients
 
     def apply(self, vec) -> list:
-        out = [ZERO] * self.target.dim
-        for i, c in enumerate(vec):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            for k, v in enumerate(self.matrix[i]):
-                if v != 0:
-                    out[k] += c * v
-        return out
+        return exact.matmul([vec], self.matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +185,15 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _vec_sub(a: list, b: list) -> list:
-    return [x - y for x, y in zip(a, b)]
-
-
 def _basis_vec(dim: int, i: int, coeff=Fraction(1)) -> list:
     v = [ZERO] * dim
     v[i] = Fraction(coeff)
     return v
 
 
-def check_graded_lie(a: GradedLieAlgebra, out: Optional[list] = None) -> list:
+def check_graded_lie(a: GradedLieAlgebra) -> list:
     """Violations of bracket degree, graded antisymmetry, graded Jacobi."""
-    violations = out if out is not None else []
+    violations = []
     labels = a.basis.labels
     deg = a.basis.degrees
     dim = a.dim
@@ -264,14 +252,32 @@ def check_graded_lie(a: GradedLieAlgebra, out: Optional[list] = None) -> list:
     return violations
 
 
+def _derivation_failures(f, degree: int, a: GradedLieAlgebra) -> list:
+    """Basis pairs (m, n) where f[x,y] != [fx,y] + (-1)^{|f||x|} [x,fy].
+
+    ``f`` maps a coefficient vector of ``a`` to another, with degree |f|.
+    """
+    deg = a.basis.degrees
+    basis = [_basis_vec(a.dim, i) for i in range(a.dim)]
+    images = [f(v) for v in basis]
+    failures = []
+    for m, (x, fx) in enumerate(zip(basis, images)):
+        s = _sign(degree * deg[m])
+        for n, (y, fy) in enumerate(zip(basis, images)):
+            rhs = [p + s * q for p, q in
+                   zip(a.bracket_eval(fx, y), a.bracket_eval(x, fy))]
+            if f(a.bracket_eval(x, y)) != rhs:
+                failures.append((m, n))
+    return failures
+
+
 def check_dgla(d: Dgla) -> AxiomReport:
     """Exact axiom report: degree, antisymmetry, Jacobi, d-degree, d^2, Leibniz."""
-    violations = []
     a = d.algebra
     labels = a.basis.labels
     deg = a.basis.degrees
     dim = a.dim
-    check_graded_lie(a, violations)
+    violations = check_graded_lie(a)
 
     for i, row in sorted(d.differential.rows.items()):
         for k, c in sorted(row.items()):
@@ -287,20 +293,10 @@ def check_dgla(d: Dgla) -> AxiomReport:
             violations.append(Violation(
                 "d-squared", (labels[i],), "d(d(b)) != 0"))
 
-    for i in range(dim):
-        for j in range(dim):
-            lhs = d.differential.apply(
-                a.bracket_eval(_basis_vec(dim, i), _basis_vec(dim, j)))
-            rhs = a.bracket_eval(d.differential.apply(_basis_vec(dim, i)),
-                                 _basis_vec(dim, j))
-            term = a.bracket_eval(_basis_vec(dim, i),
-                                  d.differential.apply(_basis_vec(dim, j)))
-            s = _sign(deg[i])
-            rhs = [x + s * y for x, y in zip(rhs, term)]
-            if lhs != rhs:
-                violations.append(Violation(
-                    "leibniz", (labels[i], labels[j]),
-                    "d[x,y] != [dx,y] + (-1)^|x| [x,dy]"))
+    for i, j in _derivation_failures(d.differential.apply, 1, a):
+        violations.append(Violation(
+            "leibniz", (labels[i], labels[j]),
+            "d[x,y] != [dx,y] + (-1)^|x| [x,dy]"))
     return AxiomReport("dgla axioms", tuple(violations))
 
 
@@ -357,26 +353,14 @@ class ActionMap:
     module: Dgla
     matrices: tuple  # one dense matrix per actor basis element
 
-    def matrix(self, i: int) -> list:
-        return self.matrices[i]
-
     def apply(self, i: int, vec) -> list:
-        out = [ZERO] * self.module.dim
-        for j, c in enumerate(vec):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            for k, v in enumerate(self.matrices[i][j]):
-                if v != 0:
-                    out[k] += c * v
-        return out
+        return exact.matmul([vec], self.matrices[i])[0]
 
     def __eq__(self, other):
         return (isinstance(other, ActionMap)
                 and self.actor.basis == other.actor.basis
                 and self.module.basis == other.module.basis
-                and all(exact.mat_eq(a, b)
-                        for a, b in zip(self.matrices, other.matrices)))
+                and self.matrices == other.matrices)
 
 
 def zero_action(actor: Dgla, module: Dgla) -> ActionMap:
@@ -387,10 +371,12 @@ def zero_action(actor: Dgla, module: Dgla) -> ActionMap:
 def check_action_map(alpha: ActionMap) -> AxiomReport:
     violations = []
     g, h = alpha.actor, alpha.module
-    glab = g.basis.labels
+    glab, gdeg = g.basis.labels, g.basis.degrees
+    act = [partial(alpha.apply, i) for i in range(g.dim)]
+    basis = [_basis_vec(h.dim, m) for m in range(h.dim)]
 
     for i in range(g.dim):
-        di = g.basis.degrees[i]
+        di = gdeg[i]
         for j in range(h.dim):
             for k, c in enumerate(alpha.matrices[i][j]):
                 if c != 0 and h.basis.degrees[k] != h.basis.degrees[j] + di:
@@ -399,58 +385,40 @@ def check_action_map(alpha: ActionMap) -> AxiomReport:
                         f"alpha({glab[i]}) is not homogeneous of degree {di}"))
                     break
 
-    def compose(i_then, i_first, vec):
-        return alpha.apply(i_then, alpha.apply(i_first, vec))
+    def is_commutator(row, f, f2, s):
+        """alpha(sum_k c b_k) for sparse ``row`` {k: c} equals the graded
+        commutator f f2 - s f2 f on every basis vector of h."""
+        for v in basis:
+            lhs = [ZERO] * h.dim
+            for k, c in row.items():
+                for n, x in enumerate(act[k](v)):
+                    lhs[n] += c * x
+            if lhs != [x - s * y for x, y in zip(f(f2(v)), f2(f(v)))]:
+                return False
+        return True
 
     for i in range(g.dim):
         for j in range(g.dim):
-            s = _sign(g.basis.degrees[i] * g.basis.degrees[j])
-            for m in range(h.dim):
-                v = _basis_vec(h.dim, m)
-                lhs = [ZERO] * h.dim
-                for k, c in g.algebra.bracket_basis(i, j).items():
-                    for n, x in enumerate(alpha.apply(k, v)):
-                        lhs[n] += c * x
-                rhs = _vec_sub(compose(i, j, v),
-                               [s * x for x in compose(j, i, v)])
-                if lhs != rhs:
-                    violations.append(Violation(
-                        "action-bracket", (glab[i], glab[j]),
-                        "alpha[x,y] != alpha(x)alpha(y) "
-                        "- (-1)^{|x||y|} alpha(y)alpha(x)"))
-                    break
-
-    for i in range(g.dim):
-        s = _sign(g.basis.degrees[i])
-        for m in range(h.dim):
-            v = _basis_vec(h.dim, m)
-            lhs = [ZERO] * h.dim
-            for k, c in g.differential.of_basis(i).items():
-                for n, x in enumerate(alpha.apply(k, v)):
-                    lhs[n] += c * x
-            rhs = _vec_sub(h.differential.apply(alpha.apply(i, v)),
-                           [s * x for x in
-                            alpha.apply(i, h.differential.apply(v))])
-            if lhs != rhs:
+            if not is_commutator(g.algebra.bracket_basis(i, j), act[i], act[j],
+                                 _sign(gdeg[i] * gdeg[j])):
                 violations.append(Violation(
-                    "action-differential", (glab[i],),
-                    "alpha(dx) != [d_h, alpha(x)]"))
-                break
+                    "action-bracket", (glab[i], glab[j]),
+                    "alpha[x,y] != alpha(x)alpha(y) "
+                    "- (-1)^{|x||y|} alpha(y)alpha(x)"))
 
     for i in range(g.dim):
-        for m in range(h.dim):
-            for n in range(h.dim):
-                vm, vn = _basis_vec(h.dim, m), _basis_vec(h.dim, n)
-                lhs = alpha.apply(i, h.algebra.bracket_eval(vm, vn))
-                s = _sign(g.basis.degrees[i] * h.basis.degrees[m])
-                rhs = h.algebra.bracket_eval(alpha.apply(i, vm), vn)
-                term = h.algebra.bracket_eval(vm, alpha.apply(i, vn))
-                rhs = [x + s * y for x, y in zip(rhs, term)]
-                if lhs != rhs:
-                    violations.append(Violation(
-                        "action-derivation",
-                        (glab[i], h.basis.labels[m], h.basis.labels[n]),
-                        "alpha(x) is not a graded derivation of [-,-]_h"))
+        if not is_commutator(g.differential.of_basis(i), h.differential.apply,
+                             act[i], _sign(gdeg[i])):
+            violations.append(Violation(
+                "action-differential", (glab[i],),
+                "alpha(dx) != [d_h, alpha(x)]"))
+
+    for i in range(g.dim):
+        for m, n in _derivation_failures(act[i], gdeg[i], h.algebra):
+            violations.append(Violation(
+                "action-derivation",
+                (glab[i], h.basis.labels[m], h.basis.labels[n]),
+                "alpha(x) is not a graded derivation of [-,-]_h"))
     return AxiomReport("action map", tuple(violations))
 
 
@@ -471,11 +439,13 @@ def _sum_basis(g: Dgla, h: Dgla) -> GradedBasis:
     return GradedBasis(labels, g.basis.degrees + h.basis.degrees)
 
 
-def _sum_structure(g: Dgla, h: Dgla, cross) -> ActionStructure:
+def _sum_structure(g: Dgla, h: Dgla, cross,
+                   plus_variant: bool) -> ActionStructure:
     """Assemble g (+) h with cross terms from ``cross(i, j) -> {k_h: c}``.
 
     ``cross(i, j)`` gives the h-part of [[g_i, h_j]]; the (h, g) orientation
-    is filled in by graded antisymmetry unless the caller overrides it.
+    is filled in by graded antisymmetry, or with the same sign under
+    ``plus_variant`` (see :func:`build_action_dgla`).
     """
     ng, nh = g.dim, h.dim
     basis = _sum_basis(g, h)
@@ -489,9 +459,10 @@ def _sum_structure(g: Dgla, h: Dgla, cross) -> ActionStructure:
             row = cross(i, j)
             if row:
                 brackets[(i, ng + j)] = {ng + k: c for k, c in row.items()}
-                s = _sign(g.basis.degrees[i] * h.basis.degrees[j])
+                s = (1 if plus_variant
+                     else -_sign(g.basis.degrees[i] * h.basis.degrees[j]))
                 brackets[(ng + j, i)] = {
-                    ng + k: -s * c for k, c in row.items()}
+                    ng + k: s * c for k, c in row.items()}
     rows = {i: dict(r) for i, r in g.differential.rows.items()}
     for i, r in h.differential.rows.items():
         rows[ng + i] = {ng + k: c for k, c in r.items()}
@@ -525,25 +496,13 @@ def build_action_dgla(alpha: ActionMap,
     report = check_action_map(alpha)
     if not report.passed:
         raise StructureError(f"invalid action map: {report.violations[0]}")
-    g, h = alpha.actor, alpha.module
-    ng = g.dim
 
     def cross(i, j):
-        return {k: c for k, c in enumerate(alpha.apply(i, _basis_vec(h.dim, j)))
-                if c != 0}
+        return {k: c for k, c in enumerate(alpha.matrices[i][j]) if c != 0}
 
-    structure = _sum_structure(g, h, cross)
+    structure = _sum_structure(alpha.actor, alpha.module, cross, plus_variant)
     if plus_variant:
-        brackets = dict(structure.total.algebra.brackets)
-        for i in range(ng):
-            for j in range(h.dim):
-                row = cross(i, j)
-                if row:
-                    brackets[(ng + j, i)] = {ng + k: c for k, c in row.items()}
-        total = Dgla(GradedLieAlgebra(structure.total.algebra.basis, brackets),
-                     structure.total.differential)
-        return ActionStructure(g, h, total, structure.inject, structure.project)
-
+        return structure
     report = check_dgla(structure.total)
     if not report.passed:
         raise StructureError(
@@ -557,7 +516,7 @@ def adjoint_action(g: Dgla) -> ActionStructure:
     def cross(i, j):
         return g.algebra.bracket_basis(i, j)
 
-    return _sum_structure(g, g, cross)
+    return _sum_structure(g, g, cross, plus_variant=False)
 
 
 def check_exactness(s: ActionStructure) -> AxiomReport:

@@ -9,6 +9,7 @@ from pcgrav.action import (EquivariantTestForm, PcConfig, action_pc,
                            extra_eom_term, torsion_residual)
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_tetrad
 from pcgrav.grid import Grid4
+from pcgrav.scenarios import standard_test_form
 from pcgrav.symmetry import CutoffFunction, PoincareElement
 
 
@@ -68,13 +69,6 @@ def test_non_levi_civita_connection_has_nondecaying_torsion():
     assert norms[0] > 0.1
 
 
-def default_test_form(grid, cutoff, generator, mode="4d"):
-    from pcgrav.conventions import LAMBDA_BASES
-    ups = cutoff.on_grid(grid, mode)
-    alpha = F.scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
-    return EquivariantTestForm(alpha, generator)
-
-
 def test_equivariant_action_reduces_to_base_when_residual_vanishes():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     e = minkowski_tetrad(grid)
@@ -82,7 +76,8 @@ def test_equivariant_action_reduces_to_base_when_residual_vanishes():
     cfg = PcConfig(0.0, grid)
     cutoff = CutoffFunction(1.0, 2.5)
     for name in ("P1", "K2", "L3"):
-        t = default_test_form(grid, cutoff, PoincareElement.from_name(name))
+        t = standard_test_form(grid, cutoff, PoincareElement.from_name(name),
+                               "4d")
         assert equivariant_action(e, om, t, cutoff, cfg) == \
             action_pc(e, om, cfg)
 
@@ -105,8 +100,8 @@ def test_equivariant_action_splits_into_base_plus_coupling():
     e, om = schw.tetrad(grid), schw.connection(grid)
     cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
-    t = default_test_form(grid, cutoff, PoincareElement.from_name("K2"),
-                          mode="spatial")
+    t = standard_test_form(grid, cutoff, PoincareElement.from_name("K2"),
+                           "spatial")
     total = equivariant_action(e, om, t, cutoff, cfg)
     base = action_pc(e, om, cfg)
     coupling = equivariant_coupling(e, t, cutoff, cfg)
@@ -125,8 +120,8 @@ def test_equivariant_coupling_for_boost_is_stable_regression():
         e = schw.tetrad(grid)
         cfg = PcConfig(0.0, grid, radius_mode="spatial")
         cutoff = CutoffFunction(4.0, 8.0)
-        t = default_test_form(grid, cutoff, PoincareElement.from_name("K1"),
-                              mode="spatial")
+        t = standard_test_form(grid, cutoff, PoincareElement.from_name("K1"),
+                               "spatial")
         values[n] = equivariant_coupling(e, t, cutoff, cfg)
     assert values[33] != 0.0
     assert values[25] == pytest.approx(values[33], rel=2e-3)
@@ -139,7 +134,8 @@ def test_extra_eom_term_vanishes_on_flat_space():
     cfg = PcConfig(0.0, grid)
     cutoff = CutoffFunction(1.0, 2.5)
     for name in ("P1", "K2", "L3"):
-        t = default_test_form(grid, cutoff, PoincareElement.from_name(name))
+        t = standard_test_form(grid, cutoff, PoincareElement.from_name(name),
+                               "4d")
         term, norm = extra_eom_term(e, t, cutoff, cfg)
         assert norm <= 1e-14
 
@@ -152,7 +148,7 @@ def test_extra_eom_term_bound_by_symmetry_residual():
     cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
     gen = PoincareElement.from_name("K1")
-    t = default_test_form(grid, cutoff, gen, mode="spatial")
+    t = standard_test_form(grid, cutoff, gen, "spatial")
     term, norm = extra_eom_term(e, t, cutoff, cfg)
     residual_norm = symmetry_residual(e, gen).region_norm(
         r=2.0, mode="spatial")
@@ -168,8 +164,8 @@ def test_extra_eom_term_translation_fallback_and_strict_mode():
     e = schw.tetrad(grid)
     cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
-    t = default_test_form(grid, cutoff, PoincareElement.from_name("P1"),
-                          mode="spatial")
+    t = standard_test_form(grid, cutoff, PoincareElement.from_name("P1"),
+                           "spatial")
     _, strict_norm = extra_eom_term(e, t, cutoff, cfg, strict=True)
     assert strict_norm == 0.0  # literal coupling: zero Lorentz part
     _, norm = extra_eom_term(e, t, cutoff, cfg)

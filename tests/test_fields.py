@@ -494,15 +494,3 @@ def test_curvature_of_identity_levi_civita_is_zero():
     e = minkowski_tetrad(GRID)
     assert F.curvature(F.levi_civita_connection(e)).max_abs() == 0.0
 
-
-# ---------------------------------------------------------------------------
-# io
-# ---------------------------------------------------------------------------
-
-def test_snapshot_round_trip(tmp_path):
-    a = random_form(GRID, 2, 2)
-    path = tmp_path / "field.npz"
-    F.save_field(path, a)
-    b = F.load_field(path)
-    assert b.grid == a.grid and b.degree == 2 and b.internal == 2
-    assert np.array_equal(a.data, b.data)

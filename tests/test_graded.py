@@ -267,6 +267,118 @@ def test_invalid_action_map_is_rejected_by_name():
 
 
 # ---------------------------------------------------------------------------
+# Pinned axiom reports: one failing input per violation kind
+# ---------------------------------------------------------------------------
+
+def broken_leibniz_report():
+    # degrees (-1, 0), [b, a] = a, d a = b: d[b,a] = b but [db,a] + [b,da] = 0
+    basis = GradedBasis(("a", "b"), (-1, 0))
+    alg = GradedLieAlgebra(basis, {(1, 0): {0: Q(1)}, (0, 1): {0: Q(-1)}})
+    return check_dgla(Dgla(alg, Differential({0: {1: Q(1)}})))
+
+
+def negated_vector_representation_report():
+    alpha = vector_representation_so3()
+    mats = [[row[:] for row in m] for m in alpha.matrices]
+    mats[0][1][2] = -mats[0][1][2]
+    return check_action_map(ActionMap(alpha.actor, alpha.module, tuple(mats)))
+
+
+def noncommuting_differential_report():
+    # so(3) rotates e1..e3 and fixes f; d e1 = f does not commute with that
+    h = Dgla(GradedLieAlgebra(GradedBasis(("e1", "e2", "e3", "f"),
+                                          (0, 0, 0, 1)), {}),
+             Differential({0: {3: Q(1)}}))
+    mats = []
+    for m in vector_representation_so3().matrices:
+        big = exact.zeros(4, 4)
+        for j in range(3):
+            big[j][:3] = m[j]
+        mats.append(big)
+    return check_action_map(ActionMap(so3(), h, tuple(mats)))
+
+
+def mixed_degree_report():
+    h = Dgla(GradedLieAlgebra(GradedBasis(("u", "v"), (0, 1)), {}))
+    return check_action_map(ActionMap(abelian(("x",)), h,
+                                      ([[Q(0), Q(1)], [Q(0), Q(0)]],)))
+
+
+def identity_on_so3_report():
+    # the identity map is not a derivation of a nonzero bracket
+    return check_action_map(ActionMap(abelian(("x",)), so3(),
+                                      (exact.identity(3),)))
+
+
+def plus_variant_report():
+    s = build_action_dgla(vector_representation_so3(), plus_variant=True)
+    return check_dgla(s.total)
+
+
+ACTION_BRACKET = ("alpha[x,y] != alpha(x)alpha(y) "
+                  "- (-1)^{|x||y|} alpha(y)alpha(x)")
+NOT_A_DERIVATION = "alpha(x) is not a graded derivation of [-,-]_h"
+JACOBI = "graded Jacobi identity fails"
+
+PINNED_REPORTS = {
+    "leibniz": (broken_leibniz_report, """\
+dgla axioms: 3 violation(s)
+  - leibniz at ('a', 'a'): d[x,y] != [dx,y] + (-1)^|x| [x,dy]
+  - leibniz at ('a', 'b'): d[x,y] != [dx,y] + (-1)^|x| [x,dy]
+  - leibniz at ('b', 'a'): d[x,y] != [dx,y] + (-1)^|x| [x,dy]"""),
+    "action-bracket": (negated_vector_representation_report, f"""\
+action map: 6 violation(s)
+  - action-bracket at ('L1', 'L2'): {ACTION_BRACKET}
+  - action-bracket at ('L1', 'L3'): {ACTION_BRACKET}
+  - action-bracket at ('L2', 'L1'): {ACTION_BRACKET}
+  - action-bracket at ('L2', 'L3'): {ACTION_BRACKET}
+  - action-bracket at ('L3', 'L1'): {ACTION_BRACKET}
+  - action-bracket at ('L3', 'L2'): {ACTION_BRACKET}"""),
+    "action-differential": (noncommuting_differential_report, """\
+action map: 2 violation(s)
+  - action-differential at ('L2',): alpha(dx) != [d_h, alpha(x)]
+  - action-differential at ('L3',): alpha(dx) != [d_h, alpha(x)]"""),
+    "action-degree": (mixed_degree_report, """\
+action map: 1 violation(s)
+  - action-degree at ('x',): alpha(x) is not homogeneous of degree 0"""),
+    "action-derivation": (identity_on_so3_report, f"""\
+action map: 6 violation(s)
+  - action-derivation at ('x', 'L1', 'L2'): {NOT_A_DERIVATION}
+  - action-derivation at ('x', 'L1', 'L3'): {NOT_A_DERIVATION}
+  - action-derivation at ('x', 'L2', 'L1'): {NOT_A_DERIVATION}
+  - action-derivation at ('x', 'L2', 'L3'): {NOT_A_DERIVATION}
+  - action-derivation at ('x', 'L3', 'L1'): {NOT_A_DERIVATION}
+  - action-derivation at ('x', 'L3', 'L2'): {NOT_A_DERIVATION}"""),
+    "plus-variant-antisymmetry": (plus_variant_report, f"""\
+dgla axioms: 18 violation(s)
+  - antisymmetry at ('g.L1', 'h.e2'): [h.e2,g.L1] != -[g.L1,h.e2] on h.e3
+  - antisymmetry at ('g.L1', 'h.e3'): [h.e3,g.L1] != -[g.L1,h.e3] on h.e2
+  - antisymmetry at ('g.L2', 'h.e1'): [h.e1,g.L2] != -[g.L2,h.e1] on h.e3
+  - antisymmetry at ('g.L2', 'h.e3'): [h.e3,g.L2] != -[g.L2,h.e3] on h.e1
+  - antisymmetry at ('g.L3', 'h.e1'): [h.e1,g.L3] != -[g.L3,h.e1] on h.e2
+  - antisymmetry at ('g.L3', 'h.e2'): [h.e2,g.L3] != -[g.L3,h.e2] on h.e1
+  - jacobi at ('h.e1', 'g.L2', 'g.L1'): {JACOBI}
+  - jacobi at ('h.e1', 'g.L2', 'g.L2'): {JACOBI}
+  - jacobi at ('h.e1', 'g.L3', 'g.L1'): {JACOBI}
+  - jacobi at ('h.e1', 'g.L3', 'g.L3'): {JACOBI}
+  - jacobi at ('h.e2', 'g.L1', 'g.L1'): {JACOBI}
+  - jacobi at ('h.e2', 'g.L1', 'g.L2'): {JACOBI}
+  - jacobi at ('h.e2', 'g.L3', 'g.L2'): {JACOBI}
+  - jacobi at ('h.e2', 'g.L3', 'g.L3'): {JACOBI}
+  - jacobi at ('h.e3', 'g.L1', 'g.L1'): {JACOBI}
+  - jacobi at ('h.e3', 'g.L1', 'g.L3'): {JACOBI}
+  - jacobi at ('h.e3', 'g.L2', 'g.L2'): {JACOBI}
+  - jacobi at ('h.e3', 'g.L2', 'g.L3'): {JACOBI}"""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_REPORTS))
+def test_failing_report_text_is_pinned(kind):
+    build, expected = PINNED_REPORTS[kind]
+    assert str(build()) == expected
+
+
+# ---------------------------------------------------------------------------
 # check_exactness
 # ---------------------------------------------------------------------------
 

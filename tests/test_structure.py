@@ -3,6 +3,9 @@
 A definition counts as used when some ``Name`` or ``Attribute`` node in
 ``src/``, ``tests/`` or ``demos/`` refers to it by name.  Re-exports in
 ``pcgrav/__init__.py`` do not count, and neither does the definition itself.
+The same rule covers the public methods of public classes.  Since only the
+name is matched, a method whose name another object's method shares can go
+uncalled unseen: ``GradedBasis.index`` once hid behind ``tuple.index``.
 
 A parameter with a default counts as set when some call in ``src/``,
 ``tests/``, ``demos/`` or ``bench/`` to a function of that name passes it,
@@ -41,10 +44,27 @@ def referenced_names():
     return names
 
 
+def public_methods():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield path.name, node.name, item.name
+
+
 def test_no_public_helper_goes_uncalled():
     used = referenced_names()
     unused = [f"{module}:{name}" for module, name in public_definitions()
               if name not in used]
+    assert unused == []
+
+
+def test_no_public_method_goes_uncalled():
+    used = referenced_names()
+    unused = [f"{module}:{cls}.{name}"
+              for module, cls, name in public_methods() if name not in used]
     assert unused == []
 
 
