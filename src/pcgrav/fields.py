@@ -8,12 +8,16 @@ for both the spacetime and the internal slots:
 
     data[S, I, t, x, y, z]   S over LAMBDA_BASES[p], I over LAMBDA_BASES[k]
 
-so each component is a contiguous node array.  The bilinear products
-below run one t slice at a time, and at each node they add their terms
-in one fixed order, the same as over the whole array (deterministic
-output, independent of threading).  Each grid axis has extent N or 1: a
-field that does not depend on a coordinate (a static field on t) stores
-one node along it, and products, sums and norms broadcast over that axis.
+so each component is a contiguous node array.  Each grid axis has extent
+N or 1: a field that does not depend on a coordinate (a static field on
+t) stores one node along it, and products, sums and norms broadcast over
+that axis.
+
+``wedge`` and ``ext_d`` split their output into disjoint blocks (t
+slices; (target, internal component) pairs) that run on a pool of
+:func:`set_threads` worker threads.  Each block is written by one thread,
+which adds the terms at each node in one fixed order, the same as over
+the whole array, so the output is bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -38,6 +42,38 @@ class FormFieldError(ValueError):
 
 class DegenerateTetradError(FormFieldError):
     pass
+
+
+_threads = 1
+_pool = None
+
+
+def set_threads(count: int) -> None:
+    """Worker threads for the blocks of ``wedge`` and ``ext_d``."""
+    global _threads, _pool
+    if _pool is not None and count != _threads:
+        _pool.shutdown()
+        _pool = None
+    _threads = count
+
+
+def _for_each_block(fn, items) -> None:
+    """Call ``fn`` on every item; each writes its own block of an output.
+
+    The pool is created on first use.  One worker or one item runs inline.
+    ``fn`` never submits to the pool itself.
+    """
+    global _pool
+    if _threads == 1 or len(items) == 1:
+        for item in items:
+            fn(item)
+        return
+    if _pool is None:
+        # imported here: commands that never start the pool skip its import
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_threads, thread_name_prefix="pcgrav")
+    for _ in _pool.map(fn, items):     # re-raises a block's exception
+        pass
 
 
 @dataclass(frozen=True)
@@ -217,13 +253,14 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     plan = [(i, u, j, v, outs) for i, u, j, v, outs in plan
             if a_live[i, u] and b_live[j, v]]
     out = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape)
-    prod = np.empty(shape[1:])
-    # one t slice at a time, so a slice's operands stay in cache; an
+
+    # one block per t slice, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
-    for t in range(shape[0]):
+    def slice_products(t):
         a_t = a.data[:, :, min(t, a.data.shape[2] - 1)]
         b_t = b.data[:, :, min(t, b.data.shape[2] - 1)]
         out_t = out[:, :, t]
+        prod = np.empty(shape[1:])
         for i, u, j, v, outs in plan:
             np.multiply(a_t[i, u], b_t[j, v], out=prod)
             for k, m, c in outs:
@@ -233,6 +270,8 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
                     out_t[k, m] -= prod
                 else:
                     out_t[k, m] += c * prod
+
+    _for_each_block(slice_products, range(shape[0]))
     return FormField(a.grid, p_out, k_out, out)
 
 
@@ -247,11 +286,11 @@ def ext_d(a: FormField) -> FormField:
     """Finite-difference exterior derivative (4th order interior stencils).
 
     Derivatives along a grid axis of extent 1 are exact zeros and skipped.
-    Each target's first live term is differentiated straight into the
-    output (negated in place if its sign is odd), the later ones into one
-    reused buffer and then added in order.  A target with no live term is
-    0.0.  Against adding every term to zeros, only the sign of an exact
-    zero can differ.
+    Each (target, internal component) pair is one block.  Its first live
+    term is differentiated straight into the output (negated in place if
+    its sign is odd), the later ones into a buffer of one component and
+    then added in order.  A target with no live term is 0.0.  Against
+    adding every term to zeros, only the sign of an exact zero can differ.
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
@@ -259,27 +298,33 @@ def ext_d(a: FormField) -> FormField:
     targets = LAMBDA_BASES[p + 1]
     out = np.empty((len(targets), INTERNAL_DIMS[a.internal])
                    + a.data.shape[2:])
-    term = np.empty(out.shape[1:])
-    for t, target in enumerate(targets):
-        acc = out[t]
-        first = True
+
+    def component_derivative(block):
+        t, c = block
+        target, acc = targets[t], out[t, c]
+        first, term = True, None
         for m, mu in enumerate(target):
             if a.data.shape[2 + mu] == 1:
                 continue
-            source = a.data[_INDEX[p][target[:m] + target[m + 1:]]]
+            source = a.data[_INDEX[p][target[:m] + target[m + 1:]], c]
             if first:
-                diff_axis(source, 1 + mu, h, out=acc)
+                diff_axis(source, mu, h, out=acc)
                 if m % 2:
                     np.negative(acc, out=acc)
                 first = False
                 continue
-            diff_axis(source, 1 + mu, h, out=term)
+            if term is None:
+                term = np.empty(acc.shape)
+            diff_axis(source, mu, h, out=term)
             if m % 2:
                 acc -= term
             else:
                 acc += term
         if first:
             acc[...] = 0.0
+
+    _for_each_block(component_derivative, [
+        (t, c) for t in range(len(targets)) for c in range(out.shape[1])])
     return FormField(a.grid, p + 1, a.internal, out)
 
 

@@ -14,7 +14,7 @@ One helper checks graded derivations, for ``d`` (Leibniz) and for each
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -372,8 +372,7 @@ def check_action_map(alpha: ActionMap) -> AxiomReport:
     violations = []
     g, h = alpha.actor, alpha.module
     glab, gdeg = g.basis.labels, g.basis.degrees
-    act = [partial(alpha.apply, i) for i in range(g.dim)]
-    basis = [_basis_vec(h.dim, m) for m in range(h.dim)]
+    d_h = [h.differential.apply(_basis_vec(h.dim, m)) for m in range(h.dim)]
 
     for i in range(g.dim):
         di = gdeg[i]
@@ -387,19 +386,21 @@ def check_action_map(alpha: ActionMap) -> AxiomReport:
 
     def is_commutator(row, f, f2, s):
         """alpha(sum_k c b_k) for sparse ``row`` {k: c} equals the graded
-        commutator f f2 - s f2 f on every basis vector of h."""
-        for v in basis:
-            lhs = [ZERO] * h.dim
-            for k, c in row.items():
-                for n, x in enumerate(act[k](v)):
-                    lhs[n] += c * x
-            if lhs != [x - s * y for x, y in zip(f(f2(v)), f2(f(v)))]:
-                return False
-        return True
+        commutator f f2 - s f2 f; all maps are row-convention matrices, so
+        f(f2(e_m)) is row m of f2 times f."""
+        lhs = exact.zeros(h.dim, h.dim)
+        for k, c in row.items():
+            for lhs_m, alpha_m in zip(lhs, alpha.matrices[k]):
+                for n, x in enumerate(alpha_m):
+                    lhs_m[n] += c * x
+        rhs = [[x - s * y for x, y in zip(a, b)]
+               for a, b in zip(exact.matmul(f2, f), exact.matmul(f, f2))]
+        return lhs == rhs
 
     for i in range(g.dim):
         for j in range(g.dim):
-            if not is_commutator(g.algebra.bracket_basis(i, j), act[i], act[j],
+            if not is_commutator(g.algebra.bracket_basis(i, j),
+                                 alpha.matrices[i], alpha.matrices[j],
                                  _sign(gdeg[i] * gdeg[j])):
                 violations.append(Violation(
                     "action-bracket", (glab[i], glab[j]),
@@ -407,14 +408,15 @@ def check_action_map(alpha: ActionMap) -> AxiomReport:
                     "- (-1)^{|x||y|} alpha(y)alpha(x)"))
 
     for i in range(g.dim):
-        if not is_commutator(g.differential.of_basis(i), h.differential.apply,
-                             act[i], _sign(gdeg[i])):
+        if not is_commutator(g.differential.of_basis(i), d_h,
+                             alpha.matrices[i], _sign(gdeg[i])):
             violations.append(Violation(
                 "action-differential", (glab[i],),
                 "alpha(dx) != [d_h, alpha(x)]"))
 
     for i in range(g.dim):
-        for m, n in _derivation_failures(act[i], gdeg[i], h.algebra):
+        for m, n in _derivation_failures(partial(alpha.apply, i), gdeg[i],
+                                         h.algebra):
             violations.append(Violation(
                 "action-derivation",
                 (glab[i], h.basis.labels[m], h.basis.labels[n]),
@@ -431,6 +433,7 @@ class ActionStructure:
     total: Dgla
     inject: DglaMorphism   # h -> total
     project: DglaMorphism  # total -> g
+    total_report: AxiomReport = None  # check_dgla(total), where one ran
 
 
 def _sum_basis(g: Dgla, h: Dgla) -> GradedBasis:
@@ -486,7 +489,9 @@ def build_action_dgla(alpha: ActionMap,
 
     Cross bracket: [[(X,0),(0,w)]] = (0, alpha(X) w), extended to the other
     orientation by graded antisymmetry, i.e. the v-term in
-    [[(X,v),(Y,w)]] carries -(-1)^{|X||Y|} alpha(Y)(v).
+    [[(X,v),(Y,w)]] carries -(-1)^{|X||Y|} alpha(Y)(v).  The sum is
+    checked with :func:`check_dgla`; the passing report is kept as
+    ``total_report``.
 
     ``plus_variant=True`` instead uses +alpha(Y)(v) in both orientations
     (a symmetric cross term).  The result is *not* a Lie bracket whenever
@@ -507,7 +512,7 @@ def build_action_dgla(alpha: ActionMap,
     if not report.passed:
         raise StructureError(
             f"constructed sum fails dgla axioms: {report.violations[0]}")
-    return structure
+    return replace(structure, total_report=report)
 
 
 def adjoint_action(g: Dgla) -> ActionStructure:

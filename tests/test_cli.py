@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from pcgrav import cli, fields, graded
 from pcgrav.cli import leibniz_residual_norms, main
+from pcgrav.graded import check_dgla
 from pcgrav.scenarios import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -138,8 +141,10 @@ def test_convergence_command_reports_slopes(tmp_path, capsys):
     assert code in (0, 3)
 
 
-def test_leibniz_ladder_norms_are_pinned():
-    # a change to the order of the float operations in wedge moves these
+@pytest.mark.parametrize("threads", [1, 2], indirect=True)
+def test_leibniz_ladder_norms_are_pinned(threads):
+    # a change to the order of the float operations in wedge moves these,
+    # and the worker count must not
     scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
     norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
     assert norms == [1.5557802852622662, 0.7384922107658585,
@@ -204,6 +209,45 @@ def test_threads_flag_is_recorded_not_numeric(tmp_path, capsys):
         assert report["manifest"]["threads"] == int(threads)
         bodies[threads] = json.dumps(report["body"], sort_keys=True)
     assert bodies["1"] == bodies["3"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    path = small_scenario_file(tmp_path)
+    code = main(["pc", "action", "--scenario", str(path),
+                 "--threads", threads, "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_threads_default_is_the_available_cpu_count(tmp_path, capsys):
+    path = small_scenario_file(tmp_path)
+    code, _ = run(["pc", "action", "--scenario", str(path),
+                   "--out", str(tmp_path / "t")], tmp_path, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "t" / "pc_action.json").read_text())
+    assert report["manifest"]["threads"] == len(os.sched_getaffinity(0))
+    assert fields._threads == report["manifest"]["threads"]
+
+
+def test_algebra_action_checks_the_sum_dgla_once(tmp_path, capsys,
+                                                 monkeypatch):
+    calls = []
+
+    def counted(dgla):
+        calls.append(dgla)
+        return check_dgla(dgla)
+
+    monkeypatch.setattr(graded, "check_dgla", counted)
+    monkeypatch.setattr(cli, "check_dgla", counted)
+    code, out = run(["algebra", "action", str(SCENARIOS / "so3.json"),
+                     str(SCENARIOS / "r3.json"),
+                     str(SCENARIOS / "so3_vector_action.json")],
+                    tmp_path, capsys)
+    assert code == 0
+    assert out == "dgla axioms: pass\nexact sequence: pass\n"
+    assert len(calls) == 1
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
