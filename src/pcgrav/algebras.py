@@ -151,53 +151,69 @@ def so31_dgla() -> Dgla:
 #   { "action": [{"x": g_label,
 #                 "rows": [{"i": h_label, "out": [{"k": h_label, "c": "p/q"}]}]}] }
 
-def _parse_out(entries, index, where):
-    row = {}
-    for entry in entries:
-        try:
-            k = index[entry["k"]]
-        except KeyError:
+def _objects(items, path: str) -> list:
+    """``items`` as a list of objects; the first that is not is an
+    AlgebraFormatError naming its path."""
+    if not isinstance(items, list):
+        raise AlgebraFormatError(f"{path}: must be a list, got {items!r}")
+    for n, item in enumerate(items):
+        if not isinstance(item, dict):
             raise AlgebraFormatError(
-                f"{where}: unknown basis label {entry.get('k')!r}") from None
+                f"{path}[{n}]: must be an object, got {item!r}")
+    return items
+
+
+def _label(index, item, key, path):
+    """Basis index of ``item[key]``; an unknown label names the path."""
+    try:
+        return index[item[key]]
+    except (KeyError, TypeError):
+        raise AlgebraFormatError(
+            f"{path}.{key}: unknown basis label {item.get(key)!r}") from None
+
+
+def _parse_out(entries, index, path):
+    row = {}
+    for n, entry in enumerate(_objects(entries, f"{path}.out")):
+        k = _label(index, entry, "k", f"{path}.out[{n}]")
         try:
             row[k] = exact.parse_rational(entry["c"])
         except (KeyError, TypeError, ValueError) as e:
-            raise AlgebraFormatError(f"{where}: bad coefficient: {e}") from None
+            raise AlgebraFormatError(
+                f"{path}.out[{n}].c: bad coefficient: {e}") from None
     return row
 
 
 def dgla_from_json(doc) -> Dgla:
     if not isinstance(doc, dict) or "basis" not in doc:
         raise AlgebraFormatError("document must be an object with a 'basis' key")
+    labels, degrees = [], []
+    for n, b in enumerate(_objects(doc["basis"], "basis")):
+        if not isinstance(b.get("label"), str):
+            raise AlgebraFormatError(
+                f"basis[{n}].label: must be a string, got {b.get('label')!r}")
+        labels.append(b["label"])
+        try:
+            degrees.append(int(b.get("degree")))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise AlgebraFormatError(f"basis[{n}].degree: {e}") from None
     try:
-        labels = tuple(b["label"] for b in doc["basis"])
-        degrees = tuple(int(b["degree"]) for b in doc["basis"])
-    except (TypeError, KeyError, ValueError) as e:
-        raise AlgebraFormatError(f"bad basis: {e}") from None
-    try:
-        basis = GradedBasis(labels, degrees)
+        basis = GradedBasis(tuple(labels), tuple(degrees))
     except StructureError as e:
         raise AlgebraFormatError(str(e)) from None
     index = {lab: n for n, lab in enumerate(labels)}
 
     brackets = {}
-    for item in doc.get("brackets", ()):
-        try:
-            i, j = index[item["i"]], index[item["j"]]
-        except KeyError:
-            raise AlgebraFormatError(
-                f"bracket references unknown label: {item}") from None
-        brackets[(i, j)] = _parse_out(item.get("out", ()), index,
-                                      f"bracket ({item['i']},{item['j']})")
+    for n, item in enumerate(_objects(doc.get("brackets", []), "brackets")):
+        path = f"brackets[{n}]"
+        key = (_label(index, item, "i", path), _label(index, item, "j", path))
+        brackets[key] = _parse_out(item.get("out", []), index, path)
     rows = {}
-    for item in doc.get("differential", ()):
-        try:
-            i = index[item["i"]]
-        except KeyError:
-            raise AlgebraFormatError(
-                f"differential references unknown label: {item}") from None
-        rows[i] = _parse_out(item.get("out", ()), index,
-                             f"differential ({item['i']})")
+    for n, item in enumerate(_objects(doc.get("differential", []),
+                                      "differential")):
+        path = f"differential[{n}]"
+        rows[_label(index, item, "i", path)] = _parse_out(
+            item.get("out", []), index, path)
     return Dgla(GradedLieAlgebra(basis, brackets), Differential(rows))
 
 
@@ -207,21 +223,13 @@ def action_from_json(doc, actor: Dgla, module: Dgla) -> ActionMap:
     gidx = {lab: n for n, lab in enumerate(actor.basis.labels)}
     hidx = {lab: n for n, lab in enumerate(module.basis.labels)}
     mats = [exact.zeros(module.dim, module.dim) for _ in range(actor.dim)]
-    for item in doc["action"]:
-        try:
-            x = gidx[item["x"]]
-        except KeyError:
-            raise AlgebraFormatError(
-                f"action references unknown actor label: {item}") from None
-        for rowspec in item.get("rows", ()):
-            try:
-                i = hidx[rowspec["i"]]
-            except KeyError:
-                raise AlgebraFormatError(
-                    f"action row references unknown module label: {rowspec}"
-                ) from None
-            row = _parse_out(rowspec.get("out", ()), hidx,
-                             f"action ({item['x']}, {rowspec['i']})")
-            for k, c in row.items():
+    for n, item in enumerate(_objects(doc["action"], "action")):
+        x = _label(gidx, item, "x", f"action[{n}]")
+        rows = _objects(item.get("rows", []), f"action[{n}].rows")
+        for r, rowspec in enumerate(rows):
+            path = f"action[{n}].rows[{r}]"
+            i = _label(hidx, rowspec, "i", path)
+            for k, c in _parse_out(rowspec.get("out", []), hidx,
+                                   path).items():
                 mats[x][i][k] = c
     return ActionMap(actor, module, tuple(mats))

@@ -13,10 +13,10 @@ Subcommands:
 Exit codes: 0 all verdicts pass, 1 any fail, 2 usage/parse error,
 3 inconclusive (refinement needed).  Reports land in --out, the
 PCGRAV_OUT env var, or ./pcgrav-reports.  --threads sizes the worker pool
-of the wedge and exterior-derivative kernels (default: the CPUs this
-process may use) and is recorded in the manifest; each output block is
-written by one thread in a fixed order, so numeric report bodies are
-byte-identical across --threads settings.
+that splits the Leibniz ladder's t range into contiguous blocks (default:
+the CPUs this process may use) and is recorded in the manifest; each
+block runs in a fixed order, so numeric report bodies are byte-identical
+across --threads settings.
 """
 
 from __future__ import annotations
@@ -190,35 +190,86 @@ def cmd_mass(args) -> int:
 # convergence
 # ---------------------------------------------------------------------------
 
+RING = 5     # t slices the t stencil reads: two on each side
+
+
 def leibniz_residual_norms(scenario: Scenario, resolutions):
-    """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields."""
+    """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields.
+
+    max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: the
+    pool's workers walk contiguous t ranges (:func:`_leibniz_block`), and
+    the max over their maxima is the max over the grid.
+    """
     import numpy as np
     norms, spacings = [], []
     for n in resolutions:
         grid = scenario.grid(n)
         rng = np.random.default_rng(20260808)
+        # a then b: one amplitude per coordinate wave for each component,
+        # drawn in that order; coef[mu] has the grid axes of a ring slot
+        amps = rng.normal(size=(2, 4, 6, 4))
+        coef = np.moveaxis(amps, -1, 0)[..., None, None, None]
         k = np.pi / scenario.half_width
-        # each wave depends on one coordinate: sample it along its axis
         waves = [np.sin(k * grid.coordinate(mu) + 0.3 * mu)
                  for mu in range(4)]
+        workers = min(F._threads, n)
+        bounds = [n * w // workers for w in range(workers + 1)]
+        maxima = [None] * workers
 
-        def smooth():
-            data = np.zeros((4, 6) + grid.shape)
-            for s in range(4):
-                for i in range(6):
-                    amp = rng.normal(size=4)
-                    partial = sum(amp[mu] * waves[mu] for mu in range(3))
-                    np.add(partial, amp[3] * waves[3], out=data[s, i])
-            return F.FormField(grid, 1, 2, data)
+        def block(w):
+            maxima[w] = _leibniz_block(grid, coef, waves, bounds[w],
+                                       bounds[w + 1])
 
-        a, b = smooth(), smooth()
-        rhs = (F.form_dgla_bracket(F.ext_d(a), b)
-               - F.form_dgla_bracket(a, F.ext_d(b)))
-        ab = F.form_dgla_bracket(a, b)
-        del a, b
-        norms.append((F.ext_d(ab) - rhs).max_abs())
+        F._for_each_block(block, range(workers))
+        norms.append(float(np.max(maxima)))
         spacings.append(grid.spacing)
     return norms, spacings
+
+
+def _leibniz_block(grid, coef, waves, t0: int, t1: int):
+    """Max of the Leibniz residual over t slices ``t0 <= t < t1``.
+
+    Rings hold the slices of a, b and [a, b] within two of the current t.
+    Each slice is built once, and a block also builds the two slices past
+    each end of its range that the t stencil reads.  The buffers are this
+    block's own, reused from slice to slice.
+    """
+    import numpy as np
+    n, nodes = grid.points, grid.shape[1:]
+    rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
+    ring_a, ring_b = rings
+    ring_ab = np.empty((RING, 6, 6) + nodes)
+    d_buf = np.empty((6, 6, 1) + nodes)
+    x_buf, y_buf = np.empty((2, 4, 6, 1) + nodes)
+    scratch = np.empty(2 * 6 * grid.points ** 3)     # two Lambda^2 slices
+
+    def build(t):
+        # each wave depends on one coordinate: sampled along its axis
+        partial = ((0 + coef[0] * waves[0][t]) + coef[1] * waves[1][0]
+                   + coef[2] * waves[2][0])
+        np.add(partial, coef[3] * waves[3][0], out=rings[:, t % RING])
+        F.wedge(at(ring_a, t, 1), at(ring_b, t, 1), "bracket",
+                out=ring_ab[t % RING][:, :, None], scratch=scratch)
+
+    def at(ring, t, degree):
+        return F.RingSlice.of(ring, grid, t, degree, 2)
+
+    for t in range(max(t0 - 2, 0), min(t0 + 2, n)):
+        build(t)
+    top = float("-inf")
+    for t in range(t0, t1):
+        if t + 2 < n:
+            build(t + 2)
+        a, b = at(ring_a, t, 1), at(ring_b, t, 1)
+        da = F.ext_d(a, out=d_buf, scratch=scratch)
+        x = F.wedge(da, b, "bracket", out=x_buf, scratch=scratch)
+        db = F.ext_d(b, out=d_buf, scratch=scratch)
+        y = F.wedge(a, db, "bracket", out=y_buf, scratch=scratch)
+        rhs = np.subtract(x.data, y.data, out=x_buf)
+        d_ab = F.ext_d(at(ring_ab, t, 2), out=y_buf, scratch=scratch)
+        residual = np.subtract(d_ab.data, rhs, out=y_buf)
+        top = np.maximum(top, np.abs(residual, out=y_buf).max())
+    return top
 
 
 def cmd_convergence(args) -> int:
@@ -318,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=_thread_count,
                        default=len(os.sched_getaffinity(0)),
-                       help="worker threads of the wedge and exterior "
-                            "derivative kernels (default: the CPUs this "
+                       help="worker threads that split the Leibniz "
+                            "ladder's t range (default: the CPUs this "
                             "process may use); results do not depend on it")
         p.add_argument("--radius-mode", dest="radius_mode",
                        choices=("4d", "spatial"), default=None)

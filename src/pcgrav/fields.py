@@ -13,15 +13,20 @@ N or 1: a field that does not depend on a coordinate (a static field on
 t) stores one node along it, and products, sums and norms broadcast over
 that axis.
 
-``wedge`` and ``ext_d`` split their output into disjoint blocks (t
-slices; (target, internal component) pairs) that run on a pool of
-:func:`set_threads` worker threads.  Each block is written by one thread,
-which adds the terms at each node in one fixed order, the same as over
-the whole array, so the output is bit-identical at any thread count.
+A field may also live on a :class:`~pcgrav.grid.Window` of t slices.
+``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
+slices around, so ``ext_d`` refuses a window field unless it is a
+:class:`RingSlice`, which takes d/dt from a ring of its neighbours with
+the stencils of the grid.  The Leibniz ladder streams t this way; a pool
+of :func:`set_threads` worker threads splits its t range into contiguous
+blocks, one per worker, each with its own ring and buffers.  ``wedge`` and
+``ext_d`` run in the calling thread, in one fixed order of operations, so
+results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +34,8 @@ import numpy as np
 
 from .conventions import (ETA_DIAG, LAMBDA_BASES, RHO_ON_LAMBDA,
                           SO31_STRUCTURE, perm_sign)
-from .grid import Grid4, diff_axis, integrate_samples, region_max
+from .grid import (Grid4, Window, diff_axis, diff_ring, integrate_samples,
+                   region_max)
 
 INTERNAL_DIMS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 INTERNAL_TAGS = {0: "scalar", 1: "V", 2: "Lambda2V", 3: "Lambda3V", 4: "Lambda4V"}
@@ -49,7 +55,7 @@ _pool = None
 
 
 def set_threads(count: int) -> None:
-    """Worker threads for the blocks of ``wedge`` and ``ext_d``."""
+    """Worker threads of the pool that splits the Leibniz ladder's t range."""
     global _threads, _pool
     if _pool is not None and count != _threads:
         _pool.shutdown()
@@ -128,27 +134,82 @@ class FormField:
         """Max |component| outside the excluded ball, away from box faces."""
         return region_max(self.data, self.grid, r, mode)
 
+    def _derivative(self, s: int, mu: int, out: np.ndarray,
+                    scratch: np.ndarray) -> bool:
+        """d_mu of the spacetime component ``data[s]`` (every internal
+        component) into ``out``; False along an axis of extent 1, where it
+        is exact zeros."""
+        if mu == 0 and isinstance(self.grid, Window):
+            raise FormFieldError(
+                "d/dt of a field on a t window reads slices outside it; "
+                "differentiate a RingSlice")
+        if self.data.shape[2 + mu] == 1:
+            return False
+        diff_axis(self.data[s], 1 + mu, self.grid.spacing, out=out,
+                  scratch=scratch)
+        return True
 
-def _check_shape(data: np.ndarray, leading: tuple, grid: Grid4) -> None:
-    """Component axes ``leading``, then extent N or 1 on each grid axis."""
+
+@dataclass(frozen=True)
+class RingSlice(FormField):
+    """One t slice of a form, on a one-slice window, whose neighbours sit
+    in a ring: ``ring[i % len(ring)]`` holds slice i, components first,
+    for every slice i within two of this one.  ``ext_d`` takes d/dt from
+    the ring with the stencil of :func:`~pcgrav.grid.diff_axis`."""
+    ring: np.ndarray
+
+    @classmethod
+    def of(cls, ring: np.ndarray, grid: Grid4, t: int, degree: int,
+           internal: int) -> "RingSlice":
+        return cls(grid.window(t, t + 1), degree, internal,
+                   ring[t % len(ring)][:, :, None], ring)
+
+    def _derivative(self, s, mu, out, scratch):
+        if mu:
+            return super()._derivative(s, mu, out, scratch)
+        # one internal component at a time: its five slices stay in cache
+        window = self.grid
+        for c, dst in enumerate(out):
+            diff_ring(self.ring[:, s, c], window.t0, window.grid.points,
+                      window.spacing, dst[0], scratch)
+        return True
+
+
+def _check_shape(data: np.ndarray, leading: tuple, grid) -> None:
+    """Component axes ``leading``, then on each axis of the grid (or
+    window) its extent or 1."""
     extents = data.shape[len(leading):]
     if (data.shape[:len(leading)] != leading or len(extents) != 4
-            or any(n not in (1, grid.points) for n in extents)):
+            or any(n not in (1, m) for n, m in zip(extents, grid.shape))):
         raise FormFieldError(
             f"component array has shape {data.shape}, expected "
             f"{leading + grid.shape} (or extent 1 on a grid axis)")
     data.setflags(write=False)
 
 
+def _into(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of a caller's ``out``, checked as diff_axis checks it.
+
+    The field built on the view makes only the view read-only, so the
+    caller can fill the buffer again.
+    """
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise FormFieldError(f"out must be C-contiguous with shape {shape}, "
+                             f"got {out.shape}")
+    return out.view()
+
+
 def live_components(data: np.ndarray) -> np.ndarray:
     """Which components (leading axes) are not zero at every node.
 
-    The first t slice decides most components; only those zero on it are
-    scanned whole.
+    The first node decides most components, and the first t slice most of
+    the rest; only those zero on it are scanned whole.
     """
-    live = np.any(data[..., :1, :, :, :] != 0.0, axis=(-4, -3, -2, -1))
-    for c in zip(*np.nonzero(~live)):
-        live[c] = np.any(data[c] != 0.0)
+    live = data[..., 0, 0, 0, 0] != 0.0
+    if not live.all():
+        live |= np.any(data[..., :1, :, :, :] != 0.0, axis=(-4, -3, -2, -1))
+        for c in zip(*np.nonzero(~live)):
+            live[c] = np.any(data[c] != 0.0)
     return live
 
 
@@ -232,13 +293,18 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
     return k_out, plan
 
 
-def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
+def wedge(a: FormField, b: FormField, rule: str = "wedge",
+          out: np.ndarray = None, scratch: np.ndarray = None) -> FormField:
     """Graded wedge on spacetime indices with the named internal pairing.
 
     rule="wedge": internal exterior product (scalars multiply through);
     rule="bracket": so(3,1) commutator, both internals Lambda^2;
     rule="action": so(3,1) representation of the first factor's Lambda^2
     values on the second factor's internal space.
+
+    The result goes to ``out`` if given (a C-contiguous float array of its
+    shape, not overlapping the operands); ``scratch``, if given, is a flat
+    float array of at least one t slice's nodes.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -252,15 +318,20 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     b_live = live_components(b.data)
     plan = [(i, u, j, v, outs) for i, u, j, v, outs in plan
             if a_live[i, u] and b_live[j, v]]
-    out = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape)
-
-    # one block per t slice, so a slice's operands stay in cache; an
+    out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
+    if out is None:
+        out = np.zeros(out_shape)
+    else:
+        out = _into(out, out_shape)
+        out.fill(0.0)
+    prod = (np.empty(shape[1:]) if scratch is None
+            else scratch[:math.prod(shape[1:])].reshape(shape[1:]))
+    # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
-    def slice_products(t):
+    for t in range(shape[0]):
         a_t = a.data[:, :, min(t, a.data.shape[2] - 1)]
         b_t = b.data[:, :, min(t, b.data.shape[2] - 1)]
         out_t = out[:, :, t]
-        prod = np.empty(shape[1:])
         for i, u, j, v, outs in plan:
             np.multiply(a_t[i, u], b_t[j, v], out=prod)
             for k, m, c in outs:
@@ -270,8 +341,6 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
                     out_t[k, m] -= prod
                 else:
                     out_t[k, m] += c * prod
-
-    _for_each_block(slice_products, range(shape[0]))
     return FormField(a.grid, p_out, k_out, out)
 
 
@@ -282,49 +351,49 @@ def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
     return wedge(a, b, rule="bracket")
 
 
-def ext_d(a: FormField) -> FormField:
+def ext_d(a: FormField, out: np.ndarray = None,
+          scratch: np.ndarray = None) -> FormField:
     """Finite-difference exterior derivative (4th order interior stencils).
 
     Derivatives along a grid axis of extent 1 are exact zeros and skipped.
-    Each (target, internal component) pair is one block.  Its first live
-    term is differentiated straight into the output (negated in place if
-    its sign is odd), the later ones into a buffer of one component and
-    then added in order.  A target with no live term is 0.0.  Against
-    adding every term to zeros, only the sign of an exact zero can differ.
+    For each target, the first live term is differentiated straight into
+    the output (negated in place if its sign is odd), the later ones into a
+    buffer and then added in order, all internal components at once.  A
+    target with no live term is 0.0.  Against adding every term to zeros,
+    only the sign of an exact zero can differ.
+
+    ``a`` is a field on the grid or a :class:`RingSlice`.  The result goes
+    to ``out`` if given (as in :func:`wedge`); ``scratch``, if given, is a
+    flat float array of at least two targets' nodes.
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
-    p, h = a.degree, a.grid.spacing
+    p = a.degree
     targets = LAMBDA_BASES[p + 1]
-    out = np.empty((len(targets), INTERNAL_DIMS[a.internal])
-                   + a.data.shape[2:])
-
-    def component_derivative(block):
-        t, c = block
-        target, acc = targets[t], out[t, c]
-        first, term = True, None
+    target_shape = (INTERNAL_DIMS[a.internal],) + a.data.shape[2:]
+    out_shape = (len(targets),) + target_shape
+    out = np.empty(out_shape) if out is None else _into(out, out_shape)
+    nodes = math.prod(target_shape)
+    if scratch is None:
+        scratch = np.empty(2 * nodes)
+    term, scratch = scratch[:nodes].reshape(target_shape), scratch[nodes:]
+    for acc, target in zip(out, targets):
+        first = True
         for m, mu in enumerate(target):
-            if a.data.shape[2 + mu] == 1:
+            source = _INDEX[p][target[:m] + target[m + 1:]]
+            if not a._derivative(source, mu, acc if first else term,
+                                 scratch):
                 continue
-            source = a.data[_INDEX[p][target[:m] + target[m + 1:]], c]
             if first:
-                diff_axis(source, mu, h, out=acc)
                 if m % 2:
                     np.negative(acc, out=acc)
                 first = False
-                continue
-            if term is None:
-                term = np.empty(acc.shape)
-            diff_axis(source, mu, h, out=term)
-            if m % 2:
+            elif m % 2:
                 acc -= term
             else:
                 acc += term
         if first:
             acc[...] = 0.0
-
-    _for_each_block(component_derivative, [
-        (t, c) for t in range(len(targets)) for c in range(out.shape[1])])
     return FormField(a.grid, p + 1, a.internal, out)
 
 

@@ -32,7 +32,8 @@ import numpy as np
 # leave them out.
 FACE_LAYERS = 2
 
-# Nodes per chunk of the interior stencil: its operands stay in cache.
+# Nodes per chunk of the interior stencil (fewer than twice this, and a
+# block of fewer is one chunk): its operands stay in cache.
 STENCIL_CHUNK = 1 << 15
 
 
@@ -91,6 +92,36 @@ class Grid4:
         mask[sl, sl, sl, sl] = True
         return mask
 
+    def window(self, t0: int, t1: int) -> "Window":
+        """The t slices ``t0 <= t < t1`` of this grid."""
+        return Window(self, t0, t1)
+
+
+@dataclass(frozen=True)
+class Window:
+    """A range of t slices of a grid, every node of x, y and z.
+
+    Samples on a window have extent ``t1 - t0`` (or 1) along t, and a t
+    stencil at its slices reads slices outside it: fields on a window are
+    pieces of a field on the grid, not fields of their own.
+    """
+    grid: Grid4
+    t0: int
+    t1: int
+
+    def __post_init__(self):
+        if not 0 <= self.t0 < self.t1 <= self.grid.points:
+            raise ValueError(f"window [{self.t0}, {self.t1}) is not inside "
+                             f"t = 0..{self.grid.points - 1}")
+
+    @property
+    def spacing(self) -> float:
+        return self.grid.spacing
+
+    @property
+    def shape(self):
+        return (self.t1 - self.t0,) + self.grid.shape[1:]
+
 
 @lru_cache(maxsize=16)
 def _region_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
@@ -127,8 +158,41 @@ def _contiguous_from(values: np.ndarray) -> int:
     return 0
 
 
+def _stencil(f, below: int, above: int, spacing: float, out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """d/dx^mu at nodes with ``below``/``above`` nodes on each side along
+    the axis; ``f(k)`` gives the samples k nodes along from them.
+
+    The one copy of the stencils, each in a fixed order of operations:
+    ((f0 - 8 f1) + 8 f3) - f4, then / 12h, at interior nodes; 3-point
+    forms, then / 2h, within two nodes of a face.  ``tmp`` is scratch of
+    the shape of ``out``.
+    """
+    h = spacing
+    if below >= 2 and above >= 2:
+        np.multiply(8.0, f(-1), out=tmp)
+        np.subtract(f(-2), tmp, out=out)
+        np.multiply(8.0, f(1), out=tmp)
+        np.add(out, tmp, out=out)
+        np.subtract(out, f(2), out=out)
+        return np.divide(out, 12.0 * h, out=out)
+    if below == 0:
+        np.multiply(-3.0, f(0), out=out)
+        np.multiply(4.0, f(1), out=tmp)
+        np.add(out, tmp, out=out)
+        np.subtract(out, f(2), out=out)
+    elif above == 0:
+        np.multiply(3.0, f(0), out=out)
+        np.multiply(4.0, f(-1), out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.add(out, f(-2), out=out)
+    else:
+        np.subtract(f(1), f(-1), out=out)
+    return np.divide(out, 2.0 * h, out=out)
+
+
 def diff_axis(values: np.ndarray, axis: int, spacing: float,
-              out: np.ndarray = None) -> np.ndarray:
+              out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
     """d/dx^mu of node samples along ``axis``, the grid axis of x^mu.
 
     ``values`` is a float array of any rank and ``axis`` any index into
@@ -142,7 +206,8 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
     only an input without such a block (a stride-0 broadcast, a transposed
     view) is copied.  The result goes to ``out`` if given (a C-contiguous
     float array of the shape of ``values``, not overlapping it) and is
-    returned.
+    returned.  ``scratch``, if given, is a flat float array of at least
+    ``values.size`` nodes that holds the temporaries.
     """
     if out is None:
         out = np.empty(values.shape)
@@ -156,34 +221,53 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
         # no contiguous block holds the axis: a broadcast or transposed view
         values = np.ascontiguousarray(values)
         lead = 0
-    h = spacing
     # in a C-contiguous block the neighbours of flat node k along the axis
-    # are k +- s and k +- 2s; the interior stencil runs over flat nodes
-    # [2s, size - 2s), ((f0 - 8 f1) + 8 f3) - f4 then / 12h, in chunks
+    # are k +- s and k +- 2s; the interior stencil runs over the m flat
+    # nodes [2s, size - 2s) in equal chunks
     s = math.prod(values.shape[axis + 1:])
-    size = math.prod(values.shape[lead:])
-    scratch = np.empty(min(STENCIL_CHUNK, size - 4 * s))
+    m = math.prod(values.shape[lead:]) - 4 * s
+    chunks = max(1, m // STENCIL_CHUNK)
+    n = values.shape[axis]
+    if scratch is None:
+        scratch = np.empty(max(-(-m // chunks), values.size // n))
+    bounds = [2 * s + m * c // chunks for c in range(chunks + 1)]
     for block in np.ndindex(values.shape[:lead]):
         f = values[block].reshape(-1)
         d = out[block].reshape(-1)
-        for k0 in range(2 * s, size - 2 * s, STENCIL_CHUNK):
-            k1 = min(k0 + STENCIL_CHUNK, size - 2 * s)
-            inner, tmp = d[k0:k1], scratch[:k1 - k0]
-            np.multiply(8.0, f[k0 - s:k1 - s], out=tmp)
-            np.subtract(f[k0 - 2 * s:k1 - 2 * s], tmp, out=inner)
-            np.multiply(8.0, f[k0 + s:k1 + s], out=tmp)
-            np.add(inner, tmp, out=inner)
-            np.subtract(inner, f[k0 + 2 * s:k1 + 2 * s], out=inner)
-            np.divide(inner, 12.0 * h, out=inner)
+        for k0, k1 in zip(bounds, bounds[1:]):
+            _stencil(lambda k: f[k0 + k * s:k1 + k * s], 2, 2, spacing,
+                     d[k0:k1], scratch[:k1 - k0])
     # nodes within two of a face along the axis read across lines above;
     # the face stencils overwrite them
-    a = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-    o[1] = (a[2] - a[0]) / (2.0 * h)
-    o[-2] = (a[-1] - a[-3]) / (2.0 * h)
-    o[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    pre = (slice(None),) * axis
+    layer = values.shape[:axis] + values.shape[axis + 1:]
+    tmp = scratch[:values.size // n].reshape(layer)
+    for j in (0, n - 1):
+        _stencil(lambda k: values[pre + (j + k,)], j, n - 1 - j, spacing,
+                 out[pre + (j,)], tmp)
+    # the layers next to the faces, 1 and n - 2, in one call: their stencil
+    # takes no scratch
+    _stencil(lambda k: values[pre + (slice(1 + k, n - 1 + k, n - 3),)],
+             1, 1, spacing, out[pre + (slice(1, n - 1, n - 3),)], None)
     return out
+
+
+def diff_ring(ring: np.ndarray, t: int, points: int, spacing: float,
+              out: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """d/dt at t slice ``t`` of ``points`` from a ring of t slices.
+
+    ``ring[i % len(ring)]`` holds slice i for every i within two of ``t``
+    (and inside the grid).  The stencil and its order of operations are
+    those of :func:`diff_axis` along t, so the result equals that row of
+    it bit for bit.  The result goes to ``out`` (the shape of a slice) and
+    is returned; ``scratch``, if given, is a flat float array of at least
+    ``out.size`` nodes.
+    """
+    depth = len(ring)
+    tmp = (np.empty(out.shape) if scratch is None
+           else scratch[:out.size].reshape(out.shape))
+    return _stencil(lambda k: ring[(t + k) % depth], t, points - 1 - t,
+                    spacing, out, tmp)
 
 
 @lru_cache(maxsize=32)

@@ -175,27 +175,51 @@ def _owned_rule(field_name: str, build, *args):
         raise ScenarioError(f"{field_name}: {exc.args[0]}") from None
 
 
+def _field(name: str, convert, value):
+    """``convert(value)``; a value it cannot take is a ScenarioError that
+    names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object, got {value!r}")
+    return value
+
+
+def _resolutions(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise TypeError(f"must be a non-empty list, got {value!r}")
+    return tuple(int(n) for n in value)
+
+
 def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ScenarioError("scenario document needs a 'scenario' key")
-    grid = doc.get("grid", {})
-    cutoff = doc.get("cutoff", {})
+    grid = _field("grid", _object, doc.get("grid", {}))
+    cutoff = _field("cutoff", _object, doc.get("cutoff", {}))
     try:
         scenario = Scenario(
             kind=doc["scenario"],
             geometry=doc.get("geometry", "schwarzschild"),
-            mass=float(doc.get("M", 1.0)),
-            cosmological_constant=float(doc.get("Lambda", 0.0)),
-            half_width=float(grid.get("L", 20.0)),
-            points=int(grid.get("N", 33)),
-            resolutions=tuple(int(n) for n in doc.get("Ns", (17, 25, 33))),
-            cutoff_inner=float(cutoff.get("r", 6.0)),
-            cutoff_outer=float(cutoff.get("R", 10.0)),
+            mass=_field("M", float, doc.get("M", 1.0)),
+            cosmological_constant=_field("Lambda", float,
+                                         doc.get("Lambda", 0.0)),
+            half_width=_field("grid.L", float, grid.get("L", 20.0)),
+            points=_field("grid.N", int, grid.get("N", 33)),
+            resolutions=_field("Ns", _resolutions,
+                               doc.get("Ns", (17, 25, 33))),
+            cutoff_inner=_field("cutoff.r", float, cutoff.get("r", 6.0)),
+            cutoff_outer=_field("cutoff.R", float, cutoff.get("R", 10.0)),
             radius_mode=doc.get("radius_mode", "4d"),
-            radii=tuple(float(r) for r in doc.get("radii", (8.0, 12.0, 16.0))),
-            generators=(tuple(doc["generators"])
+            radii=_field("radii", lambda v: tuple(float(r) for r in v),
+                         doc.get("radii", (8.0, 12.0, 16.0))),
+            generators=(_field("generators", tuple, doc["generators"])
                         if "generators" in doc else None),
-            thresholds=dict(doc.get("thresholds", {})),
+            thresholds=_field("thresholds", dict, doc.get("thresholds", {})),
             source_hash=source_hash or "inline",
         )
         if source_hash is None:

@@ -2,14 +2,16 @@
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from pcgrav import cli, fields, graded
+from pcgrav.algebras import AlgebraFormatError, dgla_from_json
 from pcgrav.cli import leibniz_residual_norms, main
 from pcgrav.graded import check_dgla
-from pcgrav.scenarios import load_scenario
+from pcgrav.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -149,6 +151,32 @@ def test_leibniz_ladder_norms_are_pinned(threads):
     norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
     assert norms == [1.5557802852622662, 0.7384922107658585,
                      0.3962308738065563]
+
+
+@pytest.mark.parametrize("threads", [3], indirect=True)
+def test_leibniz_ladder_norms_at_an_uneven_t_split(threads):
+    # 13 and 17 slices split 4/4/5 and 5/6/6: every block builds its own
+    # halo slices, and the norms stay those of one worker
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
+    assert norms == [1.5557802852622662, 0.7384922107658585,
+                     0.3962308738065563]
+
+
+@pytest.mark.parametrize("threads", [1, 2], indirect=True)
+def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
+    # each worker keeps five t slices of a, b and [a, b], not whole fields,
+    # and peaks below one dense Lambda^2-valued 2-form at N = 25
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    one_dense = 36 * 25 ** 4 * 8 * threads
+    tracemalloc.start()
+    try:
+        norms, _ = leibniz_residual_norms(scenario, (25,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < norms[0] < 1.0
+    assert peak < one_dense, (peak, one_dense)
 
 
 def test_convergence_reports_exact_sequences_without_a_slope(tmp_path, capsys):
@@ -291,6 +319,55 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     assert code == 2
     assert f"error: {field}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid", None),
+    ("cutoff", None),
+    ("Ns", []),
+    ("Ns", {}),
+    ("grid.N", 1e400),
+], ids=["grid-null", "cutoff-null", "Ns-empty", "Ns-object", "grid.N-1e400"])
+def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
+                                                       field, value):
+    doc = json.loads((SCENARIOS / "poincare_schwarzschild.json").read_text())
+    if "." in field:
+        outer, inner = field.split(".")
+        doc[outer][inner] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value).startswith(f"{field}: ")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "reports"
+    code = main(["killing", "residuals", "--scenario", str(path),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path, mutate", [
+    ("basis[0].label", lambda d: d["basis"][0].update(label=[])),
+    ("basis[1].degree", lambda d: d["basis"][1].update(degree=1e400)),
+    ("brackets", lambda d: d.update(brackets=None)),
+    ("brackets[2]", lambda d: d["brackets"].__setitem__(2, None)),
+], ids=["label-list", "degree-1e400", "brackets-null", "bracket-null"])
+def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,
+                                                   mutate):
+    doc = json.loads((SCENARIOS / "so3.json").read_text())
+    mutate(doc)
+    with pytest.raises(AlgebraFormatError) as info:
+        dgla_from_json(doc)
+    assert str(info.value).startswith(f"{path}: ")
+    bad = tmp_path / "algebra.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["algebra", "check", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: {path}: " in captured.err
 
 
 @pytest.mark.parametrize("command, quantity", [

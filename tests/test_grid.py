@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pcgrav.grid import (Grid4, _contiguous_from, diff_axis, integrate_samples,
-                         node_weights, region_max)
+from pcgrav.grid import (Grid4, _contiguous_from, diff_axis, diff_ring,
+                         integrate_samples, node_weights, region_max)
 
 
 def test_grid_geometry():
@@ -86,6 +86,35 @@ def test_diff_axis_matches_one_expression_stencil_bit_for_bit(n):
             assert np.array_equal(out, want)
     with pytest.raises(ValueError, match="C-contiguous"):
         diff_axis(values, 1, g.spacing, out=np.empty(values.shape[::-1]).T)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_ring_t_derivative_matches_diff_axis_bit_for_bit(n):
+    g = Grid4(1.5, n)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=g.shape)
+    values[n // 2, 1, 2, 3] = np.nan     # spreads to the t stencil's reach
+    want = diff_axis(values, 0, g.spacing)
+    ring = np.empty((5,) + g.shape[1:])
+    for t in range(n):                    # the four face layers included
+        ring.fill(np.nan)                 # a slot it must not read is NaN
+        for i in range(max(t - 2, 0), min(t + 3, n)):
+            ring[i % 5] = values[i]
+        out = np.empty(g.shape[1:])
+        assert diff_ring(ring, t, n, g.spacing, out) is out
+        assert np.array_equal(out, want[t], equal_nan=True)
+        scratch = np.empty(out.size)
+        assert np.array_equal(diff_ring(ring, t, n, g.spacing, out, scratch),
+                              want[t], equal_nan=True)
+
+
+def test_windows_lie_inside_the_grid():
+    g = Grid4(1.5, 9)
+    assert g.window(2, 5).shape == (3, 9, 9, 9)
+    assert g.window(8, 9).spacing == g.spacing
+    for t0, t1 in ((-1, 2), (3, 3), (8, 10)):
+        with pytest.raises(ValueError, match="window"):
+            g.window(t0, t1)
 
 
 def test_contiguous_blocks_of_strided_views():
