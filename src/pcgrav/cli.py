@@ -11,12 +11,13 @@ Subcommands:
     pcgrav convergence --scenario <file> [--quantities ...] [--Ns 17,25,33]
 
 Exit codes: 0 all verdicts pass, 1 any fail, 2 usage/parse error,
-3 inconclusive (refinement needed).  Reports land in --out, the
-PCGRAV_OUT env var, or ./pcgrav-reports.  --threads sizes the worker pool
-that splits the Leibniz ladder's t range into contiguous blocks (default:
-the CPUs this process may use) and is recorded in the manifest; each
-block runs in a fixed order, so numeric report bodies are byte-identical
-across --threads settings.
+3 inconclusive (refinement needed); ``VERDICT_CODES`` maps a verdict to
+its code.  Reports land in --out, the PCGRAV_OUT env var, or
+./pcgrav-reports.  --threads (default: the CPUs this process may use) is
+the number of contiguous t ranges the Leibniz ladder splits into, run on a
+thread pool this module keeps for the process, and is recorded in the
+manifest; each range runs in a fixed order, so numeric report bodies are
+byte-identical across --threads settings.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from . import fields as F
 from .action import (action_pc, einstein_residual, extra_eom_term,
@@ -59,19 +63,13 @@ def _load_json(path):
         raise AlgebraFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _manifest(args, scenario: Scenario = None, command: str = "",
-              scenario_hash: str = "") -> RunManifest:
-    grid = {}
-    thresholds = {}
-    if scenario is not None:
-        grid = {"L": scenario.half_width, "N": scenario.points,
-                "r": scenario.cutoff_inner, "R": scenario.cutoff_outer,
-                "radius_mode": scenario.radius_mode}
-        thresholds = scenario.thresholds
-        scenario_hash = scenario.source_hash
-    return RunManifest(command=command, scenario_hash=scenario_hash,
-                       grid=grid, thresholds=thresholds,
-                       threads=getattr(args, "threads", 1))
+def _manifest(args, scenario: Scenario, command: str) -> RunManifest:
+    grid = {"L": scenario.half_width, "N": scenario.points,
+            "r": scenario.cutoff_inner, "R": scenario.cutoff_outer,
+            "radius_mode": scenario.radius_mode}
+    return RunManifest(command=command, scenario_hash=scenario.source_hash,
+                       grid=grid, thresholds=scenario.thresholds,
+                       threads=args.threads)
 
 
 def _apply_overrides(args, scenario: Scenario) -> Scenario:
@@ -150,14 +148,14 @@ def cmd_pc(args) -> int:
 
 def cmd_killing(args) -> int:
     scenario = _apply_overrides(args, load_scenario(args.scenario))
-    report = run_scenario(scenario)
+    body = run_scenario(scenario)
     manifest = _manifest(args, scenario, "killing residuals")
     out = _out_dir(args)
-    write_report(out, "killing_residuals", manifest, report.body)
-    for geometry, section in report.body.get("sections", {}).items():
+    write_report(out, "killing_residuals", manifest, body)
+    for geometry, section in body.get("sections", {}).items():
         header, rows = residual_csv_rows(section, scenario.generators)
         write_csv(out, f"residuals_{geometry}", header, rows)
-    return report.exit_code
+    return VERDICT_CODES[body["verdict"]]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +191,22 @@ def cmd_mass(args) -> int:
 RING = 5     # t slices the t stencil reads: two on each side
 
 
-def leibniz_residual_norms(scenario: Scenario, resolutions):
+@lru_cache(maxsize=None)
+def _executor(threads: int):
+    """The process's pool of ``threads`` workers, made on first use."""
+    # imported here: commands that never start a pool skip its import
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="pcgrav")
+
+
+def leibniz_residual_norms(scenario: Scenario, resolutions, threads: int):
     """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields.
 
-    max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: the
-    pool's workers walk contiguous t ranges (:func:`_leibniz_block`), and
-    the max over their maxima is the max over the grid.
+    max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: each
+    of ``min(threads, N)`` workers walks one contiguous t range
+    (:func:`_leibniz_block`), and the max over their maxima is the max
+    over the grid.  One worker runs in the calling thread.
     """
-    import numpy as np
     norms, spacings = [], []
     for n in resolutions:
         grid = scenario.grid(n)
@@ -212,16 +218,14 @@ def leibniz_residual_norms(scenario: Scenario, resolutions):
         k = np.pi / scenario.half_width
         waves = [np.sin(k * grid.coordinate(mu) + 0.3 * mu)
                  for mu in range(4)]
-        workers = min(F._threads, n)
+        workers = min(threads, n)
         bounds = [n * w // workers for w in range(workers + 1)]
-        maxima = [None] * workers
 
         def block(w):
-            maxima[w] = _leibniz_block(grid, coef, waves, bounds[w],
-                                       bounds[w + 1])
+            return _leibniz_block(grid, coef, waves, bounds[w], bounds[w + 1])
 
-        F._for_each_block(block, range(workers))
-        norms.append(float(np.max(maxima)))
+        run = map if workers == 1 else _executor(threads).map
+        norms.append(float(np.max(list(run(block, range(workers))))))
         spacings.append(grid.spacing)
     return norms, spacings
 
@@ -234,7 +238,6 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
     each end of its range that the t stencil reads.  The buffers are this
     block's own, reused from slice to slice.
     """
-    import numpy as np
     n, nodes = grid.points, grid.shape[1:]
     rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
     ring_a, ring_b = rings
@@ -296,7 +299,8 @@ def cmd_convergence(args) -> int:
                 eom = eom_study(scenario, scenario.geometry, resolutions)
             entry = eom[quantity]
         elif quantity == "leibniz":
-            norms, spacings = leibniz_residual_norms(scenario, resolutions)
+            norms, spacings = leibniz_residual_norms(scenario, resolutions,
+                                                     args.threads)
             entry = classify_sequence(norms, spacings, scenario.thresholds,
                                       resolutions)
             eom_verdict(entry)
@@ -414,8 +418,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if hasattr(args, "threads"):
-        F.set_threads(args.threads)
     handlers = {"algebra": cmd_algebra, "pc": cmd_pc, "killing": cmd_killing,
                 "mass": cmd_mass, "convergence": cmd_convergence}
     try:

@@ -17,11 +17,10 @@ A field may also live on a :class:`~pcgrav.grid.Window` of t slices.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
 :class:`RingSlice`, which takes d/dt from a ring of its neighbours with
-the stencils of the grid.  The Leibniz ladder streams t this way; a pool
-of :func:`set_threads` worker threads splits its t range into contiguous
-blocks, one per worker, each with its own ring and buffers.  ``wedge`` and
-``ext_d`` run in the calling thread, in one fixed order of operations, so
-results are bit-identical at any thread count.
+the stencils of the grid.  The Leibniz ladder streams t this way.
+``wedge`` and ``ext_d`` keep no state between calls and run in the calling
+thread, in one fixed order of operations, so results are the same bits
+whichever thread calls them.
 """
 
 from __future__ import annotations
@@ -48,38 +47,6 @@ class FormFieldError(ValueError):
 
 class DegenerateTetradError(FormFieldError):
     pass
-
-
-_threads = 1
-_pool = None
-
-
-def set_threads(count: int) -> None:
-    """Worker threads of the pool that splits the Leibniz ladder's t range."""
-    global _threads, _pool
-    if _pool is not None and count != _threads:
-        _pool.shutdown()
-        _pool = None
-    _threads = count
-
-
-def _for_each_block(fn, items) -> None:
-    """Call ``fn`` on every item; each writes its own block of an output.
-
-    The pool is created on first use.  One worker or one item runs inline.
-    ``fn`` never submits to the pool itself.
-    """
-    global _pool
-    if _threads == 1 or len(items) == 1:
-        for item in items:
-            fn(item)
-        return
-    if _pool is None:
-        # imported here: commands that never start the pool skip its import
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_threads, thread_name_prefix="pcgrav")
-    for _ in _pool.map(fn, items):     # re-raises a block's exception
-        pass
 
 
 @dataclass(frozen=True)

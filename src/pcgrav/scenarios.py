@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,20 +64,21 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario; :func:`scenario_from_dict` fills in defaults."""
     kind: str
-    geometry: str = "schwarzschild"
-    mass: float = 1.0
-    cosmological_constant: float = 0.0
-    half_width: float = 20.0
-    points: int = 33
-    resolutions: tuple = (17, 25, 33)
-    cutoff_inner: float = 6.0
-    cutoff_outer: float = 10.0
-    radius_mode: str = "4d"
-    radii: tuple = (8.0, 12.0, 16.0)
-    generators: tuple = None
-    thresholds: dict = field(default_factory=dict)
-    source_hash: str = "inline"
+    geometry: str
+    mass: float
+    cosmological_constant: float
+    half_width: float
+    points: int
+    resolutions: tuple
+    cutoff_inner: float
+    cutoff_outer: float
+    radius_mode: str
+    radii: tuple
+    generators: tuple
+    thresholds: dict
+    source_hash: str
 
     def __post_init__(self):
         """Validate the whole scenario before any field is built.
@@ -104,17 +105,12 @@ class Scenario:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ScenarioError(
                 f"Ns must be distinct and strictly ascending, got {list(ns)}")
-        gens = self.generators
-        if gens is None:
-            gens = (SPHERICAL_GENERATOR_NAMES if self.kind == "spherical"
-                    else POINCARE_GENERATOR_NAMES)
-        object.__setattr__(self, "generators", tuple(gens))
-        _owned_rule("cutoff r, R", self.cutoff)
-        box = _owned_rule(f"grid N = {self.points}", self.grid, self.points)
+        _field("cutoff r, R", self.cutoff)
+        box = _field(f"grid N = {self.points}", self.grid, self.points)
         for n in ns:
-            _owned_rule(f"Ns entry {n}", self.grid, n)
+            _field(f"Ns entry {n}", self.grid, n)
         for name in self.generators:
-            _owned_rule("generators", PoincareElement.from_name, name)
+            _field("generators", PoincareElement.from_name, name)
         if len(set(self.generators)) != len(self.generators):
             raise ScenarioError(
                 f"generators must be distinct, got {list(self.generators)}")
@@ -126,9 +122,6 @@ class Scenario:
                 f"radii must stay below L - h = "
                 f"{box.half_width - box.spacing!r} at N = {self.points}, "
                 f"got {max(self.radii)!r}")
-        merged = dict(DEFAULT_THRESHOLDS)
-        merged.update(self.thresholds)
-        object.__setattr__(self, "thresholds", merged)
         if self.geometry == "schwarzschild" and self.radius_mode == "4d":
             warnings.warn(
                 "static chart is singular on the spatial axis, which a 4d "
@@ -167,21 +160,13 @@ class Scenario:
         }
 
 
-def _owned_rule(field_name: str, build, *args):
-    """``build(*args)``, its ValueError or KeyError as a ScenarioError."""
-    try:
-        return build(*args)
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"{field_name}: {exc.args[0]}") from None
-
-
-def _field(name: str, convert, value):
-    """``convert(value)``; a value it cannot take is a ScenarioError that
+def _field(name: str, build, *args):
+    """``build(*args)``; a value it cannot take is a ScenarioError that
     names the field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{name}: {exc}") from None
+        return build(*args)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: {exc.args[0]}") from None
 
 
 def _object(value) -> dict:
@@ -196,14 +181,36 @@ def _resolutions(value) -> tuple:
     return tuple(int(n) for n in value)
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number!r}")
+    return number
+
+
+def _thresholds(doc: dict) -> dict:
+    """DEFAULT_THRESHOLDS with the document's overrides, each a finite
+    float; a key the gates do not read is an error, not a silent default."""
+    merged = dict(DEFAULT_THRESHOLDS)
+    for key, value in _field("thresholds", _object,
+                             doc.get("thresholds", {})).items():
+        if key not in DEFAULT_THRESHOLDS:
+            raise ScenarioError(
+                f"thresholds.{key}: unknown threshold; known: "
+                f"{', '.join(DEFAULT_THRESHOLDS)}")
+        merged[key] = _field(f"thresholds.{key}", _finite, value)
+    return merged
+
+
 def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ScenarioError("scenario document needs a 'scenario' key")
     grid = _field("grid", _object, doc.get("grid", {}))
     cutoff = _field("cutoff", _object, doc.get("cutoff", {}))
+    kind = doc["scenario"]
     try:
         scenario = Scenario(
-            kind=doc["scenario"],
+            kind=kind,
             geometry=doc.get("geometry", "schwarzschild"),
             mass=_field("M", float, doc.get("M", 1.0)),
             cosmological_constant=_field("Lambda", float,
@@ -218,8 +225,10 @@ def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
             radii=_field("radii", lambda v: tuple(float(r) for r in v),
                          doc.get("radii", (8.0, 12.0, 16.0))),
             generators=(_field("generators", tuple, doc["generators"])
-                        if "generators" in doc else None),
-            thresholds=_field("thresholds", dict, doc.get("thresholds", {})),
+                        if "generators" in doc
+                        else SPHERICAL_GENERATOR_NAMES if kind == "spherical"
+                        else POINCARE_GENERATOR_NAMES),
+            thresholds=_thresholds(doc),
             source_hash=source_hash or "inline",
         )
         if source_hash is None:
@@ -507,20 +516,6 @@ EXPECTED_KILLING = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    scenario: Scenario
-    body: dict
-
-    @property
-    def verdict(self) -> str:
-        return self.body["verdict"]
-
-    @property
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1}.get(self.verdict, 3)
-
-
 def _pattern_verdict(section: dict, expected: set, names) -> str:
     """pass iff expected generators pass and the rest cleanly fail.
 
@@ -537,20 +532,12 @@ def _pattern_verdict(section: dict, expected: set, names) -> str:
     return fold_verdicts(verdicts)
 
 
-def run_scenario(scenario, params: dict = None) -> ScenarioReport:
-    """Run a named scenario ("poincare" / "spherical") or a Scenario."""
-    if isinstance(scenario, str):
-        doc = {"scenario": scenario}
-        doc.update(params or {})
-        scenario = scenario_from_dict(doc)
-    elif params:
-        raise ValueError("params are only accepted with a scenario name")
-
+def run_scenario(scenario: Scenario) -> dict:
+    """Report body of a scenario: its sections, masses and verdict."""
     if not scenario.generators:
         warnings.warn("scenario has no generators: vacuous pass")
-        body = {"scenario": scenario.echo(), "sections": {},
+        return {"scenario": scenario.echo(), "sections": {},
                 "verdict": "pass", "vacuous": True}
-        return ScenarioReport(scenario, body)
 
     geometries = ((scenario.geometry,) if scenario.kind == "spherical"
                   else ("minkowski", "schwarzschild"))
@@ -585,7 +572,7 @@ def run_scenario(scenario, params: dict = None) -> ScenarioReport:
         verdicts.append(masses["verdict"])
 
     body["verdict"] = fold_verdicts(verdicts)
-    return ScenarioReport(scenario, body)
+    return body
 
 
 def residual_csv_rows(section: dict, names) -> tuple:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcgrav import cli, fields, graded
+from pcgrav import cli, graded
 from pcgrav.algebras import AlgebraFormatError, dgla_from_json
 from pcgrav.cli import leibniz_residual_norms, main
 from pcgrav.graded import check_dgla
@@ -143,27 +143,18 @@ def test_convergence_command_reports_slopes(tmp_path, capsys):
     assert code in (0, 3)
 
 
-@pytest.mark.parametrize("threads", [1, 2], indirect=True)
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_leibniz_ladder_norms_are_pinned(threads):
     # a change to the order of the float operations in wedge moves these,
-    # and the worker count must not
+    # and the worker count must not; at 3 workers the 13 and 17 slices
+    # split 4/4/5 and 5/6/6, and every block builds its own halo slices
     scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
-    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
+    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17), threads)
     assert norms == [1.5557802852622662, 0.7384922107658585,
                      0.3962308738065563]
 
 
-@pytest.mark.parametrize("threads", [3], indirect=True)
-def test_leibniz_ladder_norms_at_an_uneven_t_split(threads):
-    # 13 and 17 slices split 4/4/5 and 5/6/6: every block builds its own
-    # halo slices, and the norms stay those of one worker
-    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
-    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17))
-    assert norms == [1.5557802852622662, 0.7384922107658585,
-                     0.3962308738065563]
-
-
-@pytest.mark.parametrize("threads", [1, 2], indirect=True)
+@pytest.mark.parametrize("threads", [1, 2])
 def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
     # each worker keeps five t slices of a, b and [a, b], not whole fields,
     # and peaks below one dense Lambda^2-valued 2-form at N = 25
@@ -171,7 +162,7 @@ def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
     one_dense = 36 * 25 ** 4 * 8 * threads
     tracemalloc.start()
     try:
-        norms, _ = leibniz_residual_norms(scenario, (25,))
+        norms, _ = leibniz_residual_norms(scenario, (25,), threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,7 +247,27 @@ def test_threads_default_is_the_available_cpu_count(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "t" / "pc_action.json").read_text())
     assert report["manifest"]["threads"] == len(os.sched_getaffinity(0))
-    assert fields._threads == report["manifest"]["threads"]
+
+
+def test_threads_flag_reaches_the_leibniz_split(tmp_path, capsys,
+                                                monkeypatch):
+    ranges = []
+
+    def block(grid, coef, waves, t0, t1):
+        ranges.append((grid.points, t0, t1))
+        return 1.0 / grid.points ** 2
+
+    monkeypatch.setattr(cli, "_leibniz_block", block)
+    path = small_scenario_file(tmp_path)
+    code, _ = run(["convergence", "--scenario", str(path),
+                   "--Ns", "9,13,17", "--quantities", "leibniz",
+                   "--threads", "3", "--out", str(tmp_path / "t")],
+                  tmp_path, capsys)
+    assert code == 0
+    for n, bounds in ((9, [0, 3, 6, 9]), (13, [0, 4, 8, 13]),
+                      (17, [0, 5, 11, 17])):
+        assert sorted(r[1:] for r in ranges if r[0] == n) == list(
+            zip(bounds, bounds[1:]))
 
 
 def test_algebra_action_checks_the_sum_dgla_once(tmp_path, capsys,
@@ -327,13 +338,23 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     ("Ns", []),
     ("Ns", {}),
     ("grid.N", 1e400),
-], ids=["grid-null", "cutoff-null", "Ns-empty", "Ns-object", "grid.N-1e400"])
+    ("generators", [["P0"]]),
+    ("thresholds", []),
+    ("thresholds.pass_factor", "x"),
+    ("thresholds.slope_min", None),
+    ("thresholds.exact_floor", NAN),
+    ("thresholds.fail_factor", INF),
+    ("thresholds.pass_facter", 4.0),
+], ids=["grid-null", "cutoff-null", "Ns-empty", "Ns-object", "grid.N-1e400",
+        "generators-nested", "thresholds-list", "threshold-string",
+        "threshold-null", "threshold-nan", "threshold-inf",
+        "threshold-unknown-key"])
 def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
                                                        field, value):
     doc = json.loads((SCENARIOS / "poincare_schwarzschild.json").read_text())
     if "." in field:
         outer, inner = field.split(".")
-        doc[outer][inner] = value
+        doc.setdefault(outer, {})[inner] = value
     else:
         doc[field] = value
     with pytest.raises(ScenarioError) as info:

@@ -164,9 +164,8 @@ def whole_array_wedge(a, b, rule):
     ((9, 9, 9, 9), (1, 9, 9, 9)),
     ((9, 1, 9, 9), (1, 9, 9, 9)),       # one operand constant along x
     ((1, 9, 1, 9), (1, 1, 1, 1))])
-@pytest.mark.parametrize("threads", [1, 2, 3], indirect=True)
 def test_wedge_matches_whole_array_products_bit_for_bit(
-        rule, pa, ka, pb, kb, a_extents, b_extents, threads):
+        rule, pa, ka, pb, kb, a_extents, b_extents):
     rng = np.random.default_rng(7)
     grid = Grid4(2.0, 9)
 
@@ -236,9 +235,7 @@ def accumulated_ext_d(a):
     (1, 9, 9, 9),        # static: the first term of target (0, ...) is skipped
     (1, 9, 1, 9),
     (1, 1, 1, 1)])       # no live term at all
-@pytest.mark.parametrize("threads", [1, 2, 3], indirect=True)
-def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents,
-                                                         threads):
+def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents):
     rng = np.random.default_rng(100 * p + k)
     grid = Grid4(2.0, 9)
     data = rng.normal(size=(len(LAMBDA_BASES[p]), F.INTERNAL_DIMS[k])

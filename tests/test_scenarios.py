@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pcgrav.cli import VERDICT_CODES
 from pcgrav.scenarios import (DEFAULT_THRESHOLDS, ScenarioError,
                               apply_family_verdicts, classify_sequence,
                               load_scenario, residual_csv_rows, run_scenario,
@@ -156,39 +157,39 @@ def small_scenario(**overrides):
 def test_vacuous_generator_list_passes_with_warning():
     sc = small_scenario(generators=[])
     with pytest.warns(UserWarning, match="vacuous"):
-        report = run_scenario(sc)
-    assert report.verdict == "pass" and report.body["vacuous"]
+        body = run_scenario(sc)
+    assert body["verdict"] == "pass" and body["vacuous"]
 
 
 def test_run_scenario_by_name_with_params():
-    report = run_scenario("spherical", {
-        "geometry": "minkowski", "M": 0.0,
+    body = run_scenario(scenario_from_dict({
+        "scenario": "spherical", "geometry": "minkowski", "M": 0.0,
         "grid": {"L": 8.0, "N": 9}, "Ns": [9],
         "cutoff": {"r": 3.0, "R": 5.0}, "radius_mode": "spatial",
-        "radii": [3.0, 4.0, 5.0]})
-    section = report.body["sections"]["minkowski"]
+        "radii": [3.0, 4.0, 5.0]}))
+    section = body["sections"]["minkowski"]
     for entry in section["symmetry_residuals"].values():
         assert entry["verdict"] == "pass" and entry["kind"] == "exact"
-    assert report.body["masses"]["adm"]["extrapolated"] == 0.0
-    assert report.verdict == "pass"
-    assert report.exit_code == 0
+    assert body["masses"]["adm"]["extrapolated"] == 0.0
+    assert body["verdict"] == "pass"
+    assert VERDICT_CODES[body["verdict"]] == 0
 
 
 def test_minkowski_is_spherically_symmetric_too():
     # the spherical scenario does not single out the black hole: flat data
     # passes it with zero masses
     sc = small_scenario(geometry="minkowski", M=0.0)
-    report = run_scenario(sc)
-    assert report.verdict == "pass"
-    assert abs(report.body["masses"]["komar"]["extrapolated"]) < 1e-12
-    assert report.body["masses"]["parameter_recovery"]["verdict"] == "pass"
+    body = run_scenario(sc)
+    assert body["verdict"] == "pass"
+    assert abs(body["masses"]["komar"]["extrapolated"]) < 1e-12
+    assert body["masses"]["parameter_recovery"]["verdict"] == "pass"
 
 
 def test_every_verdict_is_recomputable_from_reported_numbers():
     sc = small_scenario()
-    report = run_scenario(sc)
-    section = report.body["sections"]["schwarzschild"]
-    th = report.body["scenario"]["thresholds"]
+    body = run_scenario(sc)
+    section = body["sections"]["schwarzschild"]
+    th = body["scenario"]["thresholds"]
     for family in ("symmetry_residuals", "extra_eom_terms"):
         entries = {k: dict(v) for k, v in section[family].items()}
         recomputed = {
@@ -203,8 +204,8 @@ def test_every_verdict_is_recomputable_from_reported_numbers():
 
 def test_report_body_is_json_serializable_and_stable():
     sc = small_scenario()
-    body1 = run_scenario(sc).body
-    body2 = run_scenario(sc).body
+    body1 = run_scenario(sc)
+    body2 = run_scenario(sc)
     canon1 = json.dumps(body1, sort_keys=True)
     canon2 = json.dumps(body2, sort_keys=True)
     assert canon1 == canon2
@@ -212,14 +213,14 @@ def test_report_body_is_json_serializable_and_stable():
 
 def test_residual_csv_rows_shape():
     sc = small_scenario()
-    report = run_scenario(sc)
+    body = run_scenario(sc)
     header, rows = residual_csv_rows(
-        report.body["sections"]["schwarzschild"], sc.generators)
+        body["sections"]["schwarzschild"], sc.generators)
     assert header == ["generator", "norm_N9", "norm_N13", "slope", "verdict"]
     assert [row[0] for row in rows] == list(sc.generators)
     # numbers in the table round-trip through repr
     assert float(rows[1][1]) == \
-        report.body["sections"]["schwarzschild"][
+        body["sections"]["schwarzschild"][
             "symmetry_residuals"]["L1"]["norms"][0]
 
 

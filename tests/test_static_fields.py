@@ -110,12 +110,12 @@ def test_scenario_verdicts_match_dense_copies(monkeypatch):
         "scenario": "poincare", "M": 0.5, "grid": {"L": 8.0, "N": 17},
         "Ns": [9, 13, 17], "cutoff": {"r": 3.0, "R": 5.0},
         "radius_mode": "spatial", "radii": [4.0, 5.0]})
-    static = run_scenario(sc).body
+    static = run_scenario(sc)
     plain_chart = Scenario.chart
     monkeypatch.setattr(Scenario, "chart",
                         lambda self, geometry=None:
                         DenseChart(plain_chart(self, geometry)))
-    full = run_scenario(sc).body
+    full = run_scenario(sc)
     assert verdicts_and_kinds(static) == verdicts_and_kinds(full)
     assert len(verdicts_and_kinds(static)) > 40
 

@@ -12,6 +12,8 @@ A parameter with a default counts as set when some call in ``src/``,
 by keyword or by position; a call that unpacks ``*args`` or ``**kwargs``
 counts as setting everything.  Calls are matched by name alone, so the scan
 can miss a knob but does not flag one that is set.
+
+No module of ``src/pcgrav`` holds a ``global`` statement.
 """
 
 import ast
@@ -121,3 +123,13 @@ def test_no_defaulted_parameter_goes_unset():
                         or (index is not None and positional > index)
                         for positional, keywords, unpacks in calls[function])]
     assert unset == []
+
+
+def test_no_module_rebinds_global_state():
+    # process-level choices (thread pools, exit codes) belong to the one
+    # module that makes them, passed down as arguments, not rebound globals
+    rebinding = [f"{path.name}:{node.lineno}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Global)]
+    assert rebinding == []
