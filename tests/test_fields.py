@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcgrav import cli
 from pcgrav import fields as F
 from pcgrav.algebras import so31_dgla
 from pcgrav.conventions import (ETA_DIAG, J_MATS, LAMBDA2, LAMBDA_BASES,
@@ -154,6 +155,14 @@ def whole_array_wedge(a, b, rule):
     return out
 
 
+def on_workers(threads, kernel):
+    """``kernel()`` on each of ``threads`` workers of the Leibniz ladder's
+    pool, all at once, as the ladder calls wedge and ext_d; one worker runs
+    in the calling thread, as in the ladder."""
+    run = map if threads == 1 else cli._executor(threads).map
+    return list(run(lambda _: kernel(), range(threads)))
+
+
 @pytest.mark.parametrize("rule,pa,ka,pb,kb", [
     ("wedge", 1, 1, 1, 1), ("wedge", 2, 0, 1, 2), ("wedge", 1, 2, 2, 1),
     ("bracket", 1, 2, 1, 2), ("bracket", 2, 2, 1, 2),
@@ -164,8 +173,9 @@ def whole_array_wedge(a, b, rule):
     ((9, 9, 9, 9), (1, 9, 9, 9)),
     ((9, 1, 9, 9), (1, 9, 9, 9)),       # one operand constant along x
     ((1, 9, 1, 9), (1, 1, 1, 1))])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_wedge_matches_whole_array_products_bit_for_bit(
-        rule, pa, ka, pb, kb, a_extents, b_extents):
+        rule, pa, ka, pb, kb, a_extents, b_extents, threads):
     rng = np.random.default_rng(7)
     grid = Grid4(2.0, 9)
 
@@ -176,10 +186,10 @@ def test_wedge_matches_whole_array_products_bit_for_bit(
         return F.FormField(grid, p, k, data)
 
     a, b = form(pa, ka, a_extents), form(pb, kb, b_extents)
-    got = F.wedge(a, b, rule=rule).data
     want = whole_array_wedge(a, b, rule)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    for got in on_workers(threads, lambda: F.wedge(a, b, rule=rule).data):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def full_scan_live(data):
@@ -235,16 +245,18 @@ def accumulated_ext_d(a):
     (1, 9, 9, 9),        # static: the first term of target (0, ...) is skipped
     (1, 9, 1, 9),
     (1, 1, 1, 1)])       # no live term at all
-def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents,
+                                                         threads):
     rng = np.random.default_rng(100 * p + k)
     grid = Grid4(2.0, 9)
     data = rng.normal(size=(len(LAMBDA_BASES[p]), F.INTERNAL_DIMS[k])
                       + extents)
     a = F.FormField(grid, p, k, data)
-    got = F.ext_d(a).data
     want = accumulated_ext_d(a)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    for got in on_workers(threads, lambda: F.ext_d(a).data):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
