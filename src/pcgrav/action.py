@@ -108,6 +108,17 @@ def _alpha_times_plane(t: EquivariantTestForm, cutoff: CutoffFunction,
     return FormField(grid, 2, 2, data)
 
 
+def coupling_factor(t: EquivariantTestForm, cutoff: CutoffFunction,
+                    cfg: PcConfig, strict: bool = False):
+    """The factor (Upsilon alpha) (x) X_R that ``extra_eom_term`` wedges
+    X.e with, or None where X_R is zero; checks alpha's support first."""
+    t.check_support(cfg.grid.inner_radius, cfg.radius_mode)
+    plane = _internal_plane(t.generator, strict)
+    if not np.any(plane != 0.0):
+        return None
+    return _alpha_times_plane(t, cutoff, cfg, plane)
+
+
 def extra_eom_term(e: FormField, t: EquivariantTestForm,
                    cutoff: CutoffFunction, cfg: PcConfig,
                    strict: bool = False, residual: FormField = None):
@@ -118,14 +129,13 @@ def extra_eom_term(e: FormField, t: EquivariantTestForm,
     back to ``REFERENCE_PLANE`` (L3) so the diagnostic tracks X.e for every
     generator.  Pass ``residual`` to reuse an already computed X.e.
     """
-    t.check_support(cfg.grid.inner_radius, cfg.radius_mode)
-    plane = _internal_plane(t.generator, strict)
+    factor = coupling_factor(t, cutoff, cfg, strict)
     if residual is None:
         residual = symmetry_residual(e, t.generator)
-    if np.any(plane != 0.0):
-        term = wedge(residual, _alpha_times_plane(t, cutoff, cfg, plane))
-    else:
+    if factor is None:
         term = zeros(e.grid, 3, 3)
+    else:
+        term = wedge(residual, factor)
     return term, term.region_norm(**cfg.region_kwargs())
 
 

@@ -17,7 +17,8 @@ A field may also live on a :class:`~pcgrav.grid.Window` of t slices.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
 :class:`RingSlice`, which takes d/dt from a ring of its neighbours with
-the stencils of the grid.  The Leibniz ladder streams t this way.
+the stencils of the grid.  The Leibniz ladder streams t this way, and so
+do the boost residuals of static fields in ``scenarios``.
 ``wedge`` and ``ext_d`` keep no state between calls and run in the calling
 thread, in one fixed order of operations, so results are the same bits
 whichever thread calls them.
@@ -261,7 +262,8 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
 
 
 def wedge(a: FormField, b: FormField, rule: str = "wedge",
-          out: np.ndarray = None, scratch: np.ndarray = None) -> FormField:
+          out: np.ndarray = None, scratch: np.ndarray = None,
+          b_live: np.ndarray = None) -> FormField:
     """Graded wedge on spacetime indices with the named internal pairing.
 
     rule="wedge": internal exterior product (scalars multiply through);
@@ -271,7 +273,10 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
 
     The result goes to ``out`` if given (a C-contiguous float array of its
     shape, not overlapping the operands); ``scratch``, if given, is a flat
-    float array of at least one t slice's nodes.
+    float array of at least one t slice's nodes.  ``b_live``, if given, is
+    ``live_components`` of the field ``b`` is a window piece of: a caller
+    that wedges every piece with it finds that once, and each piece skips
+    the products the whole field would.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -282,15 +287,24 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
     shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
     # all-zero components contribute exact zeros: skip their products
     a_live = live_components(a.data)
-    b_live = live_components(b.data)
-    plan = [(i, u, j, v, outs) for i, u, j, v, outs in plan
-            if a_live[i, u] and b_live[j, v]]
+    if b_live is None:
+        b_live = live_components(b.data)
+    # each output component's first term is written as 0.0 + term, the
+    # bits that adding it to zeros gives; one with no term is zeros
+    written = set()
+    steps = []
+    for i, u, j, v, outs in plan:
+        if a_live[i, u] and b_live[j, v]:
+            marked = []
+            for k, m, c in outs:
+                marked.append((k, m, c, (k, m) not in written))
+                written.add((k, m))
+            steps.append((i, u, j, v, marked))
     out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
-    if out is None:
-        out = np.zeros(out_shape)
-    else:
-        out = _into(out, out_shape)
-        out.fill(0.0)
+    out = np.empty(out_shape) if out is None else _into(out, out_shape)
+    for k, m in np.ndindex(out_shape[:2]):
+        if (k, m) not in written:
+            out[k, m] = 0.0
     prod = (np.empty(shape[1:]) if scratch is None
             else scratch[:math.prod(shape[1:])].reshape(shape[1:]))
     # one t slice at a time, so a slice's operands stay in cache; an
@@ -299,15 +313,19 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
         a_t = a.data[:, :, min(t, a.data.shape[2] - 1)]
         b_t = b.data[:, :, min(t, b.data.shape[2] - 1)]
         out_t = out[:, :, t]
-        for i, u, j, v, outs in plan:
+        for i, u, j, v, outs in steps:
             np.multiply(a_t[i, u], b_t[j, v], out=prod)
-            for k, m, c in outs:
+            for k, m, c, first in outs:
+                dst = out_t[k, m]
                 if c == 1.0:
-                    out_t[k, m] += prod
+                    np.add(0.0 if first else dst, prod, out=dst)
                 elif c == -1.0:
-                    out_t[k, m] -= prod
+                    np.subtract(0.0 if first else dst, prod, out=dst)
+                elif first:
+                    np.multiply(c, prod, out=dst)
+                    np.add(0.0, dst, out=dst)
                 else:
-                    out_t[k, m] += c * prod
+                    dst += c * prod
     return FormField(a.grid, p_out, k_out, out)
 
 

@@ -103,7 +103,12 @@ class Window:
 
     Samples on a window have extent ``t1 - t0`` (or 1) along t, and a t
     stencil at its slices reads slices outside it: fields on a window are
-    pieces of a field on the grid, not fields of their own.
+    pieces of a field on the grid, not fields of their own.  Pointwise work
+    runs on a window as on the grid: :func:`restrict` cuts a grid field
+    down to it, :meth:`coordinate` gives its coordinates, and
+    :func:`region_max` reads the rows of the grid's cached norm mask.  The
+    Leibniz ladder and the boost residuals of static fields stream t this
+    way, one slice at a time.
     """
     grid: Grid4
     t0: int
@@ -121,6 +126,19 @@ class Window:
     @property
     def shape(self):
         return (self.t1 - self.t0,) + self.grid.shape[1:]
+
+    def coordinate(self, mu: int) -> np.ndarray:
+        """x^mu broadcast over the window, as :meth:`Grid4.coordinate`."""
+        return restrict(self.grid.coordinate(mu), self)
+
+
+def restrict(values: np.ndarray, where) -> np.ndarray:
+    """Node samples of a grid on ``where``: the grid itself, or a window of
+    it.  On a window an axis t of extent N (the last four axes are the
+    grid) is sliced to the window's rows, and one of extent 1 is kept."""
+    if isinstance(where, Window) and values.shape[-4] != 1:
+        return values[..., where.t0:where.t1, :, :, :]
+    return values
 
 
 @lru_cache(maxsize=16)
@@ -300,20 +318,32 @@ def integrate_samples(values: np.ndarray, grid: Grid4,
     return math.fsum(weighted.ravel().tolist())
 
 
-def region_max(values: np.ndarray, grid: Grid4, r: float = None,
+def region_max(values: np.ndarray, grid, r: float = None,
                mode: str = "4d") -> float:
     """Max |component| over (outside ball) & (away from box faces).
 
     ``values`` has the grid on its last four axes; leading axes are
     component indices and are maximized over as well.  Along an axis of
     extent 1 the mask is reduced with ``any``, which gives the max of the
-    broadcast samples exactly.
+    broadcast samples exactly.  On a :class:`Window` the mask is the rows of
+    the grid's cached mask; a window outside the region gives 0.0, and
+    warns only when the whole region is empty.  A NaN in any component
+    makes the result NaN.
     """
     shape = values.shape[-4:]
-    mask = _norm_mask(grid, grid.inner_radius if r is None else r, mode,
-                      shape)
+    if isinstance(grid, Window):
+        whole = grid.grid
+        full = _norm_mask(whole, whole.inner_radius if r is None else r,
+                          mode, (whole.points,) + shape[1:])
+        mask = restrict(full, grid)
+        if shape[0] < mask.shape[0]:
+            mask = mask.any(axis=0, keepdims=True)
+    else:
+        full = mask = _norm_mask(grid, grid.inner_radius if r is None else r,
+                                 mode, shape)
     if not mask.any():
-        warnings.warn("norm region is empty", stacklevel=2)
+        if not full.any():
+            warnings.warn("norm region is empty", stacklevel=2)
         return 0.0
     comps = values.reshape((-1,) + shape)
-    return float(max(np.abs(c[mask]).max() for c in comps))
+    return float(np.max([np.abs(c[mask]).max() for c in comps]))

@@ -5,8 +5,9 @@ samples residual norms over a ladder of resolutions and reduces them to
 pass / fail / inconclusive verdicts:
 
 * a sequence at rounding level is "exact";
-* a non-finite norm makes it "non-finite", a fail; a zero norm in a
-  sequence that is not exact leaves it without a slope, inconclusive;
+* a non-finite norm makes it "non-finite", a fail; fewer than three
+  norms, or a zero norm, in a sequence that is not exact leave it without
+  a slope, inconclusive;
 * log-log slope >= slope_min counts as decaying (order >= 2 in practice);
 * slope <= decay_max_slope counts as non-decaying;
 * the pass threshold is pass_factor times the largest final norm among the
@@ -17,11 +18,15 @@ pass / fail / inconclusive verdicts:
 Scenario kinds: "spherical" studies the static-spherical generators on one
 geometry and adds the mass observables; "poincare" studies all ten
 generators on flat space (expected: all pass) and on the black-hole
-exterior (expected: exactly the static-spherical four pass).
+exterior (expected: exactly the static-spherical four pass).  Both
+geometries are static, so their fields and most residuals store one t
+slice; the boosts' residuals depend on t and are reduced one t slice at a
+time (see :func:`_generator_norms`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -31,17 +36,17 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (EquivariantTestForm, PcConfig, einstein_residual,
-                     extra_eom_term, torsion_residual)
+from .action import (EquivariantTestForm, PcConfig, coupling_factor,
+                     einstein_residual, torsion_residual)
 from .conventions import LAMBDA_BASES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
-from .grid import Grid4
+from .grid import Grid4, restrict
 from .mass import (MassDomainError, adm_energy, komar_mass,
                    positivity_check)
 from .report import sha256_of_file, sha256_of_text, canonical_json
 from .symmetry import (POINCARE_GENERATOR_NAMES, SPHERICAL_GENERATOR_NAMES,
                        CutoffFunction, PoincareElement, axis_derivatives,
-                       killing_residual, symmetry_residual)
+                       killing_residual, symmetry_residual, t_windows)
 
 SCENARIO_KINDS = ("poincare", "spherical")
 GEOMETRIES = ("schwarzschild", "minkowski")
@@ -202,11 +207,31 @@ def _thresholds(doc: dict) -> dict:
     return merged
 
 
+# the keys a scenario document may hold, at the top and in its objects
+DOCUMENT_KEYS = ("scenario", "geometry", "M", "Lambda", "grid", "Ns",
+                 "cutoff", "radius_mode", "radii", "generators", "thresholds")
+GRID_KEYS = ("L", "N")
+CUTOFF_KEYS = ("r", "R")
+
+
+def _known_keys(doc: dict, prefix: str, known: tuple) -> dict:
+    """``doc``, whose every key is in ``known``; a key that nothing reads
+    (a misspelling would run the default) is an error naming its path."""
+    for key in doc:
+        if key not in known:
+            raise ScenarioError(f"{prefix}{key}: unknown key; known: "
+                                f"{', '.join(known)}")
+    return doc
+
+
 def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ScenarioError("scenario document needs a 'scenario' key")
-    grid = _field("grid", _object, doc.get("grid", {}))
-    cutoff = _field("cutoff", _object, doc.get("cutoff", {}))
+    _known_keys(doc, "", DOCUMENT_KEYS)
+    grid = _known_keys(_field("grid", _object, doc.get("grid", {})),
+                       "grid.", GRID_KEYS)
+    cutoff = _known_keys(_field("cutoff", _object, doc.get("cutoff", {})),
+                         "cutoff.", CUTOFF_KEYS)
     kind = doc["scenario"]
     try:
         scenario = Scenario(
@@ -275,9 +300,11 @@ def fit_slope(norms, spacings):
 def classify_sequence(norms, spacings, thresholds, resolutions) -> dict:
     """Slope fit plus a qualitative kind: exact / decaying / non-decaying.
 
-    A non-finite norm gives kind "non-finite"; a zero norm in a sequence
-    that is not exact gives "ambiguous" with no slope.  Both carry a
-    ``reason`` naming the N of that norm.
+    A non-finite norm gives kind "non-finite"; a ladder that is not exact
+    and has fewer than three norms gives "inconclusive" with no slope, as
+    two points fit any slope; a zero norm in a sequence that is not exact
+    gives "ambiguous" with no slope.  Each of these carries a ``reason``,
+    naming the N where a norm is at fault.
     """
     norms = [float(v) for v in norms]
     out = {"norms": norms, "slope": None, "kind": "ambiguous"}
@@ -289,8 +316,10 @@ def classify_sequence(norms, spacings, thresholds, resolutions) -> dict:
     if max(norms) <= thresholds["exact_floor"]:
         out["kind"] = "exact"
         return out
-    if len(norms) < 2:
-        out["kind"] = "single"
+    if len(norms) < 3:
+        out["kind"] = "inconclusive"
+        out["reason"] = (f"{len(norms)} norm{'s' * (len(norms) > 1)} "
+                         "cannot support a slope")
         return out
     for n, v in zip(resolutions, norms):
         if v == 0.0:
@@ -357,37 +386,63 @@ def fold_verdicts(verdicts) -> str:
 # Studies
 # ---------------------------------------------------------------------------
 
+def _on(field, where):
+    """``field`` (a FormField or MetricField) restricted to ``where``, its
+    grid or a window of it."""
+    return dataclasses.replace(field, grid=where,
+                               data=restrict(field.data, where))
+
+
 def _generator_norms(e, gens, cutoff, cfg: PcConfig):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
     The derivative set and the test form do not depend on the generator,
-    so they are built once; both are dropped on return, before the field
-    equations of the same N.
+    so they are built once, and the coupling factor (Upsilon alpha) (x) X_R
+    and its live components once per generator.  A residual that depends
+    on t while e does not (a boost's) is evaluated one interior t slice at
+    a time (``t_windows``), and each norm is the max over the slices, NaN
+    if any is.  Everything is dropped on return, before the field equations
+    of the same N.
     """
     alpha = standard_test_form(e.grid, cutoff, gens[0], cfg.radius_mode).alpha
     derivatives = axis_derivatives(e.data, e.grid, gens)
+    region = cfg.region_kwargs()
     sym, extra = [], []
     for gen in gens:
-        residual = symmetry_residual(e, gen, derivatives)
-        sym.append(residual.region_norm(**cfg.region_kwargs()))
-        form = EquivariantTestForm(alpha, gen)
-        _, enorm = extra_eom_term(e, form, cutoff, cfg, residual=residual)
-        extra.append(enorm)
+        # never None: a pure translation borrows REFERENCE_PLANE
+        factor = coupling_factor(EquivariantTestForm(alpha, gen), cutoff, cfg)
+        live = F.live_components(factor.data)
+        norms = []
+        for where in t_windows(e.data, gen, e.grid):
+            residual = symmetry_residual(_on(e, where), gen, derivatives)
+            term = F.wedge(residual, _on(factor, where), b_live=live)
+            norms.append((residual.region_norm(**region),
+                          term.region_norm(**region)))
+        snorm, enorm = np.max(norms, axis=0)
+        sym.append(float(snorm))
+        extra.append(float(enorm))
     return sym, extra
 
 
 def _killing_norms(scenario: Scenario, metric, gens) -> dict:
-    """Killing-residual norm of each generator, one derivative set shared."""
+    """Killing-residual norm of each generator, one derivative set shared;
+    streamed over t slices as in :func:`_generator_norms`."""
     derivatives = axis_derivatives(metric.data, metric.grid, gens)
-    return {gen.name: killing_residual(metric, gen, r=scenario.cutoff_inner,
-                                       mode=scenario.radius_mode,
-                                       derivatives=derivatives)[1]
-            for gen in gens}
+    return {gen.name: float(np.max([
+        killing_residual(_on(metric, where), gen, r=scenario.cutoff_inner,
+                         mode=scenario.radius_mode,
+                         derivatives=derivatives)[1]
+        for where in t_windows(metric.data, gen, metric.grid)]))
+        for gen in gens}
 
 
 def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
            killing_n: int = None) -> dict:
-    """One pass over resolutions, building each field only where it is read."""
+    """One pass over resolutions, building each field only where it is read.
+
+    No residual is held past its norm, and a t-dependent residual of
+    static fields only one t slice at a time.
+    """
     gens = [PoincareElement.from_name(name) for name in scenario.generators]
     cutoff = scenario.cutoff()
     chart = scenario.chart(geometry)

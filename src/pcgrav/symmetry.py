@@ -25,7 +25,7 @@ import numpy as np
 from .algebras import closure_check, poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
 from .fields import FormField, MetricField, live_components
-from .grid import Grid4, diff_axis, region_max
+from .grid import FACE_LAYERS, Grid4, diff_axis, region_max
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,26 @@ def _lie_transport(data: np.ndarray, x: PoincareElement, grid: Grid4,
     out = np.zeros(data.shape[:-4] + shape)
     out.reshape((-1,) + shape)[derivatives.live] = transported
     return out
+
+
+def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4) -> list:
+    """Where to evaluate the residuals of x on node samples ``data``: the
+    grid, or each of its interior one-slice windows.
+
+    The windows are for a residual that depends on t while ``data`` does
+    not: ``data`` has extent 1 on t, and x moves it along an axis lambda
+    where it varies with xi^lambda depending on t (the boosts' t d_i).
+    That residual, a dense N^4 array of each component, is then never
+    allocated.  Slices within ``FACE_LAYERS`` of a t face lie outside every
+    norm region, so they get no window.
+    """
+    xi = _affine_components(x, grid)
+    if data.shape[-4] == 1 and any(
+            xi[lam].shape[0] > 1 and data.shape[-4 + lam] > 1
+            for lam in _moved_axes(x)):
+        return [grid.window(t, t + 1)
+                for t in range(FACE_LAYERS, grid.points - FACE_LAYERS)]
+    return [grid]
 
 
 def _entries(matrix: np.ndarray):

@@ -345,10 +345,15 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     ("thresholds.exact_floor", NAN),
     ("thresholds.fail_factor", INF),
     ("thresholds.pass_facter", 4.0),
+    ("radius_mod", "4d"),
+    ("raddi", [1.0]),
+    ("grid.n", 5),
+    ("cutoff.rr", 3.0),
 ], ids=["grid-null", "cutoff-null", "Ns-empty", "Ns-object", "grid.N-1e400",
         "generators-nested", "thresholds-list", "threshold-string",
         "threshold-null", "threshold-nan", "threshold-inf",
-        "threshold-unknown-key"])
+        "threshold-unknown-key", "unknown-key", "unknown-key-list",
+        "grid-unknown-key", "cutoff-unknown-key"])
 def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
                                                        field, value):
     doc = json.loads((SCENARIOS / "poincare_schwarzschild.json").read_text())

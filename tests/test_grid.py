@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pcgrav.grid import (Grid4, _contiguous_from, diff_axis, diff_ring,
-                         integrate_samples, node_weights, region_max)
+                         integrate_samples, node_weights, region_max,
+                         restrict)
+from pcgrav.scenarios import DEFAULT_THRESHOLDS, classify_sequence
 
 
 def test_grid_geometry():
@@ -203,6 +205,62 @@ def test_region_max_component_axes_lead():
     values = np.zeros((2, 3) + g.shape)
     values[1, 2, 2, 2, 2, 2] = -7.0
     assert region_max(values, g) == 7.0
+
+
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_region_max_propagates_a_nan_in_any_component(component):
+    g = Grid4(10.0, 9)
+    values = np.ones((3,) + g.shape)
+    values[component, 4, 4, 4, 2] = np.nan
+    norm = region_max(values, g)
+    assert math.isnan(norm)
+    entry = classify_sequence([1.0, norm, 0.25], [0.5, 0.25, 0.125],
+                              DEFAULT_THRESHOLDS, (9, 13, 17))
+    assert entry["kind"] == "non-finite"
+    assert entry["reason"] == "norm nan at N = 13"
+    # the slices of a window see it in the row that holds it, and only there
+    rows = [region_max(values[:, t:t + 1], g.window(t, t + 1))
+            for t in range(2, 7)]
+    assert [math.isnan(v) for v in rows] == [False, False, True, False, False]
+    assert math.isnan(float(np.max(rows)))
+
+
+@pytest.mark.parametrize("mode", ["4d", "spatial"])
+def test_region_max_on_windows_reads_rows_of_the_grid_mask(mode):
+    g = Grid4(2.0, 9, inner_radius=1.2)
+    rng = np.random.default_rng(5)
+    values = rng.random((2,) + g.shape)
+    static = values[:, :1]
+    for t0, t1 in ((2, 3), (2, 5), (0, 9), (6, 7)):
+        w = g.window(t0, t1)
+        assert restrict(static, w) is static
+        piece = restrict(values, w)
+        assert piece.shape == (2,) + w.shape
+        mask = ((g.radius(mode) > 1.2) & g.interior_mask())[t0:t1]
+        want = float(piece[:, mask].max()) if mask.any() else 0.0
+        assert region_max(piece, w, mode=mode) == want
+        # a static field on a window: the max over its rows' nodes
+        want = float(np.broadcast_to(static, piece.shape)[:, mask].max()
+                     ) if mask.any() else 0.0
+        assert region_max(static, w, mode=mode) == want
+    assert np.array_equal(g.window(3, 5).coordinate(0),
+                          g.coordinate(0)[3:5])
+    assert np.array_equal(g.window(3, 5).coordinate(2), g.coordinate(2))
+
+
+def test_region_max_warns_on_an_empty_window_only_if_the_region_is_empty():
+    import warnings
+    # the 4d ball holds every interior node of the middle t slice, not of
+    # the slices at t = +-4; the spatial one holds every interior node
+    g = Grid4(8.0, 9, inner_radius=7.0)
+    values = np.ones(g.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert region_max(values[4:5], g.window(4, 5), mode="4d") == 0.0
+        assert region_max(values[2:3], g.window(2, 3), mode="4d") == 1.0
+    with pytest.warns(UserWarning, match="norm region is empty"):
+        assert region_max(values[2:3], g.window(2, 3),
+                          mode="spatial") == 0.0
 
 
 def test_region_max_mask_cache_matches_a_fresh_mask():

@@ -58,6 +58,35 @@ def test_scenario_validation_names_the_field(overrides, field):
         small_scenario(**overrides)
 
 
+@pytest.mark.parametrize("path, where", [
+    ("raddi", {}),
+    ("radius_mod", {}),
+    ("grid.n", {"grid": {"L": 8.0, "N": 13}}),
+    ("cutoff.rr", {"cutoff": {"r": 3.0, "R": 5.0}}),
+])
+def test_unknown_keys_are_refused_naming_the_path(path, where):
+    *outer, key = path.split(".")
+    doc = {"scenario": "spherical", "radius_mode": "spatial", **where}
+    (doc[outer[0]] if outer else doc)[key] = 1.0
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    known = {"grid": "L, N", "cutoff": "r, R"}.get(
+        outer[0] if outer else None, "scenario, geometry, M, Lambda, grid")
+    assert str(info.value).startswith(f"{path}: unknown key; known: {known}")
+
+
+def test_misspelled_keys_of_a_shipped_document_are_refused():
+    doc = json.loads(open("scenarios/spherical_schwarzschild.json").read())
+    scenario_from_dict(doc)
+    for key, value in (("radius_mod", "4d"), ("raddi", [1.0])):
+        with pytest.raises(ScenarioError, match=f"^{key}: unknown key"):
+            scenario_from_dict({**doc, key: value})
+    grid = {**doc["grid"], "n": 5}
+    with pytest.raises(ScenarioError,
+                       match="^grid.n: unknown key; known: L, N$"):
+        scenario_from_dict({**doc, "grid": grid})
+
+
 def test_shipped_scenarios_load():
     for name in ("minkowski_lambda1", "spherical_schwarzschild",
                  "poincare_schwarzschild", "eom_schwarzschild"):
@@ -108,6 +137,35 @@ def test_non_finite_norm_fails_naming_its_n():
         assert family["bad"]["verdict"] == "fail"
         eom_verdict(entry)
         assert entry["verdict"] == "fail"
+
+
+def test_fewer_than_three_norms_support_no_slope():
+    from pcgrav.scenarios import eom_verdict
+    for norms, reason in (([0.02, 0.0042], "2 norms cannot support a slope"),
+                          ([0.02], "1 norm cannot support a slope")):
+        entry = classify_sequence(norms, [0.5, 0.25][:len(norms)], TH, NS)
+        assert entry == {"norms": norms, "slope": None,
+                         "kind": "inconclusive", "reason": reason}
+        family = {"short": dict(entry)}
+        apply_family_verdicts(family, TH)
+        assert family["short"]["verdict"] == "inconclusive"
+        eom_verdict(entry)
+        assert entry["verdict"] == "inconclusive"
+    # exact and non-finite ladders need no slope
+    assert classify_sequence([0.0, 1e-14], [0.5, 0.25], TH,
+                             NS)["kind"] == "exact"
+    assert classify_sequence([0.02, float("nan")], [0.5, 0.25], TH,
+                             NS)["kind"] == "non-finite"
+
+
+def test_two_resolution_torsion_ladder_is_inconclusive():
+    # two points gave this torsion ladder a slope of 5.80 and a pass
+    body = run_scenario(small_scenario(scenario="poincare"))
+    torsion = body["sections"]["schwarzschild"]["eom"]["torsion"]
+    assert torsion["kind"] == "inconclusive" and torsion["slope"] is None
+    assert torsion["verdict"] == "inconclusive"
+    assert torsion["reason"] == "2 norms cannot support a slope"
+    assert body["verdict"] == "inconclusive"
 
 
 def test_zero_norm_in_a_sequence_that_is_not_exact_is_inconclusive():
@@ -186,7 +244,8 @@ def test_minkowski_is_spherically_symmetric_too():
 
 
 def test_every_verdict_is_recomputable_from_reported_numbers():
-    sc = small_scenario()
+    # three Ns: a two-norm ladder is inconclusive whatever its numbers
+    sc = small_scenario(Ns=[9, 13, 17])
     body = run_scenario(sc)
     section = body["sections"]["schwarzschild"]
     th = body["scenario"]["thresholds"]
@@ -274,7 +333,8 @@ def test_sweep_does_generator_independent_work_once(monkeypatch):
         # one derivative per axis, all ten generators moving all four
         assert calls["diff_axis"] <= 4, stage
     # the tetrad, the metric, one cutoff sample and one norm mask; the
-    # 30 region_max calls of the ten generators read the cached mask
+    # region_max calls of the ten generators read the cached mask, the
+    # boosts' one t slice at a time
     sweep(["P0"], gen_ns=(9,), killing_n=9)
     single = calls["radius"]
     raw = sweep(every, gen_ns=(9,), killing_n=9)

@@ -10,12 +10,14 @@ import pcgrav.grid as grid_module
 import pcgrav.symmetry as symmetry
 from pcgrav.action import (EquivariantTestForm, PcConfig, einstein_residual,
                            extra_eom_term, torsion_residual)
+from pcgrav.fields import FormField, MetricField, metric_from_tetrad
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import Grid4
 from pcgrav.scenarios import (Scenario, _sweep, run_scenario,
                               scenario_from_dict, standard_test_form)
 from pcgrav.symmetry import (CutoffFunction, killing_residual,
-                             poincare_generators, symmetry_residual)
+                             poincare_generators, symmetry_residual,
+                             t_windows)
 
 CHARTS = {"minkowski": MinkowskiChart(),
           "schwarzschild": SchwarzschildIsotropic(0.5)}
@@ -137,4 +139,89 @@ def test_static_sweep_allocates_less_than_one_dense_field():
     finally:
         tracemalloc.stop()
     assert set(raw["killing"]) == {"P0", "L1", "L2", "L3"}
+    assert peak < one_dense, (peak, one_dense)
+
+
+class PerturbedChart:
+    """Flat static fields plus a seeded static perturbation, so that no
+    reflection maps the t slices above the middle onto those below;
+    ``nan`` plants a NaN in the last component of the tetrad and of the
+    metric, at a node of the norm region."""
+
+    def __init__(self, nan):
+        self.nan = nan
+
+    def _node(self, grid):
+        return (3, 3, 0, grid.points - 3, grid.points - 3, grid.points // 2)
+
+    def tetrad(self, grid):
+        rng = np.random.default_rng(grid.points)
+        data = MinkowskiChart().tetrad(grid).data + 1e-2 * rng.standard_normal(
+            (4, 4, 1) + grid.shape[1:])
+        if self.nan:
+            data[self._node(grid)] = np.nan
+        return FormField(grid, 1, 1, data)
+
+    def metric(self, grid):
+        data = metric_from_tetrad(PerturbedChart(False).tetrad(grid)).data.copy()
+        if self.nan:
+            data[self._node(grid)] = np.nan
+        return MetricField(grid, data)
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+@pytest.mark.parametrize("n", [9, 13])
+def test_streamed_norms_equal_whole_grid_norms(monkeypatch, n, mode, nan):
+    chart = PerturbedChart(nan)
+    monkeypatch.setattr(Scenario, "chart",
+                        lambda self, geometry=None: chart)
+    sc = scenario_from_dict({
+        "scenario": "poincare", "geometry": "minkowski", "M": 0.0,
+        "grid": {"L": 8.0, "N": n}, "Ns": [n],
+        # the cutoff ramps up across the whole box, so every t slice of
+        # a 4d-mode coupling factor is its own
+        "cutoff": {"r": 3.0, "R": 12.0}, "radius_mode": mode,
+        "radii": [4.0, 5.0]})
+    raw = _sweep(sc, "minkowski", gen_ns=(n,), killing_n=n)
+    grid, cfg, cutoff = sc.grid(n), sc.config(n), sc.cutoff()
+    region = cfg.region_kwargs()
+    e, g = chart.tetrad(grid), chart.metric(grid)
+    streamed = []
+    for gen in poincare_generators():
+        xe = symmetry_residual(e, gen)
+        form = standard_test_form(grid, cutoff, gen, mode)
+        whole = [xe.region_norm(**region),
+                 extra_eom_term(e, form, cutoff, cfg, residual=xe)[1],
+                 killing_residual(g, gen, **region)[1]]
+        got = [raw["sym"][gen.name][0], raw["extra"][gen.name][0],
+               raw["killing"][gen.name]]
+        assert np.array_equal(got, whole, equal_nan=True), (gen.name, got,
+                                                             whole)
+        # the coupling of some planes never reads the NaN component
+        assert np.isnan(got[0]) == np.isnan(got[2]) == nan, gen.name
+        if len(t_windows(e.data, gen, grid)) > 1:
+            streamed.append(gen.name)
+            # the whole-grid residual fills out t, so each slice differs
+            assert xe.data.shape[2] == n
+    assert streamed == ["K1", "K2", "K3"]
+
+
+def test_streamed_boost_sweep_peaks_below_one_dense_field():
+    sc = scenario_from_dict({
+        "scenario": "poincare", "M": 1.0, "grid": {"L": 20.0, "N": 25},
+        "Ns": [25], "cutoff": {"r": 12.0, "R": 16.0},
+        "radius_mode": "spatial", "radii": [8.0, 12.0, 16.0]})
+    for cached in (grid_module._region_mask, grid_module._norm_mask,
+                   symmetry._profile_on_grid):
+        cached.cache_clear()
+    one_dense = np.zeros((4, 4) + sc.grid(25).shape).nbytes
+    tracemalloc.start()
+    try:
+        raw = _sweep(sc, "schwarzschild", gen_ns=(25,), killing_n=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(raw["killing"]) == len(raw["sym"]) == 10
+    assert all(raw["killing"][f"K{i}"] > 0.0 for i in (1, 2, 3))
     assert peak < one_dense, (peak, one_dense)
