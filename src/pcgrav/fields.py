@@ -435,7 +435,9 @@ def tetrad_field(grid: Grid4, data: np.ndarray) -> FormField:
 
 
 def tetrad_determinants(e: FormField) -> np.ndarray:
-    return np.linalg.det(np.moveaxis(e.data, (0, 1), (-2, -1)))
+    # a NaN sample gives a NaN determinant, which the caller reports
+    with np.errstate(invalid="ignore"):
+        return np.linalg.det(np.moveaxis(e.data, (0, 1), (-2, -1)))
 
 
 def check_nondegenerate(e: FormField) -> None:

@@ -139,44 +139,50 @@ class SchwarzschildIsotropic:
         if self.core_radius <= 0.55 * self.mass:
             raise ValueError("core radius must clear the coordinate horizon")
 
+    def _regions(self, rho: np.ndarray):
+        """Outside-core mask, rho clamped to the core outside it, and
+        rho^2 zeroed outside it, so neither branch overflows."""
+        outside = rho >= self.core_radius
+        return (outside, np.where(outside, rho, self.core_radius),
+                np.where(outside, 0.0, rho) ** 2)
+
     def profiles(self, rho: np.ndarray):
-        """A, B and the smooth radial ratios dA/rho, dB/rho.
-
-        The returned derivatives are (dA/drho)/rho and (dB/drho)/rho, which
-        stay finite on the axis (the connection only needs these ratios).
-        """
+        """A and B at the spatial radii ``rho``."""
         rho = np.asarray(rho, dtype=float)
-        rc = self.core_radius
-        outside = rho >= rc
-        rho_safe = np.where(outside, rho, rc)
+        outside, rho_safe, r2 = self._regions(rho)
         m = self.mass / (2.0 * rho_safe)
-        a_out = (1.0 - m) / (1.0 + m)
-        b_out = (1.0 + m) ** 2
-        da_out = self.mass / (rho_safe ** 2 * (1.0 + m) ** 2)
-        db_out = -self.mass * (1.0 + m) / rho_safe ** 2
-
-        ca, cb = _core_coefficients(self.mass, rc)
-        r2 = np.where(outside, 0.0, rho) ** 2
+        ca, cb = _core_coefficients(self.mass, self.core_radius)
         pa = sum(c * r2 ** k for k, c in enumerate(ca))
         pb = sum(c * r2 ** k for k, c in enumerate(cb))
+        a = np.where(outside, (1.0 - m) / (1.0 + m), np.exp(pa))
+        b = np.where(outside, (1.0 + m) ** 2, np.exp(pb))
+        return a, b
+
+    def radial_ratios(self, rho: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """(dA/drho)/rho and (dB/drho)/rho, given A and B at ``rho``.
+
+        The ratios stay finite on the axis; only the connection reads them.
+        Inside the core dP/drho = P d(ln P)/drho, with ln P the even
+        polynomial of ``profiles``.
+        """
+        rho = np.asarray(rho, dtype=float)
+        outside, rho_safe, r2 = self._regions(rho)
+        m = self.mass / (2.0 * rho_safe)
+        da_out = self.mass / (rho_safe ** 2 * (1.0 + m) ** 2)
+        db_out = -self.mass * (1.0 + m) / rho_safe ** 2
+        ca, cb = _core_coefficients(self.mass, self.core_radius)
         # d/drho of sum c_k rho^(2k), divided by rho: even polynomial again
         dpa = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(ca) if k)
         dpb = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(cb) if k)
-        a_in = np.exp(pa)
-        b_in = np.exp(pb)
-
-        a = np.where(outside, a_out, a_in)
-        b = np.where(outside, b_out, b_in)
-        da_over_rho = np.where(outside, da_out / rho_safe, a_in * dpa)
-        db_over_rho = np.where(outside, db_out / rho_safe, b_in * dpb)
-        return a, b, da_over_rho, db_over_rho
+        return (np.where(outside, da_out / rho_safe, a * dpa),
+                np.where(outside, db_out / rho_safe, b * dpb))
 
     def _grid_profiles(self, grid: Grid4):
         rho = grid.radius("spatial")
         return (rho,) + self.profiles(rho)
 
     def tetrad(self, grid: Grid4) -> FormField:
-        rho, a, b, _, _ = self._grid_profiles(grid)
+        rho, a, b = self._grid_profiles(grid)
         data = np.zeros((4, 4) + rho.shape)
         data[0, 0] = a
         for i in range(1, 4):
@@ -188,7 +194,8 @@ class SchwarzschildIsotropic:
 
         omega^{0i} = (A'/B) n_i dt,  omega^{ij} = (B'/B)(n_j dx^i - n_i dx^j).
         """
-        rho, a, b, da_r, db_r = self._grid_profiles(grid)
+        rho, a, b = self._grid_profiles(grid)
+        da_r, db_r = self.radial_ratios(rho, a, b)
         data = np.zeros((4, 6) + rho.shape)
         for i in range(1, 4):
             xi = grid.coordinate(i)
@@ -203,7 +210,7 @@ class SchwarzschildIsotropic:
         return FormField(grid, 1, 2, data)
 
     def metric(self, grid: Grid4) -> MetricField:
-        rho, a, b, _, _ = self._grid_profiles(grid)
+        rho, a, b = self._grid_profiles(grid)
         data = np.zeros((4, 4) + rho.shape)
         data[0, 0] = -a ** 2
         for i in range(1, 4):

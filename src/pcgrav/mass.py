@@ -1,9 +1,11 @@
 """ADM energy and Komar mass as large-sphere surface integrals.
 
 Both take the metric on the central t = const slice of the 4D grid.
-Spatial derivatives use the grid stencils; values are interpolated to the
-quadrature spheres with separable cubic Lagrange interpolation; sums are
-fixed-order and exactly rounded, so results are bit-reproducible.
+Spatial derivatives use the grid stencils, on the components that are not
+zero everywhere; values are interpolated to the quadrature spheres with
+separable cubic Lagrange interpolation, one batched contraction per
+sphere; sums are fixed-order and exactly rounded, so results are
+bit-reproducible.
 
 Conventions (documented in docs/conventions.md):
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MetricField
+from .fields import MetricField, live_components
 from .grid import Grid4, diff_axis
 from .symmetry import PoincareElement, killing_residual
 
@@ -88,14 +90,18 @@ def central_slice(g: MetricField) -> np.ndarray:
                            (4, 4, n, n, n))
 
 
-def _lagrange_coefficients(frac: float):
-    """Weights of the points i0..i0+INTERPOLATION_ORDER for unit spacing."""
+def _lagrange_coefficients(frac: np.ndarray) -> np.ndarray:
+    """Weights of the points i0..i0+INTERPOLATION_ORDER for unit spacing.
+
+    ``frac`` is a vector of positions past i0; returns (n, ORDER + 1).
+    Each weight is a running product over the other nodes, in node order.
+    """
     nodes = np.arange(INTERPOLATION_ORDER + 1, dtype=float)
-    weights = np.ones_like(nodes)
+    weights = np.ones(np.shape(frac) + nodes.shape)
     for k in range(len(nodes)):
         for m in range(len(nodes)):
             if m != k:
-                weights[k] *= (frac - nodes[m]) / (nodes[k] - nodes[m])
+                weights[:, k] *= (frac - nodes[m]) / (nodes[k] - nodes[m])
     return weights
 
 
@@ -105,6 +111,11 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
 
     ``values`` has shape (..., N, N, N) with components leading; ``points``
     is (n, 3) in box coordinates.  Returns (n, ...).
+
+    Each point reads the 4x4x4 block of nodes around it, shifted inward at
+    a box face.  One gather collects the blocks of all points and one
+    contraction weights them; each point's sum is the one a contraction of
+    its block alone gives, term by term in the same order.
     """
     order = INTERPOLATION_ORDER
     n = grid.points
@@ -113,21 +124,26 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
     base = np.floor(coords).astype(int) - (order - 1) // 2
     base = np.clip(base, 0, n - order - 1)
     frac = coords - base
-    out = np.empty((len(points),) + values.shape[:-3])
-    for p in range(len(points)):
-        wx = _lagrange_coefficients(frac[p, 0])
-        wy = _lagrange_coefficients(frac[p, 1])
-        wz = _lagrange_coefficients(frac[p, 2])
-        block = values[..., base[p, 0]:base[p, 0] + order + 1,
-                       base[p, 1]:base[p, 1] + order + 1,
-                       base[p, 2]:base[p, 2] + order + 1]
-        out[p] = np.einsum("i,j,k,...ijk->...", wx, wy, wz, block)
-    return out
+    wx, wy, wz = (_lagrange_coefficients(frac[:, a]) for a in range(3))
+    ix, iy, iz = (base[:, a, None] + np.arange(order + 1) for a in range(3))
+    blocks = values[..., ix[:, :, None, None], iy[:, None, :, None],
+                    iz[:, None, None, :]]
+    return np.einsum("pi,pj,pk,...pijk->p...", wx, wy, wz, blocks)
 
 
 def _slice_gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """d_i of slice samples, stacked on a new leading axis."""
-    return np.stack([diff_axis(values, axis, h) for axis in (-3, -2, -1)])
+    """d_i of slice samples, stacked on a new leading axis.
+
+    Only the live components are differentiated.  The others keep the
+    +0.0 of ``np.zeros``, which is what the stencils give on zero samples.
+    """
+    # a leading axis and a t axis make even a scalar a field of components
+    live = live_components(np.expand_dims(values, (0, -4)))[0]
+    stacked = values[live]
+    grads = np.zeros((3,) + values.shape)
+    for i, axis in enumerate((-3, -2, -1)):
+        grads[i][live] = diff_axis(stacked, axis, h)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,10 @@ class Scenario:
                 f"generators must be distinct, got {list(self.generators)}")
         if not self.radii:
             raise ScenarioError("radii must list at least one radius")
+        for i, rho in enumerate(self.radii):
+            if not rho > 0.0:
+                raise ScenarioError(
+                    f"radii[{i}]: must be positive, got {rho!r}")
         # the mass surface integrals need a stencil's width inside the box
         if max(self.radii) >= box.half_width - box.spacing:
             raise ScenarioError(

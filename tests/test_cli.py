@@ -318,6 +318,11 @@ NAN, INF = float("nan"), float("inf")
      "generators"),
     ({"generators": []}, ["pc", "eom"], "generators"),
     ({"radii": []}, ["mass", "komar"], "radii"),
+    ({"radii": [0.0, 4.0, 6.0]}, ["mass", "adm"],
+     "radii[0]: must be positive"),
+    ({"radii": [-1.0, 4.0, 6.0]}, ["mass", "komar"],
+     "radii[0]: must be positive"),
+    ({}, ["mass", "adm", "--radii", "4,-0.0"], "radii[1]: must be positive"),
     ({"generators": ["P0", "P0"]}, ["killing", "residuals"], "generators"),
 ])
 def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,

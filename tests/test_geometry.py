@@ -12,7 +12,8 @@ from pcgrav.grid import Grid4
 def test_profiles_exact_outside_core():
     schw = SchwarzschildIsotropic(1.0)
     rho = np.array([2.0, 3.0, 5.0, 10.0, 40.0])
-    a, b, da_r, db_r = schw.profiles(rho)
+    a, b = schw.profiles(rho)
+    da_r, db_r = schw.radial_ratios(rho, a, b)
     m = 1.0 / (2.0 * rho)
     assert np.allclose(a, (1 - m) / (1 + m), rtol=1e-14)
     assert np.allclose(b, (1 + m) ** 2, rtol=1e-14)
@@ -23,8 +24,13 @@ def test_profiles_exact_outside_core():
 def test_profiles_smooth_across_junction():
     schw = SchwarzschildIsotropic(1.0)
     eps = 1e-5
-    lo = schw.profiles(np.array([2.0 - eps]))
-    hi = schw.profiles(np.array([2.0 + eps]))
+
+    def both(rho):
+        a, b = schw.profiles(rho)
+        return (a, b) + schw.radial_ratios(rho, a, b)
+
+    lo = both(np.array([2.0 - eps]))
+    hi = both(np.array([2.0 + eps]))
     for left, right in zip(lo, hi):
         assert abs(left[0] - right[0]) < 5e-5  # continuous with O(eps) slope
 
@@ -32,7 +38,8 @@ def test_profiles_smooth_across_junction():
 def test_profiles_positive_and_bounded_inside():
     schw = SchwarzschildIsotropic(1.0)
     rho = np.linspace(0.0, 2.0, 201)
-    a, b, da_r, db_r = schw.profiles(rho)
+    a, b = schw.profiles(rho)
+    da_r, db_r = schw.radial_ratios(rho, a, b)
     assert np.all(a > 0.05) and np.all(a < 1.0)
     assert np.all(b > 1.0) and np.all(b < 5.0)
     assert np.isfinite(da_r).all() and np.isfinite(db_r).all()

@@ -6,8 +6,9 @@ import pytest
 from pcgrav.fields import MetricField
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
-from pcgrav.mass import (MassDomainError, SphereQuadrature, adm_energy,
-                         extrapolate_in_radius, komar_mass, positivity_check)
+from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError,
+                         SphereQuadrature, adm_energy, extrapolate_in_radius,
+                         interpolate_slice, komar_mass, positivity_check)
 
 RADII = [8.0, 12.0, 16.0]
 
@@ -153,3 +154,135 @@ def test_non_finite_surface_integral_names_the_quantity():
     data[1, 1, 4, 0, 0, 4] = np.nan
     with pytest.raises(MassDomainError, match="ADM energy is nan"):
         adm_energy(MetricField(grid, data), [8.0, 12.0])
+
+
+# ---------------------------------------------------------------------------
+# interpolate_slice
+# ---------------------------------------------------------------------------
+
+def _node_weights(frac):
+    nodes = np.arange(INTERPOLATION_ORDER + 1, dtype=float)
+    weights = np.ones_like(nodes)
+    for k in range(len(nodes)):
+        for m in range(len(nodes)):
+            if m != k:
+                weights[k] *= (frac - nodes[m]) / (nodes[k] - nodes[m])
+    return weights
+
+
+def _stencil_bases(grid, points):
+    order = INTERPOLATION_ORDER
+    coords = (np.asarray(points) + grid.half_width) / grid.spacing
+    base = np.floor(coords).astype(int) - (order - 1) // 2
+    base = np.clip(base, 0, grid.points - order - 1)
+    return base, coords - base
+
+
+def _per_node_reference(values, grid, points):
+    """The interpolation one node at a time: a block slice and a
+    contraction of that block alone per node."""
+    width = INTERPOLATION_ORDER + 1
+    base, frac = _stencil_bases(grid, points)
+    out = np.empty((len(points),) + values.shape[:-3])
+    for p in range(len(points)):
+        wx, wy, wz = (_node_weights(frac[p, a]) for a in range(3))
+        block = values[..., base[p, 0]:base[p, 0] + width,
+                       base[p, 1]:base[p, 1] + width,
+                       base[p, 2]:base[p, 2] + width]
+        out[p] = np.einsum("i,j,k,...ijk->...", wx, wy, wz, block)
+    return out
+
+
+def _probe_points(grid):
+    """The three mass spheres, and nodes whose stencil a box face clips."""
+    directions = SphereQuadrature(1.0).nodes_and_weights()[0]
+    L, h = grid.half_width, grid.spacing
+    faces = np.array([[-L, 0.3, -0.7], [L, L, L], [-L, -L, L - 0.4 * h],
+                      [L - 0.5 * h, 1.1, -L + 0.2 * h], [0.1, -L + h, 2.3],
+                      [3.0, 4.0, L - 1.5 * h]])
+    return np.concatenate([rho * directions for rho in RADII] + [faces])
+
+
+def _samples(shape, n, seed=17):
+    return np.random.default_rng(seed).standard_normal(shape + (n, n, n))
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("components", [(), (3,), (3, 3)])
+def test_interpolation_matches_the_per_node_loop_bit_for_bit(n, components):
+    grid = big_grid(n)
+    points = _probe_points(grid)
+    base, _ = _stencil_bases(grid, points)
+    assert (base == 0).any() and (base == n - 4).any()  # clipped stencils
+    dense = _samples(components, n)
+    # the layouts the surface integrals pass: fresh arrays, the spatial
+    # block of a metric slice, and a slice broadcast from fewer nodes
+    layouts = [dense, np.broadcast_to(_samples(components, 1),
+                                      components + (n, n, n))]
+    if components == (3, 3):
+        layouts.append(_samples((4, 4), n)[1:, 1:])
+    for values in layouts:
+        got = interpolate_slice(values, grid, points)
+        want = _per_node_reference(values, grid, points)
+        assert got.shape == want.shape == (len(points),) + components
+        assert got.tobytes() == want.tobytes()
+
+
+def test_interpolation_does_not_depend_on_the_sample_layout():
+    grid = big_grid(17)
+    points = _probe_points(grid)
+    values = _samples((3,), 17)
+    got = interpolate_slice(np.asfortranarray(values), grid, points)
+    assert got.tobytes() == interpolate_slice(values, grid, points).tobytes()
+
+
+@pytest.mark.parametrize("components, planted", [((), ()), ((3,), (1,))])
+def test_a_nan_sample_reaches_exactly_the_nodes_whose_block_holds_it(
+        components, planted):
+    grid = big_grid(17)
+    points = np.concatenate([_probe_points(grid),
+                             np.random.default_rng(3).uniform(
+                                 -20.0, 20.0, (400, 3))])
+    values = _samples(components, 17)
+    node = (12, 13, 12)
+    values[planted + node] = np.nan
+    base, _ = _stencil_bases(grid, points)
+    holds = np.all((base <= node) & (node < base + INTERPOLATION_ORDER + 1),
+                   axis=1)
+    assert 0 < holds.sum() < len(points)
+    got = interpolate_slice(values, grid, points)
+    expected = np.zeros(got.shape, bool)
+    expected[(holds,) + planted] = True
+    assert np.array_equal(np.isnan(got), expected)
+
+
+def test_interpolation_is_exact_for_cubics_in_each_variable():
+    grid = big_grid(17)
+    u = grid.axis_coordinates() / grid.half_width
+    coeffs = np.random.default_rng(5).standard_normal((4, 4, 4))
+
+    def cubic(x, y, z):
+        return sum(coeffs[a, b, c] * x ** a * y ** b * z ** c
+                   for a in range(4) for b in range(4) for c in range(4))
+
+    values = cubic(u[:, None, None], u[None, :, None], u[None, None, :])
+    points = np.concatenate([_probe_points(grid),
+                             np.random.default_rng(6).uniform(
+                                 -20.0, 20.0, (200, 3))])
+    got = interpolate_slice(values, grid, points)
+    exact = cubic(*(points / grid.half_width).T)
+    assert np.max(np.abs(got - exact)) < 1e-12 * np.abs(values).max()
+
+
+def test_mass_ladders_are_pinned():
+    # a change to the order of the float operations of the stencils, the
+    # interpolation or the surface sums moves these
+    metric = SchwarzschildIsotropic(1.0).metric(big_grid(17))
+    adm = adm_energy(metric, RADII)
+    assert [v.hex() for v in adm["values"]] == [
+        "0x1.388493ccf8543p+0", "0x1.2144e3628c30ap+0", "0x1.18fda90d5844cp+0"]
+    assert adm["extrapolated"].hex() == "0x1.0d8a718dc5189p+0"
+    komar = komar_mass(metric, RADII)
+    assert [v.hex() for v in komar["values"]] == [
+        "0x1.01ccdbc557d94p+0", "0x1.001ba791a9698p+0", "0x1.003902d741428p+0"]
+    assert komar["extrapolated"].hex() == "0x1.0468ea25c5110p+0"
