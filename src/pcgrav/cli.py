@@ -14,20 +14,20 @@ Exit codes: 0 all verdicts pass, 1 any fail, 2 usage/parse error,
 3 inconclusive (refinement needed); ``VERDICT_CODES`` maps a verdict to
 its code.  Reports land in --out, the PCGRAV_OUT env var, or
 ./pcgrav-reports.  --threads (default: the CPUs this process may use) is
-the number of contiguous t ranges the Leibniz ladder splits into, run on a
-thread pool this module keeps for the process, and is recorded in the
-manifest; each range runs in a fixed order, so numeric report bodies are
-byte-identical across --threads settings.
+the number of contiguous t ranges the Leibniz ladder splits into, each run
+in a worker process of a pool that lives for one ladder, and is recorded in
+the manifest; each range runs in a fixed order, so numeric report bodies
+are byte-identical across --threads settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -191,43 +191,49 @@ def cmd_mass(args) -> int:
 RING = 5     # t slices the t stencil reads: two on each side
 
 
-@lru_cache(maxsize=None)
-def _executor(threads: int):
-    """The process's pool of ``threads`` workers, made on first use."""
-    # imported here: commands that never start a pool skip its import
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(threads, thread_name_prefix="pcgrav")
-
-
 def leibniz_residual_norms(scenario: Scenario, resolutions, threads: int):
     """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields.
 
     max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: each
     of ``min(threads, N)`` workers walks one contiguous t range
     (:func:`_leibniz_block`), and the max over their maxima is the max
-    over the grid.  One worker runs in the calling thread.
+    over the grid.  The workers are processes forked for this call and
+    joined before it returns; a single range runs in the calling process.
     """
-    norms, spacings = [], []
-    for n in resolutions:
-        grid = scenario.grid(n)
-        rng = np.random.default_rng(20260808)
-        # a then b: one amplitude per coordinate wave for each component,
-        # drawn in that order; coef[mu] has the grid axes of a ring slot
-        amps = rng.normal(size=(2, 4, 6, 4))
-        coef = np.moveaxis(amps, -1, 0)[..., None, None, None]
-        k = np.pi / scenario.half_width
-        waves = [np.sin(k * grid.coordinate(mu) + 0.3 * mu)
-                 for mu in range(4)]
-        workers = min(threads, n)
-        bounds = [n * w // workers for w in range(workers + 1)]
+    # imported here: commands that never start a pool skip their import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        def block(w):
-            return _leibniz_block(grid, coef, waves, bounds[w], bounds[w + 1])
-
-        run = map if workers == 1 else _executor(threads).map
-        norms.append(float(np.max(list(run(block, range(workers))))))
-        spacings.append(grid.spacing)
+    size = min(threads, max(resolutions))
+    pool = contextlib.nullcontext() if size == 1 else ProcessPoolExecutor(
+        size, mp_context=multiprocessing.get_context("fork"))
+    with pool:
+        norms, spacings = [], []
+        for n in resolutions:
+            grid, coef, waves = _leibniz_fields(scenario, n)
+            workers = min(threads, n)
+            bounds = [n * w // workers for w in range(workers + 1)]
+            run = map if workers == 1 else pool.map
+            tops = run(_leibniz_block, [grid] * workers, [coef] * workers,
+                       [waves] * workers, bounds[:-1], bounds[1:])
+            norms.append(float(np.max(list(tops))))
+            spacings.append(grid.spacing)
     return norms, spacings
+
+
+def _leibniz_fields(scenario: Scenario, n: int):
+    """The ladder's grid at N = n and the seeded data of a and b on it.
+
+    a then b: one amplitude per coordinate wave for each component, drawn
+    in that order; ``coef[mu]`` has the grid axes of a ring slot, and
+    ``waves[mu]`` is the wave along axis mu.
+    """
+    grid = scenario.grid(n)
+    amps = np.random.default_rng(20260808).normal(size=(2, 4, 6, 4))
+    coef = np.moveaxis(amps, -1, 0)[..., None, None, None]
+    k = np.pi / scenario.half_width
+    waves = [np.sin(k * grid.coordinate(mu) + 0.3 * mu) for mu in range(4)]
+    return grid, coef, waves
 
 
 def _leibniz_block(grid, coef, waves, t0: int, t1: int):
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=_thread_count,
                        default=len(os.sched_getaffinity(0)),
-                       help="worker threads that split the Leibniz "
+                       help="worker processes that split the Leibniz "
                             "ladder's t range (default: the CPUs this "
                             "process may use); results do not depend on it")
         p.add_argument("--radius-mode", dest="radius_mode",

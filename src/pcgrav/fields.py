@@ -173,11 +173,12 @@ def live_components(data: np.ndarray) -> np.ndarray:
     The first node decides most components, and the first t slice most of
     the rest; only those zero on it are scanned whole.
     """
-    live = data[..., 0, 0, 0, 0] != 0.0
+    # an array even when data has no component axis and live is 0-d
+    live = np.asarray(data[..., 0, 0, 0, 0] != 0.0)
     if not live.all():
         live |= np.any(data[..., :1, :, :, :] != 0.0, axis=(-4, -3, -2, -1))
-        for c in zip(*np.nonzero(~live)):
-            live[c] = np.any(data[c] != 0.0)
+        for c in np.argwhere(~live):
+            live[tuple(c)] = np.any(data[tuple(c)] != 0.0)
     return live
 
 

@@ -125,6 +125,9 @@ class Scenario:
             if not rho > 0.0:
                 raise ScenarioError(
                     f"radii[{i}]: must be positive, got {rho!r}")
+        if len(set(self.radii)) != len(self.radii):
+            raise ScenarioError(
+                f"radii must be distinct, got {list(self.radii)}")
         # the mass surface integrals need a stencil's width inside the box
         if max(self.radii) >= box.half_width - box.spacing:
             raise ScenarioError(

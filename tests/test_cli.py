@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import functools
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -157,17 +163,23 @@ def test_leibniz_ladder_norms_are_pinned(threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
     # each worker keeps five t slices of a, b and [a, b], not whole fields,
-    # and peaks below one dense Lambda^2-valued 2-form at N = 25
+    # and peaks below one dense Lambda^2-valued 2-form at N = 25; at 2
+    # workers each range runs in a process of its own, so the first one
+    # is measured here, as its worker runs it
     scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
-    one_dense = 36 * 25 ** 4 * 8 * threads
+    one_dense = 36 * 25 ** 4 * 8
+    rings = 2 * cli.RING * 4 * 6 * 25 ** 3 * 8
     tracemalloc.start()
     try:
-        norms, _ = leibniz_residual_norms(scenario, (25,), threads)
+        if threads == 1:
+            top = leibniz_residual_norms(scenario, (25,), 1)[0][0]
+        else:
+            top = cli._leibniz_block(*cli._leibniz_fields(scenario, 25), 0, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.0 < norms[0] < 1.0
-    assert peak < one_dense, (peak, one_dense)
+    assert 0.0 < top < 1.0
+    assert rings < peak < one_dense, (rings, peak, one_dense)
 
 
 def test_convergence_reports_exact_sequences_without_a_slope(tmp_path, capsys):
@@ -249,25 +261,94 @@ def test_threads_default_is_the_available_cpu_count(tmp_path, capsys):
     assert report["manifest"]["threads"] == len(os.sched_getaffinity(0))
 
 
+def recording_block(log, grid, coef, waves, t0, t1):
+    """A ladder block that appends its range to ``log``, from any process."""
+    with open(log, "a") as f:
+        f.write(f"{grid.points} {t0} {t1} {os.getpid()}\n")
+    return 1.0 / grid.points ** 2
+
+
+class BlockFailed(RuntimeError):
+    pass
+
+
+def failing_block(grid, coef, waves, t0, t1):
+    raise BlockFailed(f"range {t0}..{t1}")
+
+
+def dying_block(grid, coef, waves, t0, t1):
+    os._exit(7)
+
+
 def test_threads_flag_reaches_the_leibniz_split(tmp_path, capsys,
                                                 monkeypatch):
-    ranges = []
-
-    def block(grid, coef, waves, t0, t1):
-        ranges.append((grid.points, t0, t1))
-        return 1.0 / grid.points ** 2
-
-    monkeypatch.setattr(cli, "_leibniz_block", block)
+    # the pool forks after the patch, so its workers run the fake, which
+    # pickles by reference
+    log = tmp_path / "ranges"
+    monkeypatch.setattr(cli, "_leibniz_block",
+                        functools.partial(recording_block, log))
     path = small_scenario_file(tmp_path)
     code, _ = run(["convergence", "--scenario", str(path),
                    "--Ns", "9,13,17", "--quantities", "leibniz",
                    "--threads", "3", "--out", str(tmp_path / "t")],
                   tmp_path, capsys)
     assert code == 0
+    ranges = [tuple(map(int, line.split()))
+              for line in log.read_text().splitlines()]
     for n, bounds in ((9, [0, 3, 6, 9]), (13, [0, 4, 8, 13]),
                       (17, [0, 5, 11, 17])):
-        assert sorted(r[1:] for r in ranges if r[0] == n) == list(
+        assert sorted(r[1:3] for r in ranges if r[0] == n) == list(
             zip(bounds, bounds[1:]))
+    assert os.getpid() not in {r[3] for r in ranges}
+
+
+def test_a_single_leibniz_range_runs_in_the_calling_process(tmp_path,
+                                                            monkeypatch):
+    log = tmp_path / "ranges"
+    monkeypatch.setattr(cli, "_leibniz_block",
+                        functools.partial(recording_block, log))
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    leibniz_residual_norms(scenario, (9, 13), 1)
+    assert [line.split() for line in log.read_text().splitlines()] == [
+        ["9", "0", "9", str(os.getpid())], ["13", "0", "13", str(os.getpid())]]
+
+
+def test_leibniz_pool_leaves_no_process_behind(tmp_path):
+    path = small_scenario_file(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcgrav.cli", "convergence", "--scenario",
+         str(path), "--quantities", "leibniz", "--Ns", "9,13,17",
+         "--threads", "2", "--out", str(tmp_path / "t")],
+        stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) in (0, 3)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("block, error", [
+    (failing_block, BlockFailed), (dying_block, BrokenProcessPool)])
+def test_a_failed_leibniz_worker_fails_the_call_promptly(monkeypatch, block,
+                                                         error):
+    monkeypatch.setattr(cli, "_leibniz_block", block)
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+
+    def hung(signum, frame):
+        raise TimeoutError("the Leibniz ladder hung on a failed worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(error):
+            leibniz_residual_norms(scenario, (9, 13), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_algebra_action_checks_the_sum_dgla_once(tmp_path, capsys,
@@ -323,6 +404,7 @@ NAN, INF = float("nan"), float("inf")
     ({"radii": [-1.0, 4.0, 6.0]}, ["mass", "komar"],
      "radii[0]: must be positive"),
     ({}, ["mass", "adm", "--radii", "4,-0.0"], "radii[1]: must be positive"),
+    ({}, ["mass", "adm", "--radii", "4,4,4"], "radii must be distinct"),
     ({"generators": ["P0", "P0"]}, ["killing", "residuals"], "generators"),
 ])
 def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,

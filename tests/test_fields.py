@@ -1,11 +1,11 @@
 """Wedge algebra, exterior derivative, connections, and their oracles."""
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from pcgrav import cli
 from pcgrav import fields as F
 from pcgrav.algebras import so31_dgla
 from pcgrav.conventions import (ETA_DIAG, J_MATS, LAMBDA2, LAMBDA_BASES,
@@ -158,11 +158,12 @@ def whole_array_wedge(a, b, rule):
 
 
 def on_workers(threads, kernel):
-    """``kernel()`` on each of ``threads`` workers of the Leibniz ladder's
-    pool, all at once, as the ladder calls wedge and ext_d; one worker runs
-    in the calling thread, as in the ladder."""
-    run = map if threads == 1 else cli._executor(threads).map
-    return list(run(lambda _: kernel(), range(threads)))
+    """``kernel()`` on ``threads`` threads at once, one call each, on a pool
+    of their own; a single call runs in the calling thread."""
+    if threads == 1:
+        return [kernel()]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(lambda _: kernel(), range(threads)))
 
 
 @pytest.mark.parametrize("rule,pa,ka,pb,kb", [
@@ -215,6 +216,19 @@ def test_live_components_matches_full_scan():
     # the flattened component axis that symmetry.axis_derivatives passes
     flat = data.reshape((-1,) + data.shape[-4:])
     assert np.array_equal(F.live_components(flat), full_scan_live(flat))
+
+
+@pytest.mark.parametrize("extents, node", [
+    ((1, 3, 3, 3), (0, 2, 1, 1)),       # found on the first t slice
+    ((3, 3, 3, 3), (2, 1, 1, 1)),       # found by the whole-field scan
+    ((1, 3, 3, 3), (0, 0, 0, 0))])      # found at the first node
+def test_live_components_of_data_without_a_component_axis(extents, node):
+    # live is 0-d
+    data = np.zeros(extents)
+    assert not F.live_components(data)
+    data[node] = 1.0
+    live = F.live_components(data)
+    assert live.shape == () and live
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ def test_scenario_validation_errors():
     ({"radii": [4.0, float("inf")]}, "radii"),
     ({"generators": ["P0", "Q9"]}, "generators"),
     ({"radii": []}, "radii"),
+    ({"radii": [4.0, 5.0, 4.0]}, "radii must be distinct"),
     ({"generators": ["P0", "P0"]}, "generators"),
 ])
 def test_scenario_validation_names_the_field(overrides, field):
