@@ -32,9 +32,9 @@ from .geometry import (SchwarzschildIsotropic,             # noqa: F401
 from .action import (EquivariantTestForm, PcConfig,        # noqa: F401
                      action_pc, einstein_residual, equivariant_action,
                      equivariant_coupling, extra_eom_term, torsion_residual)
-from .symmetry import (CutoffFunction, KillingSubalgebra,  # noqa: F401
-                       PoincareElement, cutoff_eval, generated_vector_field,
-                       killing_residual, symmetry_residual)
+from .symmetry import (CutoffFunction, PoincareElement,   # noqa: F401
+                       generated_vector_field, killing_residual,
+                       symmetry_residual)
 from .mass import (SphereQuadrature, adm_energy,           # noqa: F401
                    komar_mass, positivity_check)
 from .scenarios import Scenario, load_scenario, run_scenario  # noqa: F401

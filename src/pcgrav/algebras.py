@@ -15,7 +15,7 @@ from . import exact
 from .conventions import (GENERATOR_ALIASES, J_MATS, POINCARE_NAMES,
                           SO31_STRUCTURE, perm_sign)
 from .graded import (ActionMap, Dgla, Differential, GradedBasis,
-                     GradedLieAlgebra, StructureError)
+                     GradedLieAlgebra)
 
 
 class AlgebraFormatError(ValueError):
@@ -30,15 +30,14 @@ def abelian(labels) -> Dgla:
     return Dgla(GradedLieAlgebra(_degree0_basis(labels), {}), Differential({}))
 
 
-def _eps_brackets(offset: int = 0) -> dict:
-    """[L_i, L_j] = eps_ijk L_k, with L_i at basis index offset + i."""
+def _eps_brackets() -> dict:
+    """[L_i, L_j] = eps_ijk L_k, with L_i at basis index i."""
     brackets = {}
     for i in range(3):
         for j in range(3):
             if i != j:
                 k = 3 - i - j
-                brackets[(offset + i, offset + j)] = {
-                    offset + k: Fraction(perm_sign((i, j, k)))}
+                brackets[(i, j)] = {k: Fraction(perm_sign((i, j, k)))}
     return brackets
 
 
@@ -90,12 +89,6 @@ def poincare_coefficients(name: str) -> list:
     for base, c in combo.items():
         vec[POINCARE_NAMES.index(base)] = Fraction(c)
     return vec
-
-
-def so3_subalgebra() -> GradedLieAlgebra:
-    """Time translation plus the three rotations: the static spherical algebra."""
-    return GradedLieAlgebra(_degree0_basis(("dt", "L1", "L2", "L3")),
-                            _eps_brackets(offset=1))
 
 
 def closure_check(generators) -> bool:
@@ -178,7 +171,7 @@ def _parse_out(entries, index, path):
         k = _label(index, entry, "k", f"{path}.out[{n}]")
         try:
             row[k] = exact.parse_rational(entry["c"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise AlgebraFormatError(
                 f"{path}.out[{n}].c: bad coefficient: {e}") from None
     return row
@@ -189,18 +182,16 @@ def dgla_from_json(doc) -> Dgla:
         raise AlgebraFormatError("document must be an object with a 'basis' key")
     labels, degrees = [], []
     for n, b in enumerate(_objects(doc["basis"], "basis")):
-        if not isinstance(b.get("label"), str):
+        label, degree = b.get("label"), b.get("degree")
+        if not isinstance(label, str) or label in labels:
+            raise AlgebraFormatError(f"basis[{n}].label: must be a string "
+                                     f"not used before, got {label!r}")
+        if isinstance(degree, bool) or not isinstance(degree, int):
             raise AlgebraFormatError(
-                f"basis[{n}].label: must be a string, got {b.get('label')!r}")
-        labels.append(b["label"])
-        try:
-            degrees.append(int(b.get("degree")))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise AlgebraFormatError(f"basis[{n}].degree: {e}") from None
-    try:
-        basis = GradedBasis(tuple(labels), tuple(degrees))
-    except StructureError as e:
-        raise AlgebraFormatError(str(e)) from None
+                f"basis[{n}].degree: must be an integer, got {degree!r}")
+        labels.append(label)
+        degrees.append(degree)
+    basis = GradedBasis(tuple(labels), tuple(degrees))
     index = {lab: n for n, lab in enumerate(labels)}
 
     brackets = {}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -72,17 +71,13 @@ def _manifest(args, scenario: Scenario, command: str) -> RunManifest:
                        threads=args.threads)
 
 
-def _apply_overrides(args, scenario: Scenario) -> Scenario:
-    changes = {}
-    if getattr(args, "radius_mode", None):
-        changes["radius_mode"] = args.radius_mode
-    if getattr(args, "ns", None):
-        changes["resolutions"] = tuple(args.ns)
-    if getattr(args, "radii", None):
-        changes["radii"] = tuple(args.radii)
-    if not changes:
-        return scenario
-    return dataclasses.replace(scenario, **changes)
+def _load(args, **overrides) -> Scenario:
+    """The scenario of --scenario, with --Ns, --radii and --radius-mode as
+    the document keys they replace."""
+    given = {"Ns": args.ns, "radii": getattr(args, "radii", None),
+             "radius_mode": args.radius_mode, **overrides}
+    return load_scenario(args.scenario, **{
+        key: value for key, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ def cmd_algebra(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pc(args) -> int:
-    scenario = _apply_overrides(args, load_scenario(args.scenario))
+    scenario = _load(args)
     if args.pc_command == "eom" and not scenario.generators:
         raise ScenarioError("generators: pc eom needs at least one generator")
     grid = scenario.grid()
@@ -147,7 +142,7 @@ def cmd_pc(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_killing(args) -> int:
-    scenario = _apply_overrides(args, load_scenario(args.scenario))
+    scenario = _load(args)
     body = run_scenario(scenario)
     manifest = _manifest(args, scenario, "killing residuals")
     out = _out_dir(args)
@@ -163,7 +158,7 @@ def cmd_killing(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mass(args) -> int:
-    scenario = _apply_overrides(args, load_scenario(args.scenario))
+    scenario = _load(args)
     metric = scenario.chart().metric(scenario.grid())
     try:
         if args.mass_command == "adm":
@@ -282,7 +277,7 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
 
 
 def cmd_convergence(args) -> int:
-    scenario = _apply_overrides(args, load_scenario(args.scenario))
+    scenario = _load(args)
     resolutions = scenario.resolutions
     quantities = args.quantities or ["torsion", "einstein"]
     if len(resolutions) < 3:
@@ -290,13 +285,14 @@ def cmd_convergence(args) -> int:
         return USAGE_ERROR
     body = {"scenario": scenario.echo(), "resolutions": list(resolutions),
             "quantities": {}}
+    # the echo keeps the document's generators; the requested ones that it
+    # lacks are appended, and checked, by loading again
     requested = [q.split(":", 1)[1] for q in quantities
                  if q.startswith(("symmetry:", "extra:"))]
-    if set(requested) - set(scenario.generators):
-        extra_names = [n for n in requested if n not in scenario.generators]
-        scenario = dataclasses.replace(
-            scenario, generators=tuple(scenario.generators) + tuple(
-                dict.fromkeys(extra_names)))
+    extra_names = [n for n in requested if n not in scenario.generators]
+    if extra_names:
+        scenario = _load(args, generators=[*scenario.generators,
+                                           *dict.fromkeys(extra_names)])
     eom = None
     gen_study = None
     for quantity in quantities:

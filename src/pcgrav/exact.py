@@ -93,11 +93,12 @@ def in_row_span(rows_mat: Matrix, vec: list) -> bool:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q' strings (also accepts plain ints); exactness preserved."""
-    if isinstance(text, int):
-        return Fraction(text)
+    """Parse 'p/q' strings (also accepts plain ints, not bools); exactness
+    preserved."""
     if isinstance(text, str):
         return Fraction(text.strip())
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
     raise TypeError(f"rational must be an int or a 'p/q' string, got {text!r}")
 
 

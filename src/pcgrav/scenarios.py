@@ -1,5 +1,11 @@
 """Scenario configuration, convergence verdicts, and the scenario runner.
 
+A scenario document is read against ``SCHEMA``, one row per path with its
+default and converter, and then the rules that tie fields together.  A
+number is a finite JSON number (never a bool or a string), a node count an
+odd JSON integer, and every error starts with the path at fault; command-line
+overrides are document keys and go the same way.
+
 A scenario names a geometry, grid, cutoff, and thresholds; the runner
 samples residual norms over a ladder of resolutions and reduces them to
 pass / fail / inconclusive verdicts:
@@ -38,7 +44,7 @@ import numpy as np
 from . import fields as F
 from .action import (EquivariantTestForm, PcConfig, coupling_factor,
                      einstein_residual, torsion_residual)
-from .conventions import LAMBDA_BASES
+from .conventions import GENERATOR_ALIASES, LAMBDA_BASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import Grid4, restrict
 from .mass import (MassDomainError, adm_energy, komar_mass,
@@ -48,28 +54,98 @@ from .symmetry import (POINCARE_GENERATOR_NAMES, SPHERICAL_GENERATOR_NAMES,
                        CutoffFunction, PoincareElement, axis_derivatives,
                        killing_residual, symmetry_residual, t_windows)
 
-SCENARIO_KINDS = ("poincare", "spherical")
-GEOMETRIES = ("schwarzschild", "minkowski")
-
-DEFAULT_THRESHOLDS = {
-    "slope_min": 1.7,
-    "decay_max_slope": 0.5,
-    "pass_factor": 4.0,
-    "fail_factor": 10.0,
-    "exact_floor": 1e-11,
-    "eom_abs_tol": 1e-8,
-    "mass_tol": 0.01,
-    "mass_agreement_tol": 0.02,
-}
-
 
 class ScenarioError(ValueError):
-    """Malformed or inconsistent scenario document."""
+    """Malformed or inconsistent scenario document; the message starts
+    with the path of the field at fault."""
+
+
+def _number(value, path: str) -> float:
+    """A finite JSON number, as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path}: must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:           # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: must be finite, got {number!r}")
+    return number
+
+
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if not number > 0.0:
+        raise ScenarioError(f"{path}: must be positive, got {number!r}")
+    return number
+
+
+def _points(value, path: str) -> int:
+    """Nodes per grid axis: an odd JSON integer, at least 5."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: must be an integer, got {value!r}")
+    if value < 5 or value % 2 == 0:
+        raise ScenarioError(f"{path}: must be odd and >= 5, got {value}")
+    return value
+
+
+def _one_of(*options):
+    def convert(value, path: str) -> str:
+        if value not in options:
+            raise ScenarioError(f"{path}: must be one of "
+                                f"{', '.join(options)}, got {value!r}")
+        return value
+    return convert
+
+
+def _list_of(convert, empty: bool = False):
+    """Converter of a JSON list, to a tuple of its entries through
+    ``convert``, each named by its index."""
+    def convert_list(value, path: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or not (value or empty):
+            kind = "list" if empty else "non-empty list"
+            raise ScenarioError(f"{path}: must be a {kind}, got {value!r}")
+        return tuple(convert(item, f"{path}[{n}]")
+                     for n, item in enumerate(value))
+    return convert_list
+
+
+# One row per document path: its default and the converter that checks a
+# value there and gives it its type.  A dotted path is a key of an object.
+# A spherical scenario defaults its generators to the static-spherical four.
+SCHEMA = {
+    "scenario": (None, _one_of("poincare", "spherical")),   # required
+    "geometry": ("schwarzschild", _one_of("schwarzschild", "minkowski")),
+    "M": (1.0, _number),   # a negative M is how the positivity verdict fails
+    "Lambda": (0.0, _number),
+    "grid.L": (20.0, _positive),
+    "grid.N": (33, _points),
+    "Ns": ((17, 25, 33), _list_of(_points)),
+    "cutoff.r": (6.0, _positive),
+    "cutoff.R": (10.0, _positive),
+    "radius_mode": ("4d", _one_of("4d", "spatial")),
+    "radii": ((8.0, 12.0, 16.0), _list_of(_positive)),
+    "generators": (POINCARE_GENERATOR_NAMES, _list_of(
+        _one_of(*POINCARE_NAMES, *GENERATOR_ALIASES), empty=True)),
+    # slopes take any sign; factors, floors and tolerances are positive
+    "thresholds.slope_min": (1.7, _number),
+    "thresholds.decay_max_slope": (0.5, _number),
+    "thresholds.pass_factor": (4.0, _positive),
+    "thresholds.fail_factor": (10.0, _positive),
+    "thresholds.exact_floor": (1e-11, _positive),
+    "thresholds.eom_abs_tol": (1e-8, _positive),
+    "thresholds.mass_tol": (0.01, _positive),
+    "thresholds.mass_agreement_tol": (0.02, _positive),
+}
+
+DEFAULT_THRESHOLDS = {path[len("thresholds."):]: default
+                      for path, (default, _) in SCHEMA.items()
+                      if path.startswith("thresholds.")}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; :func:`scenario_from_dict` fills in defaults."""
+    """A validated scenario, built by :func:`scenario_from_dict`."""
     kind: str
     geometry: str
     mass: float
@@ -84,62 +160,6 @@ class Scenario:
     generators: tuple
     thresholds: dict
     source_hash: str
-
-    def __post_init__(self):
-        """Validate the whole scenario before any field is built.
-
-        Grid, cutoff and generator rules live in ``Grid4``,
-        ``CutoffFunction`` and ``PoincareElement``; their errors come back
-        as ``ScenarioError`` naming the offending field.
-        """
-        if self.kind not in SCENARIO_KINDS:
-            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-        if self.geometry not in GEOMETRIES:
-            raise ScenarioError(f"unknown geometry {self.geometry!r}")
-        if self.radius_mode not in ("4d", "spatial"):
-            raise ScenarioError("radius_mode must be '4d' or 'spatial'")
-        numbers = [("M", self.mass), ("Lambda", self.cosmological_constant),
-                   ("L", self.half_width), ("r", self.cutoff_inner),
-                   ("R", self.cutoff_outer)]
-        for name, value in numbers + [("radii", r) for r in self.radii]:
-            if not math.isfinite(value):
-                raise ScenarioError(f"{name} must be finite, got {value!r}")
-        if self.cutoff_inner >= self.half_width:
-            raise ScenarioError("excluded ball swallows the box (r >= L)")
-        ns = self.resolutions
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ScenarioError(
-                f"Ns must be distinct and strictly ascending, got {list(ns)}")
-        _field("cutoff r, R", self.cutoff)
-        box = _field(f"grid N = {self.points}", self.grid, self.points)
-        for n in ns:
-            _field(f"Ns entry {n}", self.grid, n)
-        for name in self.generators:
-            _field("generators", PoincareElement.from_name, name)
-        if len(set(self.generators)) != len(self.generators):
-            raise ScenarioError(
-                f"generators must be distinct, got {list(self.generators)}")
-        if not self.radii:
-            raise ScenarioError("radii must list at least one radius")
-        for i, rho in enumerate(self.radii):
-            if not rho > 0.0:
-                raise ScenarioError(
-                    f"radii[{i}]: must be positive, got {rho!r}")
-        if len(set(self.radii)) != len(self.radii):
-            raise ScenarioError(
-                f"radii must be distinct, got {list(self.radii)}")
-        # the mass surface integrals need a stencil's width inside the box
-        if max(self.radii) >= box.half_width - box.spacing:
-            raise ScenarioError(
-                f"radii must stay below L - h = "
-                f"{box.half_width - box.spacing!r} at N = {self.points}, "
-                f"got {max(self.radii)!r}")
-        if self.geometry == "schwarzschild" and self.radius_mode == "4d":
-            warnings.warn(
-                "static chart is singular on the spatial axis, which a 4d "
-                "excision keeps inside the norm region; radius_mode "
-                "'spatial' is recommended for schwarzschild scenarios",
-                stacklevel=3)
 
     def grid(self, n=None) -> Grid4:
         return Grid4(self.half_width, self.points if n is None else n,
@@ -172,114 +192,90 @@ class Scenario:
         }
 
 
-def _field(name: str, build, *args):
-    """``build(*args)``; a value it cannot take is a ScenarioError that
-    names the field."""
-    try:
-        return build(*args)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{name}: {exc.args[0]}") from None
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"must be an object, got {value!r}")
-    return value
-
-
-def _resolutions(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise TypeError(f"must be a non-empty list, got {value!r}")
-    return tuple(int(n) for n in value)
-
-
-def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {number!r}")
-    return number
-
-
-def _thresholds(doc: dict) -> dict:
-    """DEFAULT_THRESHOLDS with the document's overrides, each a finite
-    float; a key the gates do not read is an error, not a silent default."""
-    merged = dict(DEFAULT_THRESHOLDS)
-    for key, value in _field("thresholds", _object,
-                             doc.get("thresholds", {})).items():
-        if key not in DEFAULT_THRESHOLDS:
-            raise ScenarioError(
-                f"thresholds.{key}: unknown threshold; known: "
-                f"{', '.join(DEFAULT_THRESHOLDS)}")
-        merged[key] = _field(f"thresholds.{key}", _finite, value)
-    return merged
-
-
-# the keys a scenario document may hold, at the top and in its objects
-DOCUMENT_KEYS = ("scenario", "geometry", "M", "Lambda", "grid", "Ns",
-                 "cutoff", "radius_mode", "radii", "generators", "thresholds")
-GRID_KEYS = ("L", "N")
-CUTOFF_KEYS = ("r", "R")
-
-
-def _known_keys(doc: dict, prefix: str, known: tuple) -> dict:
-    """``doc``, whose every key is in ``known``; a key that nothing reads
-    (a misspelling would run the default) is an error naming its path."""
-    for key in doc:
+def _read(doc: dict, prefix: str = "") -> dict:
+    """The values of ``doc`` by schema path, walking into its objects; a
+    key with no row (a misspelling would run the default) names its path."""
+    known = list(dict.fromkeys(path[len(prefix):].split(".")[0]
+                               for path in SCHEMA if path.startswith(prefix)))
+    values = {}
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
         if key not in known:
-            raise ScenarioError(f"{prefix}{key}: unknown key; known: "
+            raise ScenarioError(f"{path}: unknown key; known: "
                                 f"{', '.join(known)}")
-    return doc
+        if path in SCHEMA:
+            values[path] = value
+        elif isinstance(value, dict):
+            values.update(_read(value, f"{path}."))
+        else:
+            raise ScenarioError(f"{path}: must be an object, got {value!r}")
+    return values
 
 
-def scenario_from_dict(doc: dict, source_hash: str = None) -> Scenario:
+def scenario_from_dict(doc: dict, source_hash: str = None,
+                       **overrides) -> Scenario:
+    """The scenario of ``doc``, its top-level keys ``overrides`` replaced.
+
+    Every value goes through its ``SCHEMA`` row, then the rules that tie
+    fields together run, all before any field is built.  ``source_hash``
+    defaults to the hash of the document.
+    """
     if not isinstance(doc, dict) or "scenario" not in doc:
-        raise ScenarioError("scenario document needs a 'scenario' key")
-    _known_keys(doc, "", DOCUMENT_KEYS)
-    grid = _known_keys(_field("grid", _object, doc.get("grid", {})),
-                       "grid.", GRID_KEYS)
-    cutoff = _known_keys(_field("cutoff", _object, doc.get("cutoff", {})),
-                         "cutoff.", CUTOFF_KEYS)
-    kind = doc["scenario"]
-    try:
-        scenario = Scenario(
-            kind=kind,
-            geometry=doc.get("geometry", "schwarzschild"),
-            mass=_field("M", float, doc.get("M", 1.0)),
-            cosmological_constant=_field("Lambda", float,
-                                         doc.get("Lambda", 0.0)),
-            half_width=_field("grid.L", float, grid.get("L", 20.0)),
-            points=_field("grid.N", int, grid.get("N", 33)),
-            resolutions=_field("Ns", _resolutions,
-                               doc.get("Ns", (17, 25, 33))),
-            cutoff_inner=_field("cutoff.r", float, cutoff.get("r", 6.0)),
-            cutoff_outer=_field("cutoff.R", float, cutoff.get("R", 10.0)),
-            radius_mode=doc.get("radius_mode", "4d"),
-            radii=_field("radii", lambda v: tuple(float(r) for r in v),
-                         doc.get("radii", (8.0, 12.0, 16.0))),
-            generators=(_field("generators", tuple, doc["generators"])
-                        if "generators" in doc
-                        else SPHERICAL_GENERATOR_NAMES if kind == "spherical"
-                        else POINCARE_GENERATOR_NAMES),
-            thresholds=_thresholds(doc),
-            source_hash=source_hash or "inline",
-        )
-        if source_hash is None:
-            # hashed once validated, so no non-finite number reaches it
-            object.__setattr__(scenario, "source_hash",
-                               sha256_of_text(canonical_json(doc)))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"bad scenario document: {exc}") from None
-    return scenario
+        raise ScenarioError("scenario: a scenario document is an object "
+                            "with this key")
+    doc = {**doc, **overrides}
+    read = _read(doc)
+    if doc["scenario"] == "spherical":
+        read.setdefault("generators", SPHERICAL_GENERATOR_NAMES)
+    values = {path: convert(read.get(path, default), path)
+              for path, (default, convert) in SCHEMA.items()}
+    ns, radii = values["Ns"], values["radii"]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ScenarioError(
+            f"Ns must be distinct and strictly ascending, got {list(ns)}")
+    for path in ("radii", "generators"):
+        if len(set(values[path])) != len(values[path]):
+            raise ScenarioError(
+                f"{path} must be distinct, got {list(values[path])}")
+    L, r, R = values["grid.L"], values["cutoff.r"], values["cutoff.R"]
+    if not R > r:
+        raise ScenarioError(
+            f"cutoff.R: must exceed cutoff.r = {r!r} (R > r), got {R!r}")
+    if not r < L:
+        raise ScenarioError(f"grid.L: must exceed cutoff.r = {r!r} (r >= L "
+                            f"swallows the box), got {L!r}")
+    # the mass surface integrals need a stencil's width inside the box
+    top = L - Grid4(L, values["grid.N"]).spacing
+    if max(radii) >= top:
+        raise ScenarioError(
+            f"radii: must stay below grid.L - h = {top!r} at grid.N = "
+            f"{values['grid.N']}, got {max(radii)!r}")
+    if values["geometry"] == "schwarzschild" and values["radius_mode"] == "4d":
+        warnings.warn(
+            "static chart is singular on the spatial axis, which a 4d "
+            "excision keeps inside the norm region; radius_mode "
+            "'spatial' is recommended for schwarzschild scenarios",
+            stacklevel=2)
+    return Scenario(
+        kind=values["scenario"], geometry=values["geometry"], mass=values["M"],
+        cosmological_constant=values["Lambda"], half_width=L,
+        points=values["grid.N"], resolutions=ns, cutoff_inner=r,
+        cutoff_outer=R, radius_mode=values["radius_mode"], radii=radii,
+        generators=values["generators"],
+        thresholds={key: values[f"thresholds.{key}"]
+                    for key in DEFAULT_THRESHOLDS},
+        # hashed once validated, so no non-finite number reaches it
+        source_hash=source_hash or sha256_of_text(canonical_json(doc)))
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, **overrides) -> Scenario:
+    """The scenario of a JSON file, with top-level keys ``overrides``
+    replaced; its hash is the file's."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
-    return scenario_from_dict(doc, source_hash=sha256_of_file(path))
+    return scenario_from_dict(doc, sha256_of_file(path), **overrides)
 
 
 # ---------------------------------------------------------------------------

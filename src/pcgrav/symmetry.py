@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebras import closure_check, poincare_coefficients
+from .algebras import poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
 from .fields import FormField, MetricField, live_components
 from .grid import FACE_LAYERS, Grid4, diff_axis, region_max
@@ -78,25 +78,8 @@ POINCARE_GENERATOR_NAMES = SPHERICAL_GENERATOR_NAMES + (
     "P1", "P2", "P3", "K1", "K2", "K3")
 
 
-def poincare_generators(names=POINCARE_GENERATOR_NAMES):
-    return tuple(PoincareElement.from_name(n) for n in names)
-
-
-@dataclass(frozen=True)
-class KillingSubalgebra:
-    name: str
-    generators: tuple
-
-    def __post_init__(self):
-        if self.generators and not closure_check(
-                [g.coefficients() for g in self.generators]):
-            raise ValueError(
-                f"generators of {self.name!r} do not close under brackets")
-
-
-def spherical_subalgebra() -> KillingSubalgebra:
-    return KillingSubalgebra("static-spherical",
-                             poincare_generators(SPHERICAL_GENERATOR_NAMES))
+def poincare_generators():
+    return tuple(map(PoincareElement.from_name, POINCARE_GENERATOR_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +113,6 @@ def _profile_on_grid(cutoff: CutoffFunction, grid: Grid4,
     ups = cutoff.profile(grid.radius(mode))
     ups.setflags(write=False)
     return ups
-
-
-def cutoff_eval(c: CutoffFunction, point, mode: str = "4d") -> float:
-    x = np.asarray(point, dtype=float).reshape(4)
-    sq = x ** 2 if mode == "4d" else x[1:] ** 2
-    return float(c.profile(np.sqrt(sq.sum())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import copy
 import functools
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -390,9 +393,9 @@ NAN, INF = float("nan"), float("inf")
     ({}, ["mass", "komar", "--radii", "4,7"], "radii"),
     ({"M": NAN}, ["mass", "adm"], "M"),
     ({"Lambda": INF}, ["pc", "action"], "Lambda"),
-    ({"grid": {"L": NAN, "N": 13}}, ["pc", "action"], "L"),
-    ({"cutoff": {"r": NAN, "R": 5.0}}, ["pc", "action"], "r"),
-    ({"cutoff": {"r": 3.0, "R": INF}}, ["pc", "action"], "R"),
+    ({"grid": {"L": NAN, "N": 13}}, ["pc", "action"], "grid.L"),
+    ({"cutoff": {"r": NAN, "R": 5.0}}, ["pc", "action"], "cutoff.r"),
+    ({"cutoff": {"r": 3.0, "R": INF}}, ["pc", "action"], "cutoff.R"),
     ({"radii": [4.0, NAN]}, ["mass", "adm"], "radii"),
     ({"generators": ["P0", "Q9"]}, ["killing", "residuals"], "generators"),
     ({}, ["convergence", "--Ns", "9,13,17", "--quantities", "symmetry:Q9"],
@@ -425,7 +428,7 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     ("Ns", []),
     ("Ns", {}),
     ("grid.N", 1e400),
-    ("generators", [["P0"]]),
+    ("generators[0]", ["P0"]),
     ("thresholds", []),
     ("thresholds.pass_factor", "x"),
     ("thresholds.slope_min", None),
@@ -436,17 +439,39 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     ("raddi", [1.0]),
     ("grid.n", 5),
     ("cutoff.rr", 3.0),
+    ("radii", "816"),
+    ("Ns[0]", 9.5),
+    ("grid.N", 33.9),
+    ("M", "1.5"),
+    ("grid.L", "20"),
+    ("grid.N", "33"),
+    ("thresholds.mass_tol", "0.5"),
+    ("M", True),
+    ("M", 10 ** 400),
+    ("Lambda", True),
+    ("cutoff.r", True),
+    ("radii[0]", True),
+    ("thresholds.slope_min", True),
+    ("thresholds.eom_abs_tol", -1),
+    ("thresholds.pass_factor", 0),
 ], ids=["grid-null", "cutoff-null", "Ns-empty", "Ns-object", "grid.N-1e400",
         "generators-nested", "thresholds-list", "threshold-string",
         "threshold-null", "threshold-nan", "threshold-inf",
         "threshold-unknown-key", "unknown-key", "unknown-key-list",
-        "grid-unknown-key", "cutoff-unknown-key"])
+        "grid-unknown-key", "cutoff-unknown-key", "radii-string",
+        "Ns-fraction", "grid.N-fraction", "M-string", "grid.L-string",
+        "grid.N-string", "threshold-number-string", "M-true", "M-huge-integer",
+        "Lambda-true",
+        "cutoff.r-true", "radii-true", "threshold-true",
+        "threshold-negative", "threshold-zero"])
 def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
                                                        field, value):
     doc = json.loads((SCENARIOS / "poincare_schwarzschild.json").read_text())
     if "." in field:
         outer, inner = field.split(".")
         doc.setdefault(outer, {})[inner] = value
+    elif field.endswith("[0]"):
+        doc[field[:-3]] = [value]
     else:
         doc[field] = value
     with pytest.raises(ScenarioError) as info:
@@ -467,7 +492,16 @@ def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
     ("basis[1].degree", lambda d: d["basis"][1].update(degree=1e400)),
     ("brackets", lambda d: d.update(brackets=None)),
     ("brackets[2]", lambda d: d["brackets"].__setitem__(2, None)),
-], ids=["label-list", "degree-1e400", "brackets-null", "bracket-null"])
+    ("basis[1].degree", lambda d: d["basis"][1].update(degree=2.5)),
+    ("basis[1].degree", lambda d: d["basis"][1].update(degree=True)),
+    ("basis[2].label", lambda d: d["basis"][2].update(label="L1")),
+    ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
+        c=True)),
+    ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
+        c="1/0")),
+], ids=["label-list", "degree-1e400", "brackets-null", "bracket-null",
+        "degree-fraction", "degree-true", "label-repeated",
+        "coefficient-true", "coefficient-zero-denominator"])
 def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,
                                                    mutate):
     doc = json.loads((SCENARIOS / "so3.json").read_text())
@@ -481,6 +515,88 @@ def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"error: {path}: " in captured.err
+
+
+BAD_VALUES = [None, "x", -1, 0, 1e400, NAN, [], {}, True, [None], 2.5]
+PATH = re.compile(r"[A-Za-z_]\w*(\.\w+|\[\d+\])*(?=[: ])")
+
+
+def document_nodes(doc, path="", keys=()):
+    """(path, keys, value) of every object member and list entry below
+    ``doc``, in document order."""
+    if isinstance(doc, dict):
+        children = [(key, f"{path}.{key}" if path else key)
+                    for key in doc]
+    elif isinstance(doc, list):
+        children = [(n, f"{path}[{n}]") for n in range(len(doc))]
+    else:
+        return
+    for key, sub in children:
+        yield sub, keys + (key,), doc[key]
+        yield from document_nodes(doc[key], sub, keys + (key,))
+
+
+def mutation_cases(name):
+    """(path, bad value, mutated document) for every node of a shipped
+    document and every value of BAD_VALUES."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for path, keys, _ in document_nodes(doc):
+        for bad in BAD_VALUES:
+            mutated = copy.deepcopy(doc)
+            target = mutated
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = bad
+            yield path, bad, mutated
+
+
+@pytest.mark.parametrize("name", [
+    "eom_schwarzschild", "minkowski_lambda1", "poincare_schwarzschild",
+    "spherical_schwarzschild", "so3"])
+def test_every_mutated_document_is_valid_or_names_its_path(tmp_path, capsys,
+                                                           name):
+    algebra = name == "so3"
+    load, error = ((dgla_from_json, AlgebraFormatError) if algebra
+                   else (scenario_from_dict, ScenarioError))
+    original = {path: value for path, _, value in document_nodes(
+        json.loads((SCENARIOS / f"{name}.json").read_text()))}
+    refused = []
+    for path, bad, doc in mutation_cases(name):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                load(doc)
+            continue
+        except error as exc:
+            message = str(exc)
+        named = PATH.match(message)
+        assert named, (path, bad, message)
+        named = named.group()
+        # the error sits at the mutated node or below it; a rule that ties
+        # fields together names the mutated path in its message; a renamed
+        # basis label is reported where a bracket refers to the old label
+        assert (named == path or named.startswith((f"{path}.", f"{path}["))
+                or re.search(rf"(?<![\w.]){re.escape(path)}(?![\w.\[])",
+                             message)
+                or (algebra and path.endswith(".label")
+                    and original.get(named) == original[path])), \
+            (path, bad, message)
+        refused.append(doc)
+    assert refused
+    commands = [["pc", "action"], ["mass", "adm"], ["killing", "residuals"],
+                ["convergence"]]
+    for n, doc in enumerate(refused[::23]):
+        bad = tmp_path / f"bad{n}.json"
+        bad.write_text(json.dumps(doc))
+        out_dir = tmp_path / f"reports{n}"
+        argv = (["algebra", "check", str(bad)] if algebra else
+                [*commands[n % 4], "--scenario", str(bad),
+                 "--out", str(out_dir)])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, quantity", [

@@ -11,8 +11,7 @@ import pytest
 from pcgrav import exact
 from pcgrav.algebras import (abelian, closure_check, dgla_from_json,
                              poincare_algebra, poincare_coefficients,
-                             poincare_dgla, so3, so3_subalgebra,
-                             vector_representation_so3)
+                             poincare_dgla, so3, vector_representation_so3)
 from pcgrav.conventions import ETA_DIAG, LAMBDA2, lorentz_generator
 from pcgrav.graded import (ActionMap, Dgla, DglaMorphism, Differential,
                            GradedBasis, GradedLieAlgebra, StructureError,
@@ -437,10 +436,6 @@ def test_static_spherical_generators_close():
 def test_translation_rotation_pair_does_not_close():
     gens = [poincare_coefficients("P1"), poincare_coefficients("J12")]
     assert not closure_check(gens)
-
-
-def test_so3_subalgebra_axioms():
-    assert check_dgla(Dgla(so3_subalgebra())).passed
 
 
 def test_adding_boost_breaks_spherical_closure():

@@ -1,5 +1,6 @@
 """Scenario configs, verdict logic, and small end-to-end runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,7 +28,7 @@ def test_minimal_document_loads_with_defaults():
 
 
 def test_scenario_validation_errors():
-    with pytest.raises(ScenarioError, match="kind"):
+    with pytest.raises(ScenarioError, match="^scenario: must be one of"):
         scenario_from_dict({"scenario": "cylinder"})
     with pytest.raises(ScenarioError, match="R > r"):
         scenario_from_dict({"scenario": "spherical",
@@ -44,7 +45,7 @@ def test_scenario_validation_errors():
     ({"Ns": [9, 9, 9]}, "Ns"),
     ({"Ns": [13, 9]}, "Ns"),
     ({"Ns": [6, 8, 10]}, "Ns"),
-    ({"grid": {"L": 8.0, "N": 12}}, "grid N"),
+    ({"grid": {"L": 8.0, "N": 12}}, "grid.N"),
     ({"radii": [4.0, 5.0, 7.0]}, "radii"),
     ({"M": float("nan")}, "M"),
     ({"Lambda": float("-inf")}, "Lambda"),
@@ -86,6 +87,33 @@ def test_misspelled_keys_of_a_shipped_document_are_refused():
     with pytest.raises(ScenarioError,
                        match="^grid.n: unknown key; known: L, N$"):
         scenario_from_dict({**doc, "grid": grid})
+
+
+def test_threshold_signs():
+    # slopes take any sign; factors, floors and tolerances must be positive
+    sc = small_scenario(thresholds={"slope_min": -1.0,
+                                    "decay_max_slope": -3.0})
+    assert sc.thresholds["slope_min"] == -1.0
+    assert sc.thresholds["decay_max_slope"] == -3.0
+    for key in ("pass_factor", "fail_factor", "exact_floor", "eom_abs_tol",
+                "mass_tol", "mass_agreement_tol"):
+        for bad in (0, -1.0):
+            with pytest.raises(ScenarioError, match=(
+                    rf"^thresholds\.{key}: must be positive, "
+                    rf"got {float(bad)!r}$")):
+                small_scenario(thresholds={key: bad})
+
+
+def test_overrides_replace_document_keys_and_keep_the_file_hash():
+    path = "scenarios/eom_schwarzschild.json"
+    plain = load_scenario(path)
+    sc = load_scenario(path, Ns=[9, 13, 17], radii=[6.0, 9.0])
+    assert sc == dataclasses.replace(plain, resolutions=(9, 13, 17),
+                                     radii=(6.0, 9.0))
+    with pytest.raises(ScenarioError, match=r"^radii\[1\]: must be finite"):
+        load_scenario(path, radii=[6.0, float("nan")])
+    with pytest.raises(ScenarioError, match="^Nss: unknown key"):
+        load_scenario(path, Nss=[9, 13, 17])
 
 
 def test_shipped_scenarios_load():

@@ -7,10 +7,9 @@ from pcgrav.fields import FormField, MetricField
 from pcgrav.geometry import (SchwarzschildIsotropic, minkowski_metric,
                              minkowski_tetrad)
 from pcgrav.grid import Grid4, diff_axis, region_max
-from pcgrav.symmetry import (CutoffFunction, KillingSubalgebra,
-                             PoincareElement, axis_derivatives, cutoff_eval,
-                             generated_vector_field, killing_residual,
-                             poincare_generators, spherical_subalgebra,
+from pcgrav.symmetry import (CutoffFunction, PoincareElement,
+                             axis_derivatives, generated_vector_field,
+                             killing_residual, poincare_generators,
                              symmetry_residual)
 
 GRID = Grid4(2.0, 9)
@@ -87,11 +86,14 @@ def test_cutoff_plateaus_and_midpoint():
     assert c.profile(4.0) == pytest.approx(0.5)
 
 
-def test_cutoff_point_evaluation_modes():
-    c = CutoffFunction(2.0, 6.0)
-    assert cutoff_eval(c, (0.0, 1.0, 0.0, 0.0)) == 0.0
-    assert cutoff_eval(c, (7.0, 0.1, 0.0, 0.0)) > 0.99
-    assert cutoff_eval(c, (7.0, 0.1, 0.0, 0.0), mode="spatial") == 0.0
+def test_cutoff_on_grid_modes():
+    # node i sits at x^mu = i - 8 on every axis
+    c, grid = CutoffFunction(2.0, 6.0), Grid4(8.0, 17)
+    four = c.on_grid(grid, "4d")
+    spatial = np.broadcast_to(c.on_grid(grid, "spatial"), grid.shape)
+    assert four[8, 9, 8, 8] == 0.0          # (0, 1, 0, 0)
+    assert four[15, 9, 8, 8] > 0.99         # (7, 1, 0, 0): t counts
+    assert spatial[15, 9, 8, 8] == 0.0      # t does not
 
 
 def test_cutoff_monotone_and_c2_at_junctions():
@@ -120,21 +122,11 @@ def test_extension_by_zero_is_supported_outside():
 
 
 # ---------------------------------------------------------------------------
-# subalgebras
+# generators
 # ---------------------------------------------------------------------------
-
-def test_spherical_subalgebra_closes():
-    assert len(spherical_subalgebra().generators) == 4
-
 
 def test_poincare_has_ten_generators():
     assert len(poincare_generators()) == 10
-
-
-def test_boosted_spherical_set_fails_closure():
-    gens = poincare_generators(("P0", "L1", "L2", "L3", "K1"))
-    with pytest.raises(ValueError, match="close"):
-        KillingSubalgebra("broken", gens)
 
 
 # ---------------------------------------------------------------------------
