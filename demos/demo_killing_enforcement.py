@@ -7,7 +7,7 @@ static-spherical four decay under refinement; the other six hit a floor:
 enforcing them would force the geometry flat.
 """
 
-from pcgrav.action import PcConfig, extra_eom_term
+from pcgrav.action import EquivariantTestForm, extra_eom_term
 from pcgrav.geometry import SchwarzschildIsotropic
 from pcgrav.grid import Grid4
 from pcgrav.scenarios import standard_test_form
@@ -20,18 +20,17 @@ chart = SchwarzschildIsotropic(1.0)
 table = {name: [] for name in NAMES}
 spacings = []
 for n in (13, 17, 25):
-    grid = Grid4(16.0, n, inner_radius=R_IN)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
+    # the grid excises the spatial ball rho <= R_IN: every norm runs outside
+    grid = Grid4(16.0, n, inner_radius=R_IN, radius_mode="spatial")
     cutoff = CutoffFunction(R_IN, R_OUT)
+    alpha = standard_test_form(grid, cutoff)
     e = chart.tetrad(grid)
     spacings.append(grid.spacing)
     for name in NAMES:
         gen = PoincareElement.from_name(name)
-        residual = symmetry_residual(e, gen)
-        form = standard_test_form(grid, cutoff, gen, "spatial")
-        _, extra = extra_eom_term(e, form, cutoff, cfg, residual=residual)
-        table[name].append((residual.region_norm(r=R_IN, mode="spatial"),
-                            extra))
+        form = EquivariantTestForm(alpha, gen)
+        _, extra = extra_eom_term(e, form, cutoff)
+        table[name].append((symmetry_residual(e, gen).region_norm(), extra))
 
 print(f"symmetry residual | coupling term, outside rho = {R_IN} "
       f"(h = {', '.join('%.2f' % h for h in spacings)})\n")

@@ -29,8 +29,8 @@ from .fields import (FormField, MetricField, cov_d, curvature,  # noqa: F401
                      tetrad_field, trace4, wedge)
 from .geometry import (SchwarzschildIsotropic,             # noqa: F401
                        minkowski_metric, minkowski_tetrad)
-from .action import (EquivariantTestForm, PcConfig,        # noqa: F401
-                     action_pc, einstein_residual, equivariant_action,
+from .action import (EquivariantTestForm, action_pc,       # noqa: F401
+                     einstein_residual, equivariant_action,
                      equivariant_coupling, extra_eom_term, torsion_residual)
 from .symmetry import (CutoffFunction, PoincareElement,   # noqa: F401
                        generated_vector_field, killing_residual,

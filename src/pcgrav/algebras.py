@@ -143,16 +143,26 @@ def so31_dgla() -> Dgla:
 # Action document (for `algebra action`):
 #   { "action": [{"x": g_label,
 #                 "rows": [{"i": h_label, "out": [{"k": h_label, "c": "p/q"}]}]}] }
+# A key not shown in these layouts is refused, naming its path.
 
-def _objects(items, path: str) -> list:
-    """``items`` as a list of objects; the first that is not is an
-    AlgebraFormatError naming its path."""
+def _known_keys(doc: dict, known: tuple, path: str = "") -> None:
+    """Refuse a key outside ``known``: a misspelt one would read as missing."""
+    for key in doc:
+        if key not in known:
+            raise AlgebraFormatError(f"{path}{key}: unknown key; known: "
+                                     f"{', '.join(known)}")
+
+
+def _objects(items, path: str, known: tuple) -> list:
+    """``items`` as a list of objects with keys among ``known``; the first
+    that is not is an AlgebraFormatError naming its path."""
     if not isinstance(items, list):
         raise AlgebraFormatError(f"{path}: must be a list, got {items!r}")
     for n, item in enumerate(items):
         if not isinstance(item, dict):
             raise AlgebraFormatError(
                 f"{path}[{n}]: must be an object, got {item!r}")
+        _known_keys(item, known, f"{path}[{n}].")
     return items
 
 
@@ -167,7 +177,7 @@ def _label(index, item, key, path):
 
 def _parse_out(entries, index, path):
     row = {}
-    for n, entry in enumerate(_objects(entries, f"{path}.out")):
+    for n, entry in enumerate(_objects(entries, f"{path}.out", ("k", "c"))):
         k = _label(index, entry, "k", f"{path}.out[{n}]")
         try:
             row[k] = exact.parse_rational(entry["c"])
@@ -180,8 +190,10 @@ def _parse_out(entries, index, path):
 def dgla_from_json(doc) -> Dgla:
     if not isinstance(doc, dict) or "basis" not in doc:
         raise AlgebraFormatError("document must be an object with a 'basis' key")
+    _known_keys(doc, ("basis", "brackets", "differential"))
     labels, degrees = [], []
-    for n, b in enumerate(_objects(doc["basis"], "basis")):
+    for n, b in enumerate(_objects(doc["basis"], "basis",
+                                   ("label", "degree"))):
         label, degree = b.get("label"), b.get("degree")
         if not isinstance(label, str) or label in labels:
             raise AlgebraFormatError(f"basis[{n}].label: must be a string "
@@ -195,13 +207,14 @@ def dgla_from_json(doc) -> Dgla:
     index = {lab: n for n, lab in enumerate(labels)}
 
     brackets = {}
-    for n, item in enumerate(_objects(doc.get("brackets", []), "brackets")):
+    for n, item in enumerate(_objects(doc.get("brackets", []), "brackets",
+                                      ("i", "j", "out"))):
         path = f"brackets[{n}]"
         key = (_label(index, item, "i", path), _label(index, item, "j", path))
         brackets[key] = _parse_out(item.get("out", []), index, path)
     rows = {}
     for n, item in enumerate(_objects(doc.get("differential", []),
-                                      "differential")):
+                                      "differential", ("i", "out"))):
         path = f"differential[{n}]"
         rows[_label(index, item, "i", path)] = _parse_out(
             item.get("out", []), index, path)
@@ -211,12 +224,15 @@ def dgla_from_json(doc) -> Dgla:
 def action_from_json(doc, actor: Dgla, module: Dgla) -> ActionMap:
     if not isinstance(doc, dict) or "action" not in doc:
         raise AlgebraFormatError("document must be an object with an 'action' key")
+    _known_keys(doc, ("action",))
     gidx = {lab: n for n, lab in enumerate(actor.basis.labels)}
     hidx = {lab: n for n, lab in enumerate(module.basis.labels)}
     mats = [exact.zeros(module.dim, module.dim) for _ in range(actor.dim)]
-    for n, item in enumerate(_objects(doc["action"], "action")):
+    for n, item in enumerate(_objects(doc["action"], "action",
+                                      ("x", "rows"))):
         x = _label(gidx, item, "x", f"action[{n}]")
-        rows = _objects(item.get("rows", []), f"action[{n}].rows")
+        rows = _objects(item.get("rows", []), f"action[{n}].rows",
+                        ("i", "out"))
         for r, rowspec in enumerate(rows):
             path = f"action[{n}].rows[{r}]"
             i = _label(hidx, rowspec, "i", path)

@@ -32,10 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (action_pc, einstein_residual, extra_eom_term,
-                     torsion_residual)
+from .action import (EquivariantTestForm, action_pc, einstein_residual,
+                     extra_eom_term, torsion_residual)
 from .algebras import (AlgebraFormatError, action_from_json, dgla_from_json)
 from .graded import StructureError, build_action_dgla, check_dgla, check_exactness
+from .grid import RADIUS_MODES
 from .mass import MassDomainError, adm_energy, komar_mass, positivity_check
 from .report import RunManifest, write_csv, write_report
 from .scenarios import (Scenario, ScenarioError, classify_sequence,
@@ -116,17 +117,17 @@ def cmd_pc(args) -> int:
     grid = scenario.grid()
     chart = scenario.chart()
     e, omega = chart.tetrad(grid), chart.connection(grid)
-    cfg = scenario.config()
+    lam = scenario.cosmological_constant
     body = {"scenario": scenario.echo(), "N": scenario.points,
-            "h": grid.spacing, "S": action_pc(e, omega, cfg)}
+            "h": grid.spacing, "S": action_pc(e, omega, lam)}
     verdict = "pass"
     if args.pc_command == "eom":
-        _, body["torsion_norm"] = torsion_residual(e, omega, cfg)
-        _, body["einstein_norm"] = einstein_residual(e, omega, cfg)
+        _, body["torsion_norm"] = torsion_residual(e, omega)
+        _, body["einstein_norm"] = einstein_residual(e, omega, lam)
         cutoff = scenario.cutoff()
         gen = PoincareElement.from_name(scenario.generators[0])
-        form = standard_test_form(grid, cutoff, gen, scenario.radius_mode)
-        _, body["extra_term_norm"] = extra_eom_term(e, form, cutoff, cfg)
+        form = EquivariantTestForm(standard_test_form(grid, cutoff), gen)
+        _, body["extra_term_norm"] = extra_eom_term(e, form, cutoff)
         tol = scenario.thresholds["eom_abs_tol"]
         body["eom_abs_tol"] = tol
         verdict = ("pass" if max(body["torsion_norm"],
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "ladder's t range (default: the CPUs this "
                             "process may use); results do not depend on it")
         p.add_argument("--radius-mode", dest="radius_mode",
-                       choices=("4d", "spatial"), default=None)
+                       choices=RADIUS_MODES, default=None)
         p.add_argument("--Ns", dest="ns", type=_int_list, default=None)
 
     algebra = sub.add_parser("algebra", help="exact dgla axiom checking")

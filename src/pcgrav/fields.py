@@ -11,7 +11,8 @@ for both the spacetime and the internal slots:
 so each component is a contiguous node array.  Each grid axis has extent
 N or 1: a field that does not depend on a coordinate (a static field on
 t) stores one node along it, and products, sums and norms broadcast over
-that axis.
+that axis.  A field's max-norm (:meth:`FormField.region_norm`) runs
+outside the excised ball its grid carries.
 
 A field may also live on a :class:`~pcgrav.grid.Window` of t slices.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
@@ -98,9 +99,9 @@ class FormField:
     def max_abs(self) -> float:
         return float(np.abs(self.data).max())
 
-    def region_norm(self, r=None, mode="4d") -> float:
-        """Max |component| outside the excluded ball, away from box faces."""
-        return region_max(self.data, self.grid, r, mode)
+    def region_norm(self) -> float:
+        """Max |component| outside the grid's ball, away from box faces."""
+        return region_max(self.data, self.grid)
 
     def _derivative(self, s: int, mu: int, out: np.ndarray,
                     scratch: np.ndarray) -> bool:

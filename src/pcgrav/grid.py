@@ -17,6 +17,9 @@ Node samples have extent N or 1 on each grid axis: a field that does not
 depend on a coordinate stores one node along it and broadcasts.  Stencils
 give exact zeros along such an axis (NaN where a sample is not finite), and
 norms and integrals equal those of the broadcast samples.
+
+A grid carries the ball its fields' norms excise: ``inner_radius``, over
+all four axes (``radius_mode`` "4d") or the spatial three ("spatial").
 """
 
 from __future__ import annotations
@@ -36,18 +39,22 @@ FACE_LAYERS = 2
 # block of fewer is one chunk): its operands stay in cache.
 STENCIL_CHUNK = 1 << 15
 
+RADIUS_MODES = ("4d", "spatial")
+
 
 @dataclass(frozen=True)
 class Grid4:
     half_width: float
     points: int
     inner_radius: float = 0.0
+    radius_mode: str = "4d"
 
     def __post_init__(self):
         if self.points < 5 or self.points % 2 == 0:
             raise ValueError("points per axis must be odd and >= 5")
         if self.inner_radius < 0:
             raise ValueError("inner radius must be nonnegative")
+        _check_mode(self.radius_mode)
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
 
@@ -69,21 +76,20 @@ class Grid4:
         shape[mu] = self.points
         return c.reshape(shape)
 
-    def radius(self, mode: str = "4d") -> np.ndarray:
+    def radius(self, mode: str) -> np.ndarray:
         """Euclidean radius, either all four axes or the spatial three.
 
         The spatial radius has extent 1 on t: shape (1, N, N, N).
         """
-        if mode not in ("4d", "spatial"):
-            raise ValueError(f"radius mode must be '4d' or 'spatial', got {mode!r}")
+        _check_mode(mode)
         axes = range(4) if mode == "4d" else range(1, 4)
         shape = self.shape if mode == "4d" else (1,) + self.shape[1:]
         sq = sum(self.coordinate(mu) ** 2 for mu in axes)
         return np.sqrt(np.broadcast_to(sq, shape))
 
-    def region_mask(self, r: float = None, mode: str = "4d") -> np.ndarray:
-        """Nodes outside the excluded ball (|x| > r); cached, read-only."""
-        return _region_mask(self, self.inner_radius if r is None else r, mode)
+    def region_mask(self) -> np.ndarray:
+        """Nodes outside the excised ball; cached, read-only."""
+        return _region_mask(self)
 
     def interior_mask(self) -> np.ndarray:
         """Nodes at least ``FACE_LAYERS`` nodes away from every box face."""
@@ -141,22 +147,27 @@ def restrict(values: np.ndarray, where) -> np.ndarray:
     return values
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in RADIUS_MODES:
+        raise ValueError(
+            f"radius mode must be '4d' or 'spatial', got {mode!r}")
+
+
 @lru_cache(maxsize=16)
-def _region_mask(grid: Grid4, r: float, mode: str) -> np.ndarray:
-    mask = grid.radius(mode) > r
+def _region_mask(grid: Grid4) -> np.ndarray:
+    mask = grid.radius(grid.radius_mode) > grid.inner_radius
     mask.setflags(write=False)
     return mask
 
 
 @lru_cache(maxsize=32)
-def _norm_mask(grid: Grid4, r: float, mode: str,
-               shape: tuple) -> np.ndarray:
+def _norm_mask(grid: Grid4, shape: tuple) -> np.ndarray:
     """Region of the residual max-norms: outside the ball, off the faces.
 
     For samples of grid ``shape``, the mask is reduced with ``any`` over
     the axes where that shape has extent 1.
     """
-    mask = grid.region_mask(r, mode) & grid.interior_mask()
+    mask = grid.region_mask() & grid.interior_mask()
     static = tuple(ax for ax, n in enumerate(shape) if n == 1)
     if static:
         mask = mask.any(axis=static, keepdims=True)
@@ -318,9 +329,8 @@ def integrate_samples(values: np.ndarray, grid: Grid4,
     return math.fsum(weighted.ravel().tolist())
 
 
-def region_max(values: np.ndarray, grid, r: float = None,
-               mode: str = "4d") -> float:
-    """Max |component| over (outside ball) & (away from box faces).
+def region_max(values: np.ndarray, grid) -> float:
+    """Max |component| over (outside the grid's ball) & (away from box faces).
 
     ``values`` has the grid on its last four axes; leading axes are
     component indices and are maximized over as well.  Along an axis of
@@ -333,14 +343,12 @@ def region_max(values: np.ndarray, grid, r: float = None,
     shape = values.shape[-4:]
     if isinstance(grid, Window):
         whole = grid.grid
-        full = _norm_mask(whole, whole.inner_radius if r is None else r,
-                          mode, (whole.points,) + shape[1:])
+        full = _norm_mask(whole, (whole.points,) + shape[1:])
         mask = restrict(full, grid)
         if shape[0] < mask.shape[0]:
             mask = mask.any(axis=0, keepdims=True)
     else:
-        full = mask = _norm_mask(grid, grid.inner_radius if r is None else r,
-                                 mode, shape)
+        full = mask = _norm_mask(grid, shape)
     if not mask.any():
         if not full.any():
             warnings.warn("norm region is empty", stacklevel=2)

@@ -42,11 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (EquivariantTestForm, PcConfig, coupling_factor,
+from .action import (EquivariantTestForm, coupling_factor,
                      einstein_residual, torsion_residual)
 from .conventions import GENERATOR_ALIASES, LAMBDA_BASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
-from .grid import Grid4, restrict
+from .grid import RADIUS_MODES, Grid4, restrict
 from .mass import (MassDomainError, adm_energy, komar_mass,
                    positivity_check)
 from .report import sha256_of_file, sha256_of_text, canonical_json
@@ -123,7 +123,7 @@ SCHEMA = {
     "Ns": ((17, 25, 33), _list_of(_points)),
     "cutoff.r": (6.0, _positive),
     "cutoff.R": (10.0, _positive),
-    "radius_mode": ("4d", _one_of("4d", "spatial")),
+    "radius_mode": ("4d", _one_of(*RADIUS_MODES)),
     "radii": ((8.0, 12.0, 16.0), _list_of(_positive)),
     "generators": (POINCARE_GENERATOR_NAMES, _list_of(
         _one_of(*POINCARE_NAMES, *GENERATOR_ALIASES), empty=True)),
@@ -162,8 +162,9 @@ class Scenario:
     source_hash: str
 
     def grid(self, n=None) -> Grid4:
+        """The grid at N = n, excising the cutoff's inner ball."""
         return Grid4(self.half_width, self.points if n is None else n,
-                     self.cutoff_inner)
+                     self.cutoff_inner, self.radius_mode)
 
     def chart(self, geometry: str = None):
         """Chart of ``geometry`` (default: the scenario's own): its
@@ -174,10 +175,6 @@ class Scenario:
 
     def cutoff(self) -> CutoffFunction:
         return CutoffFunction(self.cutoff_inner, self.cutoff_outer)
-
-    def config(self, n=None) -> PcConfig:
-        return PcConfig(self.cosmological_constant, self.grid(n),
-                        self.radius_mode)
 
     def echo(self) -> dict:
         return {
@@ -282,13 +279,11 @@ def load_scenario(path, **overrides) -> Scenario:
 # Test form
 # ---------------------------------------------------------------------------
 
-def standard_test_form(grid: Grid4, cutoff: CutoffFunction, generator,
-                       mode: str) -> EquivariantTestForm:
+def standard_test_form(grid: Grid4, cutoff: CutoffFunction) -> F.FormField:
     """Cutoff profile on every coordinate 2-plane: a maximally generic
-    test form whose support is exactly the cutoff's."""
-    ups = cutoff.on_grid(grid, mode)
-    alpha = F.scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
-    return EquivariantTestForm(alpha, generator)
+    scalar test 2-form whose support is exactly the cutoff's."""
+    ups = cutoff.on_grid(grid)
+    return F.scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def _on(field, where):
                                data=restrict(field.data, where))
 
 
-def _generator_norms(e, gens, cutoff, cfg: PcConfig):
+def _generator_norms(e, gens, cutoff):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
     The derivative set and the test form do not depend on the generator,
@@ -407,34 +402,30 @@ def _generator_norms(e, gens, cutoff, cfg: PcConfig):
     if any is.  Everything is dropped on return, before the field equations
     of the same N.
     """
-    alpha = standard_test_form(e.grid, cutoff, gens[0], cfg.radius_mode).alpha
+    alpha = standard_test_form(e.grid, cutoff)
     derivatives = axis_derivatives(e.data, e.grid, gens)
-    region = cfg.region_kwargs()
     sym, extra = [], []
     for gen in gens:
         # never None: a pure translation borrows REFERENCE_PLANE
-        factor = coupling_factor(EquivariantTestForm(alpha, gen), cutoff, cfg)
+        factor = coupling_factor(EquivariantTestForm(alpha, gen), cutoff)
         live = F.live_components(factor.data)
         norms = []
         for where in t_windows(e.data, gen, e.grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
             term = F.wedge(residual, _on(factor, where), b_live=live)
-            norms.append((residual.region_norm(**region),
-                          term.region_norm(**region)))
+            norms.append((residual.region_norm(), term.region_norm()))
         snorm, enorm = np.max(norms, axis=0)
         sym.append(float(snorm))
         extra.append(float(enorm))
     return sym, extra
 
 
-def _killing_norms(scenario: Scenario, metric, gens) -> dict:
+def _killing_norms(metric, gens) -> dict:
     """Killing-residual norm of each generator, one derivative set shared;
     streamed over t slices as in :func:`_generator_norms`."""
     derivatives = axis_derivatives(metric.data, metric.grid, gens)
     return {gen.name: float(np.max([
-        killing_residual(_on(metric, where), gen, r=scenario.cutoff_inner,
-                         mode=scenario.radius_mode,
-                         derivatives=derivatives)[1]
+        killing_residual(_on(metric, where), gen, derivatives)[1]
         for where in t_windows(metric.data, gen, metric.grid)]))
         for gen in gens}
 
@@ -460,24 +451,23 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
                      | ({killing_n} if killing_n else set()))
     for n in every_n:
         grid = scenario.grid(n)
-        cfg = scenario.config(n)
         if n in gen_ns or n in eom_ns:
             e = chart.tetrad(grid)
         if n in gen_ns:
             raw["gen_spacings"].append(grid.spacing)
-            sym, extra = _generator_norms(e, gens, cutoff, cfg)
+            sym, extra = _generator_norms(e, gens, cutoff)
             for gen, snorm, enorm in zip(gens, sym, extra):
                 raw["sym"][gen.name].append(snorm)
                 raw["extra"][gen.name].append(enorm)
         if n in eom_ns:
             raw["eom_spacings"].append(grid.spacing)
             omega = chart.connection(grid)
-            _, tn = torsion_residual(e, omega, cfg)
+            _, tn = torsion_residual(e, omega)
             raw["torsion"].append(tn)
-            _, en = einstein_residual(e, omega, cfg)
+            _, en = einstein_residual(e, omega, scenario.cosmological_constant)
             raw["einstein"].append(en)
         if n == killing_n:
-            raw["killing"] = _killing_norms(scenario, chart.metric(grid), gens)
+            raw["killing"] = _killing_norms(chart.metric(grid), gens)
     return raw
 
 

@@ -11,7 +11,9 @@ The symmetry residual of a tetrad is
 
 the Lie derivative of the V-valued 1-form minus the internal Lorentz
 compensation.  Where it vanishes, xi is Killing for the tetrad metric,
-since internal so(3,1) rotations preserve eta.
+since internal so(3,1) rotations preserve eta.  Residual norms and the
+cutoff's profile on a grid read the excised ball and radius mode the grid
+carries.
 """
 
 from __future__ import annotations
@@ -102,15 +104,15 @@ class CutoffFunction:
                     / (self.outer - self.inner), 0.0, 1.0)
         return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
-    def on_grid(self, grid: Grid4, mode: str = "4d") -> np.ndarray:
-        """The profile at every node; cached per (grid, mode), read-only."""
-        return _profile_on_grid(self, grid, mode)
+    def on_grid(self, grid: Grid4) -> np.ndarray:
+        """The profile of the grid's radius at every node; cached per grid,
+        read-only."""
+        return _profile_on_grid(self, grid)
 
 
 @lru_cache(maxsize=8)
-def _profile_on_grid(cutoff: CutoffFunction, grid: Grid4,
-                     mode: str) -> np.ndarray:
-    ups = cutoff.profile(grid.radius(mode))
+def _profile_on_grid(cutoff: CutoffFunction, grid: Grid4) -> np.ndarray:
+    ups = cutoff.profile(grid.radius(grid.radius_mode))
     ups.setflags(write=False)
     return ups
 
@@ -258,9 +260,8 @@ def symmetry_residual(e: FormField, x: PoincareElement,
 
 
 def killing_residual(g: MetricField, x: PoincareElement,
-                     r: float = None, mode: str = "4d",
                      derivatives: AxisDerivatives = None):
-    """(L_xi g)_{mu nu} and its max-norm outside the excluded ball.
+    """(L_xi g)_{mu nu} and its max-norm outside the grid's excised ball.
 
     ``derivatives`` is ``axis_derivatives(g.data, g.grid, generators)``,
     shared by the generators of a sweep; it is built here when not given.
@@ -271,5 +272,5 @@ def killing_residual(g: MetricField, x: PoincareElement,
         out[mu] += value * g.data[lam]
     for lam, nu, value in entries:
         out[:, nu] += value * g.data[:, lam]
-    norm = region_max(out, g.grid, r, mode)
+    norm = region_max(out, g.grid)
     return out, norm

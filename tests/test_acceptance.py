@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from pcgrav import exact, fields as F
-from pcgrav.action import PcConfig, action_pc, einstein_residual, torsion_residual
+from pcgrav.action import action_pc, einstein_residual, torsion_residual
 from pcgrav.algebras import (abelian, poincare_dgla, so3,
                              vector_representation_so3)
 from pcgrav.geometry import (SchwarzschildIsotropic, minkowski_metric,
@@ -135,12 +135,11 @@ def test_criterion_3_flat_space_eoms():
     grid = Grid4(20.0, 33)
     e = minkowski_tetrad(grid)
     omega = F.zeros(grid, 1, 2)
-    cfg0 = PcConfig(0.0, grid)
-    assert action_pc(e, omega, cfg0) == 0.0
-    _, torsion = torsion_residual(e, omega, cfg0)
-    _, einstein = einstein_residual(e, omega, cfg0)
+    assert action_pc(e, omega, 0.0) == 0.0
+    _, torsion = torsion_residual(e, omega)
+    _, einstein = einstein_residual(e, omega, 0.0)
     assert torsion == 0.0 and einstein == 0.0
-    s1 = action_pc(e, omega, PcConfig(1.0, grid))
+    s1 = action_pc(e, omega, 1.0)
     expected = (2 * 20.0) ** 4
     assert s1 == pytest.approx(expected, rel=5e-3)
     record(3, f"flat residuals exactly 0; S(Lambda=1) = {s1:.6g} vs "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcgrav import fields as F
-from pcgrav.action import (EquivariantTestForm, PcConfig, action_pc,
+from pcgrav.action import (EquivariantTestForm, action_pc,
                            einstein_residual, equivariant_action,
                            extra_eom_term, torsion_residual)
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_tetrad
@@ -13,30 +13,35 @@ from pcgrav.scenarios import standard_test_form
 from pcgrav.symmetry import CutoffFunction, PoincareElement
 
 
-def flat_setup(n=9, half_width=2.0, lam=0.0, r=0.0):
-    grid = Grid4(half_width, n, inner_radius=r)
-    return (minkowski_tetrad(grid), F.zeros(grid, 1, 2),
-            PcConfig(lam, grid))
+def flat_setup(n=9, half_width=2.0):
+    grid = Grid4(half_width, n)
+    return minkowski_tetrad(grid), F.zeros(grid, 1, 2)
+
+
+def joined_form(grid, cutoff, name):
+    """The standard test 2-form on ``grid``, joined to generator ``name``."""
+    return EquivariantTestForm(standard_test_form(grid, cutoff),
+                               PoincareElement.from_name(name))
 
 
 def test_flat_action_and_residuals_vanish_exactly():
-    e, om, cfg = flat_setup()
-    assert action_pc(e, om, cfg) == 0.0
-    _, tn = torsion_residual(e, om, cfg)
-    _, en = einstein_residual(e, om, cfg)
+    e, om = flat_setup()
+    assert action_pc(e, om, 0.0) == 0.0
+    _, tn = torsion_residual(e, om)
+    _, en = einstein_residual(e, om, 0.0)
     assert tn == 0.0 and en == 0.0
 
 
 def test_flat_action_with_cosmological_constant_is_lambda_volume():
-    e, om, cfg = flat_setup(lam=0.7)
-    assert action_pc(e, om, cfg) == pytest.approx(0.7 * 4.0 ** 4, rel=1e-12)
+    e, om = flat_setup()
+    assert action_pc(e, om, 0.7) == pytest.approx(0.7 * 4.0 ** 4, rel=1e-12)
 
 
 def test_flat_einstein_residual_norm_with_lambda_is_grid_independent():
     norms = []
     for n in (9, 13):
-        e, om, cfg = flat_setup(n=n, lam=1.0)
-        _, en = einstein_residual(e, om, cfg)
+        e, om = flat_setup(n=n)
+        _, en = einstein_residual(e, om, 1.0)
         norms.append(en)
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
     assert norms[0] == norms[1]
@@ -48,7 +53,7 @@ def test_einstein_residual_linear_in_lambda():
     e, om = schw.tetrad(grid), schw.connection(grid)
     fields = {}
     for lam in (0.0, 0.3, 1.1, 1.4):
-        fields[lam], _ = einstein_residual(e, om, PcConfig(lam, grid))
+        fields[lam], _ = einstein_residual(e, om, lam)
     combo = (fields[0.3] + fields[1.1] - fields[1.4] - fields[0.0])
     assert combo.max_abs() <= 1e-12 * max(1.0, fields[1.4].max_abs())
 
@@ -63,7 +68,7 @@ def test_non_levi_civita_connection_has_nondecaying_torsion():
         data = np.zeros((4, 6) + grid.shape)
         data[2, :] = vec[:, None, None, None, None]
         om = F.FormField(grid, 1, 2, data)
-        _, tn = torsion_residual(e, om, PcConfig(0.0, grid))
+        _, tn = torsion_residual(e, om)
         norms.append(tn)
     assert norms[0] == pytest.approx(norms[1], rel=1e-12)
     assert norms[0] > 0.1
@@ -73,38 +78,33 @@ def test_equivariant_action_reduces_to_base_when_residual_vanishes():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     e = minkowski_tetrad(grid)
     om = F.zeros(grid, 1, 2)
-    cfg = PcConfig(0.0, grid)
     cutoff = CutoffFunction(1.0, 2.5)
     for name in ("P1", "K2", "L3"):
-        t = standard_test_form(grid, cutoff, PoincareElement.from_name(name),
-                               "4d")
-        assert equivariant_action(e, om, t, cutoff, cfg) == \
-            action_pc(e, om, cfg)
+        t = joined_form(grid, cutoff, name)
+        assert equivariant_action(e, om, t, cutoff, 0.0) == \
+            action_pc(e, om, 0.0)
 
 
 def test_equivariant_action_reduces_to_base_for_zero_test_form():
-    grid = Grid4(4.0, 9, inner_radius=1.0)
+    grid = Grid4(4.0, 9, inner_radius=1.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.4, core_radius=0.5)
     e, om = schw.tetrad(grid), schw.connection(grid)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(1.0, 2.5)
     alpha = F.zeros(grid, 2, 0)
     t = EquivariantTestForm(alpha, PoincareElement.from_name("K1"))
-    assert equivariant_action(e, om, t, cutoff, cfg) == action_pc(e, om, cfg)
+    assert equivariant_action(e, om, t, cutoff, 0.0) == action_pc(e, om, 0.0)
 
 
 def test_equivariant_action_splits_into_base_plus_coupling():
     from pcgrav.action import equivariant_coupling
-    grid = Grid4(8.0, 13, inner_radius=2.0)
+    grid = Grid4(8.0, 13, inner_radius=2.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e, om = schw.tetrad(grid), schw.connection(grid)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
-    t = standard_test_form(grid, cutoff, PoincareElement.from_name("K2"),
-                           "spatial")
-    total = equivariant_action(e, om, t, cutoff, cfg)
-    base = action_pc(e, om, cfg)
-    coupling = equivariant_coupling(e, t, cutoff, cfg)
+    t = joined_form(grid, cutoff, "K2")
+    total = equivariant_action(e, om, t, cutoff, 0.0)
+    base = action_pc(e, om, 0.0)
+    coupling = equivariant_coupling(e, t, cutoff)
     assert coupling != 0.0
     assert total == pytest.approx(base + coupling, abs=1e-12 * abs(total))
 
@@ -115,14 +115,12 @@ def test_equivariant_coupling_for_boost_is_stable_regression():
     from pcgrav.action import equivariant_coupling
     values = {}
     for n in (25, 33):
-        grid = Grid4(20.0, n, inner_radius=4.0)
+        grid = Grid4(20.0, n, inner_radius=4.0, radius_mode="spatial")
         schw = SchwarzschildIsotropic(1.0)
         e = schw.tetrad(grid)
-        cfg = PcConfig(0.0, grid, radius_mode="spatial")
         cutoff = CutoffFunction(4.0, 8.0)
-        t = standard_test_form(grid, cutoff, PoincareElement.from_name("K1"),
-                               "spatial")
-        values[n] = equivariant_coupling(e, t, cutoff, cfg)
+        t = joined_form(grid, cutoff, "K1")
+        values[n] = equivariant_coupling(e, t, cutoff)
     assert values[33] != 0.0
     assert values[25] == pytest.approx(values[33], rel=2e-3)
     assert values[33] == pytest.approx(2847.976, rel=1e-3)
@@ -131,27 +129,23 @@ def test_equivariant_coupling_for_boost_is_stable_regression():
 def test_extra_eom_term_vanishes_on_flat_space():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     e = minkowski_tetrad(grid)
-    cfg = PcConfig(0.0, grid)
     cutoff = CutoffFunction(1.0, 2.5)
     for name in ("P1", "K2", "L3"):
-        t = standard_test_form(grid, cutoff, PoincareElement.from_name(name),
-                               "4d")
-        term, norm = extra_eom_term(e, t, cutoff, cfg)
+        t = joined_form(grid, cutoff, name)
+        term, norm = extra_eom_term(e, t, cutoff)
         assert norm <= 1e-14
 
 
 def test_extra_eom_term_bound_by_symmetry_residual():
     from pcgrav.symmetry import symmetry_residual
-    grid = Grid4(8.0, 13, inner_radius=2.0)
+    grid = Grid4(8.0, 13, inner_radius=2.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e = schw.tetrad(grid)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
-    gen = PoincareElement.from_name("K1")
-    t = standard_test_form(grid, cutoff, gen, "spatial")
-    term, norm = extra_eom_term(e, t, cutoff, cfg)
-    residual_norm = symmetry_residual(e, gen).region_norm(
-        r=2.0, mode="spatial")
+    t = joined_form(grid, cutoff, "K1")
+    gen = t.generator
+    term, norm = extra_eom_term(e, t, cutoff)
+    residual_norm = symmetry_residual(e, gen).region_norm()
     alpha_max = t.alpha.max_abs()
     plane_max = np.abs(gen.rotation_pair_components).max()
     assert norm > 0.0
@@ -159,28 +153,22 @@ def test_extra_eom_term_bound_by_symmetry_residual():
 
 
 def test_extra_eom_term_translation_fallback_and_strict_mode():
-    grid = Grid4(8.0, 13, inner_radius=2.0)
+    grid = Grid4(8.0, 13, inner_radius=2.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e = schw.tetrad(grid)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
     cutoff = CutoffFunction(2.0, 4.0)
-    t = standard_test_form(grid, cutoff, PoincareElement.from_name("P1"),
-                           "spatial")
-    _, strict_norm = extra_eom_term(e, t, cutoff, cfg, strict=True)
+    t = joined_form(grid, cutoff, "P1")
+    _, strict_norm = extra_eom_term(e, t, cutoff, strict=True)
     assert strict_norm == 0.0  # literal coupling: zero Lorentz part
-    _, norm = extra_eom_term(e, t, cutoff, cfg)
+    _, norm = extra_eom_term(e, t, cutoff)
     assert norm > 1e-4  # reference plane keeps the diagnostic informative
 
 
 def test_test_form_support_is_enforced():
     grid = Grid4(4.0, 9, inner_radius=1.0)
-    e = minkowski_tetrad(grid)
-    cfg = PcConfig(0.0, grid)
-    cutoff = CutoffFunction(1.0, 2.5)
     alpha = F.scalar_form(grid, 2, {(0, 1): np.ones(grid.shape)})
-    t = EquivariantTestForm(alpha, PoincareElement.from_name("L3"))
     with pytest.raises(ValueError, match="vanish"):
-        extra_eom_term(e, t, cutoff, cfg)
+        EquivariantTestForm(alpha, PoincareElement.from_name("L3"))
 
 
 def test_test_form_degree_is_enforced():
@@ -193,14 +181,13 @@ def test_test_form_degree_is_enforced():
 def test_on_shell_action_restricted_to_region_is_small():
     # where both residuals are below tau, the Lambda = 0 action restricted
     # to the region is bounded by 4 tau vol(U)
-    grid = Grid4(20.0, 17, inner_radius=4.0)
+    grid = Grid4(20.0, 17, inner_radius=4.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(1.0)
     e, om = schw.tetrad(grid), schw.connection(grid)
-    cfg = PcConfig(0.0, grid, radius_mode="spatial")
-    _, tn = torsion_residual(e, om, cfg)
-    _, en = einstein_residual(e, om, cfg)
+    _, tn = torsion_residual(e, om)
+    _, en = einstein_residual(e, om, 0.0)
     tau = max(tn, en)
-    region = grid.region_mask(mode="spatial") & grid.interior_mask()
+    region = grid.region_mask() & grid.interior_mask()
     integrand = F.trace4(0.5 * F.wedge(F.wedge(e, e), F.curvature(om)))
     restricted = F.integrate(integrand, region=region)
     ones = F.FormField(grid, 4, 0, np.ones((1, 1) + grid.shape))
@@ -212,5 +199,4 @@ def test_degenerate_tetrad_rejected_by_action():
     grid = Grid4(2.0, 9)
     data = np.zeros((4, 4) + grid.shape)
     with pytest.raises(F.DegenerateTetradError):
-        action_pc(F.FormField(grid, 1, 1, data), F.zeros(grid, 1, 2),
-                  PcConfig(0.0, grid))
+        action_pc(F.FormField(grid, 1, 1, data), F.zeros(grid, 1, 2), 0.0)

@@ -499,9 +499,20 @@ def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
         c=True)),
     ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
         c="1/0")),
+    # a misspelt key would read as a missing one: brackets as none at all
+    ("brakets", lambda d: d.update(brakets=d.pop("brackets"))),
+    ("basis[0].lable", lambda d: d["basis"][0].update(
+        lable=d["basis"][0].pop("label"))),
+    ("brackets[1].jj", lambda d: d["brackets"][1].update(jj="L1")),
+    ("brackets[0].out[0].coefficient",
+     lambda d: d["brackets"][0]["out"][0].update(coefficient="1")),
+    ("differential[0].j", lambda d: d.update(
+        differential=[{"i": "L1", "out": [], "j": "L2"}])),
 ], ids=["label-list", "degree-1e400", "brackets-null", "bracket-null",
         "degree-fraction", "degree-true", "label-repeated",
-        "coefficient-true", "coefficient-zero-denominator"])
+        "coefficient-true", "coefficient-zero-denominator",
+        "brackets-misspelt", "label-misspelt", "bracket-unknown-key",
+        "coefficient-unknown-key", "differential-unknown-key"])
 def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,
                                                    mutate):
     doc = json.loads((SCENARIOS / "so3.json").read_text())
@@ -515,6 +526,26 @@ def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"error: {path}: " in captured.err
+
+
+@pytest.mark.parametrize("message, mutate", [
+    ("action[0].rowz: unknown key; known: x, rows",
+     lambda d: d["action"][0].update(rowz=d["action"][0].pop("rows"))),
+    ("basis: unknown key; known: action", lambda d: d.update(basis=[])),
+    ("action[1].rows[0].outs: unknown key; known: i, out",
+     lambda d: d["action"][1]["rows"][0].update(outs=[])),
+], ids=["rows-misspelt", "document-unknown-key", "row-unknown-key"])
+def test_malformed_action_exits_2_naming_the_path(tmp_path, capsys, message,
+                                                  mutate):
+    doc = json.loads((SCENARIOS / "so3_vector_action.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "action.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["algebra", "action", str(SCENARIOS / "so3.json"),
+                 str(SCENARIOS / "r3.json"), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 BAD_VALUES = [None, "x", -1, 0, 1e400, NAN, [], {}, True, [None], 2.5]

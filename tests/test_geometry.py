@@ -84,9 +84,9 @@ def test_closed_form_connection_has_small_covariant_torsion():
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     norms = []
     for n in (13, 17, 25):
-        grid = Grid4(6.0, n, inner_radius=2.0)
+        grid = Grid4(6.0, n, inner_radius=2.0, radius_mode="spatial")
         torsion = F.cov_d(schw.connection(grid), schw.tetrad(grid))
-        norms.append(torsion.region_norm(mode="spatial"))
+        norms.append(torsion.region_norm())
     hs = [12.0 / (n - 1) for n in (13, 17, 25)]
     slope = np.polyfit(np.log(hs), np.log(norms), 1)[0]
     assert slope >= 1.7, (norms, slope)

@@ -25,6 +25,10 @@ def test_grid_validation():
         Grid4(1.0, 3)
     with pytest.raises(ValueError):
         Grid4(-1.0, 9)
+    with pytest.raises(ValueError, match="radius mode"):
+        Grid4(1.0, 9, 0.5, "3d")
+    with pytest.raises(ValueError, match="radius mode"):
+        Grid4(1.0, 9).radius("3d")
 
 
 def test_stencils_exact_on_quadratics_everywhere():
@@ -185,7 +189,7 @@ def test_region_masks():
     assert not mask[4, 4, 4, 4]          # origin inside the ball
     assert mask[0, 0, 0, 0]              # corner outside
     # t-axis node: outside the 4d ball but inside the spatial one
-    spatial = g.region_mask(mode="spatial")
+    spatial = Grid4(2.0, 9, 1.0, "spatial").region_mask()
     assert mask[0, 4, 4, 4] and not spatial[0, 4, 4, 4]
     inner = g.interior_mask()
     assert not inner[1, 4, 4, 4] and inner[2, 4, 4, 4]
@@ -227,7 +231,7 @@ def test_region_max_propagates_a_nan_in_any_component(component):
 
 @pytest.mark.parametrize("mode", ["4d", "spatial"])
 def test_region_max_on_windows_reads_rows_of_the_grid_mask(mode):
-    g = Grid4(2.0, 9, inner_radius=1.2)
+    g = Grid4(2.0, 9, inner_radius=1.2, radius_mode=mode)
     rng = np.random.default_rng(5)
     values = rng.random((2,) + g.shape)
     static = values[:, :1]
@@ -238,11 +242,11 @@ def test_region_max_on_windows_reads_rows_of_the_grid_mask(mode):
         assert piece.shape == (2,) + w.shape
         mask = ((g.radius(mode) > 1.2) & g.interior_mask())[t0:t1]
         want = float(piece[:, mask].max()) if mask.any() else 0.0
-        assert region_max(piece, w, mode=mode) == want
+        assert region_max(piece, w) == want
         # a static field on a window: the max over its rows' nodes
         want = float(np.broadcast_to(static, piece.shape)[:, mask].max()
                      ) if mask.any() else 0.0
-        assert region_max(static, w, mode=mode) == want
+        assert region_max(static, w) == want
     assert np.array_equal(g.window(3, 5).coordinate(0),
                           g.coordinate(0)[3:5])
     assert np.array_equal(g.window(3, 5).coordinate(2), g.coordinate(2))
@@ -253,14 +257,14 @@ def test_region_max_warns_on_an_empty_window_only_if_the_region_is_empty():
     # the 4d ball holds every interior node of the middle t slice, not of
     # the slices at t = +-4; the spatial one holds every interior node
     g = Grid4(8.0, 9, inner_radius=7.0)
+    spatial = Grid4(8.0, 9, inner_radius=7.0, radius_mode="spatial")
     values = np.ones(g.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert region_max(values[4:5], g.window(4, 5), mode="4d") == 0.0
-        assert region_max(values[2:3], g.window(2, 3), mode="4d") == 1.0
+        assert region_max(values[4:5], g.window(4, 5)) == 0.0
+        assert region_max(values[2:3], g.window(2, 3)) == 1.0
     with pytest.warns(UserWarning, match="norm region is empty"):
-        assert region_max(values[2:3], g.window(2, 3),
-                          mode="spatial") == 0.0
+        assert region_max(values[2:3], spatial.window(2, 3)) == 0.0
 
 
 def test_region_max_mask_cache_matches_a_fresh_mask():
@@ -269,20 +273,21 @@ def test_region_max_mask_cache_matches_a_fresh_mask():
     rng = np.random.default_rng(3)
     # largest near the centre, so each region has its own maximum
     values = np.exp(-g.radius("4d")) * (1.0 + 0.1 * rng.random((3,) + g.shape))
-    keys = [(0.7, "4d"), (1.2, "spatial")]
+    # grids equal but for their balls: each must get its own mask
+    grids = [Grid4(2.0, 9, 0.7, "4d"), Grid4(2.0, 9, 1.2, "spatial")]
 
-    def fresh(r, mode):
-        mask = (g.radius(mode) > r) & g.interior_mask()
+    def fresh(grid):
+        mask = ((grid.radius(grid.radius_mode) > grid.inner_radius)
+                & grid.interior_mask())
         return float(np.abs(values)[:, mask].max())
 
-    assert fresh(*keys[0]) != fresh(*keys[1])
-    for order in (keys, keys[::-1]):
+    assert fresh(grids[0]) != fresh(grids[1])
+    for order in (grids, grids[::-1]):
         _region_mask.cache_clear()
         _norm_mask.cache_clear()
-        for r, mode in order + order:      # the second pass reads the cache
-            assert region_max(values, g, r, mode) == fresh(r, mode)
-    for r, mode in keys:
-        for cached in (g.region_mask(r, mode),
-                       _norm_mask(g, r, mode, g.shape)):
+        for grid in order + order:      # the second pass reads the cache
+            assert region_max(values, grid) == fresh(grid)
+    for grid in grids:
+        for cached in (grid.region_mask(), _norm_mask(grid, grid.shape)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0, 0, 0] = True

@@ -8,7 +8,7 @@ import pytest
 
 import pcgrav.grid as grid_module
 import pcgrav.symmetry as symmetry
-from pcgrav.action import (EquivariantTestForm, PcConfig, einstein_residual,
+from pcgrav.action import (EquivariantTestForm, einstein_residual,
                            extra_eom_term, torsion_residual)
 from pcgrav.fields import FormField, MetricField, metric_from_tetrad
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
@@ -46,25 +46,21 @@ class DenseChart:
         return dense(self.chart.metric(grid))
 
 
-def residual_fields(e, omega, g, cfg, cutoff):
+def residual_fields(e, omega, g, cutoff):
     """(name, residual array, norm) of every residual the sweep norms."""
-    region = cfg.region_kwargs()
     out = []
     for label, (residual, norm) in (
-            ("torsion", torsion_residual(e, omega, cfg)),
-            ("einstein", einstein_residual(e, omega, cfg))):
+            ("torsion", torsion_residual(e, omega)),
+            ("einstein", einstein_residual(e, omega, 0.0))):
         out.append((label, residual.data, norm))
-    gens = poincare_generators()
-    alpha = standard_test_form(cfg.grid, cutoff, gens[0],
-                               cfg.radius_mode).alpha
-    for gen in gens:
+    alpha = standard_test_form(e.grid, cutoff)
+    for gen in poincare_generators():
         xe = symmetry_residual(e, gen)
-        out.append((f"symmetry {gen.name}", xe.data,
-                    xe.region_norm(**region)))
+        out.append((f"symmetry {gen.name}", xe.data, xe.region_norm()))
         term, norm = extra_eom_term(e, EquivariantTestForm(alpha, gen),
-                                    cutoff, cfg, residual=xe)
+                                    cutoff)
         out.append((f"coupling {gen.name}", term.data, norm))
-        lg, norm = killing_residual(g, gen, **region)
+        lg, norm = killing_residual(g, gen)
         out.append((f"killing {gen.name}", lg, norm))
     return out
 
@@ -72,16 +68,15 @@ def residual_fields(e, omega, g, cfg, cutoff):
 @pytest.mark.parametrize("geometry", sorted(CHARTS))
 def test_static_norms_match_dense_copies(geometry):
     chart = CHARTS[geometry]
-    grid = Grid4(8.0, 9, inner_radius=3.0)
-    cfg = PcConfig(0.0, grid, "spatial")
+    grid = Grid4(8.0, 9, inner_radius=3.0, radius_mode="spatial")
     cutoff = CutoffFunction(3.0, 5.0)
     e, omega = chart.tetrad(grid), chart.connection(grid)
     g = chart.metric(grid)
     for field in (e, omega, g):
         assert field.data.shape[2] == 1
     scale = max(float(np.abs(f.data).max()) for f in (e, omega, g))
-    static = residual_fields(e, omega, g, cfg, cutoff)
-    full = residual_fields(dense(e), dense(omega), dense(g), cfg, cutoff)
+    static = residual_fields(e, omega, g, cutoff)
+    full = residual_fields(dense(e), dense(omega), dense(g), cutoff)
     for (label, _, norm), (_, _, dense_norm) in zip(static, full):
         assert abs(norm - dense_norm) <= 1e-14 * scale, label
         if geometry == "minkowski":
@@ -184,16 +179,15 @@ def test_streamed_norms_equal_whole_grid_norms(monkeypatch, n, mode, nan):
         "cutoff": {"r": 3.0, "R": 12.0}, "radius_mode": mode,
         "radii": [4.0, 5.0]})
     raw = _sweep(sc, "minkowski", gen_ns=(n,), killing_n=n)
-    grid, cfg, cutoff = sc.grid(n), sc.config(n), sc.cutoff()
-    region = cfg.region_kwargs()
+    grid, cutoff = sc.grid(n), sc.cutoff()
     e, g = chart.tetrad(grid), chart.metric(grid)
+    alpha = standard_test_form(grid, cutoff)
     streamed = []
     for gen in poincare_generators():
         xe = symmetry_residual(e, gen)
-        form = standard_test_form(grid, cutoff, gen, mode)
-        whole = [xe.region_norm(**region),
-                 extra_eom_term(e, form, cutoff, cfg, residual=xe)[1],
-                 killing_residual(g, gen, **region)[1]]
+        form = EquivariantTestForm(alpha, gen)
+        whole = [xe.region_norm(), extra_eom_term(e, form, cutoff)[1],
+                 killing_residual(g, gen)[1]]
         got = [raw["sym"][gen.name][0], raw["extra"][gen.name][0],
                raw["killing"][gen.name]]
         assert np.array_equal(got, whole, equal_nan=True), (gen.name, got,

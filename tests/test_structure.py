@@ -13,6 +13,10 @@ by keyword or by position; a call that unpacks ``*args`` or ``**kwargs``
 counts as setting everything.  Calls are matched by name alone, so the scan
 can miss a knob but does not flag one that is set.
 
+No public function or method of ``src/pcgrav`` takes the excised ball as
+a parameter (``r``, ``mode`` or a ``PcConfig``): the grid carries it, and
+only ``Grid4.radius`` names a mode.
+
 No module of ``src/pcgrav`` holds a ``global`` statement.
 """
 
@@ -46,14 +50,24 @@ def referenced_names():
     return names
 
 
-def public_methods():
+def public_functions():
+    """(module, qualified name, node, bound) of every public function and
+    every public method of a public class; ``bound`` is 1 where a caller
+    does not pass the first parameter (self or cls)."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node.name, node, 0
+            elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
-                        yield path.name, node.name, item.name
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield (path.name, f"{node.name}.{item.name}", item,
+                               0 if static else 1)
 
 
 def test_no_public_helper_goes_uncalled():
@@ -65,38 +79,22 @@ def test_no_public_helper_goes_uncalled():
 
 def test_no_public_method_goes_uncalled():
     used = referenced_names()
-    unused = [f"{module}:{cls}.{name}"
-              for module, cls, name in public_methods() if name not in used]
+    unused = [f"{module}:{name}"
+              for module, name, fn, _ in public_functions()
+              if "." in name and fn.name not in used]
     assert unused == []
 
 
 def defaulted_parameters():
     """(module, function, parameter, positional index or None) per default."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if getattr(node, "name", "_").startswith("_"):
-                continue
-            if isinstance(node, ast.FunctionDef):
-                functions = [(node, 0)]
-            elif isinstance(node, ast.ClassDef):
-                # positional index as seen by a caller: self or cls is bound
-                functions = [
-                    (item, 0 if any(getattr(d, "id", None) == "staticmethod"
-                                    for d in item.decorator_list) else 1)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and not item.name.startswith("_")]
-            else:
-                continue
-            for fn, bound in functions:
-                args = fn.args.posonlyargs + fn.args.args
-                first = len(args) - len(fn.args.defaults)
-                for n, arg in enumerate(args[first:], start=first):
-                    yield path.name, fn.name, arg.arg, n - bound
-                for arg, default in zip(fn.args.kwonlyargs,
-                                        fn.args.kw_defaults):
-                    if default is not None:
-                        yield path.name, fn.name, arg.arg, None
+    for module, _, fn, bound in public_functions():
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for n, arg in enumerate(args[first:], start=first):
+            yield module, fn.name, arg.arg, n - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield module, fn.name, arg.arg, None
 
 
 def calls_by_name():
@@ -123,6 +121,19 @@ def test_no_defaulted_parameter_goes_unset():
                         or (index is not None and positional > index)
                         for positional, keywords, unpacks in calls[function])]
     assert unset == []
+
+
+def test_the_grid_alone_carries_the_excised_ball():
+    # a norm region, cutoff profile or support check reads the ball from
+    # the grid of its fields; only the radius itself names a mode
+    stray = []
+    for module, name, fn, _ in public_functions():
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+            annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+            if ((arg.arg in ("r", "mode") and name != "Grid4.radius")
+                    or "PcConfig" in annotation):
+                stray.append(f"{module}:{name}({arg.arg})")
+    assert stray == []
 
 
 def test_no_module_rebinds_global_state():

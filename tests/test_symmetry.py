@@ -89,8 +89,9 @@ def test_cutoff_plateaus_and_midpoint():
 def test_cutoff_on_grid_modes():
     # node i sits at x^mu = i - 8 on every axis
     c, grid = CutoffFunction(2.0, 6.0), Grid4(8.0, 17)
-    four = c.on_grid(grid, "4d")
-    spatial = np.broadcast_to(c.on_grid(grid, "spatial"), grid.shape)
+    four = c.on_grid(grid)
+    spatial = np.broadcast_to(
+        c.on_grid(Grid4(8.0, 17, radius_mode="spatial")), grid.shape)
     assert four[8, 9, 8, 8] == 0.0          # (0, 1, 0, 0)
     assert four[15, 9, 8, 8] > 0.99         # (7, 1, 0, 0): t counts
     assert spatial[15, 9, 8, 8] == 0.0      # t does not
@@ -147,7 +148,7 @@ def test_minkowski_killing_residuals_vanish():
 
 
 def schwarzschild_setup(n, half_width=6.0, mass=0.5, core=0.8, r=2.0):
-    grid = Grid4(half_width, n, inner_radius=r)
+    grid = Grid4(half_width, n, inner_radius=r, radius_mode="spatial")
     schw = SchwarzschildIsotropic(mass, core_radius=core)
     return grid, schw.tetrad(grid), schw.metric(grid)
 
@@ -158,7 +159,7 @@ def test_static_spherical_residuals_decay():
         norms = []
         for n in (13, 17, 25):
             grid, e, _ = schwarzschild_setup(n)
-            norms.append(symmetry_residual(e, gen).region_norm(mode="spatial"))
+            norms.append(symmetry_residual(e, gen).region_norm())
         if max(norms) < 1e-12:
             continue  # time translation is exact on the static chart
         hs = [12.0 / (n - 1) for n in (13, 17, 25)]
@@ -171,8 +172,7 @@ def test_time_translation_residual_is_roundoff_on_static_chart():
     grid, e, g = schwarzschild_setup(13)
     assert symmetry_residual(
         e, PoincareElement.from_name("P0")).max_abs() <= 1e-14
-    _, norm = killing_residual(g, PoincareElement.from_name("P0"),
-                               mode="spatial")
+    _, norm = killing_residual(g, PoincareElement.from_name("P0"))
     assert norm <= 1e-14
 
 
@@ -181,16 +181,14 @@ def test_spatial_translation_residual_does_not_decay():
     norms = []
     for n in (13, 25):
         grid, e, _ = schwarzschild_setup(n)
-        norms.append(symmetry_residual(e, gen).region_norm(mode="spatial"))
+        norms.append(symmetry_residual(e, gen).region_norm())
     assert norms[1] > 0.5 * norms[0] and norms[1] > 1e-3
 
 
 def test_killing_residuals_separate_rotations_from_boosts():
     grid, _, g = schwarzschild_setup(17)
-    _, rot = killing_residual(g, PoincareElement.from_name("L2"),
-                              mode="spatial")
-    _, boost = killing_residual(g, PoincareElement.from_name("K1"),
-                                mode="spatial")
+    _, rot = killing_residual(g, PoincareElement.from_name("L2"))
+    _, boost = killing_residual(g, PoincareElement.from_name("K1"))
     assert boost > 1e-2
     assert boost > 20.0 * rot
 
@@ -198,10 +196,9 @@ def test_killing_residuals_separate_rotations_from_boosts():
 def test_boost_killing_residual_stays_above_threshold():
     norms = []
     for n in (17, 25):
-        grid = Grid4(20.0, n, inner_radius=4.0)
+        grid = Grid4(20.0, n, inner_radius=4.0, radius_mode="spatial")
         g = SchwarzschildIsotropic(1.0).metric(grid)
-        _, norm = killing_residual(g, PoincareElement.from_name("K1"),
-                                   r=4.0, mode="spatial")
+        _, norm = killing_residual(g, PoincareElement.from_name("K1"))
         norms.append(norm)
     assert all(n > 1e-2 for n in norms)       # far above the pass scale
     assert norms[1] == pytest.approx(2.5001, rel=0.05)  # regression value
@@ -214,8 +211,8 @@ def test_pointwise_killing_bound_follows_symmetry_residual():
     for name in ("L3", "K1", "P1"):
         gen = PoincareElement.from_name(name)
         xe = symmetry_residual(e, gen)
-        lg, _ = killing_residual(g, gen, mode="spatial")
-        mask = grid.region_mask(mode="spatial") & grid.interior_mask()
+        lg, _ = killing_residual(g, gen)
+        mask = grid.region_mask() & grid.interior_mask()
         full = (4, 4) + grid.shape
         e_max = np.abs(np.broadcast_to(e.data, full)).reshape(
             (-1,) + grid.shape).max(axis=0)
@@ -275,9 +272,9 @@ def test_shared_derivatives_match_the_reference_exactly():
         assert np.array_equal(symmetry_residual(e, x).data, want)
         want = reference_killing_residual(g, x)
         for derivatives in (g_set, None):
-            got, norm = killing_residual(g, x, r=0.5, derivatives=derivatives)
+            got, norm = killing_residual(g, x, derivatives)
             assert np.array_equal(got, want), x.name
-            assert norm == region_max(want, grid, 0.5)
+            assert norm == region_max(want, grid)
 
 
 def test_shared_derivatives_match_the_reference_for_a_general_element():
