@@ -7,10 +7,9 @@ static-spherical four decay under refinement; the other six hit a floor:
 enforcing them would force the geometry flat.
 """
 
-from pcgrav.action import EquivariantTestForm, extra_eom_term
+from pcgrav.action import extra_eom_term, standard_test_form
 from pcgrav.geometry import SchwarzschildIsotropic
 from pcgrav.grid import Grid4
-from pcgrav.scenarios import standard_test_form
 from pcgrav.symmetry import CutoffFunction, PoincareElement, symmetry_residual
 
 NAMES = ("P0", "L1", "L2", "L3", "P1", "P2", "P3", "K1", "K2", "K3")
@@ -23,13 +22,12 @@ for n in (13, 17, 25):
     # the grid excises the spatial ball rho <= R_IN: every norm runs outside
     grid = Grid4(16.0, n, inner_radius=R_IN, radius_mode="spatial")
     cutoff = CutoffFunction(R_IN, R_OUT)
-    alpha = standard_test_form(grid, cutoff)
+    form = standard_test_form(grid, cutoff)
     e = chart.tetrad(grid)
     spacings.append(grid.spacing)
     for name in NAMES:
         gen = PoincareElement.from_name(name)
-        form = EquivariantTestForm(alpha, gen)
-        _, extra = extra_eom_term(e, form, cutoff)
+        _, extra = extra_eom_term(e, form, gen)
         table[name].append((symmetry_residual(e, gen).region_norm(), extra))
 
 print(f"symmetry residual | coupling term, outside rho = {R_IN} "

@@ -31,10 +31,11 @@ from .geometry import (SchwarzschildIsotropic,             # noqa: F401
                        minkowski_metric, minkowski_tetrad)
 from .action import (EquivariantTestForm, action_pc,       # noqa: F401
                      einstein_residual, equivariant_action,
-                     equivariant_coupling, extra_eom_term, torsion_residual)
+                     equivariant_coupling, extra_eom_term,
+                     standard_test_form, torsion_residual)
 from .symmetry import (CutoffFunction, PoincareElement,   # noqa: F401
                        generated_vector_field, killing_residual,
                        symmetry_residual)
-from .mass import (SphereQuadrature, adm_energy,           # noqa: F401
-                   komar_mass, positivity_check)
+from .mass import (adm_energy, komar_mass,                # noqa: F401
+                   positivity_check, sphere_quadrature)
 from .scenarios import Scenario, load_scenario, run_scenario  # noqa: F401

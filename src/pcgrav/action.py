@@ -18,34 +18,15 @@ and a test 2-form supported outside that ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conventions import LAMBDA_BASES
 from .fields import (FormField, check_nondegenerate, cov_d, curvature,
-                     integrate, trace4, wedge, zeros)
+                     integrate, scalar_form, trace4, wedge)
+from .grid import Grid4
 from .symmetry import CutoffFunction, PoincareElement, symmetry_residual
-
-
-@dataclass(frozen=True)
-class EquivariantTestForm:
-    """Scalar test 2-form supported outside the ball, with its generator.
-
-    The support condition is exact: alpha must vanish identically on the
-    closed ball its grid excises (multiply anything by the cutoff to
-    arrange it).
-    """
-
-    alpha: FormField
-    generator: PoincareElement
-
-    def __post_init__(self):
-        if self.alpha.degree != 2 or self.alpha.internal != 0:
-            raise ValueError("test form must be a scalar-valued 2-form")
-        outside = self.alpha.grid.region_mask()
-        # alpha and the mask broadcast against each other
-        if np.any((self.alpha.data != 0.0) & ~outside):
-            raise ValueError("test form must vanish on the excluded ball")
 
 
 def action_pc(e: FormField, omega: FormField, lam: float) -> float:
@@ -73,64 +54,81 @@ def einstein_residual(e: FormField, omega: FormField, lam: float):
     return residual, residual.region_norm()
 
 
-# a pure translation has no Lorentz part, so by default the coupling
-# borrows this fixed rotation plane to keep tracking X.e
+# a pure translation has no Lorentz part, so the coupling factor borrows
+# this fixed rotation plane to keep tracking X.e
 REFERENCE_PLANE = PoincareElement.from_name("L3").rotation_pair_components
 
 
-def coupling_factor(t: EquivariantTestForm, cutoff: CutoffFunction,
-                    strict: bool = False):
-    """The factor (Upsilon alpha) (x) X_R, a Lambda^2-valued 2-form, that
-    X.e is wedged with; None where X_R is zero.
+@dataclass(frozen=True)
+class EquivariantTestForm:
+    """Scalar test 2-form alpha supported outside the ball, localized by
+    the cutoff Upsilon.
 
-    A pure translation has no X_R: unless ``strict``, it borrows
-    ``REFERENCE_PLANE``.
+    The support condition is exact: alpha must vanish identically on the
+    closed ball its grid excises (multiply anything by the cutoff to
+    arrange it).  It is checked, and Upsilon alpha built, once per form.
     """
-    plane = t.generator.rotation_pair_components
-    if not np.any(plane != 0.0):
-        if strict:
-            return None
-        plane = REFERENCE_PLANE
-    grid = t.alpha.grid
-    scaled = t.alpha.data[:, 0] * cutoff.on_grid(grid)     # (6,) + grid
-    data = scaled[:, None] * plane[None, :, None, None, None, None]
-    return FormField(grid, 2, 2, data)
+
+    alpha: FormField
+    cutoff: CutoffFunction
+    weighted: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.alpha.degree != 2 or self.alpha.internal != 0:
+            raise ValueError("test form must be a scalar-valued 2-form")
+        grid = self.alpha.grid
+        # alpha and the mask broadcast against each other
+        if np.any((self.alpha.data != 0.0) & ~grid.region_mask()):
+            raise ValueError("test form must vanish on the excluded ball")
+        object.__setattr__(self, "weighted",        # (6,) + grid
+                           self.alpha.data[:, 0] * self.cutoff.on_grid(grid))
+
+    def factor(self, generator: PoincareElement) -> FormField:
+        """The factor (Upsilon alpha) (x) X_R, a Lambda^2-valued 2-form,
+        that X.e is wedged with; a pure translation has no X_R and borrows
+        ``REFERENCE_PLANE``."""
+        plane = generator.rotation_pair_components
+        if not np.any(plane != 0.0):
+            plane = REFERENCE_PLANE
+        data = self.weighted[:, None] * plane[None, :, None, None, None, None]
+        return FormField(self.alpha.grid, 2, 2, data)
 
 
-def extra_eom_term(e: FormField, t: EquivariantTestForm,
-                   cutoff: CutoffFunction, strict: bool = False):
-    """(X.e) ^ (Upsilon alpha (x) X_R), with max-norm outside the ball.
+def standard_test_form(grid: Grid4,
+                       cutoff: CutoffFunction) -> EquivariantTestForm:
+    """Cutoff profile on every coordinate 2-plane: a maximally generic
+    test form whose support is exactly the cutoff's."""
+    ups = cutoff.on_grid(grid)
+    alpha = scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
+    return EquivariantTestForm(alpha, cutoff)
 
-    ``strict=True`` always uses the generator's own Lorentz part (giving the
-    zero field for pure translations); by default a pure translation falls
-    back to ``REFERENCE_PLANE`` (L3) so the diagnostic tracks X.e for every
-    generator.
-    """
-    factor = coupling_factor(t, cutoff, strict)
-    if factor is None:
-        term = zeros(e.grid, 3, 3)
-    else:
-        term = wedge(symmetry_residual(e, t.generator), factor)
+
+def extra_eom_term(e: FormField, form: EquivariantTestForm,
+                   generator: PoincareElement):
+    """(X.e) ^ (Upsilon alpha (x) X_R), with max-norm outside the ball; a
+    pure translation's uses ``REFERENCE_PLANE``, so the diagnostic tracks
+    X.e for every generator."""
+    term = wedge(symmetry_residual(e, generator), form.factor(generator))
     return term, term.region_norm()
 
 
-def equivariant_coupling(e: FormField, t: EquivariantTestForm,
-                         cutoff: CutoffFunction) -> float:
+def equivariant_coupling(e: FormField, form: EquivariantTestForm,
+                         generator: PoincareElement) -> float:
     """1/2 integral Tr[(X.e)^(X.e)^(Upsilon alpha (x) X_R)].
 
-    Uses the generator's own Lorentz part (no reference substitution), so
-    the coupling vanishes identically when X.e = 0, alpha = 0, or the
+    Uses the generator's own Lorentz part (no reference plane), so the
+    coupling vanishes identically when X.e = 0, alpha = 0, or the
     generator is a pure translation.
     """
-    factor = coupling_factor(t, cutoff, strict=True)
-    if factor is None:
+    if not np.any(generator.rotation_pair_components != 0.0):
         return 0.0
-    residual = symmetry_residual(e, t.generator)
-    return 0.5 * integrate(trace4(wedge(wedge(residual, residual), factor)))
+    residual = symmetry_residual(e, generator)
+    return 0.5 * integrate(trace4(wedge(wedge(residual, residual),
+                                        form.factor(generator))))
 
 
 def equivariant_action(e: FormField, omega: FormField,
-                       t: EquivariantTestForm, cutoff: CutoffFunction,
+                       form: EquivariantTestForm, generator: PoincareElement,
                        lam: float) -> float:
     """Base action plus the cutoff-localized equivariant coupling."""
-    return action_pc(e, omega, lam) + equivariant_coupling(e, t, cutoff)
+    return action_pc(e, omega, lam) + equivariant_coupling(e, form, generator)

@@ -32,17 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (EquivariantTestForm, action_pc, einstein_residual,
-                     extra_eom_term, torsion_residual)
+from .action import (action_pc, einstein_residual, extra_eom_term,
+                     standard_test_form, torsion_residual)
 from .algebras import (AlgebraFormatError, action_from_json, dgla_from_json)
 from .graded import StructureError, build_action_dgla, check_dgla, check_exactness
 from .grid import RADIUS_MODES
 from .mass import MassDomainError, adm_energy, komar_mass, positivity_check
 from .report import RunManifest, write_csv, write_report
 from .scenarios import (Scenario, ScenarioError, classify_sequence,
-                        eom_study, eom_verdict, fold_verdicts,
-                        generator_study, load_scenario, residual_csv_rows,
-                        run_scenario, standard_test_form)
+                        eom_verdict, fold_verdicts, load_scenario,
+                        residual_csv_rows, run_scenario, study)
 from .symmetry import PoincareElement
 
 USAGE_ERROR, FAIL, OK, INCONCLUSIVE = 2, 1, 0, 3
@@ -124,10 +123,9 @@ def cmd_pc(args) -> int:
     if args.pc_command == "eom":
         _, body["torsion_norm"] = torsion_residual(e, omega)
         _, body["einstein_norm"] = einstein_residual(e, omega, lam)
-        cutoff = scenario.cutoff()
+        form = standard_test_form(grid, scenario.cutoff())
         gen = PoincareElement.from_name(scenario.generators[0])
-        form = EquivariantTestForm(standard_test_form(grid, cutoff), gen)
-        _, body["extra_term_norm"] = extra_eom_term(e, form, cutoff)
+        _, body["extra_term_norm"] = extra_eom_term(e, form, gen)
         tol = scenario.thresholds["eom_abs_tol"]
         body["eom_abs_tol"] = tol
         verdict = ("pass" if max(body["torsion_norm"],
@@ -284,6 +282,12 @@ def cmd_convergence(args) -> int:
     if len(resolutions) < 3:
         print("convergence needs at least 3 resolutions", file=sys.stderr)
         return USAGE_ERROR
+    unknown = [q for q in quantities
+               if q not in ("torsion", "einstein", "leibniz")
+               and not q.startswith(("symmetry:", "extra:"))]
+    if unknown:
+        print(f"unknown quantity {unknown[0]!r}", file=sys.stderr)
+        return USAGE_ERROR
     body = {"scenario": scenario.echo(), "resolutions": list(resolutions),
             "quantities": {}}
     # the echo keeps the document's generators; the requested ones that it
@@ -294,32 +298,27 @@ def cmd_convergence(args) -> int:
     if extra_names:
         scenario = _load(args, generators=[*scenario.generators,
                                            *dict.fromkeys(extra_names)])
-    eom = None
-    gen_study = None
+    # one sweep builds each field once for every quantity that reads it
+    eom_ns = resolutions if {"torsion", "einstein"} & {*quantities} else ()
+    gen_ns = resolutions if requested else ()
+    sections = (study(scenario, scenario.geometry, gen_ns, eom_ns)
+                if eom_ns or gen_ns else {})
     for quantity in quantities:
         if quantity in ("torsion", "einstein"):
-            if eom is None:
-                eom = eom_study(scenario, scenario.geometry, resolutions)
-            entry = eom[quantity]
+            entry = sections["eom"][quantity]
         elif quantity == "leibniz":
             norms, spacings = leibniz_residual_norms(scenario, resolutions,
                                                      args.threads)
             entry = classify_sequence(norms, spacings, scenario.thresholds,
                                       resolutions)
             eom_verdict(entry)
-        elif quantity.startswith(("symmetry:", "extra:")):
-            if gen_study is None:
-                gen_study = generator_study(scenario, scenario.geometry,
-                                            resolutions)
+        else:
             family, name = quantity.split(":", 1)
             key = ("symmetry_residuals" if family == "symmetry"
                    else "extra_eom_terms")
             # a convergence run verdicts decay alone, not family thresholds
-            entry = dict(gen_study[key][name])
+            entry = dict(sections["generators"][key][name])
             eom_verdict(entry)
-        else:
-            print(f"unknown quantity {quantity!r}", file=sys.stderr)
-            return USAGE_ERROR
         # non-monotone decaying sequences are not trustworthy: flag them
         norms = entry["norms"]
         if (entry["kind"] not in ("exact", "non-decaying", "non-finite")

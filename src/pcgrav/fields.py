@@ -332,9 +332,8 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
 
 
 def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
-    """Forms-dgla bracket: spacetime wedge with the so(3,1) commutator."""
-    if a.internal != 2 or b.internal != 2:
-        raise FormFieldError("forms-dgla bracket needs Lambda^2 values")
+    """Forms-dgla bracket: spacetime wedge with the so(3,1) commutator;
+    both operands take Lambda^2 values."""
     return wedge(a, b, rule="bracket")
 
 

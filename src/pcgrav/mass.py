@@ -22,7 +22,7 @@ parameter exactly in the continuum, at every radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,29 +46,20 @@ STATIONARITY_TOL = 1e-8       # Komar: Killing residual / max(1, max|g|)
 # Sphere quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Gauss-Legendre x uniform-azimuth product rule on a coordinate sphere.
+def sphere_quadrature():
+    """Gauss-Legendre x uniform-azimuth product rule on the unit sphere:
+    (directions, cos theta, phi, weights) per node.
 
     Exact for spherical harmonics up to degree min(2 N_THETA - 1,
-    N_PHI - 1); unit weights sum to 4 pi, area weights to 4 pi rho^2.
+    N_PHI - 1); the weights sum to 4 pi.
     """
-
-    radius: float
-
-    def nodes_and_weights(self):
-        c, w = np.polynomial.legendre.leggauss(N_THETA)
-        phi = 2.0 * np.pi * np.arange(N_PHI) / N_PHI
-        cc, pp = np.meshgrid(c, phi, indexing="ij")
-        ww = np.repeat(w[:, None], N_PHI, axis=1) * (2.0 * np.pi / N_PHI)
-        s = np.sqrt(1.0 - cc ** 2)
-        direction = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
-        return direction.reshape(-1, 3), cc.reshape(-1), pp.reshape(-1), ww.reshape(-1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Area weights on the sphere of this radius (sum 4 pi rho^2)."""
-        return self.nodes_and_weights()[3] * self.radius ** 2
+    c, w = np.polynomial.legendre.leggauss(N_THETA)
+    phi = 2.0 * np.pi * np.arange(N_PHI) / N_PHI
+    cc, pp = np.meshgrid(c, phi, indexing="ij")
+    ww = np.repeat(w[:, None], N_PHI, axis=1) * (2.0 * np.pi / N_PHI)
+    s = np.sqrt(1.0 - cc ** 2)
+    direction = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
+    return direction.reshape(-1, 3), cc.reshape(-1), pp.reshape(-1), ww.reshape(-1)
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -187,7 +178,7 @@ def _spheres(grid: Grid4, radii):
         raise ValueError("need at least one radius")
     if radii[-1] >= grid.half_width - grid.spacing:
         raise ValueError("largest radius too close to the box boundary")
-    return radii, SphereQuadrature(radii[-1]).nodes_and_weights()
+    return radii, sphere_quadrature()
 
 
 def _surface_integrals(quantity: str, radii, weighted_integrand,

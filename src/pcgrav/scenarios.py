@@ -42,9 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (EquivariantTestForm, coupling_factor,
-                     einstein_residual, torsion_residual)
-from .conventions import GENERATOR_ALIASES, LAMBDA_BASES, POINCARE_NAMES
+from .action import einstein_residual, standard_test_form, torsion_residual
+from .conventions import GENERATOR_ALIASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import RADIUS_MODES, Grid4, restrict
 from .mass import (MassDomainError, adm_energy, komar_mass,
@@ -276,17 +275,6 @@ def load_scenario(path, **overrides) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Test form
-# ---------------------------------------------------------------------------
-
-def standard_test_form(grid: Grid4, cutoff: CutoffFunction) -> F.FormField:
-    """Cutoff profile on every coordinate 2-plane: a maximally generic
-    scalar test 2-form whose support is exactly the cutoff's."""
-    ups = cutoff.on_grid(grid)
-    return F.scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
-
-
-# ---------------------------------------------------------------------------
 # Sequence classification and verdicts
 # ---------------------------------------------------------------------------
 
@@ -391,23 +379,21 @@ def _on(field, where):
                                data=restrict(field.data, where))
 
 
-def _generator_norms(e, gens, cutoff):
+def _generator_norms(e, gens, form):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
-    The derivative set and the test form do not depend on the generator,
-    so they are built once, and the coupling factor (Upsilon alpha) (x) X_R
-    and its live components once per generator.  A residual that depends
-    on t while e does not (a boost's) is evaluated one interior t slice at
-    a time (``t_windows``), and each norm is the max over the slices, NaN
-    if any is.  Everything is dropped on return, before the field equations
-    of the same N.
+    The derivative set and the test ``form`` do not depend on the
+    generator, so they are built once per N, and the coupling factor
+    (Upsilon alpha) (x) X_R and its live components once per generator.
+    A residual that depends on t while e does not (a boost's) is evaluated
+    one interior t slice at a time (``t_windows``), and each norm is the
+    max over the slices, NaN if any is.  Everything, the form too, is
+    dropped on return, before the field equations of the same N.
     """
-    alpha = standard_test_form(e.grid, cutoff)
     derivatives = axis_derivatives(e.data, e.grid, gens)
     sym, extra = [], []
     for gen in gens:
-        # never None: a pure translation borrows REFERENCE_PLANE
-        factor = coupling_factor(EquivariantTestForm(alpha, gen), cutoff)
+        factor = form.factor(gen)
         live = F.live_components(factor.data)
         norms = []
         for where in t_windows(e.data, gen, e.grid):
@@ -455,7 +441,8 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
             e = chart.tetrad(grid)
         if n in gen_ns:
             raw["gen_spacings"].append(grid.spacing)
-            sym, extra = _generator_norms(e, gens, cutoff)
+            sym, extra = _generator_norms(e, gens,
+                                          standard_test_form(grid, cutoff))
             for gen, snorm, enorm in zip(gens, sym, extra):
                 raw["sym"][gen.name].append(snorm)
                 raw["extra"][gen.name].append(enorm)
@@ -506,15 +493,20 @@ def _eom_section(scenario, raw, resolutions) -> dict:
     return out
 
 
-def generator_study(scenario: Scenario, geometry: str, resolutions) -> dict:
-    """Symmetry-residual and coupling-term norms per generator per N."""
-    raw = _sweep(scenario, geometry, gen_ns=resolutions)
-    return _generator_section(scenario, raw, resolutions)
+def study(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=()) -> dict:
+    """The "generators" and "eom" sections of one sweep, each present
+    where its resolutions are given."""
+    raw = _sweep(scenario, geometry, gen_ns=gen_ns, eom_ns=eom_ns)
+    out = {}
+    if gen_ns:
+        out["generators"] = _generator_section(scenario, raw, gen_ns)
+    if eom_ns:
+        out["eom"] = _eom_section(scenario, raw, eom_ns)
+    return out
 
 
 def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
-    raw = _sweep(scenario, geometry, eom_ns=resolutions)
-    return _eom_section(scenario, raw, resolutions)
+    return study(scenario, geometry, eom_ns=resolutions)["eom"]
 
 
 def mass_study(scenario: Scenario, geometry: str) -> dict:

@@ -6,22 +6,16 @@ import pytest
 from pcgrav import fields as F
 from pcgrav.action import (EquivariantTestForm, action_pc,
                            einstein_residual, equivariant_action,
-                           extra_eom_term, torsion_residual)
+                           equivariant_coupling, extra_eom_term,
+                           standard_test_form, torsion_residual)
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_tetrad
 from pcgrav.grid import Grid4
-from pcgrav.scenarios import standard_test_form
 from pcgrav.symmetry import CutoffFunction, PoincareElement
 
 
 def flat_setup(n=9, half_width=2.0):
     grid = Grid4(half_width, n)
     return minkowski_tetrad(grid), F.zeros(grid, 1, 2)
-
-
-def joined_form(grid, cutoff, name):
-    """The standard test 2-form on ``grid``, joined to generator ``name``."""
-    return EquivariantTestForm(standard_test_form(grid, cutoff),
-                               PoincareElement.from_name(name))
 
 
 def test_flat_action_and_residuals_vanish_exactly():
@@ -79,9 +73,10 @@ def test_equivariant_action_reduces_to_base_when_residual_vanishes():
     e = minkowski_tetrad(grid)
     om = F.zeros(grid, 1, 2)
     cutoff = CutoffFunction(1.0, 2.5)
+    form = standard_test_form(grid, cutoff)
     for name in ("P1", "K2", "L3"):
-        t = joined_form(grid, cutoff, name)
-        assert equivariant_action(e, om, t, cutoff, 0.0) == \
+        gen = PoincareElement.from_name(name)
+        assert equivariant_action(e, om, form, gen, 0.0) == \
             action_pc(e, om, 0.0)
 
 
@@ -90,21 +85,21 @@ def test_equivariant_action_reduces_to_base_for_zero_test_form():
     schw = SchwarzschildIsotropic(0.4, core_radius=0.5)
     e, om = schw.tetrad(grid), schw.connection(grid)
     cutoff = CutoffFunction(1.0, 2.5)
-    alpha = F.zeros(grid, 2, 0)
-    t = EquivariantTestForm(alpha, PoincareElement.from_name("K1"))
-    assert equivariant_action(e, om, t, cutoff, 0.0) == action_pc(e, om, 0.0)
+    form = EquivariantTestForm(F.zeros(grid, 2, 0), cutoff)
+    gen = PoincareElement.from_name("K1")
+    assert equivariant_action(e, om, form, gen, 0.0) == action_pc(e, om, 0.0)
 
 
 def test_equivariant_action_splits_into_base_plus_coupling():
-    from pcgrav.action import equivariant_coupling
     grid = Grid4(8.0, 13, inner_radius=2.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e, om = schw.tetrad(grid), schw.connection(grid)
     cutoff = CutoffFunction(2.0, 4.0)
-    t = joined_form(grid, cutoff, "K2")
-    total = equivariant_action(e, om, t, cutoff, 0.0)
+    form = standard_test_form(grid, cutoff)
+    gen = PoincareElement.from_name("K2")
+    total = equivariant_action(e, om, form, gen, 0.0)
     base = action_pc(e, om, 0.0)
-    coupling = equivariant_coupling(e, t, cutoff)
+    coupling = equivariant_coupling(e, form, gen)
     assert coupling != 0.0
     assert total == pytest.approx(base + coupling, abs=1e-12 * abs(total))
 
@@ -112,15 +107,15 @@ def test_equivariant_action_splits_into_base_plus_coupling():
 def test_equivariant_coupling_for_boost_is_stable_regression():
     # frozen after first computation; value must be nonzero and stable to
     # three digits between the two finest grids
-    from pcgrav.action import equivariant_coupling
     values = {}
     for n in (25, 33):
         grid = Grid4(20.0, n, inner_radius=4.0, radius_mode="spatial")
         schw = SchwarzschildIsotropic(1.0)
         e = schw.tetrad(grid)
         cutoff = CutoffFunction(4.0, 8.0)
-        t = joined_form(grid, cutoff, "K1")
-        values[n] = equivariant_coupling(e, t, cutoff)
+        form = standard_test_form(grid, cutoff)
+        values[n] = equivariant_coupling(e, form,
+                                         PoincareElement.from_name("K1"))
     assert values[33] != 0.0
     assert values[25] == pytest.approx(values[33], rel=2e-3)
     assert values[33] == pytest.approx(2847.976, rel=1e-3)
@@ -130,9 +125,9 @@ def test_extra_eom_term_vanishes_on_flat_space():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     e = minkowski_tetrad(grid)
     cutoff = CutoffFunction(1.0, 2.5)
+    form = standard_test_form(grid, cutoff)
     for name in ("P1", "K2", "L3"):
-        t = joined_form(grid, cutoff, name)
-        term, norm = extra_eom_term(e, t, cutoff)
+        term, norm = extra_eom_term(e, form, PoincareElement.from_name(name))
         assert norm <= 1e-14
 
 
@@ -142,40 +137,41 @@ def test_extra_eom_term_bound_by_symmetry_residual():
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e = schw.tetrad(grid)
     cutoff = CutoffFunction(2.0, 4.0)
-    t = joined_form(grid, cutoff, "K1")
-    gen = t.generator
-    term, norm = extra_eom_term(e, t, cutoff)
+    form = standard_test_form(grid, cutoff)
+    gen = PoincareElement.from_name("K1")
+    term, norm = extra_eom_term(e, form, gen)
     residual_norm = symmetry_residual(e, gen).region_norm()
-    alpha_max = t.alpha.max_abs()
+    alpha_max = form.alpha.max_abs()
     plane_max = np.abs(gen.rotation_pair_components).max()
     assert norm > 0.0
     assert norm <= 24.0 * alpha_max * plane_max * residual_norm
 
 
-def test_extra_eom_term_translation_fallback_and_strict_mode():
+def test_translation_coupling_vanishes_and_its_term_borrows_the_plane():
     grid = Grid4(8.0, 13, inner_radius=2.0, radius_mode="spatial")
     schw = SchwarzschildIsotropic(0.5, core_radius=0.8)
     e = schw.tetrad(grid)
-    cutoff = CutoffFunction(2.0, 4.0)
-    t = joined_form(grid, cutoff, "P1")
-    _, strict_norm = extra_eom_term(e, t, cutoff, strict=True)
-    assert strict_norm == 0.0  # literal coupling: zero Lorentz part
-    _, norm = extra_eom_term(e, t, cutoff)
+    form = standard_test_form(grid, CutoffFunction(2.0, 4.0))
+    p1 = PoincareElement.from_name("P1")
+    # literal coupling: zero Lorentz part
+    assert equivariant_coupling(e, form, p1) == 0.0
+    _, norm = extra_eom_term(e, form, p1)
     assert norm > 1e-4  # reference plane keeps the diagnostic informative
+    l3 = PoincareElement.from_name("L3")
+    assert np.array_equal(form.factor(p1).data, form.factor(l3).data)
 
 
 def test_test_form_support_is_enforced():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     alpha = F.scalar_form(grid, 2, {(0, 1): np.ones(grid.shape)})
     with pytest.raises(ValueError, match="vanish"):
-        EquivariantTestForm(alpha, PoincareElement.from_name("L3"))
+        EquivariantTestForm(alpha, CutoffFunction(1.0, 2.5))
 
 
 def test_test_form_degree_is_enforced():
     grid = Grid4(4.0, 9, inner_radius=1.0)
     with pytest.raises(ValueError, match="2-form"):
-        EquivariantTestForm(F.zeros(grid, 1, 0),
-                            PoincareElement.from_name("L3"))
+        EquivariantTestForm(F.zeros(grid, 1, 0), CutoffFunction(1.0, 2.5))
 
 
 def test_on_shell_action_restricted_to_region_is_small():

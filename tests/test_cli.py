@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pcgrav import cli, graded
+from pcgrav import cli, graded, scenarios
 from pcgrav.algebras import AlgebraFormatError, dgla_from_json
 from pcgrav.cli import leibniz_residual_norms, main
 from pcgrav.graded import check_dgla
@@ -229,6 +229,51 @@ def test_convergence_needs_three_resolutions(tmp_path, capsys):
     path = small_scenario_file(tmp_path, Ns=[9, 13])
     code, _ = run(["convergence", "--scenario", str(path)], tmp_path, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("quantities", [["leibniz", "bogus"],
+                                        ["torsion", "einstein", "bogus"]])
+def test_unknown_quantity_exits_2_before_any_ladder(tmp_path, capsys,
+                                                    monkeypatch, quantities):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ladder ran before the quantities were checked")
+
+    monkeypatch.setattr(scenarios, "_sweep", refuse)
+    monkeypatch.setattr(cli, "leibniz_residual_norms", refuse)
+    path = small_scenario_file(tmp_path, Ns=[9, 13, 17])
+    out_dir = tmp_path / "never"
+    code = main(["convergence", "--scenario", str(path), "--quantities",
+                 *quantities, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown quantity 'bogus'" in captured.err
+    assert not out_dir.exists()
+
+
+def test_convergence_sweeps_once_and_not_for_leibniz_alone(tmp_path, capsys,
+                                                           monkeypatch):
+    sweeps = []
+    sweep = scenarios._sweep
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_sweep", counted)
+    monkeypatch.setattr(cli, "leibniz_residual_norms",
+                        lambda scenario, ns, threads: ([4.0, 1.0, 0.25],
+                                                       [4.0, 2.0, 1.0]))
+    path = small_scenario_file(tmp_path, Ns=[9, 13, 17])
+    for quantities, expected in (
+            (["leibniz"], []),
+            (["torsion", "symmetry:K1", "extra:P1"],
+             [{"gen_ns": (9, 13, 17), "eom_ns": (9, 13, 17)}])):
+        sweeps.clear()
+        code = main(["convergence", "--scenario", str(path), "--quantities",
+                     *quantities, "--out", str(tmp_path / "c")])
+        body = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 3) and set(body["quantities"]) == {*quantities}
+        assert sweeps == expected, quantities
 
 
 def test_threads_flag_is_recorded_not_numeric(tmp_path, capsys):

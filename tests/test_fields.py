@@ -385,6 +385,14 @@ def test_even_degree_self_bracket_with_commuting_values_vanishes():
     assert F.form_dgla_bracket(a, a).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("internal", [0, 1, 3])
+def test_bracket_refuses_values_outside_lambda2(internal):
+    a, b = random_form(GRID, 1, 2), random_form(GRID, 1, internal)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(F.FormFieldError, match="Lambda\\^2"):
+            F.form_dgla_bracket(left, right)
+
+
 def test_bracket_antisymmetry_on_one_forms():
     a, b = random_form(GRID, 1, 2), random_form(GRID, 1, 2)
     lhs = F.form_dgla_bracket(a, b)

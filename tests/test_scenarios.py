@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pcgrav.scenarios import (DEFAULT_THRESHOLDS, ScenarioError,
                               load_scenario, residual_csv_rows, run_scenario,
                               scenario_from_dict)
 
+ROOT = Path(__file__).resolve().parent.parent
 TH = dict(DEFAULT_THRESHOLDS)
 NS = (9, 13, 17)
 
@@ -78,7 +80,8 @@ def test_unknown_keys_are_refused_naming_the_path(path, where):
 
 
 def test_misspelled_keys_of_a_shipped_document_are_refused():
-    doc = json.loads(open("scenarios/spherical_schwarzschild.json").read())
+    doc = json.loads(
+        (ROOT / "scenarios" / "spherical_schwarzschild.json").read_text())
     scenario_from_dict(doc)
     for key, value in (("radius_mod", "4d"), ("raddi", [1.0])):
         with pytest.raises(ScenarioError, match=f"^{key}: unknown key"):
@@ -369,3 +372,23 @@ def test_sweep_does_generator_independent_work_once(monkeypatch):
     raw = sweep(every, gen_ns=(9,), killing_n=9)
     assert calls["radius"] == single <= 4
     assert len(raw["killing"]) == len(raw["sym"]) == 10
+
+
+def test_sweep_builds_the_test_form_once_per_n(monkeypatch):
+    # the support check and Upsilon alpha do not depend on the generator
+    from pcgrav.action import EquivariantTestForm
+    from pcgrav.scenarios import _sweep
+    from pcgrav.symmetry import POINCARE_GENERATOR_NAMES
+    built = []
+    check = EquivariantTestForm.__post_init__
+
+    def counted(self):
+        built.append(self.alpha.grid.points)
+        check(self)
+
+    monkeypatch.setattr(EquivariantTestForm, "__post_init__", counted)
+    sc = small_scenario(scenario="poincare",
+                        generators=list(POINCARE_GENERATOR_NAMES))
+    raw = _sweep(sc, "schwarzschild", gen_ns=(9,))
+    assert built == [9]
+    assert len(raw["extra"]) == 10

@@ -8,13 +8,12 @@ import pytest
 
 import pcgrav.grid as grid_module
 import pcgrav.symmetry as symmetry
-from pcgrav.action import (EquivariantTestForm, einstein_residual,
-                           extra_eom_term, torsion_residual)
+from pcgrav.action import (einstein_residual, extra_eom_term,
+                           standard_test_form, torsion_residual)
 from pcgrav.fields import FormField, MetricField, metric_from_tetrad
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import Grid4
-from pcgrav.scenarios import (Scenario, _sweep, run_scenario,
-                              scenario_from_dict, standard_test_form)
+from pcgrav.scenarios import Scenario, _sweep, run_scenario, scenario_from_dict
 from pcgrav.symmetry import (CutoffFunction, killing_residual,
                              poincare_generators, symmetry_residual,
                              t_windows)
@@ -53,12 +52,11 @@ def residual_fields(e, omega, g, cutoff):
             ("torsion", torsion_residual(e, omega)),
             ("einstein", einstein_residual(e, omega, 0.0))):
         out.append((label, residual.data, norm))
-    alpha = standard_test_form(e.grid, cutoff)
+    form = standard_test_form(e.grid, cutoff)
     for gen in poincare_generators():
         xe = symmetry_residual(e, gen)
         out.append((f"symmetry {gen.name}", xe.data, xe.region_norm()))
-        term, norm = extra_eom_term(e, EquivariantTestForm(alpha, gen),
-                                    cutoff)
+        term, norm = extra_eom_term(e, form, gen)
         out.append((f"coupling {gen.name}", term.data, norm))
         lg, norm = killing_residual(g, gen)
         out.append((f"killing {gen.name}", lg, norm))
@@ -181,12 +179,11 @@ def test_streamed_norms_equal_whole_grid_norms(monkeypatch, n, mode, nan):
     raw = _sweep(sc, "minkowski", gen_ns=(n,), killing_n=n)
     grid, cutoff = sc.grid(n), sc.cutoff()
     e, g = chart.tetrad(grid), chart.metric(grid)
-    alpha = standard_test_form(grid, cutoff)
+    form = standard_test_form(grid, cutoff)
     streamed = []
     for gen in poincare_generators():
         xe = symmetry_residual(e, gen)
-        form = EquivariantTestForm(alpha, gen)
-        whole = [xe.region_norm(), extra_eom_term(e, form, cutoff)[1],
+        whole = [xe.region_norm(), extra_eom_term(e, form, gen)[1],
                  killing_residual(g, gen)[1]]
         got = [raw["sym"][gen.name][0], raw["extra"][gen.name][0],
                raw["killing"][gen.name]]

@@ -17,6 +17,10 @@ No public function or method of ``src/pcgrav`` takes the excised ball as
 a parameter (``r``, ``mode`` or a ``PcConfig``): the grid carries it, and
 only ``Grid4.radius`` names a mode.
 
+No public function or method of ``src/pcgrav`` has a ``strict`` parameter,
+or takes a ``cutoff`` beside an ``EquivariantTestForm``: the test form
+carries its cutoff, and its generator's plane is not a knob.
+
 No module of ``src/pcgrav`` holds a ``global`` statement.
 """
 
@@ -133,6 +137,18 @@ def test_the_grid_alone_carries_the_excised_ball():
             if ((arg.arg in ("r", "mode") and name != "Grid4.radius")
                     or "PcConfig" in annotation):
                 stray.append(f"{module}:{name}({arg.arg})")
+    assert stray == []
+
+
+def test_the_test_form_carries_its_cutoff():
+    stray = []
+    for module, name, fn, _ in public_functions():
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        names = {arg.arg for arg in args}
+        takes_form = any(arg.annotation is not None and "EquivariantTestForm"
+                         in ast.unparse(arg.annotation) for arg in args)
+        if "strict" in names or (takes_form and "cutoff" in names):
+            stray.append(f"{module}:{name}")
     assert stray == []
 
 
