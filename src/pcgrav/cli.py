@@ -10,14 +10,17 @@ Subcommands:
     pcgrav mass adm|komar --scenario <file> [--radii 8,12,16]
     pcgrav convergence --scenario <file> [--quantities ...] [--Ns 17,25,33]
 
-Exit codes: 0 all verdicts pass, 1 any fail, 2 usage/parse error,
-3 inconclusive (refinement needed); ``VERDICT_CODES`` maps a verdict to
-its code.  Reports land in --out, the PCGRAV_OUT env var, or
-./pcgrav-reports.  --threads (default: the CPUs this process may use) is
-the number of contiguous t ranges the Leibniz ladder splits into, each run
-in a worker process of a pool that lives for one ladder, and is recorded in
-the manifest; each range runs in a fixed order, so numeric report bodies
-are byte-identical across --threads settings.
+The algebra commands print their reports.  A scenario command loads its
+scenario, takes its body from one study of :mod:`pcgrav.scenarios` and
+hands it to ``_write``, which writes the report and CSV tables and returns
+the verdict's exit code (``VERDICT_CODES``).  Exit codes: 0 all verdicts
+pass, 1 any fail, 2 usage/parse error, 3 inconclusive (refinement needed).
+Reports land in --out, the PCGRAV_OUT env var, or ./pcgrav-reports.
+--threads (default: the CPUs this process may use) is the number of
+contiguous t ranges the Leibniz ladder splits into, each run in a worker
+process of a pool that lives for one ladder, and is recorded in the
+manifest; each range runs in a fixed order, so numeric report bodies are
+byte-identical across --threads settings.
 """
 
 from __future__ import annotations
@@ -32,27 +35,17 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (action_pc, einstein_residual, extra_eom_term,
-                     standard_test_form, torsion_residual)
 from .algebras import (AlgebraFormatError, action_from_json, dgla_from_json)
 from .graded import StructureError, build_action_dgla, check_dgla, check_exactness
 from .grid import RADIUS_MODES
-from .mass import MassDomainError, adm_energy, komar_mass, positivity_check
 from .report import RunManifest, write_csv, write_report
 from .scenarios import (Scenario, ScenarioError, classify_sequence,
-                        eom_verdict, fold_verdicts, load_scenario,
-                        residual_csv_rows, run_scenario, study)
-from .symmetry import PoincareElement
+                        eom_verdict, fold_verdicts, load_scenario, mass_study,
+                        pc_study, residual_csv_rows, run_scenario, study)
 
 USAGE_ERROR, FAIL, OK, INCONCLUSIVE = 2, 1, 0, 3
 
 VERDICT_CODES = {"pass": OK, "fail": FAIL, "inconclusive": INCONCLUSIVE}
-
-
-def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("PCGRAV_OUT", "pcgrav-reports"))
 
 
 def _load_json(path):
@@ -62,13 +55,24 @@ def _load_json(path):
         raise AlgebraFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _manifest(args, scenario: Scenario, command: str) -> RunManifest:
+def _write(args, scenario: Scenario, command: str, body: dict,
+           tables=()) -> int:
+    """Write ``body``, with the scenario echoed, as the report of
+    ``command`` and each ``(name, header, rows)`` of ``tables`` as a CSV;
+    return the exit code of the body's verdict."""
     grid = {"L": scenario.half_width, "N": scenario.points,
             "r": scenario.cutoff_inner, "R": scenario.cutoff_outer,
             "radius_mode": scenario.radius_mode}
-    return RunManifest(command=command, scenario_hash=scenario.source_hash,
-                       grid=grid, thresholds=scenario.thresholds,
-                       threads=args.threads)
+    manifest = RunManifest(command=command,
+                           scenario_hash=scenario.source_hash, grid=grid,
+                           thresholds=scenario.thresholds,
+                           threads=args.threads)
+    out = Path(args.out or os.environ.get("PCGRAV_OUT", "pcgrav-reports"))
+    write_report(out, command.replace(" ", "_"), manifest,
+                 {"scenario": scenario.echo(), **body})
+    for name, header, rows in tables:
+        write_csv(out, name, header, rows)
+    return VERDICT_CODES[body["verdict"]]
 
 
 def _load(args, **overrides) -> Scenario:
@@ -106,76 +110,29 @@ def cmd_algebra(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pc
+# pc, killing, mass: one study each
 # ---------------------------------------------------------------------------
 
 def cmd_pc(args) -> int:
     scenario = _load(args)
-    if args.pc_command == "eom" and not scenario.generators:
-        raise ScenarioError("generators: pc eom needs at least one generator")
-    grid = scenario.grid()
-    chart = scenario.chart()
-    e, omega = chart.tetrad(grid), chart.connection(grid)
-    lam = scenario.cosmological_constant
-    body = {"scenario": scenario.echo(), "N": scenario.points,
-            "h": grid.spacing, "S": action_pc(e, omega, lam)}
-    verdict = "pass"
-    if args.pc_command == "eom":
-        _, body["torsion_norm"] = torsion_residual(e, omega)
-        _, body["einstein_norm"] = einstein_residual(e, omega, lam)
-        form = standard_test_form(grid, scenario.cutoff())
-        gen = PoincareElement.from_name(scenario.generators[0])
-        _, body["extra_term_norm"] = extra_eom_term(e, form, gen)
-        tol = scenario.thresholds["eom_abs_tol"]
-        body["eom_abs_tol"] = tol
-        verdict = ("pass" if max(body["torsion_norm"],
-                                 body["einstein_norm"]) <= tol else "fail")
-    body["verdict"] = verdict
-    manifest = _manifest(args, scenario, f"pc {args.pc_command}")
-    write_report(_out_dir(args), f"pc_{args.pc_command}", manifest, body)
-    return VERDICT_CODES[verdict]
+    return _write(args, scenario, f"pc {args.pc_command}",
+                  pc_study(scenario, args.pc_command))
 
-
-# ---------------------------------------------------------------------------
-# killing
-# ---------------------------------------------------------------------------
 
 def cmd_killing(args) -> int:
     scenario = _load(args)
     body = run_scenario(scenario)
-    manifest = _manifest(args, scenario, "killing residuals")
-    out = _out_dir(args)
-    write_report(out, "killing_residuals", manifest, body)
-    for geometry, section in body.get("sections", {}).items():
-        header, rows = residual_csv_rows(section, scenario.generators)
-        write_csv(out, f"residuals_{geometry}", header, rows)
-    return VERDICT_CODES[body["verdict"]]
+    return _write(args, scenario, "killing residuals", body, [
+        (f"residuals_{geometry}",
+         *residual_csv_rows(section, scenario.generators))
+        for geometry, section in body.get("sections", {}).items()])
 
-
-# ---------------------------------------------------------------------------
-# mass
-# ---------------------------------------------------------------------------
 
 def cmd_mass(args) -> int:
     scenario = _load(args)
-    metric = scenario.chart().metric(scenario.grid())
-    try:
-        if args.mass_command == "adm":
-            result = adm_energy(metric, scenario.radii)
-            result["positivity"] = positivity_check(result["extrapolated"],
-                                                    (0.0, 0.0, 0.0))
-            verdict = "pass" if result["positivity"]["passed"] else "fail"
-        else:
-            result = komar_mass(metric, scenario.radii)
-            verdict = "pass"
-    except MassDomainError as exc:
-        result, verdict = {"reason": str(exc)}, "fail"
-    result["scenario"] = scenario.echo()
-    result["verdict"] = verdict
-    manifest = _manifest(args, scenario, f"mass {args.mass_command}")
-    write_report(_out_dir(args), f"mass_{args.mass_command}", manifest,
-                 result)
-    return VERDICT_CODES[verdict]
+    return _write(args, scenario, f"mass {args.mass_command}",
+                  mass_study(scenario, scenario.geometry,
+                             parts=(args.mass_command,)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,28 +237,25 @@ def cmd_convergence(args) -> int:
     resolutions = scenario.resolutions
     quantities = args.quantities or ["torsion", "einstein"]
     if len(resolutions) < 3:
-        print("convergence needs at least 3 resolutions", file=sys.stderr)
-        return USAGE_ERROR
+        raise ScenarioError("Ns: convergence needs at least 3 resolutions, "
+                            f"got {list(resolutions)}")
     unknown = [q for q in quantities
                if q not in ("torsion", "einstein", "leibniz")
                and not q.startswith(("symmetry:", "extra:"))]
     if unknown:
-        print(f"unknown quantity {unknown[0]!r}", file=sys.stderr)
-        return USAGE_ERROR
-    body = {"scenario": scenario.echo(), "resolutions": list(resolutions),
-            "quantities": {}}
-    # the echo keeps the document's generators; the requested ones that it
-    # lacks are appended, and checked, by loading again
+        raise ScenarioError(f"--quantities: unknown quantity {unknown[0]!r}")
+    body = {"resolutions": list(resolutions), "quantities": {}}
+    # the report echoes the document's generators; the requested ones that
+    # it lacks are appended, and checked, by loading again
     requested = [q.split(":", 1)[1] for q in quantities
                  if q.startswith(("symmetry:", "extra:"))]
     extra_names = [n for n in requested if n not in scenario.generators]
-    if extra_names:
-        scenario = _load(args, generators=[*scenario.generators,
-                                           *dict.fromkeys(extra_names)])
+    swept = scenario if not extra_names else _load(
+        args, generators=[*scenario.generators, *dict.fromkeys(extra_names)])
     # one sweep builds each field once for every quantity that reads it
     eom_ns = resolutions if {"torsion", "einstein"} & {*quantities} else ()
     gen_ns = resolutions if requested else ()
-    sections = (study(scenario, scenario.geometry, gen_ns, eom_ns)
+    sections = (study(swept, swept.geometry, gen_ns, eom_ns)
                 if eom_ns or gen_ns else {})
     for quantity in quantities:
         if quantity in ("torsion", "einstein"):
@@ -329,15 +283,12 @@ def cmd_convergence(args) -> int:
         body["quantities"][quantity] = entry
     body["verdict"] = fold_verdicts(
         q["verdict"] for q in body["quantities"].values())
-    manifest = _manifest(args, scenario, "convergence")
-    write_report(_out_dir(args), "convergence", manifest, body)
     rows = [[name, repr(entry["norms"]),
              "exact" if entry["kind"] == "exact" else repr(entry["slope"]),
              entry["verdict"]]
             for name, entry in body["quantities"].items()]
-    write_csv(_out_dir(args), "convergence",
-              ["quantity", "norms", "slope", "verdict"], rows)
-    return VERDICT_CODES[body["verdict"]]
+    return _write(args, scenario, "convergence", body, [
+        ("convergence", ["quantity", "norms", "slope", "verdict"], rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +378,7 @@ def main(argv=None) -> int:
     except (AlgebraFormatError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (F.FormFieldError, MassDomainError, StructureError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

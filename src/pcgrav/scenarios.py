@@ -27,7 +27,10 @@ generators on flat space (expected: all pass) and on the black-hole
 exterior (expected: exactly the static-spherical four pass).  Both
 geometries are static, so their fields and most residuals store one t
 slice; the boosts' residuals depend on t and are reduced one t slice at a
-time (see :func:`_generator_norms`).
+time (see :func:`_generator_norms`).  Each scenario command's body is one
+study here: :func:`pc_study`, :func:`mass_study` on one part,
+:func:`run_scenario` (``killing residuals``), or :func:`study` beside the
+Leibniz ladder (``convergence``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import einstein_residual, standard_test_form, torsion_residual
+from .action import (action_pc, einstein_residual, standard_test_form,
+                     torsion_residual)
 from .conventions import GENERATOR_ALIASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import RADIUS_MODES, Grid4, restrict
@@ -80,11 +85,18 @@ def _positive(value, path: str) -> float:
 
 
 def _points(value, path: str) -> int:
-    """Nodes per grid axis: an odd JSON integer, at least 5."""
+    """Nodes per grid axis: an odd JSON integer, at least 5, whose one
+    (4, 4) float field on one t slice, 128 N^3 bytes, fits in physical
+    memory; every command allocates more than that at the same N."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: must be an integer, got {value!r}")
     if value < 5 or value % 2 == 0:
         raise ScenarioError(f"{path}: must be odd and >= 5, got {value}")
+    need = 128 * value ** 3
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ScenarioError(f"{path}: one (4, 4) field slice at N = {value} "
+                            f"needs {need} bytes; this machine has {have}")
     return value
 
 
@@ -509,16 +521,55 @@ def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
     return study(scenario, geometry, eom_ns=resolutions)["eom"]
 
 
-def mass_study(scenario: Scenario, geometry: str) -> dict:
+def pc_study(scenario: Scenario, command: str) -> dict:
+    """Body of ``pc action`` or ``pc eom``: the action S, and for "eom" the
+    torsion and Einstein norms that the verdict holds to ``eom_abs_tol``
+    and the coupling-term norm of the first generator, streamed over t."""
+    if command == "eom" and not scenario.generators:
+        raise ScenarioError("generators: pc eom needs at least one generator")
+    grid = scenario.grid()
+    chart = scenario.chart()
+    e, omega = chart.tetrad(grid), chart.connection(grid)
+    lam = scenario.cosmological_constant
+    body = {"N": scenario.points, "h": grid.spacing,
+            "S": action_pc(e, omega, lam), "verdict": "pass"}
+    if command == "eom":
+        _, body["torsion_norm"] = torsion_residual(e, omega)
+        _, body["einstein_norm"] = einstein_residual(e, omega, lam)
+        gen = PoincareElement.from_name(scenario.generators[0])
+        form = standard_test_form(grid, scenario.cutoff())
+        _, extra = _generator_norms(e, [gen], form)
+        body["extra_term_norm"] = extra[0]
+        tol = scenario.thresholds["eom_abs_tol"]
+        body["eom_abs_tol"] = tol
+        body["verdict"] = ("pass" if max(body["torsion_norm"],
+                                         body["einstein_norm"]) <= tol
+                           else "fail")
+    return body
+
+
+def mass_study(scenario: Scenario, geometry: str,
+               parts=("adm", "komar")) -> dict:
+    """Mass observables of ``geometry`` at the scenario's radii: one part's
+    own result, or both by name with their agreement and the recovery of
+    the mass parameter.  The ADM energy must pass the positivity check,
+    and a metric outside an integral's domain fails with the reason."""
     metric = scenario.chart(geometry).metric(scenario.grid())
+    integrals = {"adm": adm_energy, "komar": komar_mass}
     try:
-        adm = adm_energy(metric, scenario.radii)
-        komar = komar_mass(metric, scenario.radii)
+        found = {part: integrals[part](metric, scenario.radii)
+                 for part in parts}
     except MassDomainError as exc:
         return {"reason": str(exc), "verdict": "fail"}
-    th = scenario.thresholds
+    adm, komar = found.get("adm"), found.get("komar")
+    if adm is None:
+        return {**komar, "verdict": "pass"}
     # time-symmetric slices carry zero momentum (general P is out of scope)
     positivity = positivity_check(adm["extrapolated"], (0.0, 0.0, 0.0))
+    if komar is None:
+        return {**adm, "positivity": positivity,
+                "verdict": "pass" if positivity["passed"] else "fail"}
+    th = scenario.thresholds
     scale = max(abs(adm["extrapolated"]), abs(komar["extrapolated"]), 1e-10)
     difference = abs(adm["extrapolated"] - komar["extrapolated"])
     agreement = {

@@ -227,8 +227,32 @@ def test_killing_residuals_full_spherical_scenario(tmp_path, capsys):
 
 def test_convergence_needs_three_resolutions(tmp_path, capsys):
     path = small_scenario_file(tmp_path, Ns=[9, 13])
-    code, _ = run(["convergence", "--scenario", str(path)], tmp_path, capsys)
-    assert code == 2
+    out_dir = tmp_path / "never"
+    code = main(["convergence", "--scenario", str(path),
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: Ns: convergence needs at least 3 "
+                            "resolutions, got [9, 13]\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("overrides, options, field", [
+    ({"grid": {"L": 8.0, "N": 1000001}}, [], "grid.N"),
+    ({}, ["--Ns", "9,13,1000001"], "Ns[2]"),
+])
+def test_a_node_count_past_physical_memory_exits_2_naming_it(
+        tmp_path, capsys, overrides, options, field):
+    # refused at load, before anything of that size is allocated
+    path = small_scenario_file(tmp_path, **overrides)
+    out_dir = tmp_path / "never"
+    code = main(["convergence", "--scenario", str(path), *options,
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {field}: one (4, 4) field slice "
+                                   "at N = 1000001 needs ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("quantities", [["leibniz", "bogus"],
@@ -246,7 +270,7 @@ def test_unknown_quantity_exits_2_before_any_ladder(tmp_path, capsys,
                  *quantities, "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "unknown quantity 'bogus'" in captured.err
+    assert captured.err == "error: --quantities: unknown quantity 'bogus'\n"
     assert not out_dir.exists()
 
 

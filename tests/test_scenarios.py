@@ -325,6 +325,23 @@ def test_non_finite_mass_study_is_a_fail_verdict():
     json.dumps(masses, allow_nan=False)
 
 
+@pytest.mark.parametrize("part, skipped", [("adm", "komar_mass"),
+                                            ("komar", "adm_energy")])
+def test_one_mass_part_computes_that_integral_alone(monkeypatch, part,
+                                                    skipped):
+    import pcgrav.scenarios as scenarios
+
+    def refuse(*args):
+        raise AssertionError(f"{skipped} ran for the {part} part")
+
+    monkeypatch.setattr(scenarios, skipped, refuse)
+    sc = small_scenario(grid={"L": 8.0, "N": 13}, radii=[4.0, 5.0, 6.0])
+    body = scenarios.mass_study(sc, "schwarzschild", parts=(part,))
+    assert body["verdict"] == "pass"
+    assert body["radii"] == [4.0, 5.0, 6.0]
+    assert ("positivity" in body) == (part == "adm")
+
+
 def test_report_writes_non_finite_numbers_as_null():
     from pcgrav.report import canonical_json
     text = canonical_json({"a": float("nan"), "b": [1.5, float("-inf")],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from pcgrav.action import (einstein_residual, extra_eom_term,
 from pcgrav.fields import FormField, MetricField, metric_from_tetrad
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import Grid4
-from pcgrav.scenarios import Scenario, _sweep, run_scenario, scenario_from_dict
+from pcgrav.scenarios import (Scenario, _sweep, load_scenario, pc_study,
+                              run_scenario, scenario_from_dict)
 from pcgrav.symmetry import (CutoffFunction, killing_residual,
                              poincare_generators, symmetry_residual,
                              t_windows)
@@ -215,4 +217,26 @@ def test_streamed_boost_sweep_peaks_below_one_dense_field():
         tracemalloc.stop()
     assert len(raw["killing"]) == len(raw["sym"]) == 10
     assert all(raw["killing"][f"K{i}"] > 0.0 for i in (1, 2, 3))
+    assert peak < one_dense, (peak, one_dense)
+
+
+def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field():
+    # the coupling term of generators[0] streams over t, as in the sweep;
+    # in 4d mode the coupling factor fills out t, so only spatial is held
+    sc = load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios"
+        / "poincare_schwarzschild.json",
+        generators=["K1"], grid={"L": 20.0, "N": 25},
+        radius_mode="spatial")
+    for cached in (grid_module._region_mask, grid_module._norm_mask,
+                   symmetry._profile_on_grid):
+        cached.cache_clear()
+    one_dense = np.zeros((4, 4) + sc.grid().shape).nbytes
+    tracemalloc.start()
+    try:
+        body = pc_study(sc, "eom")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert body["extra_term_norm"] > 0.0
     assert peak < one_dense, (peak, one_dense)

@@ -22,6 +22,10 @@ or takes a ``cutoff`` beside an ``EquivariantTestForm``: the test form
 carries its cutoff, and its generator's plane is not a knob.
 
 No module of ``src/pcgrav`` holds a ``global`` statement.
+
+``cli.py`` imports no name from ``action``, ``geometry``, ``mass`` or
+``symmetry``: each scenario command's body comes from one study in
+``scenarios``, and the command line loads, calls it and writes.
 """
 
 import ast
@@ -160,3 +164,19 @@ def test_no_module_rebinds_global_state():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Global)]
     assert rebinding == []
+
+
+def test_the_command_line_imports_no_field_physics():
+    physics = {"action", "geometry", "mass", "symmetry"}
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = [alias.name for alias in node.names]
+            if module in physics or (module in ("", "pcgrav")
+                                     and physics & {*names}):
+                imported.append(f"{node.module}: {', '.join(names)}")
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names
+                         if alias.name.split(".")[-1] in physics]
+    assert imported == []

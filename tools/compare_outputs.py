@@ -1,0 +1,102 @@
+"""Run the scenario commands in two checkouts and diff what they write.
+
+    python3 tools/compare_outputs.py <before-checkout> <after-checkout>
+
+Each checkout runs ``pc action``, ``pc eom``, ``mass adm``, ``mass komar``,
+``killing residuals`` and ``convergence`` (torsion, einstein, leibniz,
+symmetry:K1, extra:P1, extra:L3) on each of the four shipped scenario
+documents, in both radius modes, with ``--threads 2``: 48 runs a side.  A
+run imports pcgrav from its checkout's ``src`` under ``python -W ignore``,
+in a fresh working directory where ``scenarios`` links to the checkout's,
+so both sides pass the same argv.
+
+Exit codes, stdout, stderr, CSV tables and report files must agree byte
+for byte; a report's manifest ``timestamp`` is left out.  Each run that
+differs is named with what differs, and the script exits 1 if any does.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = ("eom_schwarzschild.json", "minkowski_lambda1.json",
+             "poincare_schwarzschild.json", "spherical_schwarzschild.json")
+COMMANDS = {
+    "pc_action": ("pc", "action"), "pc_eom": ("pc", "eom"),
+    "mass_adm": ("mass", "adm"), "mass_komar": ("mass", "komar"),
+    "killing_residuals": ("killing", "residuals"),
+    "convergence": ("convergence", "--quantities", "torsion", "einstein",
+                    "leibniz", "symmetry:K1", "extra:P1", "extra:L3"),
+}
+MODES = ("spatial", "4d")
+
+
+def runs():
+    """(label, argv) of every run; the label names its output directory."""
+    for scenario in SCENARIOS:
+        for mode in MODES:
+            for name, command in COMMANDS.items():
+                label = f"{scenario[:-5]}_{mode}_{name}"
+                yield label, [*command, "--scenario", f"scenarios/{scenario}",
+                              "--radius-mode", mode, "--threads", "2",
+                              "--out", f"out/{label}"]
+
+
+def outputs(checkout: Path, work: Path, label: str, argv) -> dict:
+    """What one run left behind, by name: exit code, streams and files."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "pcgrav.cli", *argv],
+        cwd=work, env=env, capture_output=True, text=True)
+    found = {"exit": str(done.returncode), "stdout": done.stdout,
+             "stderr": done.stderr}
+    out = work / "out" / label
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        text = path.read_text()
+        if path.suffix == ".json":
+            report = json.loads(text)
+            report.get("manifest", {}).pop("timestamp", None)
+            text = json.dumps(report, sort_keys=True, indent=2)
+        found[path.name] = text
+    return found
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_outputs.py <before-checkout> <after-checkout>",
+              file=sys.stderr)
+        return 2
+    checkouts = [Path(arg).resolve() for arg in args]
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        works = []
+        for side, checkout in zip(("before", "after"), checkouts):
+            work = Path(tmp) / side
+            work.mkdir()
+            (work / "scenarios").symlink_to(checkout / "scenarios")
+            works.append(work)
+        every = list(runs())
+        for label, run_argv in every:
+            before, after = (outputs(checkout, work, label, run_argv)
+                             for checkout, work in zip(checkouts, works))
+            parts = sorted(key for key in before.keys() | after.keys()
+                           if before.get(key) != after.get(key))
+            if parts:
+                differ += 1
+                print(f"DIFFER {label}: {', '.join(parts)}")
+            else:
+                print(f"same   {label} (exit {before['exit']}, "
+                      f"{len(before) - 3} files)")
+    print(f"{len(every)} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
