@@ -13,7 +13,9 @@ Subcommands:
 The algebra commands print their reports.  A scenario command loads its
 scenario, takes its body from one study of :mod:`pcgrav.scenarios` and
 hands it to ``_write``, which writes the report and CSV tables and returns
-the verdict's exit code (``VERDICT_CODES``).  Exit codes: 0 all verdicts
+the verdict's exit code (``VERDICT_CODES``); no verdict is decided here.
+``convergence`` hands its study the Leibniz ladder, whose worker pool
+--threads sizes, as a callable.  Exit codes: 0 all verdicts
 pass, 1 any fail, 2 usage/parse error, 3 inconclusive (refinement needed).
 Reports land in --out, the PCGRAV_OUT env var, or ./pcgrav-reports.
 --threads (default: the CPUs this process may use) is the number of
@@ -39,9 +41,9 @@ from .algebras import (AlgebraFormatError, action_from_json, dgla_from_json)
 from .graded import StructureError, build_action_dgla, check_dgla, check_exactness
 from .grid import RADIUS_MODES
 from .report import RunManifest, write_csv, write_report
-from .scenarios import (Scenario, ScenarioError, classify_sequence,
-                        eom_verdict, fold_verdicts, load_scenario, mass_study,
-                        pc_study, residual_csv_rows, run_scenario, study)
+from .scenarios import (Scenario, ScenarioError, convergence_csv_rows,
+                        convergence_study, load_scenario, mass_study, pc_study,
+                        residual_csv_rows, run_scenario)
 
 USAGE_ERROR, FAIL, OK, INCONCLUSIVE = 2, 1, 0, 3
 
@@ -75,11 +77,11 @@ def _write(args, scenario: Scenario, command: str, body: dict,
     return VERDICT_CODES[body["verdict"]]
 
 
-def _load(args, **overrides) -> Scenario:
+def _load(args) -> Scenario:
     """The scenario of --scenario, with --Ns, --radii and --radius-mode as
     the document keys they replace."""
     given = {"Ns": args.ns, "radii": getattr(args, "radii", None),
-             "radius_mode": args.radius_mode, **overrides}
+             "radius_mode": args.radius_mode}
     return load_scenario(args.scenario, **{
         key: value for key, value in given.items() if value is not None})
 
@@ -136,7 +138,7 @@ def cmd_mass(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# convergence
+# convergence: the Leibniz ladder, handed to one study
 # ---------------------------------------------------------------------------
 
 RING = 5     # t slices the t stencil reads: two on each side
@@ -234,61 +236,12 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
 
 def cmd_convergence(args) -> int:
     scenario = _load(args)
-    resolutions = scenario.resolutions
-    quantities = args.quantities or ["torsion", "einstein"]
-    if len(resolutions) < 3:
-        raise ScenarioError("Ns: convergence needs at least 3 resolutions, "
-                            f"got {list(resolutions)}")
-    unknown = [q for q in quantities
-               if q not in ("torsion", "einstein", "leibniz")
-               and not q.startswith(("symmetry:", "extra:"))]
-    if unknown:
-        raise ScenarioError(f"--quantities: unknown quantity {unknown[0]!r}")
-    body = {"resolutions": list(resolutions), "quantities": {}}
-    # the report echoes the document's generators; the requested ones that
-    # it lacks are appended, and checked, by loading again
-    requested = [q.split(":", 1)[1] for q in quantities
-                 if q.startswith(("symmetry:", "extra:"))]
-    extra_names = [n for n in requested if n not in scenario.generators]
-    swept = scenario if not extra_names else _load(
-        args, generators=[*scenario.generators, *dict.fromkeys(extra_names)])
-    # one sweep builds each field once for every quantity that reads it
-    eom_ns = resolutions if {"torsion", "einstein"} & {*quantities} else ()
-    gen_ns = resolutions if requested else ()
-    sections = (study(swept, swept.geometry, gen_ns, eom_ns)
-                if eom_ns or gen_ns else {})
-    for quantity in quantities:
-        if quantity in ("torsion", "einstein"):
-            entry = sections["eom"][quantity]
-        elif quantity == "leibniz":
-            norms, spacings = leibniz_residual_norms(scenario, resolutions,
-                                                     args.threads)
-            entry = classify_sequence(norms, spacings, scenario.thresholds,
-                                      resolutions)
-            eom_verdict(entry)
-        else:
-            family, name = quantity.split(":", 1)
-            key = ("symmetry_residuals" if family == "symmetry"
-                   else "extra_eom_terms")
-            # a convergence run verdicts decay alone, not family thresholds
-            entry = dict(sections["generators"][key][name])
-            eom_verdict(entry)
-        # non-monotone decaying sequences are not trustworthy: flag them
-        norms = entry["norms"]
-        if (entry["kind"] not in ("exact", "non-decaying", "non-finite")
-                and any(b > a for a, b in zip(norms, norms[1:]))):
-            entry = dict(entry)
-            entry["verdict"] = "inconclusive"
-            entry["note"] = "non-monotone residuals; refine"
-        body["quantities"][quantity] = entry
-    body["verdict"] = fold_verdicts(
-        q["verdict"] for q in body["quantities"].values())
-    rows = [[name, repr(entry["norms"]),
-             "exact" if entry["kind"] == "exact" else repr(entry["slope"]),
-             entry["verdict"]]
-            for name, entry in body["quantities"].items()]
-    return _write(args, scenario, "convergence", body, [
-        ("convergence", ["quantity", "norms", "slope", "verdict"], rows)])
+    body = convergence_study(
+        scenario, args.quantities or ["torsion", "einstein"],
+        lambda: leibniz_residual_norms(scenario, scenario.resolutions,
+                                       args.threads))
+    return _write(args, scenario, "convergence", body,
+                  [("convergence", *convergence_csv_rows(body))])
 
 
 # ---------------------------------------------------------------------------

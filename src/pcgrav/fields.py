@@ -88,9 +88,6 @@ class FormField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._like(-self.data)
-
     def _check_like(self, other):
         if (self.grid != other.grid or self.degree != other.degree
                 or self.internal != other.internal):
@@ -251,7 +248,7 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
     """Scalar terms grouped by input component pair.
 
     Each entry reads one product a[ia, ua] * b[ib, ub] and scatters it into
-    the listed output components with fixed coefficients.
+    the listed output components, each with coefficient +1 or -1.
     """
     internal, k_out = _internal_entries(ka, kb, rule)
     groups = {}
@@ -299,7 +296,8 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
         if a_live[i, u] and b_live[j, v]:
             marked = []
             for k, m, c in outs:
-                marked.append((k, m, c, (k, m) not in written))
+                add = np.add if c > 0 else np.subtract
+                marked.append((k, m, add, (k, m) not in written))
                 written.add((k, m))
             steps.append((i, u, j, v, marked))
     out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
@@ -317,17 +315,9 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
         out_t = out[:, :, t]
         for i, u, j, v, outs in steps:
             np.multiply(a_t[i, u], b_t[j, v], out=prod)
-            for k, m, c, first in outs:
+            for k, m, add, first in outs:
                 dst = out_t[k, m]
-                if c == 1.0:
-                    np.add(0.0 if first else dst, prod, out=dst)
-                elif c == -1.0:
-                    np.subtract(0.0 if first else dst, prod, out=dst)
-                elif first:
-                    np.multiply(c, prod, out=dst)
-                    np.add(0.0, dst, out=dst)
-                else:
-                    dst += c * prod
+                add(0.0 if first else dst, prod, out=dst)
     return FormField(a.grid, p_out, k_out, out)
 
 

@@ -69,9 +69,6 @@ class GradedLieAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def degree(self, i: int) -> int:
-        return self.basis.degrees[i]
-
     def bracket_basis(self, i: int, j: int) -> dict:
         return self.brackets.get((i, j), {})
 

@@ -23,14 +23,15 @@ pass / fail / inconclusive verdicts:
 
 Scenario kinds: "spherical" studies the static-spherical generators on one
 geometry and adds the mass observables; "poincare" studies all ten
-generators on flat space (expected: all pass) and on the black-hole
-exterior (expected: exactly the static-spherical four pass).  Both
-geometries are static, so their fields and most residuals store one t
-slice; the boosts' residuals depend on t and are reduced one t slice at a
-time (see :func:`_generator_norms`).  Each scenario command's body is one
-study here: :func:`pc_study`, :func:`mass_study` on one part,
-:func:`run_scenario` (``killing residuals``), or :func:`study` beside the
-Leibniz ladder (``convergence``).
+generators on flat space and on the black-hole exterior.  A generator is
+expected to pass where it is a Killing vector of the geometry and to fail
+cleanly elsewhere (:func:`_expected_killing`).  Both geometries are
+static, so their fields and most residuals store one t slice; the boosts'
+residuals depend on t and are reduced one t slice at a time (see
+:func:`_generator_norms`).  Each scenario command's body is one study
+here: :func:`pc_study`, :func:`mass_study` on one part,
+:func:`run_scenario` (``killing residuals``), or :func:`convergence_study`,
+which takes the Leibniz ladder as a callable (``convergence``).
 """
 
 from __future__ import annotations
@@ -505,20 +506,59 @@ def _eom_section(scenario, raw, resolutions) -> dict:
     return out
 
 
-def study(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=()) -> dict:
-    """The "generators" and "eom" sections of one sweep, each present
-    where its resolutions are given."""
-    raw = _sweep(scenario, geometry, gen_ns=gen_ns, eom_ns=eom_ns)
-    out = {}
-    if gen_ns:
-        out["generators"] = _generator_section(scenario, raw, gen_ns)
-    if eom_ns:
-        out["eom"] = _eom_section(scenario, raw, eom_ns)
-    return out
-
-
 def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
-    return study(scenario, geometry, eom_ns=resolutions)["eom"]
+    return _eom_section(scenario, _sweep(scenario, geometry,
+                                         eom_ns=resolutions), resolutions)
+
+
+def convergence_study(scenario: Scenario, quantities, leibniz) -> dict:
+    """Body of ``convergence``: one verdict per quantity ("torsion",
+    "einstein", "leibniz", "symmetry:<GEN>" or "extra:<GEN>") and their fold.
+
+    Every ladder's kind decides its verdict by decay alone, with no family
+    threshold, and a decaying ladder that rises anywhere is inconclusive.
+    One sweep serves the field equations and exactly the requested
+    generators.  ``leibniz()`` gives the Leibniz ladder's (norms,
+    spacings); it is called at most once, after every refusal.
+    """
+    resolutions = scenario.resolutions
+    if len(resolutions) < 3:
+        raise ScenarioError("Ns: convergence needs at least 3 resolutions, "
+                            f"got {list(resolutions)}")
+    quantities = list(dict.fromkeys(quantities))
+    unknown = [q for q in quantities
+               if q not in ("torsion", "einstein", "leibniz")
+               and not q.startswith(("symmetry:", "extra:"))]
+    if unknown:
+        raise ScenarioError(f"--quantities: unknown quantity {unknown[0]!r}")
+    names = SCHEMA["generators"][1](list(dict.fromkeys(
+        q.split(":", 1)[1] for q in quantities if ":" in q)), "generators")
+    eom_ns = resolutions if {"torsion", "einstein"} & {*quantities} else ()
+    gen_ns = resolutions if names else ()
+    raw = (_sweep(dataclasses.replace(scenario, generators=names),
+                  scenario.geometry, gen_ns=gen_ns, eom_ns=eom_ns)
+           if eom_ns or gen_ns else {})
+    entries = {}
+    for quantity in quantities:
+        if quantity == "leibniz":
+            norms, spacings = leibniz()
+        elif ":" in quantity:
+            family, name = quantity.split(":", 1)
+            norms = raw["sym" if family == "symmetry" else "extra"][name]
+            spacings = raw["gen_spacings"]
+        else:
+            norms, spacings = raw[quantity], raw["eom_spacings"]
+        entry = classify_sequence(norms, spacings, scenario.thresholds,
+                                  resolutions)
+        eom_verdict(entry)
+        norms = entry["norms"]
+        if (entry["kind"] not in ("exact", "non-decaying", "non-finite")
+                and any(b > a for a, b in zip(norms, norms[1:]))):
+            entry["verdict"] = "inconclusive"
+            entry["note"] = "non-monotone residuals; refine"
+        entries[quantity] = entry
+    return {"resolutions": list(resolutions), "quantities": entries,
+            "verdict": fold_verdicts(e["verdict"] for e in entries.values())}
 
 
 def pc_study(scenario: Scenario, command: str) -> dict:
@@ -599,27 +639,35 @@ def mass_study(scenario: Scenario, geometry: str,
 # Scenario runner
 # ---------------------------------------------------------------------------
 
-EXPECTED_KILLING = {
-    ("poincare", "minkowski"): set(POINCARE_GENERATOR_NAMES),
-    ("poincare", "schwarzschild"): set(SPHERICAL_GENERATOR_NAMES),
-    ("spherical", "minkowski"): set(SPHERICAL_GENERATOR_NAMES),
-    ("spherical", "schwarzschild"): set(SPHERICAL_GENERATOR_NAMES),
-}
+# Killing vectors of each geometry, in the basis of POINCARE_NAMES: all ten
+# on flat space, time translation and the rotations on the exterior
+KILLING_BASIS = {"minkowski": set(POINCARE_NAMES),
+                 "schwarzschild": {"P0", "J12", "J13", "J23"}}
 
 
-def _pattern_verdict(section: dict, expected: set, names) -> str:
+def _expected_killing(geometry: str, names) -> list:
+    """The generators among ``names`` that are Killing vectors of
+    ``geometry``; an alias is one when every basis element it combines is."""
+    return sorted(name for name in names
+                  if {*GENERATOR_ALIASES.get(name, (name,))}
+                  <= KILLING_BASIS[geometry])
+
+
+def _pattern_verdict(section: dict, expected, names) -> str:
     """pass iff expected generators pass and the rest cleanly fail.
 
-    A non-finite norm is not a clean fail.
+    A non-finite norm is not a clean fail, and a pass where none is
+    expected is a fail.
     """
     verdicts = []
     for family in ("symmetry_residuals", "extra_eom_terms"):
         for name in names:
             entry = section[family][name]
+            verdict = entry["verdict"]
             want = "pass" if name in expected else "fail"
-            clean = (entry["verdict"] == want
-                     and entry["kind"] != "non-finite")
-            verdicts.append("pass" if clean else entry["verdict"])
+            clean = verdict == want and entry["kind"] != "non-finite"
+            verdicts.append("pass" if clean
+                            else "fail" if verdict == "pass" else verdict)
     return fold_verdicts(verdicts)
 
 
@@ -646,8 +694,8 @@ def run_scenario(scenario: Scenario) -> dict:
         section = _generator_section(scenario, raw, resolutions)
         section["eom"] = _eom_section(scenario, raw, scenario.resolutions)
         section["killing_norms"] = raw["killing"]
-        expected = EXPECTED_KILLING[(scenario.kind, geometry)]
-        section["expected_killing"] = sorted(expected)
+        expected = _expected_killing(geometry, scenario.generators)
+        section["expected_killing"] = expected
         section["verdict"] = _pattern_verdict(section, expected,
                                               scenario.generators)
         eom_ok = [section["eom"]["torsion"]["verdict"],
@@ -674,9 +722,21 @@ def residual_csv_rows(section: dict, names) -> tuple:
     rows = []
     for name in names:
         entry = section["symmetry_residuals"][name]
-        slope = entry["slope"]
-        slope_text = ("exact" if entry["kind"] == "exact"
-                      else "" if slope is None else repr(slope))
         rows.append([name] + [repr(v) for v in entry["norms"]]
-                    + [slope_text, entry["verdict"]])
+                    + [_slope_cell(entry), entry["verdict"]])
     return header, rows
+
+
+def convergence_csv_rows(body: dict) -> tuple:
+    """(header, rows) for the convergence table: one row per quantity."""
+    return ["quantity", "norms", "slope", "verdict"], [
+        [name, repr(entry["norms"]), _slope_cell(entry), entry["verdict"]]
+        for name, entry in body["quantities"].items()]
+
+
+def _slope_cell(entry: dict) -> str:
+    """A table's slope cell: "exact", the slope's repr, or empty where the
+    ladder has no slope."""
+    if entry["kind"] == "exact":
+        return "exact"
+    return "" if entry["slope"] is None else repr(entry["slope"])

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from pcgrav import cli, graded, scenarios
 from pcgrav.algebras import AlgebraFormatError, dgla_from_json
 from pcgrav.cli import leibniz_residual_norms, main
-from pcgrav.graded import check_dgla
+from pcgrav.graded import DglaMorphism, check_dgla, check_morphism
 from pcgrav.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -64,6 +65,62 @@ def test_algebra_action_builds_semidirect_sum(tmp_path, capsys):
                      str(SCENARIOS / "so3_vector_action.json")],
                     tmp_path, capsys)
     assert code == 0 and "exact sequence: pass" in out
+
+
+def graded_document(**changes):
+    """L (degree 0) scales x (degree -1) and y (degree 0), with d x = y:
+    a dgla with a nonzero differential, as a document."""
+    def out(label, c="1"):
+        return [{"k": label, "c": c}]
+    doc = {"basis": [{"label": "L", "degree": 0},
+                     {"label": "x", "degree": -1},
+                     {"label": "y", "degree": 0}],
+           "brackets": [{"i": "L", "j": "x", "out": out("x")},
+                        {"i": "x", "j": "L", "out": out("x", "-1")},
+                        {"i": "L", "j": "y", "out": out("y")},
+                        {"i": "y", "j": "L", "out": out("y", "-1")}],
+           "differential": [{"i": "x", "out": out("y")}]}
+    if changes.get("d_y_is_x"):
+        doc["differential"] = [{"i": "y", "out": out("x")}]
+    if changes.get("L_x_is_y"):
+        doc["brackets"][0]["out"] = out("y")
+        doc["brackets"][1]["out"] = out("y", "-1")
+    return doc
+
+
+LEIBNIZ = "d[x,y] != [dx,y] + (-1)^|x| [x,dy]"
+
+
+@pytest.mark.parametrize("changes, code, report", [
+    ({}, 0, "dgla axioms: pass"),
+    ({"d_y_is_x": True}, 1, """\
+dgla axioms: 1 violation(s)
+  - differential-degree at ('y',): coefficient 1 on x (degree -1 != 0 + 1)"""),
+    ({"L_x_is_y": True}, 1, f"""\
+dgla axioms: 4 violation(s)
+  - bracket-degree at ('L', 'x'): coefficient 1 on y (degree 0 != 0 + -1)
+  - bracket-degree at ('x', 'L'): coefficient -1 on y (degree 0 != -1 + 0)
+  - leibniz at ('L', 'x'): {LEIBNIZ}
+  - leibniz at ('x', 'L'): {LEIBNIZ}"""),
+], ids=["d-x-is-y", "d-y-is-x", "L-x-is-y"])
+def test_algebra_check_reads_a_differential(tmp_path, capsys, changes, code,
+                                            report):
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps(graded_document(**changes)))
+    assert run(["algebra", "check", str(path)], tmp_path, capsys) == (
+        code, report + "\n")
+
+
+def test_a_degree_breaking_morphism_is_flagged():
+    # phi sends x (degree -1) to y (degree 0), so it cannot commute with d
+    # either: phi(d x) = y but d phi(x) = d y = 0
+    dgla = dgla_from_json(graded_document())
+    matrix = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    matrix[1] = [Fraction(0), Fraction(0), Fraction(1)]
+    assert [str(v) for v in check_morphism(DglaMorphism(dgla, dgla,
+                                                        matrix))] == [
+        "morphism-degree at ('x',): image hits y of different degree",
+        "morphism-differential at ('x',): phi(d x) != d phi(x)"]
 
 
 def test_unknown_subcommand_is_usage_error(tmp_path):
@@ -276,28 +333,35 @@ def test_unknown_quantity_exits_2_before_any_ladder(tmp_path, capsys,
 
 def test_convergence_sweeps_once_and_not_for_leibniz_alone(tmp_path, capsys,
                                                            monkeypatch):
+    # one sweep, of the requested generators only: the document's four are
+    # echoed, not swept, since a decay-only verdict reads no family
     sweeps = []
     sweep = scenarios._sweep
 
-    def counted(*args, **kwargs):
-        sweeps.append(kwargs)
-        return sweep(*args, **kwargs)
+    def counted(scenario, *args, **kwargs):
+        sweeps.append((scenario.generators, kwargs))
+        return sweep(scenario, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "_sweep", counted)
     monkeypatch.setattr(cli, "leibniz_residual_norms",
                         lambda scenario, ns, threads: ([4.0, 1.0, 0.25],
                                                        [4.0, 2.0, 1.0]))
     path = small_scenario_file(tmp_path, Ns=[9, 13, 17])
+    ns = (9, 13, 17)
     for quantities, expected in (
             (["leibniz"], []),
+            (["symmetry:K1"], [(("K1",), {"gen_ns": ns, "eom_ns": ()})]),
             (["torsion", "symmetry:K1", "extra:P1"],
-             [{"gen_ns": (9, 13, 17), "eom_ns": (9, 13, 17)}])):
+             [(("K1", "P1"), {"gen_ns": ns, "eom_ns": ns})])):
         sweeps.clear()
         code = main(["convergence", "--scenario", str(path), "--quantities",
                      *quantities, "--out", str(tmp_path / "c")])
         body = json.loads(capsys.readouterr().out)
         assert code in (0, 1, 3) and set(body["quantities"]) == {*quantities}
         assert sweeps == expected, quantities
+        assert body["scenario"]["generators"] == ["P0", "L1", "L2", "L3"]
+        assert not any("pass_threshold" in entry
+                       for entry in body["quantities"].values())
 
 
 def test_threads_flag_is_recorded_not_numeric(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Wedge algebra, exterior derivative, connections, and their oracles."""
 
+import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -131,6 +132,22 @@ def test_wedge_degree_overflow():
     a = random_form(GRID, 3, 0)
     with pytest.raises(F.FormFieldError):
         F.wedge(a, a)
+
+
+def test_every_wedge_plan_coefficient_is_plus_or_minus_one():
+    # wedge adds or subtracts each product; a convention table with any
+    # other coefficient needs a scaled product there
+    coefficients = set()
+    for rule in ("wedge", "bracket", "action"):
+        for pa, ka, pb, kb in itertools.product(range(5), repeat=4):
+            if pa + pb > 4:
+                continue
+            try:
+                _, plan = F._wedge_plan(pa, ka, pb, kb, rule)
+            except F.FormFieldError:
+                continue
+            coefficients.update(c for *_, outs in plan for _, _, c in outs)
+    assert coefficients == {1.0, -1.0}
 
 
 def whole_array_wedge(a, b, rule):

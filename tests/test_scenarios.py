@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pcgrav.cli import VERDICT_CODES
+from pcgrav import scenarios
 from pcgrav.scenarios import (DEFAULT_THRESHOLDS, ScenarioError,
                               apply_family_verdicts, classify_sequence,
+                              convergence_csv_rows, convergence_study,
                               load_scenario, residual_csv_rows, run_scenario,
                               scenario_from_dict)
 
@@ -273,6 +275,82 @@ def test_minkowski_is_spherically_symmetric_too():
     assert body["verdict"] == "pass"
     assert abs(body["masses"]["komar"]["extrapolated"]) < 1e-12
     assert body["masses"]["parameter_recovery"]["verdict"] == "pass"
+
+
+def test_expected_killing_vectors_follow_the_geometry_and_aliases():
+    every = ["dt", "P0", "P1", "K1", "J01", "L2", "J12", "J13", "J23"]
+    assert scenarios._expected_killing("minkowski", every) == sorted(every)
+    assert scenarios._expected_killing("schwarzschild", every) == [
+        "J12", "J13", "J23", "L2", "P0", "dt"]
+
+
+def test_flat_space_expects_every_generator_of_a_spherical_document():
+    body = run_scenario(small_scenario(geometry="minkowski", M=0.0,
+                                       generators=["P0", "P1", "K1"]))
+    section = body["sections"]["minkowski"]
+    assert section["expected_killing"] == ["K1", "P0", "P1"]
+    assert section["verdict"] == "pass"
+
+
+def test_an_unexpected_killing_vector_fails_its_section(monkeypatch):
+    # P1 is no Killing vector of the exterior: its decay there is a fault
+    # of the run, not a pass
+    def sweep(scenario, geometry, gen_ns=(), eom_ns=(), killing_n=None):
+        decaying = ([0.0] * len(gen_ns) if geometry == "minkowski"
+                    else [4e-2, 1e-2, 2.5e-3])
+        return {"sym": {name: decaying for name in scenario.generators},
+                "extra": {name: decaying for name in scenario.generators},
+                "gen_spacings": [scenario.grid(n).spacing for n in gen_ns],
+                "torsion": [0.0] * len(eom_ns),
+                "einstein": [0.0] * len(eom_ns),
+                "eom_spacings": [scenario.grid(n).spacing for n in eom_ns],
+                "killing": {name: 0.0 for name in scenario.generators}}
+
+    monkeypatch.setattr(scenarios, "_sweep", sweep)
+    body = run_scenario(small_scenario(
+        scenario="poincare", Ns=[9, 13, 17],
+        generators=["P0", "L1", "L2", "L3", "P1"]))
+    exterior = body["sections"]["schwarzschild"]
+    assert exterior["symmetry_residuals"]["P1"]["verdict"] == "pass"
+    assert exterior["expected_killing"] == ["L1", "L2", "L3", "P0"]
+    assert exterior["verdict"] == "fail" and body["verdict"] == "fail"
+    assert body["sections"]["minkowski"]["verdict"] == "pass"
+
+
+def test_a_decaying_ladder_that_rises_is_inconclusive():
+    calls = []
+
+    def leibniz():
+        calls.append(1)
+        return [16.0, 0.5, 0.6], [4.0, 2.0, 1.0]
+
+    body = convergence_study(small_scenario(Ns=[9, 13, 17]),
+                             ["leibniz", "leibniz"], leibniz)
+    entry = body["quantities"]["leibniz"]
+    assert entry["kind"] == "decaying" and entry["slope"] >= 1.7
+    assert entry["verdict"] == "inconclusive"
+    assert entry["note"] == "non-monotone residuals; refine"
+    assert body["verdict"] == "inconclusive" and calls == [1]
+
+
+def test_a_ladder_without_a_slope_leaves_its_slope_cell_empty():
+    norms = [1e-3, 0.0, 1e-5]
+    body = convergence_study(small_scenario(Ns=[9, 13, 17]), ["leibniz"],
+                             lambda: (norms, [4.0, 2.0, 1.0]))
+    assert body["quantities"]["leibniz"]["slope"] is None
+    assert convergence_csv_rows(body) == (
+        ["quantity", "norms", "slope", "verdict"],
+        [["leibniz", repr(norms), "", "inconclusive"]])
+
+
+def test_convergence_refuses_a_bad_generator_before_the_leibniz_ladder():
+    def refuse():
+        raise AssertionError("the ladder ran before a refusal")
+
+    with pytest.raises(ScenarioError, match=r"^generators\[1\]: must be "):
+        convergence_study(small_scenario(Ns=[9, 13, 17]),
+                          ["leibniz", "symmetry:K1", "extra:K1", "extra:Q9"],
+                          refuse)
 
 
 def test_every_verdict_is_recomputable_from_reported_numbers():

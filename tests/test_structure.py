@@ -24,8 +24,9 @@ carries its cutoff, and its generator's plane is not a knob.
 No module of ``src/pcgrav`` holds a ``global`` statement.
 
 ``cli.py`` imports no name from ``action``, ``geometry``, ``mass`` or
-``symmetry``: each scenario command's body comes from one study in
-``scenarios``, and the command line loads, calls it and writes.
+``symmetry``, and no verdict function: each scenario command's body,
+verdict included, comes from one study in ``scenarios``, and the command
+line loads, calls it and writes.
 """
 
 import ast
@@ -168,13 +169,15 @@ def test_no_module_rebinds_global_state():
 
 def test_the_command_line_imports_no_field_physics():
     physics = {"action", "geometry", "mass", "symmetry"}
+    verdicts = {"apply_family_verdicts", "classify_sequence", "eom_verdict",
+                "fit_slope", "fold_verdicts"}
     imported = []
     for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")[-1]
             names = [alias.name for alias in node.names]
-            if module in physics or (module in ("", "pcgrav")
-                                     and physics & {*names}):
+            if (module in physics or verdicts & {*names}
+                    or (module in ("", "pcgrav") and physics & {*names})):
                 imported.append(f"{node.module}: {', '.join(names)}")
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names
