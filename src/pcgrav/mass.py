@@ -122,14 +122,29 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
     return np.einsum("pi,pj,pk,...pijk->p...", wx, wy, wz, blocks)
 
 
+def _live(values: np.ndarray) -> np.ndarray:
+    """Which components of slice samples are not zero at every node."""
+    # a leading axis and a t axis make even a scalar a field of components
+    return live_components(np.expand_dims(values, (0, -4)))[0]
+
+
+def _interpolate_live(values: np.ndarray, live: np.ndarray, grid: Grid4,
+                      points: np.ndarray) -> np.ndarray:
+    """:func:`interpolate_slice` of the ``live`` components of ``values``
+    (``_live(values)``); the others keep the +0.0 of ``np.zeros``, which
+    is what interpolating zero samples gives."""
+    out = np.zeros((len(points),) + values.shape[:-3])
+    out[:, live] = interpolate_slice(values[live], grid, points)
+    return out
+
+
 def _slice_gradient(values: np.ndarray, h: float) -> np.ndarray:
     """d_i of slice samples, stacked on a new leading axis.
 
     Only the live components are differentiated.  The others keep the
     +0.0 of ``np.zeros``, which is what the stencils give on zero samples.
     """
-    # a leading axis and a t axis make even a scalar a field of components
-    live = live_components(np.expand_dims(values, (0, -4)))[0]
+    live = _live(values)
     stacked = values[live]
     grads = np.zeros((3,) + values.shape)
     for i, axis in enumerate((-3, -2, -1)):
@@ -208,7 +223,8 @@ def adm_energy(g: MetricField, radii):
     spatial = central_slice(g)[1:, 1:]
 
     # flatness check at the largest radius
-    probe = interpolate_slice(spatial, grid, radii[-1] * directions)
+    probe = _interpolate_live(spatial, _live(spatial), grid,
+                              radii[-1] * directions)
     deviation = np.abs(probe - np.eye(3)).max()
     if not deviation < 1.0:    # NaN is not flat
         raise MassDomainError(
@@ -251,6 +267,7 @@ def komar_mass(g: MetricField, radii):
         raise MassDomainError("slice has non-timelike Killing direction")
     lapse = np.sqrt(-g_tt)
     spatial = full[1:, 1:]
+    live = _live(spatial)
     dlapse = _slice_gradient(lapse, grid.spacing)
     # embedding tangents in (c, phi) on the unit sphere; d/dc of
     # (s cosp, s sinp, c) uses ds/dc = -c/s (Gauss nodes are interior, s > 0)
@@ -263,7 +280,7 @@ def komar_mass(g: MetricField, radii):
 
     def flux(rho):
         pts = rho * directions
-        gamma = interpolate_slice(spatial, grid, pts)
+        gamma = _interpolate_live(spatial, live, grid, pts)
         grad_a = interpolate_slice(dlapse, grid, pts)
         gamma_inv = np.linalg.inv(gamma)
         raised = np.einsum("nij,nj->ni", gamma_inv, directions)

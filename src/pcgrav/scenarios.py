@@ -399,9 +399,11 @@ def _generator_norms(e, gens, form):
     generator, so they are built once per N, and the coupling factor
     (Upsilon alpha) (x) X_R and its live components once per generator.
     A residual that depends on t while e does not (a boost's) is evaluated
-    one interior t slice at a time (``t_windows``), and each norm is the
-    max over the slices, NaN if any is.  Everything, the form too, is
-    dropped on return, before the field equations of the same N.
+    one interior t slice at a time, on the windows ``t_windows`` picks from
+    e, the mask and the factor: three in radius mode "spatial", every
+    interior slice in "4d".  Each norm is the max over the windows, NaN if
+    any is.  Everything, the form too, is dropped on return, before the
+    field equations of the same N.
     """
     derivatives = axis_derivatives(e.data, e.grid, gens)
     sym, extra = [], []
@@ -409,7 +411,7 @@ def _generator_norms(e, gens, form):
         factor = form.factor(gen)
         live = F.live_components(factor.data)
         norms = []
-        for where in t_windows(e.data, gen, e.grid):
+        for where in t_windows(e.data, gen, e.grid, factor.data):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
             term = F.wedge(residual, _on(factor, where), b_live=live)
             norms.append((residual.region_norm(), term.region_norm()))
@@ -421,7 +423,8 @@ def _generator_norms(e, gens, form):
 
 def _killing_norms(metric, gens) -> dict:
     """Killing-residual norm of each generator, one derivative set shared;
-    streamed over t slices as in :func:`_generator_norms`."""
+    a boost's is the max over the windows ``t_windows`` picks, as in
+    :func:`_generator_norms`."""
     derivatives = axis_derivatives(metric.data, metric.grid, gens)
     return {gen.name: float(np.max([
         killing_residual(_on(metric, where), gen, derivatives)[1]

@@ -6,7 +6,8 @@ import pytest
 from pcgrav.fields import MetricField
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
-from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, adm_energy,
+from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _interpolate_live,
+                         _live, adm_energy, central_slice,
                          extrapolate_in_radius, interpolate_slice, komar_mass,
                          positivity_check, sphere_quadrature)
 
@@ -271,6 +272,28 @@ def test_interpolation_is_exact_for_cubics_in_each_variable():
     got = interpolate_slice(values, grid, points)
     exact = cubic(*(points / grid.half_width).T)
     assert np.max(np.abs(got - exact)) < 1e-12 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_live_interpolation_equals_the_full_one(n, mass):
+    # the slice metric of a diagonal chart has 3 live components of 9; the
+    # dead ones interpolate to the +0.0 the scatter leaves
+    grid = big_grid(n)
+    metric = (SchwarzschildIsotropic(mass).metric(grid) if mass
+              else minkowski_metric(grid))
+    spatial = central_slice(metric)[1:, 1:]
+    live = _live(spatial)
+    assert np.array_equal(live, np.eye(3, dtype=bool))
+    # a seeded off-diagonal component is live too
+    mixed = np.array(spatial)
+    mixed[0, 1] = _samples((), n)
+    for values in (spatial, mixed):
+        points = _probe_points(grid)
+        full = interpolate_slice(values, grid, points)
+        got = _interpolate_live(values, _live(values), grid, points)
+        assert np.array_equal(got, full)
+        assert got.tobytes() == full.tobytes()
 
 
 def test_mass_ladders_are_pinned():

@@ -1,5 +1,6 @@
 """Static fields stored with extent 1 on t against their dense copies."""
 
+import collections
 import dataclasses
 import tracemalloc
 from pathlib import Path
@@ -11,14 +12,19 @@ import pcgrav.grid as grid_module
 import pcgrav.symmetry as symmetry
 from pcgrav.action import (einstein_residual, extra_eom_term,
                            standard_test_form, torsion_residual)
-from pcgrav.fields import FormField, MetricField, metric_from_tetrad
+from pcgrav.fields import (FormField, MetricField, live_components,
+                           metric_from_tetrad, wedge)
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
-from pcgrav.grid import Grid4
-from pcgrav.scenarios import (Scenario, _sweep, load_scenario, pc_study,
-                              run_scenario, scenario_from_dict)
-from pcgrav.symmetry import (CutoffFunction, killing_residual,
-                             poincare_generators, symmetry_residual,
-                             t_windows)
+from pcgrav.grid import FACE_LAYERS, Grid4
+from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
+                              _sweep, load_scenario, pc_study, run_scenario,
+                              scenario_from_dict)
+from pcgrav.symmetry import (CutoffFunction, PoincareElement, axis_derivatives,
+                             killing_residual, poincare_generators,
+                             symmetry_residual, t_windows)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BOOSTS = [PoincareElement.from_name(f"K{i}") for i in (1, 2, 3)]
 
 CHARTS = {"minkowski": MinkowskiChart(),
           "schwarzschild": SchwarzschildIsotropic(0.5)}
@@ -224,8 +230,7 @@ def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field():
     # the coupling term of generators[0] streams over t, as in the sweep;
     # in 4d mode the coupling factor fills out t, so only spatial is held
     sc = load_scenario(
-        Path(__file__).resolve().parent.parent / "scenarios"
-        / "poincare_schwarzschild.json",
+        SCENARIOS / "poincare_schwarzschild.json",
         generators=["K1"], grid={"L": 20.0, "N": 25},
         radius_mode="spatial")
     for cached in (grid_module._region_mask, grid_module._norm_mask,
@@ -240,3 +245,141 @@ def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field():
         tracemalloc.stop()
     assert body["extra_term_norm"] > 0.0
     assert peak < one_dense, (peak, one_dense)
+
+
+class SeededChart:
+    """Flat static fields plus a static perturbation of ``scale``, seeded
+    by ``seed`` and the node count; ``inf`` plants +inf at that index of
+    the tetrad and of the metric."""
+
+    def __init__(self, seed, scale=1e-2, inf=None):
+        self.seed, self.scale, self.inf = seed, scale, inf
+
+    def _plant(self, data):
+        if self.inf is not None:
+            data[self.inf] = np.inf
+        return data
+
+    def _perturbed(self, grid):
+        rng = np.random.default_rng([self.seed, grid.points])
+        return FormField(grid, 1, 1, MinkowskiChart().tetrad(grid).data
+                         + self.scale * rng.standard_normal(
+                             (4, 4, 1) + grid.shape[1:]))
+
+    def tetrad(self, grid):
+        return FormField(grid, 1, 1,
+                         self._plant(self._perturbed(grid).data.copy()))
+
+    def metric(self, grid):
+        g = metric_from_tetrad(self._perturbed(grid))
+        return MetricField(grid, self._plant(g.data.copy()))
+
+
+def every_slice_norms(e, g, gen, form):
+    """Symmetry, coupling and Killing norms of ``gen`` on each interior t
+    slice, one window per slice, rows in t order."""
+    grid = e.grid
+    de = axis_derivatives(e.data, grid, [gen])
+    dg = axis_derivatives(g.data, grid, [gen])
+    factor = form.factor(gen)
+    live = live_components(factor.data)
+    rows = []
+    for t in range(FACE_LAYERS, grid.points - FACE_LAYERS):
+        where = grid.window(t, t + 1)
+        xe = symmetry_residual(_on(e, where), gen, de)
+        rows.append([xe.region_norm(),
+                     wedge(xe, _on(factor, where), b_live=live).region_norm(),
+                     killing_residual(_on(g, where), gen, dg)[1]])
+    return np.array(rows)
+
+
+def hex_boost_norms(e, g, form):
+    """(three-slice, every-slice max) symmetry, coupling and Killing norms
+    of K1-K3, in hex."""
+    sym, extra = _generator_norms(e, BOOSTS, form)
+    killing = _killing_norms(g, BOOSTS)
+    got = [[s, x, killing[gen.name]] for gen, s, x in zip(BOOSTS, sym, extra)]
+    want = [every_slice_norms(e, g, gen, form).max(axis=0) for gen in BOOSTS]
+    return ([[float(v).hex() for v in row] for row in got],
+            [[float(v).hex() for v in row] for row in want])
+
+
+@pytest.mark.parametrize("n", [17, 25, 33])
+@pytest.mark.parametrize("geometry", ["minkowski", "schwarzschild"])
+def test_three_slice_boost_norms_equal_every_slice_max(geometry, n):
+    sc = load_scenario(SCENARIOS / "poincare_schwarzschild.json")
+    grid = sc.grid(n)
+    chart = sc.chart(geometry)
+    e, g = chart.tetrad(grid), chart.metric(grid)
+    got, want = hex_boost_norms(e, g, standard_test_form(grid, sc.cutoff()))
+    assert got == want
+    if geometry == "schwarzschild":
+        assert all(len(t_windows(e.data, gen, grid)) == 3 for gen in BOOSTS)
+        assert all(v != "0x0.0p+0" for row in got for v in row)
+
+
+@pytest.mark.parametrize("n", [9, 13, 17, 25])
+def test_three_slice_boost_norms_of_seeded_static_tetrads(n):
+    grid = Grid4(8.0, n, inner_radius=3.0, radius_mode="spatial")
+    form = standard_test_form(grid, CutoffFunction(3.0, 12.0))
+    for seed in range(4):
+        for scale in (1e-2, 1e-9):
+            chart = SeededChart(seed, scale)
+            got, want = hex_boost_norms(chart.tetrad(grid), chart.metric(grid),
+                                        form)
+            assert got == want, (seed, scale)
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_an_infinite_sample_keeps_the_nan_of_the_t0_slice(n):
+    grid = Grid4(8.0, n, inner_radius=3.0, radius_mode="spatial")
+    form = standard_test_form(grid, CutoffFunction(3.0, 5.0))
+    # the z leg of internal index 3, which K1's rotation leaves alone, in
+    # the face layer x = N - 2 (its own d_t is NaN there, off the norm
+    # region): d_x of it is +-inf at its two neighbours inside the region,
+    # so K1's t d_x is NaN at t = 0 and infinite on every other slice
+    chart = SeededChart(0, inf=(3, 3, 0, n - 2, n - 3, n // 2))
+    e, g = chart.tetrad(grid), chart.metric(grid)
+    assert grid.axis_coordinates()[n // 2] == 0.0
+    with np.errstate(invalid="ignore"):
+        got, want = hex_boost_norms(e, g, form)
+        norms = every_slice_norms(e, g, BOOSTS[0], form)
+    assert got == want
+    assert got[0] == ["nan"] * 3
+    middle = n // 2 - FACE_LAYERS
+    assert np.isnan(norms[middle]).all()
+    assert np.isinf(np.delete(norms, middle, axis=0).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
+    n = 13
+    monkeypatch.setattr(Scenario, "chart",
+                        lambda self, geometry=None: SeededChart(0))
+    where = collections.defaultdict(list)
+
+    def counted(kind, residual):
+        def call(field, gen, derivatives=None):
+            t0 = field.grid.t0 if field.grid != grid else "grid"
+            where[kind, gen.name].append(t0)
+            return residual(field, gen, derivatives)
+        return call
+
+    import pcgrav.scenarios as scenarios
+    monkeypatch.setattr(scenarios, "symmetry_residual",
+                        counted("symmetry", symmetry_residual))
+    monkeypatch.setattr(scenarios, "killing_residual",
+                        counted("killing", killing_residual))
+    sc = scenario_from_dict({
+        "scenario": "poincare", "geometry": "minkowski", "M": 0.0,
+        "grid": {"L": 8.0, "N": n}, "Ns": [n],
+        "cutoff": {"r": 3.0, "R": 5.0}, "radius_mode": mode,
+        "radii": [4.0, 5.0]})
+    grid = sc.grid(n)
+    _sweep(sc, "minkowski", gen_ns=(n,), killing_n=n)
+    boost_slices = ([2, n // 2, n - 3] if mode == "spatial"
+                    else list(range(FACE_LAYERS, n - FACE_LAYERS)))
+    assert len(where) == 20
+    for (kind, name), slices in where.items():
+        expected = boost_slices if name.startswith("K") else ["grid"]
+        assert slices == expected, (kind, name)
