@@ -136,7 +136,8 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "seeds": seeds,
             "failed_pairs": [p for p in pairs if p not in ok],
-            "metrics": summarize(ok, spec["end_to_end"]) if ok else {},
+            "metrics": (summarize(ok, spec["end_to_end"]) if len(ok) > 1
+                        else {}),
         }
     out = args.out or checkouts["change"] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
