@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pcgrav.grid as grid_module
+import pcgrav.scenarios as scenarios
 import pcgrav.symmetry as symmetry
 from pcgrav.action import (einstein_residual, extra_eom_term,
                            standard_test_form, torsion_residual)
@@ -365,7 +366,6 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
             return residual(field, gen, derivatives)
         return call
 
-    import pcgrav.scenarios as scenarios
     monkeypatch.setattr(scenarios, "symmetry_residual",
                         counted("symmetry", symmetry_residual))
     monkeypatch.setattr(scenarios, "killing_residual",
@@ -377,9 +377,14 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
         "radii": [4.0, 5.0]})
     grid = sc.grid(n)
     _sweep(sc, "minkowski", gen_ns=(n,), killing_n=n)
-    boost_slices = ([2, n // 2, n - 3] if mode == "spatial"
-                    else list(range(FACE_LAYERS, n - FACE_LAYERS)))
+    boost_slices = (
+        [FACE_LAYERS, n // 2, n - FACE_LAYERS - 1] if mode == "spatial"
+        else list(range(FACE_LAYERS, n - FACE_LAYERS)))
     assert len(where) == 20
     for (kind, name), slices in where.items():
         expected = boost_slices if name.startswith("K") else ["grid"]
         assert slices == expected, (kind, name)
+    # a factor that depends on t keeps every slice, in either mode
+    e = SeededChart(0).tetrad(grid)
+    assert len(t_windows(e.data, BOOSTS[0], grid,
+                         np.ones((1, 1) + grid.shape))) == n - 2 * FACE_LAYERS
