@@ -400,8 +400,10 @@ def _generator_norms(e, gens, form):
     (Upsilon alpha) (x) X_R and its live components once per generator.
     A residual that depends on t while e does not (a boost's) is evaluated
     one interior t slice at a time, on the windows ``t_windows`` picks from
-    e, the mask and the factor: three in radius mode "spatial", every
-    interior slice in "4d".  Each norm is the max over the windows, NaN if
+    e and the mask: three in radius mode "spatial", every interior slice
+    in "4d".  ``form`` is ``standard_test_form``, whose factor comes from
+    the grid's radius as the mask does, so it depends on t exactly when
+    the mask does.  Each norm is the max over the windows, NaN if
     any is.  Everything, the form too, is dropped on return, before the
     field equations of the same N.
     """
@@ -411,7 +413,7 @@ def _generator_norms(e, gens, form):
         factor = form.factor(gen)
         live = F.live_components(factor.data)
         norms = []
-        for where in t_windows(e.data, gen, e.grid, factor.data):
+        for where in t_windows(e.data, gen, e.grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
             term = F.wedge(residual, _on(factor, where), b_live=live)
             norms.append((residual.region_norm(), term.region_norm()))

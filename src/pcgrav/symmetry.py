@@ -209,11 +209,9 @@ def _lie_transport(data: np.ndarray, x: PoincareElement, grid: Grid4,
     return out
 
 
-def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4,
-              *factors) -> list:
-    """Where to evaluate the residuals of x on node samples ``data``, and
-    their pointwise products with the samples ``factors``: the grid, or
-    interior one-slice windows of it.
+def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4) -> list:
+    """Where to evaluate the residuals of x on node samples ``data``: the
+    grid, or interior one-slice windows of it.
 
     The windows are for a residual that depends on t while ``data`` does
     not: ``data`` has extent 1 on t, and x moves it along an axis lambda
@@ -223,16 +221,19 @@ def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4,
     norm region, so they get no window.
 
     Three windows serve when one such lambda carries all the t dependence,
-    its xi^lambda depends on t alone, and the grid's region mask and every
-    factor have extent 1 on t (radius mode "spatial").  Each residual
-    component at a node is then a chain of round-to-nearest operations on
+    its xi^lambda depends on t alone, and the grid's region mask has
+    extent 1 on t (radius mode "spatial").  Each residual component at a
+    node is then a chain of round-to-nearest operations on
     fl(xi^lambda(t) D) and t-independent terms, monotone in t, so |.|
     peaks at an outermost interior slice; a NaN there is kept by the max.
     The one NaN in between, 0 * inf where xi^lambda vanishes (t = 0 for a
-    boost), gets the third window.  Products with a factor are affine in t
-    before rounding, and their norms are pinned against every slice by
-    test.  In "4d" mode the mask and the cutoff depend on t: every interior
-    slice gets its window.
+    boost), gets the third window.  A product with a factor built from the
+    grid's radius, as the mask is (the coupling factor of
+    ``standard_test_form``), is affine in t before rounding; the monotone
+    argument does not cover its sums of products whose t slopes differ in
+    sign, so those norms are pinned against every slice by test, not
+    proven.  In "4d" mode the mask and the cutoff depend on t: every
+    interior slice gets its window.
     """
     xi = _affine_components(x, grid)
     moving = [lam for lam in _moved_axes(x)
@@ -241,8 +242,7 @@ def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4,
         return [grid]
     slices = range(FACE_LAYERS, grid.points - FACE_LAYERS)
     if (len(moving) == 1 and xi[moving[0]].size == grid.points
-            and grid.region_mask().shape[0] == 1
-            and all(f.shape[-4] == 1 for f in factors)):
+            and grid.region_mask().shape[0] == 1):
         vanish = np.flatnonzero(xi[moving[0]] == 0.0)
         slices = sorted({slices[0], slices[-1],
                          *set(slices).intersection(vanish.tolist())})

@@ -384,7 +384,3 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
     for (kind, name), slices in where.items():
         expected = boost_slices if name.startswith("K") else ["grid"]
         assert slices == expected, (kind, name)
-    # a factor that depends on t keeps every slice, in either mode
-    e = SeededChart(0).tetrad(grid)
-    assert len(t_windows(e.data, BOOSTS[0], grid,
-                         np.ones((1, 1) + grid.shape))) == n - 2 * FACE_LAYERS

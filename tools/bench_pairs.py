@@ -1,21 +1,20 @@
 """Benchmark two checkouts in alternating pairs and write BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> --pr N
-        [--pairs 10] [--first-seed 1] [--workloads W,...] [--out PATH]
 
-Pair k runs ``python3 bench/run.py --workload W --seed S --seconds 10
---trace 0`` once in each checkout, with seed S = first seed + k; the
-parent goes first in even pairs and the change in odd ones.  The
-workloads, the seconds per run and each metric's better direction come
-from the change's ``BENCHMARK.json``.
+Pair k (k = 0 .. 9) runs ``python3 bench/run.py --workload W --seed S
+--seconds 10 --trace 0`` once in each checkout, with seed
+S = 1000 * N + 1 + k; the parent goes first in even pairs and the change
+in odd ones.  Every workload of the change's ``BENCHMARK.json`` is run,
+and the seconds per run and each metric's better direction come from it.
 
 The JSON holds, per workload and end-to-end metric, every value and the
 median, q1 and q3 (``statistics.quantiles``, inclusive) of each side, the
 relative change of the medians, and the pairs in which the change is
 better.  It also holds the seeds, both ``git rev-parse HEAD``s (null
 outside a git checkout), ``os.cpu_count()``, the Python and numpy versions
-and ``PYTHONDONTWRITEBYTECODE``.  It is written to ``--out``, by default
-``BENCH_<pr>.json`` in the change checkout.  A run that fails or is not
+and ``PYTHONDONTWRITEBYTECODE``.  It is written to ``BENCH_<N>.json`` in
+the change checkout.  A run that fails or is not
 ``correct`` is kept and named in its pair; the script then exits 1.
 Standard library only.
 """
@@ -33,6 +32,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def revision(checkout: Path):
@@ -88,18 +88,10 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs: quartiles need at least 2 pairs")
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
     seconds = spec["run_seconds"]
     report = {
         "pr": args.pr,
@@ -117,8 +109,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     bad = False
-    for workload in workloads:
-        seeds = [args.first_seed + k for k in range(args.pairs)]
+    seeds = [1000 * args.pr + 1 + k for k in range(PAIRS)]
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -139,7 +131,7 @@ def main(argv=None) -> int:
             "metrics": (summarize(ok, spec["end_to_end"]) if len(ok) > 1
                         else {}),
         }
-    out = args.out or checkouts["change"] / f"BENCH_{args.pr}.json"
+    out = checkouts["change"] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 1 if bad else 0
