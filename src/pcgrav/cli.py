@@ -194,24 +194,20 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
 
     Rings hold the slices of a, b and [a, b] within two of the current t.
     Each slice is built once, and a block also builds the two slices past
-    each end of its range that the t stencil reads.  The buffers are this
-    block's own, reused from slice to slice.
+    each end of its range that the t stencil reads.
     """
     n, nodes = grid.points, grid.shape[1:]
     rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
     ring_a, ring_b = rings
     ring_ab = np.empty((RING, 6, 6) + nodes)
-    d_buf = np.empty((6, 6, 1) + nodes)
-    x_buf, y_buf = np.empty((2, 4, 6, 1) + nodes)
-    scratch = np.empty(2 * 6 * grid.points ** 3)     # two Lambda^2 slices
 
     def build(t):
         # each wave depends on one coordinate: sampled along its axis
         partial = ((0 + coef[0] * waves[0][t]) + coef[1] * waves[1][0]
                    + coef[2] * waves[2][0])
         np.add(partial, coef[3] * waves[3][0], out=rings[:, t % RING])
-        F.wedge(at(ring_a, t, 1), at(ring_b, t, 1), "bracket",
-                out=ring_ab[t % RING][:, :, None], scratch=scratch)
+        ab = F.wedge(at(ring_a, t, 1), at(ring_b, t, 1), "bracket")
+        ring_ab[t % RING] = ab.data[:, :, 0]
 
     def at(ring, t, degree):
         return F.RingSlice.of(ring, grid, t, degree, 2)
@@ -223,14 +219,10 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
         if t + 2 < n:
             build(t + 2)
         a, b = at(ring_a, t, 1), at(ring_b, t, 1)
-        da = F.ext_d(a, out=d_buf, scratch=scratch)
-        x = F.wedge(da, b, "bracket", out=x_buf, scratch=scratch)
-        db = F.ext_d(b, out=d_buf, scratch=scratch)
-        y = F.wedge(a, db, "bracket", out=y_buf, scratch=scratch)
-        rhs = np.subtract(x.data, y.data, out=x_buf)
-        d_ab = F.ext_d(at(ring_ab, t, 2), out=y_buf, scratch=scratch)
-        residual = np.subtract(d_ab.data, rhs, out=y_buf)
-        top = np.maximum(top, np.abs(residual, out=y_buf).max())
+        rhs = (F.wedge(F.ext_d(a), b, "bracket").data
+               - F.wedge(a, F.ext_d(b), "bracket").data)
+        residual = F.ext_d(at(ring_ab, t, 2)).data - rhs
+        top = np.maximum(top, np.abs(residual).max())
     return top
 
 

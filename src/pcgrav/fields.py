@@ -14,20 +14,19 @@ t) stores one node along it, and products, sums and norms broadcast over
 that axis.  A field's max-norm (:meth:`FormField.region_norm`) runs
 outside the excised ball its grid carries.
 
-A field may also live on a :class:`~pcgrav.grid.Window` of t slices.
+A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
 :class:`RingSlice`, which takes d/dt from a ring of its neighbours with
 the stencils of the grid.  The Leibniz ladder streams t this way, and so
 do the boost residuals of static fields in ``scenarios``.
-``wedge`` and ``ext_d`` keep no state between calls and run in the calling
-thread, in one fixed order of operations, so results are the same bits
-whichever thread calls them.
+``wedge`` and ``ext_d`` allocate their own results, keep no state between
+calls and run in the calling thread, in one fixed order of operations, so
+results are the same bits whichever thread calls them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,8 +99,7 @@ class FormField:
         """Max |component| outside the grid's ball, away from box faces."""
         return region_max(self.data, self.grid)
 
-    def _derivative(self, s: int, mu: int, out: np.ndarray,
-                    scratch: np.ndarray) -> bool:
+    def _derivative(self, s: int, mu: int, out: np.ndarray) -> bool:
         """d_mu of the spacetime component ``data[s]`` (every internal
         component) into ``out``; False along an axis of extent 1, where it
         is exact zeros."""
@@ -111,8 +109,7 @@ class FormField:
                 "differentiate a RingSlice")
         if self.data.shape[2 + mu] == 1:
             return False
-        diff_axis(self.data[s], 1 + mu, self.grid.spacing, out=out,
-                  scratch=scratch)
+        diff_axis(self.data[s], 1 + mu, self.grid.spacing, out=out)
         return True
 
 
@@ -127,17 +124,16 @@ class RingSlice(FormField):
     @classmethod
     def of(cls, ring: np.ndarray, grid: Grid4, t: int, degree: int,
            internal: int) -> "RingSlice":
-        return cls(grid.window(t, t + 1), degree, internal,
+        return cls(grid.window(t), degree, internal,
                    ring[t % len(ring)][:, :, None], ring)
 
-    def _derivative(self, s, mu, out, scratch):
+    def _derivative(self, s, mu, out):
         if mu:
-            return super()._derivative(s, mu, out, scratch)
+            return super()._derivative(s, mu, out)
         # one internal component at a time: its five slices stay in cache
-        window = self.grid
         for c, dst in enumerate(out):
-            diff_ring(self.ring[:, s, c], window.t0, window.grid.points,
-                      window.spacing, dst[0], scratch)
+            diff_ring(self.ring[:, s, c], self.grid.t, self.grid.grid.points,
+                      self.grid.spacing, dst[0])
         return True
 
 
@@ -151,18 +147,6 @@ def _check_shape(data: np.ndarray, leading: tuple, grid) -> None:
             f"component array has shape {data.shape}, expected "
             f"{leading + grid.shape} (or extent 1 on a grid axis)")
     data.setflags(write=False)
-
-
-def _into(out: np.ndarray, shape: tuple) -> np.ndarray:
-    """A view of a caller's ``out``, checked as diff_axis checks it.
-
-    The field built on the view makes only the view read-only, so the
-    caller can fill the buffer again.
-    """
-    if out.shape != shape or not out.flags.c_contiguous:
-        raise FormFieldError(f"out must be C-contiguous with shape {shape}, "
-                             f"got {out.shape}")
-    return out.view()
 
 
 def live_components(data: np.ndarray) -> np.ndarray:
@@ -261,7 +245,6 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
 
 
 def wedge(a: FormField, b: FormField, rule: str = "wedge",
-          out: np.ndarray = None, scratch: np.ndarray = None,
           b_live: np.ndarray = None) -> FormField:
     """Graded wedge on spacetime indices with the named internal pairing.
 
@@ -270,12 +253,9 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
     rule="action": so(3,1) representation of the first factor's Lambda^2
     values on the second factor's internal space.
 
-    The result goes to ``out`` if given (a C-contiguous float array of its
-    shape, not overlapping the operands); ``scratch``, if given, is a flat
-    float array of at least one t slice's nodes.  ``b_live``, if given, is
-    ``live_components`` of the field ``b`` is a window piece of: a caller
-    that wedges every piece with it finds that once, and each piece skips
-    the products the whole field would.
+    ``b_live``, if given, is ``live_components`` of the field ``b`` is a
+    window piece of: a caller that wedges every piece with it finds that
+    once, and each piece skips the products the whole field would.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -301,12 +281,11 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
                 written.add((k, m))
             steps.append((i, u, j, v, marked))
     out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
-    out = np.empty(out_shape) if out is None else _into(out, out_shape)
+    out = np.empty(out_shape)
     for k, m in np.ndindex(out_shape[:2]):
         if (k, m) not in written:
             out[k, m] = 0.0
-    prod = (np.empty(shape[1:]) if scratch is None
-            else scratch[:math.prod(shape[1:])].reshape(shape[1:]))
+    prod = np.empty(shape[1:])
     # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
     for t in range(shape[0]):
@@ -327,8 +306,7 @@ def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
     return wedge(a, b, rule="bracket")
 
 
-def ext_d(a: FormField, out: np.ndarray = None,
-          scratch: np.ndarray = None) -> FormField:
+def ext_d(a: FormField) -> FormField:
     """Finite-difference exterior derivative (4th order interior stencils).
 
     Derivatives along a grid axis of extent 1 are exact zeros and skipped.
@@ -336,29 +314,21 @@ def ext_d(a: FormField, out: np.ndarray = None,
     the output (negated in place if its sign is odd), the later ones into a
     buffer and then added in order, all internal components at once.  A
     target with no live term is 0.0.  Against adding every term to zeros,
-    only the sign of an exact zero can differ.
-
-    ``a`` is a field on the grid or a :class:`RingSlice`.  The result goes
-    to ``out`` if given (as in :func:`wedge`); ``scratch``, if given, is a
-    flat float array of at least two targets' nodes.
+    only the sign of an exact zero can differ.  ``a`` is a field on the
+    grid or a :class:`RingSlice`.
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
     p = a.degree
     targets = LAMBDA_BASES[p + 1]
     target_shape = (INTERNAL_DIMS[a.internal],) + a.data.shape[2:]
-    out_shape = (len(targets),) + target_shape
-    out = np.empty(out_shape) if out is None else _into(out, out_shape)
-    nodes = math.prod(target_shape)
-    if scratch is None:
-        scratch = np.empty(2 * nodes)
-    term, scratch = scratch[:nodes].reshape(target_shape), scratch[nodes:]
+    out = np.empty((len(targets),) + target_shape)
+    term = np.empty(target_shape)
     for acc, target in zip(out, targets):
         first = True
         for m, mu in enumerate(target):
             source = _INDEX[p][target[:m] + target[m + 1:]]
-            if not a._derivative(source, mu, acc if first else term,
-                                 scratch):
+            if not a._derivative(source, mu, acc if first else term):
                 continue
             if first:
                 if m % 2:

@@ -136,8 +136,11 @@ class SchwarzschildIsotropic:
         if self.core_radius is None:
             object.__setattr__(self, "core_radius",
                                2.0 * self.mass if self.mass > 0 else 1.0)
-        if self.core_radius <= 0.55 * self.mass:
-            raise ValueError("core radius must clear the coordinate horizon")
+        # keeps 1 +- M/2rho positive on the core, for either sign of M
+        if self.core_radius <= 0.55 * abs(self.mass):
+            raise ValueError(
+                f"core radius {self.core_radius!r} must clear the coordinate "
+                f"horizon, above 0.55 |M| = {0.55 * abs(self.mass)!r}")
 
     def _regions(self, rho: np.ndarray):
         """Outside-core mask, rho clamped to the core outside it, and

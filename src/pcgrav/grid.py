@@ -7,8 +7,9 @@ coordinates ``x_i = -L + i h`` with ``h = 2L/(N-1)``, axis order
 First derivatives use the 4th-order central 5-point stencil at interior
 nodes and 2nd-order 3-point stencils within two nodes of a box face
 (one-sided at the face itself).  The interior stencil reads flat offsets
-in C-contiguous blocks, so every axis is read in contiguous runs; the face
-stencils overwrite the nodes it computes across lines.  Integrals are
+of one C-contiguous array, so every axis is read in contiguous runs; the
+face stencils overwrite the nodes it computes across lines; the stencils
+allocate their own temporaries.  Integrals are
 product-trapezoid sums accumulated with exact compensated summation
 (math.fsum) in a fixed node order, so results are bit-reproducible
 regardless of threading.
@@ -98,31 +99,30 @@ class Grid4:
         mask[sl, sl, sl, sl] = True
         return mask
 
-    def window(self, t0: int, t1: int) -> "Window":
-        """The t slices ``t0 <= t < t1`` of this grid."""
-        return Window(self, t0, t1)
+    def window(self, t: int) -> "Window":
+        """The t slice ``t`` of this grid."""
+        return Window(self, t)
 
 
 @dataclass(frozen=True)
 class Window:
-    """A range of t slices of a grid, every node of x, y and z.
+    """One t slice of a grid, every node of x, y and z.
 
-    Samples on a window have extent ``t1 - t0`` (or 1) along t, and a t
-    stencil at its slices reads slices outside it: fields on a window are
-    pieces of a field on the grid, not fields of their own.  Pointwise work
-    runs on a window as on the grid: :func:`restrict` cuts a grid field
-    down to it, :meth:`coordinate` gives its coordinates, and
-    :func:`region_max` reads the rows of the grid's cached norm mask.  The
-    Leibniz ladder and the boost residuals of static fields stream t this
-    way, one slice at a time.
+    Samples on a window have extent 1 along t, and a t stencil at its
+    slice reads slices outside it: fields on a window are pieces of a field
+    on the grid, not fields of their own.  Pointwise work runs on a window
+    as on the grid: :func:`restrict` cuts a grid field down to it,
+    :meth:`coordinate` gives its coordinates, and :func:`region_max` reads
+    the row of the grid's cached norm mask.  The Leibniz ladder and the
+    boost residuals of static fields stream t this way, one slice at a
+    time.
     """
     grid: Grid4
-    t0: int
-    t1: int
+    t: int
 
     def __post_init__(self):
-        if not 0 <= self.t0 < self.t1 <= self.grid.points:
-            raise ValueError(f"window [{self.t0}, {self.t1}) is not inside "
+        if not 0 <= self.t < self.grid.points:
+            raise ValueError(f"window t = {self.t} is not inside "
                              f"t = 0..{self.grid.points - 1}")
 
     @property
@@ -131,7 +131,7 @@ class Window:
 
     @property
     def shape(self):
-        return (self.t1 - self.t0,) + self.grid.shape[1:]
+        return (1,) + self.grid.shape[1:]
 
     def coordinate(self, mu: int) -> np.ndarray:
         """x^mu broadcast over the window, as :meth:`Grid4.coordinate`."""
@@ -141,9 +141,9 @@ class Window:
 def restrict(values: np.ndarray, where) -> np.ndarray:
     """Node samples of a grid on ``where``: the grid itself, or a window of
     it.  On a window an axis t of extent N (the last four axes are the
-    grid) is sliced to the window's rows, and one of extent 1 is kept."""
+    grid) is sliced to the window's row, and one of extent 1 is kept."""
     if isinstance(where, Window) and values.shape[-4] != 1:
-        return values[..., where.t0:where.t1, :, :, :]
+        return values[..., where.t:where.t + 1, :, :, :]
     return values
 
 
@@ -173,18 +173,6 @@ def _norm_mask(grid: Grid4, shape: tuple) -> np.ndarray:
         mask = mask.any(axis=static, keepdims=True)
     mask.setflags(write=False)
     return mask
-
-
-def _contiguous_from(values: np.ndarray) -> int:
-    """Smallest k such that every ``values[i_0, ..., i_{k-1}]`` is one
-    C-contiguous block (the stride of an axis of extent 1 is ignored)."""
-    step = values.itemsize
-    for k in range(values.ndim, 0, -1):
-        n = values.shape[k - 1]
-        if n != 1 and values.strides[k - 1] != step:
-            return k
-        step *= n
-    return 0
 
 
 def _stencil(f, below: int, above: int, spacing: float, out: np.ndarray,
@@ -221,7 +209,7 @@ def _stencil(f, below: int, above: int, spacing: float, out: np.ndarray,
 
 
 def diff_axis(values: np.ndarray, axis: int, spacing: float,
-              out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
+              out: np.ndarray = None) -> np.ndarray:
     """d/dx^mu of node samples along ``axis``, the grid axis of x^mu.
 
     ``values`` is a float array of any rank and ``axis`` any index into
@@ -230,13 +218,10 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
     constant: the result is exact zeros, and NaN where a sample is not
     finite, as the stencil gives on constant samples.
 
-    The interior stencil runs on each C-contiguous trailing block of
-    ``values`` that holds ``axis``, so a strided view is read in place;
-    only an input without such a block (a stride-0 broadcast, a transposed
-    view) is copied.  The result goes to ``out`` if given (a C-contiguous
-    float array of the shape of ``values``, not overlapping it) and is
-    returned.  ``scratch``, if given, is a flat float array of at least
-    ``values.size`` nodes that holds the temporaries.
+    The interior stencil runs on one C-contiguous array of ``values``, a
+    copy only if ``values`` is not one (a strided, broadcast or transposed
+    view).  The result goes to ``out`` if given (a C-contiguous float array
+    of the shape of ``values``, not overlapping it) and is returned.
     """
     if out is None:
         out = np.empty(values.shape)
@@ -245,27 +230,19 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
     if values.shape[axis] == 1:
         return np.subtract(values, values, out=out)
     axis %= values.ndim
-    lead = _contiguous_from(values)
-    if lead > axis:
-        # no contiguous block holds the axis: a broadcast or transposed view
-        values = np.ascontiguousarray(values)
-        lead = 0
-    # in a C-contiguous block the neighbours of flat node k along the axis
-    # are k +- s and k +- 2s; the interior stencil runs over the m flat
-    # nodes [2s, size - 2s) in equal chunks
+    values = np.ascontiguousarray(values)
+    # flat node k's neighbours along the axis are k +- s and k +- 2s; the
+    # interior stencil runs over the m nodes [2s, size - 2s) in equal chunks
     s = math.prod(values.shape[axis + 1:])
-    m = math.prod(values.shape[lead:]) - 4 * s
+    m = values.size - 4 * s
     chunks = max(1, m // STENCIL_CHUNK)
     n = values.shape[axis]
-    if scratch is None:
-        scratch = np.empty(max(-(-m // chunks), values.size // n))
+    scratch = np.empty(max(-(-m // chunks), values.size // n))
     bounds = [2 * s + m * c // chunks for c in range(chunks + 1)]
-    for block in np.ndindex(values.shape[:lead]):
-        f = values[block].reshape(-1)
-        d = out[block].reshape(-1)
-        for k0, k1 in zip(bounds, bounds[1:]):
-            _stencil(lambda k: f[k0 + k * s:k1 + k * s], 2, 2, spacing,
-                     d[k0:k1], scratch[:k1 - k0])
+    f, d = values.reshape(-1), out.reshape(-1)
+    for k0, k1 in zip(bounds, bounds[1:]):
+        _stencil(lambda k: f[k0 + k * s:k1 + k * s], 2, 2, spacing,
+                 d[k0:k1], scratch[:k1 - k0])
     # nodes within two of a face along the axis read across lines above;
     # the face stencils overwrite them
     pre = (slice(None),) * axis
@@ -282,21 +259,18 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
 
 
 def diff_ring(ring: np.ndarray, t: int, points: int, spacing: float,
-              out: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+              out: np.ndarray) -> np.ndarray:
     """d/dt at t slice ``t`` of ``points`` from a ring of t slices.
 
     ``ring[i % len(ring)]`` holds slice i for every i within two of ``t``
     (and inside the grid).  The stencil and its order of operations are
     those of :func:`diff_axis` along t, so the result equals that row of
     it bit for bit.  The result goes to ``out`` (the shape of a slice) and
-    is returned; ``scratch``, if given, is a flat float array of at least
-    ``out.size`` nodes.
+    is returned.
     """
     depth = len(ring)
-    tmp = (np.empty(out.shape) if scratch is None
-           else scratch[:out.size].reshape(out.shape))
     return _stencil(lambda k: ring[(t + k) % depth], t, points - 1 - t,
-                    spacing, out, tmp)
+                    spacing, out, np.empty(out.shape))
 
 
 @lru_cache(maxsize=32)
@@ -335,18 +309,15 @@ def region_max(values: np.ndarray, grid) -> float:
     ``values`` has the grid on its last four axes; leading axes are
     component indices and are maximized over as well.  Along an axis of
     extent 1 the mask is reduced with ``any``, which gives the max of the
-    broadcast samples exactly.  On a :class:`Window` the mask is the rows of
+    broadcast samples exactly.  On a :class:`Window` the mask is its row of
     the grid's cached mask; a window outside the region gives 0.0, and
     warns only when the whole region is empty.  A NaN in any component
     makes the result NaN.
     """
     shape = values.shape[-4:]
     if isinstance(grid, Window):
-        whole = grid.grid
-        full = _norm_mask(whole, (whole.points,) + shape[1:])
+        full = _norm_mask(grid.grid, grid.grid.shape[:1] + shape[1:])
         mask = restrict(full, grid)
-        if shape[0] < mask.shape[0]:
-            mask = mask.any(axis=0, keepdims=True)
     else:
         full = mask = _norm_mask(grid, shape)
     if not mask.any():

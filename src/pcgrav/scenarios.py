@@ -259,6 +259,12 @@ def scenario_from_dict(doc: dict, source_hash: str = None,
         raise ScenarioError(
             f"radii: must stay below grid.L - h = {top!r} at grid.N = "
             f"{values['grid.N']}, got {max(radii)!r}")
+    if (values["geometry"] == "schwarzschild"
+            or values["scenario"] == "poincare"):
+        try:
+            SchwarzschildIsotropic(values["M"])
+        except ValueError as exc:
+            raise ScenarioError(f"M: {exc}, got {values['M']!r}") from None
     if values["geometry"] == "schwarzschild" and values["radius_mode"] == "4d":
         warnings.warn(
             "static chart is singular on the spatial axis, which a 4d "
@@ -569,15 +575,24 @@ def convergence_study(scenario: Scenario, quantities, leibniz) -> dict:
 def pc_study(scenario: Scenario, command: str) -> dict:
     """Body of ``pc action`` or ``pc eom``: the action S, and for "eom" the
     torsion and Einstein norms that the verdict holds to ``eom_abs_tol``
-    and the coupling-term norm of the first generator, streamed over t."""
+    and the coupling-term norm of the first generator, streamed over t.
+    An S that overflows or is not finite fails, a reason in its place."""
     if command == "eom" and not scenario.generators:
         raise ScenarioError("generators: pc eom needs at least one generator")
     grid = scenario.grid()
     chart = scenario.chart()
     e, omega = chart.tetrad(grid), chart.connection(grid)
     lam = scenario.cosmological_constant
-    body = {"N": scenario.points, "h": grid.spacing,
-            "S": action_pc(e, omega, lam), "verdict": "pass"}
+    body = {"N": scenario.points, "h": grid.spacing, "verdict": "pass"}
+    # a huge Lambda overflows the integrand to inf, or its exact sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            action = action_pc(e, omega, lam)
+            reason = None if math.isfinite(action) else f"S is {action}"
+        except OverflowError:          # from math.fsum
+            reason = "S overflows"
+    body.update({"S": action} if reason is None
+                else {"reason": reason, "verdict": "fail"})
     if command == "eom":
         _, body["torsion_norm"] = torsion_residual(e, omega)
         _, body["einstein_norm"] = einstein_residual(e, omega, lam)
@@ -587,9 +602,8 @@ def pc_study(scenario: Scenario, command: str) -> dict:
         body["extra_term_norm"] = extra[0]
         tol = scenario.thresholds["eom_abs_tol"]
         body["eom_abs_tol"] = tol
-        body["verdict"] = ("pass" if max(body["torsion_norm"],
-                                         body["einstein_norm"]) <= tol
-                           else "fail")
+        if not max(body["torsion_norm"], body["einstein_norm"]) <= tol:
+            body["verdict"] = "fail"
     return body
 
 

@@ -246,7 +246,7 @@ def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4) -> list:
         vanish = np.flatnonzero(xi[moving[0]] == 0.0)
         slices = sorted({slices[0], slices[-1],
                          *set(slices).intersection(vanish.tolist())})
-    return [grid.window(t, t + 1) for t in slices]
+    return [grid.window(t) for t in slices]
 
 
 def _entries(matrix: np.ndarray):

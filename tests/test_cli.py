@@ -555,6 +555,60 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [["mass", "adm"], ["pc", "action"]])
+@pytest.mark.parametrize("mass", [-2.0, -3.0])
+@pytest.mark.parametrize("changes", [
+    {}, {"scenario": "poincare", "geometry": "minkowski"}])
+def test_a_negative_mass_past_the_core_exits_2_naming_it(tmp_path, capsys,
+                                                        command, mass,
+                                                        changes):
+    # the default core radius for M <= 0 is 1.0: at M = -2 the core's
+    # 1 + M/(2 r_c) is 0, and past it negative; both documents build the
+    # Schwarzschild chart
+    doc = json.loads((SCENARIOS / "spherical_schwarzschild.json").read_text())
+    doc.update(M=mass, radius_mode="spatial", **changes)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "reports"
+    code = main([*command, "--scenario", str(path), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: M: ")
+    assert not out_dir.exists()
+
+
+def test_a_small_negative_mass_still_fails_positivity(tmp_path, capsys):
+    path = small_scenario_file(tmp_path, M=-0.5, grid={"L": 8.0, "N": 17})
+    code, out = run(["mass", "adm", "--scenario", str(path),
+                     "--out", str(tmp_path / "m")], tmp_path, capsys)
+    assert code == 1
+    body = json.loads(out)
+    assert body["verdict"] == "fail" and not body["positivity"]["passed"]
+
+
+@pytest.mark.parametrize("command", ["action", "eom"])
+@pytest.mark.parametrize("lam, reason", [(1e308, "S is inf"),
+                                         (1e305, "S overflows")])
+def test_an_overflowing_action_is_a_fail_verdict(tmp_path, capsys, command,
+                                                 lam, reason):
+    # 1e308 overflows the integrand to inf; 1e305 keeps it finite, and its
+    # exact sum overflows; warnings are errors here, so none is raised
+    doc = json.loads((SCENARIOS / "minkowski_lambda1.json").read_text())
+    doc["Lambda"] = lam
+    path = tmp_path / "lambda.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "reports"
+    code = main(["pc", command, "--scenario", str(path),
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    body = json.loads(captured.out)
+    assert "S" not in body
+    assert body["verdict"] == "fail" and body["reason"] == reason
+    report = json.loads((out_dir / f"pc_{command}.json").read_text())
+    assert report["body"] == body
+
+
 @pytest.mark.parametrize("field, value", [
     ("grid", None),
     ("cutoff", None),

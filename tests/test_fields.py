@@ -294,8 +294,8 @@ def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents,
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_ring_slices_match_whole_fields_bit_for_bit(p):
-    # ext_d of a RingSlice and wedge on one-slice windows, into reused
-    # buffers, give the t slices of the whole-field results
+    # ext_d of a RingSlice and wedge on one-slice windows give the t slices
+    # of the whole-field results
     rng = np.random.default_rng(p)
     grid, n = Grid4(2.0, 9), 9
     a = F.FormField(grid, p, 2, rng.normal(
@@ -303,35 +303,29 @@ def test_ring_slices_match_whole_fields_bit_for_bit(p):
     b = F.FormField(grid, 1, 2, rng.normal(size=(4, 6) + grid.shape))
     d_whole, bracket_whole = F.ext_d(a).data, F.wedge(a, b, "bracket").data
     ring = np.empty((5,) + a.data.shape[:2] + grid.shape[1:])
-    d_out = np.empty(d_whole.shape[:2] + (1,) + grid.shape[1:])
-    bracket_out = np.empty(bracket_whole.shape[:2] + (1,) + grid.shape[1:])
-    scratch = np.empty(2 * 6 * n ** 3)
     for t in range(n):
         ring.fill(np.nan)                 # a slot it must not read is NaN
         for i in range(max(t - 2, 0), min(t + 3, n)):
             ring[i % 5] = a.data[:, :, i]
         a_t = F.RingSlice.of(ring, grid, t, p, 2)
-        b_t = F.FormField(grid.window(t, t + 1), 1, 2, b.data[:, :, t:t + 1])
-        d_t = F.ext_d(a_t, out=d_out, scratch=scratch)
-        assert d_t.grid == grid.window(t, t + 1) and d_t.degree == p + 1
-        assert np.array_equal(d_out[:, :, 0], d_whole[:, :, t])
-        F.wedge(a_t, b_t, "bracket", out=bracket_out, scratch=scratch)
-        assert np.array_equal(bracket_out[:, :, 0], bracket_whole[:, :, t])
+        b_t = F.FormField(grid.window(t), 1, 2, b.data[:, :, t:t + 1])
+        d_t = F.ext_d(a_t)
+        assert d_t.grid == grid.window(t) and d_t.degree == p + 1
+        assert np.array_equal(d_t.data[:, :, 0], d_whole[:, :, t])
+        bracket_t = F.wedge(a_t, b_t, "bracket")
+        assert np.array_equal(bracket_t.data[:, :, 0], bracket_whole[:, :, t])
 
 
 def test_a_window_field_has_no_t_derivative_of_its_own():
     grid = Grid4(2.0, 9)
     data = np.random.default_rng(3).normal(size=(4, 6, 1) + grid.shape[1:])
-    slice_field = F.FormField(grid.window(4, 5), 1, 2, data)
+    slice_field = F.FormField(grid.window(4), 1, 2, data)
     with pytest.raises(F.FormFieldError, match="RingSlice"):
         F.ext_d(slice_field)          # as a static field, d/dt would be 0
     with pytest.raises(F.FormFieldError, match="different grids"):
-        F.wedge(slice_field, F.FormField(grid.window(5, 6), 1, 2, data))
+        F.wedge(slice_field, F.FormField(grid.window(5), 1, 2, data))
     with pytest.raises(F.FormFieldError, match="shape"):
-        F.FormField(grid.window(4, 6), 1, 2, np.zeros((4, 6, 3) + grid.shape[1:]))
-    with pytest.raises(F.FormFieldError, match="C-contiguous"):
-        F.ext_d(F.FormField(grid, 1, 2, np.zeros((4, 6) + grid.shape)),
-                out=np.empty((6, 6) + grid.shape)[:, :, ::-1])
+        F.FormField(grid.window(4), 1, 2, np.zeros((4, 6, 3) + grid.shape[1:]))
 
 
 def test_d_of_constant_vanishes():

@@ -286,7 +286,7 @@ def every_slice_norms(e, g, gen, form):
     live = live_components(factor.data)
     rows = []
     for t in range(FACE_LAYERS, grid.points - FACE_LAYERS):
-        where = grid.window(t, t + 1)
+        where = grid.window(t)
         xe = symmetry_residual(_on(e, where), gen, de)
         rows.append([xe.region_norm(),
                      wedge(xe, _on(factor, where), b_live=live).region_norm(),
@@ -361,8 +361,8 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
 
     def counted(kind, residual):
         def call(field, gen, derivatives=None):
-            t0 = field.grid.t0 if field.grid != grid else "grid"
-            where[kind, gen.name].append(t0)
+            t = field.grid.t if field.grid != grid else "grid"
+            where[kind, gen.name].append(t)
             return residual(field, gen, derivatives)
         return call
 

@@ -21,6 +21,10 @@ No public function or method of ``src/pcgrav`` has a ``strict`` parameter,
 or takes a ``cutoff`` beside an ``EquivariantTestForm``: the test form
 carries its cutoff, and its generator's plane is not a knob.
 
+No public function or method of ``src/pcgrav`` takes an ``out`` or
+``scratch`` buffer, except ``diff_axis`` and ``diff_ring`` their ``out``: the
+kernels allocate their own results and temporaries.
+
 No module of ``src/pcgrav`` holds a ``global`` statement.
 
 ``cli.py`` imports no name from ``action``, ``geometry``, ``mass`` or
@@ -154,6 +158,18 @@ def test_the_test_form_carries_its_cutoff():
                          in ast.unparse(arg.annotation) for arg in args)
         if "strict" in names or (takes_form and "cutoff" in names):
             stray.append(f"{module}:{name}")
+    assert stray == []
+
+
+def test_kernels_own_their_buffers():
+    # ext_d differentiates straight into its result through diff_axis(out),
+    # and the ring stencil writes one slice; nothing else takes a buffer
+    allowed = {"diff_axis(out)", "diff_ring(out)"}
+    stray = [f"{module}:{name}({arg.arg})"
+             for module, name, fn, _ in public_functions()
+             for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+             if arg.arg in ("out", "scratch")
+             and f"{name}({arg.arg})" not in allowed]
     assert stray == []
 
 

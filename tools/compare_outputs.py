@@ -4,8 +4,10 @@
 
 Each checkout runs ``pc action``, ``pc eom``, ``mass adm``, ``mass komar``,
 ``killing residuals`` and ``convergence`` (torsion, einstein, leibniz,
-symmetry:K1, extra:P1, extra:L3) on each of the four shipped scenario
-documents, in both radius modes, with ``--threads 2``: 48 runs a side.  A
+symmetry:K1, extra:P1, extra:L3) with ``--threads 2``, and ``convergence
+--quantities leibniz`` with ``--threads 1``, whose single t range runs in
+the calling process, on each of the four shipped scenario documents, in
+both radius modes: 56 runs a side.  A
 run imports pcgrav from its checkout's ``src`` under ``python -W ignore``,
 in a fresh working directory where ``scenarios`` links to the checkout's,
 so both sides pass the same argv.
@@ -33,7 +35,9 @@ COMMANDS = {
     "killing_residuals": ("killing", "residuals"),
     "convergence": ("convergence", "--quantities", "torsion", "einstein",
                     "leibniz", "symmetry:K1", "extra:P1", "extra:L3"),
+    "convergence_leibniz_threads1": ("convergence", "--quantities", "leibniz"),
 }
+THREADS = {"convergence_leibniz_threads1": "1"}     # the rest run at 2
 MODES = ("spatial", "4d")
 
 
@@ -44,7 +48,8 @@ def runs():
             for name, command in COMMANDS.items():
                 label = f"{scenario[:-5]}_{mode}_{name}"
                 yield label, [*command, "--scenario", f"scenarios/{scenario}",
-                              "--radius-mode", mode, "--threads", "2",
+                              "--radius-mode", mode,
+                              "--threads", THREADS.get(name, "2"),
                               "--out", f"out/{label}"]
 
 
