@@ -194,12 +194,13 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
 
     Rings hold the slices of a, b and [a, b] within two of the current t.
     Each slice is built once, and a block also builds the two slices past
-    each end of its range that the t stencil reads.
+    each end of its range that the t stencil reads.  The ring of [a, b]
+    holds the arrays ``wedge`` returns, and the residual is reduced in place.
     """
     n, nodes = grid.points, grid.shape[1:]
     rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
     ring_a, ring_b = rings
-    ring_ab = np.empty((RING, 6, 6) + nodes)
+    ring_ab = [np.empty((6, 6) + nodes)] * RING     # until a slot is built
 
     def build(t):
         # each wave depends on one coordinate: sampled along its axis
@@ -219,10 +220,10 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
         if t + 2 < n:
             build(t + 2)
         a, b = at(ring_a, t, 1), at(ring_b, t, 1)
-        rhs = (F.wedge(F.ext_d(a), b, "bracket").data
-               - F.wedge(a, F.ext_d(b), "bracket").data)
-        residual = F.ext_d(at(ring_ab, t, 2)).data - rhs
-        top = np.maximum(top, np.abs(residual).max())
+        residual = (F.wedge(F.ext_d(a), b, "bracket").data
+                    - F.wedge(a, F.ext_d(b), "bracket").data)
+        np.subtract(F.ext_d(at(ring_ab, t, 2)).data, residual, out=residual)
+        top = np.maximum(top, np.abs(residual, out=residual).max())
     return top
 
 

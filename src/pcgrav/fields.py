@@ -116,13 +116,13 @@ class FormField:
 @dataclass(frozen=True)
 class RingSlice(FormField):
     """One t slice of a form, on a one-slice window, whose neighbours sit
-    in a ring: ``ring[i % len(ring)]`` holds slice i, components first,
-    for every slice i within two of this one.  ``ext_d`` takes d/dt from
-    the ring with the stencil of :func:`~pcgrav.grid.diff_axis`."""
-    ring: np.ndarray
+    in a ring (an array or list): ``ring[i % len(ring)]`` holds slice i,
+    components first, for every slice i within two of this one.  ``ext_d``
+    takes d/dt from it with the stencil of :func:`~pcgrav.grid.diff_axis`."""
+    ring: list
 
     @classmethod
-    def of(cls, ring: np.ndarray, grid: Grid4, t: int, degree: int,
+    def of(cls, ring, grid: Grid4, t: int, degree: int,
            internal: int) -> "RingSlice":
         return cls(grid.window(t), degree, internal,
                    ring[t % len(ring)][:, :, None], ring)
@@ -132,8 +132,8 @@ class RingSlice(FormField):
             return super()._derivative(s, mu, out)
         # one internal component at a time: its five slices stay in cache
         for c, dst in enumerate(out):
-            diff_ring(self.ring[:, s, c], self.grid.t, self.grid.grid.points,
-                      self.grid.spacing, dst[0])
+            diff_ring([slot[s, c] for slot in self.ring], self.grid.t,
+                      self.grid.grid.points, self.grid.spacing, dst[0])
         return True
 
 

@@ -114,8 +114,7 @@ class Window:
     as on the grid: :func:`restrict` cuts a grid field down to it,
     :meth:`coordinate` gives its coordinates, and :func:`region_max` reads
     the row of the grid's cached norm mask.  The Leibniz ladder and the
-    boost residuals of static fields stream t this way, one slice at a
-    time.
+    boost residuals of static fields stream t this way.
     """
     grid: Grid4
     t: int

@@ -119,24 +119,6 @@ def test_windows_lie_inside_the_grid():
             g.window(t)
 
 
-def test_diff_axis_of_a_view_equals_that_of_its_contiguous_copy():
-    # strided, stride-0 broadcast and transposed views of slice samples,
-    # along every axis a grid axis can be (extent 1 or at least 5)
-    rng = np.random.default_rng(8)
-    values = rng.normal(size=(4, 4, 9, 9, 9))
-    views = [values[1:, 1:], values[1:, 1], values[:, :, None],
-             values[..., ::2],
-             np.broadcast_to(values[:1, :1, :1, :1, :1], values.shape),
-             np.broadcast_to(values[:, :, :1], values.shape),
-             values.transpose(0, 1, 3, 2, 4)]
-    for view in views:
-        for axis, n in enumerate(view.shape):
-            if n == 1 or n >= 5:
-                assert np.array_equal(
-                    diff_axis(view, axis, 0.5),
-                    diff_axis(np.ascontiguousarray(view), axis, 0.5))
-
-
 def test_diff_axis_along_extent_one_is_exact_zero_or_nan():
     g = Grid4(1.5, 9)
     values = np.random.default_rng(1).normal(size=(3, 1, 9, 9, 9))
