@@ -200,7 +200,7 @@ def _leibniz_block(grid, coef, waves, t0: int, t1: int):
     n, nodes = grid.points, grid.shape[1:]
     rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
     ring_a, ring_b = rings
-    ring_ab = [np.empty((6, 6) + nodes)] * RING     # until a slot is built
+    ring_ab = [np.empty((6, 6) + nodes)] * RING     # placeholders, unread
 
     def build(t):
         # each wave depends on one coordinate: sampled along its axis

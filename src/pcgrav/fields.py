@@ -119,7 +119,7 @@ class RingSlice(FormField):
     in a ring (an array or list): ``ring[i % len(ring)]`` holds slice i,
     components first, for every slice i within two of this one.  ``ext_d``
     takes d/dt from it with the stencil of :func:`~pcgrav.grid.diff_axis`."""
-    ring: list
+    ring: np.ndarray | list
 
     @classmethod
     def of(cls, ring, grid: Grid4, t: int, degree: int,

@@ -8,8 +8,8 @@ First derivatives use the 4th-order central 5-point stencil at interior
 nodes and 2nd-order 3-point stencils within two nodes of a box face
 (one-sided at the face itself).  The interior stencil reads flat offsets
 of one C-contiguous array, so every axis is read in contiguous runs; the
-face stencils overwrite the nodes it computes across lines; the stencils
-allocate their own temporaries.  Integrals are
+face stencils overwrite the nodes it computes across lines, and the
+stencils allocate their own temporaries.  Integrals are
 product-trapezoid sums accumulated with exact compensated summation
 (math.fsum) in a fixed node order, so results are bit-reproducible
 regardless of threading.
