@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -133,8 +134,7 @@ def cmd_killing(args) -> int:
 def cmd_mass(args) -> int:
     scenario = _load(args)
     return _write(args, scenario, f"mass {args.mass_command}",
-                  mass_study(scenario, scenario.geometry,
-                             parts=(args.mass_command,)))
+                  mass_study(scenario, parts=(args.mass_command,)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,41 +163,34 @@ def leibniz_residual_norms(scenario: Scenario, resolutions, threads: int):
     with pool:
         norms, spacings = [], []
         for n in resolutions:
-            grid, coef, waves = _leibniz_fields(scenario, n)
             workers = min(threads, n)
             bounds = [n * w // workers for w in range(workers + 1)]
             run = map if workers == 1 else pool.map
-            tops = run(_leibniz_block, [grid] * workers, [coef] * workers,
-                       [waves] * workers, bounds[:-1], bounds[1:])
+            tops = run(functools.partial(_leibniz_block, scenario, n),
+                       bounds[:-1], bounds[1:])
             norms.append(float(np.max(list(tops))))
-            spacings.append(grid.spacing)
+            spacings.append(scenario.grid(n).spacing)
     return norms, spacings
 
 
-def _leibniz_fields(scenario: Scenario, n: int):
-    """The ladder's grid at N = n and the seeded data of a and b on it.
+def _leibniz_block(scenario: Scenario, n: int, t0: int, t1: int):
+    """Max of the Leibniz residual over t slices ``t0 <= t < t1`` at N = n.
 
-    a then b: one amplitude per coordinate wave for each component, drawn
-    in that order; ``coef[mu]`` has the grid axes of a ring slot, and
-    ``waves[mu]`` is the wave along axis mu.
+    A block seeds its own a and b: one amplitude per coordinate wave for
+    each component, a then b, drawn in that order; ``coef[mu]`` has the
+    grid axes of a ring slot, and ``waves[mu]`` is the wave along axis mu.
+    Rings hold the slices of a, b and [a, b] within two of the current t.
+    Each slice is built once, and a block also builds the two slices past
+    each end of its range that the t stencil reads.  The ring of [a, b]
+    holds the arrays ``wedge`` returns, and the residual is reduced in
+    place.
     """
     grid = scenario.grid(n)
     amps = np.random.default_rng(20260808).normal(size=(2, 4, 6, 4))
     coef = np.moveaxis(amps, -1, 0)[..., None, None, None]
     k = np.pi / scenario.half_width
     waves = [np.sin(k * grid.coordinate(mu) + 0.3 * mu) for mu in range(4)]
-    return grid, coef, waves
-
-
-def _leibniz_block(grid, coef, waves, t0: int, t1: int):
-    """Max of the Leibniz residual over t slices ``t0 <= t < t1``.
-
-    Rings hold the slices of a, b and [a, b] within two of the current t.
-    Each slice is built once, and a block also builds the two slices past
-    each end of its range that the t stencil reads.  The ring of [a, b]
-    holds the arrays ``wedge`` returns, and the residual is reduced in place.
-    """
-    n, nodes = grid.points, grid.shape[1:]
+    nodes = grid.shape[1:]
     rings = np.empty((2, RING, 4, 6) + nodes)       # a, b
     ring_a, ring_b = rings
     ring_ab = [np.empty((6, 6) + nodes)] * RING     # placeholders, unread

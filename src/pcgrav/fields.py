@@ -152,15 +152,13 @@ def _check_shape(data: np.ndarray, leading: tuple, grid) -> None:
 def live_components(data: np.ndarray) -> np.ndarray:
     """Which components (leading axes) are not zero at every node.
 
-    The first node decides most components, and the first t slice most of
-    the rest; only those zero on it are scanned whole.
+    The first node decides most components; only those zero there are
+    scanned, each once.
     """
     # an array even when data has no component axis and live is 0-d
     live = np.asarray(data[..., 0, 0, 0, 0] != 0.0)
-    if not live.all():
-        live |= np.any(data[..., :1, :, :, :] != 0.0, axis=(-4, -3, -2, -1))
-        for c in np.argwhere(~live):
-            live[tuple(c)] = np.any(data[tuple(c)] != 0.0)
+    for c in np.argwhere(~live):
+        live[tuple(c)] = np.any(data[tuple(c)] != 0.0)
     return live
 
 
@@ -244,8 +242,7 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
     return k_out, plan
 
 
-def wedge(a: FormField, b: FormField, rule: str = "wedge",
-          b_live: np.ndarray = None) -> FormField:
+def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     """Graded wedge on spacetime indices with the named internal pairing.
 
     rule="wedge": internal exterior product (scalars multiply through);
@@ -253,9 +250,8 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
     rule="action": so(3,1) representation of the first factor's Lambda^2
     values on the second factor's internal space.
 
-    ``b_live``, if given, is ``live_components`` of the field ``b`` is a
-    window piece of: a caller that wedges every piece with it finds that
-    once, and each piece skips the products the whole field would.
+    Products of a component that is zero at every node of its operand
+    (``live_components``) are skipped: they contribute exact zeros.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -264,10 +260,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge",
     k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
     p_out = a.degree + b.degree
     shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
-    # all-zero components contribute exact zeros: skip their products
-    a_live = live_components(a.data)
-    if b_live is None:
-        b_live = live_components(b.data)
+    a_live, b_live = live_components(a.data), live_components(b.data)
     # each output component's first term is written as 0.0 + term, the
     # bits that adding it to zeros gives; one with no term is zeros
     written = set()
@@ -365,11 +358,11 @@ def trace4(a: FormField) -> FormField:
     return FormField(a.grid, 4, 0, a.data)
 
 
-def integrate(a: FormField, region: np.ndarray = None) -> float:
+def integrate(a: FormField) -> float:
     """Quadrature of a scalar 4-form's single component over the box."""
     if a.degree != 4 or a.internal != 0:
         raise FormFieldError("integrate needs a scalar-valued 4-form")
-    return integrate_samples(a.data[0, 0], a.grid, region)
+    return integrate_samples(a.data[0, 0], a.grid)
 
 
 # ---------------------------------------------------------------------------

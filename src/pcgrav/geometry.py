@@ -117,7 +117,8 @@ def _core_coefficients(mass: float, core_radius: float):
                 fall = 1.0
                 for step in range(j):
                     fall *= p - step
-                rows[j, k] = fall * rc ** (p - j)
+                with np.errstate(over="ignore"):  # huge M: inf, as 2M = inf
+                    rows[j, k] = fall * np.float64(rc) ** (p - j)
     rhs_a = np.array([math.factorial(j) * log_a[j] for j in range(_ORDER)])
     rhs_b = np.array([math.factorial(j) * log_b[j] for j in range(_ORDER)])
     coeff_a = np.linalg.solve(rows, rhs_a)

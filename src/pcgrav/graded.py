@@ -182,9 +182,9 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _basis_vec(dim: int, i: int, coeff=Fraction(1)) -> list:
+def _basis_vec(dim: int, i: int) -> list:
     v = [ZERO] * dim
-    v[i] = Fraction(coeff)
+    v[i] = Fraction(1)
     return v
 
 

@@ -286,19 +286,13 @@ def node_weights(grid: Grid4) -> np.ndarray:
             * w[None, None, :, None] * w[None, None, None, :])
 
 
-def integrate_samples(values: np.ndarray, grid: Grid4,
-                      region: np.ndarray = None) -> float:
-    """Quadrature of scalar node samples, exactly-rounded fixed-order sum.
+def integrate_samples(values: np.ndarray, grid: Grid4) -> float:
+    """Box quadrature of scalar node samples, exactly-rounded fixed-order sum.
 
-    Samples and region broadcast against the full-grid weights, so the sum
-    runs over the same products as for dense samples.
+    Samples broadcast against the full-grid weights, so the sum runs over
+    the same products as for dense samples.
     """
     weighted = values * node_weights(grid)
-    if region is not None:
-        if not region.any():
-            warnings.warn("integration region is empty", stacklevel=2)
-            return 0.0
-        weighted = weighted[np.broadcast_to(region, grid.shape)]
     return math.fsum(weighted.ravel().tolist())
 
 

@@ -128,11 +128,12 @@ def _live(values: np.ndarray) -> np.ndarray:
     return live_components(np.expand_dims(values, (0, -4)))[0]
 
 
-def _interpolate_live(values: np.ndarray, live: np.ndarray, grid: Grid4,
+def _interpolate_live(values: np.ndarray, grid: Grid4,
                       points: np.ndarray) -> np.ndarray:
-    """:func:`interpolate_slice` of the ``live`` components of ``values``
-    (``_live(values)``); the others keep the +0.0 of ``np.zeros``, which
-    is what interpolating zero samples gives."""
+    """:func:`interpolate_slice` of the live components of ``values``
+    (``_live``); the others keep the +0.0 of ``np.zeros``, which is what
+    interpolating zero samples gives."""
+    live = _live(values)
     out = np.zeros((len(points),) + values.shape[:-3])
     out[:, live] = interpolate_slice(values[live], grid, points)
     return out
@@ -223,8 +224,7 @@ def adm_energy(g: MetricField, radii):
     spatial = central_slice(g)[1:, 1:]
 
     # flatness check at the largest radius
-    probe = _interpolate_live(spatial, _live(spatial), grid,
-                              radii[-1] * directions)
+    probe = _interpolate_live(spatial, grid, radii[-1] * directions)
     deviation = np.abs(probe - np.eye(3)).max()
     if not deviation < 1.0:    # NaN is not flat
         raise MassDomainError(
@@ -267,7 +267,6 @@ def komar_mass(g: MetricField, radii):
         raise MassDomainError("slice has non-timelike Killing direction")
     lapse = np.sqrt(-g_tt)
     spatial = full[1:, 1:]
-    live = _live(spatial)
     dlapse = _slice_gradient(lapse, grid.spacing)
     # embedding tangents in (c, phi) on the unit sphere; d/dc of
     # (s cosp, s sinp, c) uses ds/dc = -c/s (Gauss nodes are interior, s > 0)
@@ -280,7 +279,7 @@ def komar_mass(g: MetricField, radii):
 
     def flux(rho):
         pts = rho * directions
-        gamma = _interpolate_live(spatial, live, grid, pts)
+        gamma = _interpolate_live(spatial, grid, pts)
         grad_a = interpolate_slice(dlapse, grid, pts)
         gamma_inv = np.linalg.inv(gamma)
         raised = np.einsum("nij,nj->ni", gamma_inv, directions)

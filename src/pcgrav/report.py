@@ -56,7 +56,7 @@ class RunManifest:
     scenario_hash: str
     grid: dict
     thresholds: dict
-    threads: int = 1
+    threads: int
 
     def as_dict(self) -> dict:
         return {

@@ -51,7 +51,7 @@ from .action import (action_pc, einstein_residual, standard_test_form,
                      torsion_residual)
 from .conventions import GENERATOR_ALIASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
-from .grid import RADIUS_MODES, Grid4, restrict
+from .grid import FACE_LAYERS, RADIUS_MODES, Grid4, restrict
 from .mass import (MassDomainError, adm_energy, komar_mass,
                    positivity_check)
 from .report import sha256_of_file, sha256_of_text, canonical_json
@@ -247,6 +247,8 @@ def scenario_from_dict(doc: dict, source_hash: str = None,
             raise ScenarioError(
                 f"{path} must be distinct, got {list(values[path])}")
     L, r, R = values["grid.L"], values["cutoff.r"], values["cutoff.R"]
+    if not math.isfinite(L * L * L * L):    # the scale of 4-volumes
+        raise ScenarioError(f"grid.L: L**4 must be finite, got {L!r}")
     if not R > r:
         raise ScenarioError(
             f"cutoff.R: must exceed cutoff.r = {r!r} (R > r), got {R!r}")
@@ -398,12 +400,24 @@ def _on(field, where):
                                data=restrict(field.data, where))
 
 
+def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
+    """Refuse the k-th N of ``ns``, as ``path.format(k)``, if its norm
+    region has no node: every norm there would read 0.0 as if measured."""
+    for k, n in enumerate(ns):
+        grid = scenario.grid(n)
+        if not (grid.region_mask() & grid.interior_mask()).any():
+            raise ScenarioError(
+                f"{path.format(k)}: the norm region at N = {n} is empty: "
+                f"no node outside cutoff.r = {scenario.cutoff_inner!r} "
+                f"lies {FACE_LAYERS} nodes inside every box face")
+
+
 def _generator_norms(e, gens, form):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
     The derivative set and the test ``form`` do not depend on the
     generator, so they are built once per N, and the coupling factor
-    (Upsilon alpha) (x) X_R and its live components once per generator.
+    (Upsilon alpha) (x) X_R once per generator.
     A residual that depends on t while e does not (a boost's) is evaluated
     one interior t slice at a time, on the windows ``t_windows`` picks from
     e and the mask: three in radius mode "spatial", every interior slice
@@ -417,11 +431,10 @@ def _generator_norms(e, gens, form):
     sym, extra = [], []
     for gen in gens:
         factor = form.factor(gen)
-        live = F.live_components(factor.data)
         norms = []
         for where in t_windows(e.data, gen, e.grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
-            term = F.wedge(residual, _on(factor, where), b_live=live)
+            term = F.wedge(residual, _on(factor, where))
             norms.append((residual.region_norm(), term.region_norm()))
         snorm, enorm = np.max(norms, axis=0)
         sym.append(float(snorm))
@@ -546,6 +559,8 @@ def convergence_study(scenario: Scenario, quantities, leibniz) -> dict:
         q.split(":", 1)[1] for q in quantities if ":" in q)), "generators")
     eom_ns = resolutions if {"torsion", "einstein"} & {*quantities} else ()
     gen_ns = resolutions if names else ()
+    if eom_ns or gen_ns:
+        _refuse_empty_norm_regions(scenario, resolutions, "Ns[{}]")
     raw = (_sweep(dataclasses.replace(scenario, generators=names),
                   scenario.geometry, gen_ns=gen_ns, eom_ns=eom_ns)
            if eom_ns or gen_ns else {})
@@ -579,6 +594,8 @@ def pc_study(scenario: Scenario, command: str) -> dict:
     An S that overflows or is not finite fails, a reason in its place."""
     if command == "eom" and not scenario.generators:
         raise ScenarioError("generators: pc eom needs at least one generator")
+    if command == "eom":
+        _refuse_empty_norm_regions(scenario, [scenario.points], "grid.N")
     grid = scenario.grid()
     chart = scenario.chart()
     e, omega = chart.tetrad(grid), chart.connection(grid)
@@ -607,13 +624,12 @@ def pc_study(scenario: Scenario, command: str) -> dict:
     return body
 
 
-def mass_study(scenario: Scenario, geometry: str,
-               parts=("adm", "komar")) -> dict:
-    """Mass observables of ``geometry`` at the scenario's radii: one part's
+def mass_study(scenario: Scenario, parts=("adm", "komar")) -> dict:
+    """Mass observables of the scenario's geometry at its radii: one part's
     own result, or both by name with their agreement and the recovery of
     the mass parameter.  The ADM energy must pass the positivity check,
     and a metric outside an integral's domain fails with the reason."""
-    metric = scenario.chart(geometry).metric(scenario.grid())
+    metric = scenario.chart().metric(scenario.grid())
     integrals = {"adm": adm_energy, "komar": komar_mass}
     try:
         found = {part: integrals[part](metric, scenario.radii)
@@ -637,7 +653,7 @@ def mass_study(scenario: Scenario, geometry: str,
         "verdict": ("pass" if difference <= th["mass_agreement_tol"] * scale
                     else "fail"),
     }
-    expected = scenario.mass if geometry == "schwarzschild" else 0.0
+    expected = scenario.mass if scenario.geometry == "schwarzschild" else 0.0
     deviation = abs(adm["extrapolated"] - expected)
     recovery = {
         "expected": expected,
@@ -696,6 +712,7 @@ def run_scenario(scenario: Scenario) -> dict:
         warnings.warn("scenario has no generators: vacuous pass")
         return {"scenario": scenario.echo(), "sections": {},
                 "verdict": "pass", "vacuous": True}
+    _refuse_empty_norm_regions(scenario, scenario.resolutions, "Ns[{}]")
 
     geometries = ((scenario.geometry,) if scenario.kind == "spherical"
                   else ("minkowski", "schwarzschild"))
@@ -725,7 +742,7 @@ def run_scenario(scenario: Scenario) -> dict:
 
     body = {"scenario": scenario.echo(), "sections": sections}
     if scenario.kind == "spherical":
-        masses = mass_study(scenario, scenario.geometry)
+        masses = mass_study(scenario)
         body["masses"] = masses
         verdicts.append(masses["verdict"])
 

@@ -234,7 +234,7 @@ def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
         if threads == 1:
             top = leibniz_residual_norms(scenario, (25,), 1)[0][0]
         else:
-            top = cli._leibniz_block(*cli._leibniz_fields(scenario, 25), 0, 12)
+            top = cli._leibniz_block(scenario, 25, 0, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,22 +397,22 @@ def test_threads_default_is_the_available_cpu_count(tmp_path, capsys):
     assert report["manifest"]["threads"] == len(os.sched_getaffinity(0))
 
 
-def recording_block(log, grid, coef, waves, t0, t1):
+def recording_block(log, scenario, n, t0, t1):
     """A ladder block that appends its range to ``log``, from any process."""
     with open(log, "a") as f:
-        f.write(f"{grid.points} {t0} {t1} {os.getpid()}\n")
-    return 1.0 / grid.points ** 2
+        f.write(f"{n} {t0} {t1} {os.getpid()}\n")
+    return 1.0 / n ** 2
 
 
 class BlockFailed(RuntimeError):
     pass
 
 
-def failing_block(grid, coef, waves, t0, t1):
+def failing_block(scenario, n, t0, t1):
     raise BlockFailed(f"range {t0}..{t1}")
 
 
-def dying_block(grid, coef, waves, t0, t1):
+def dying_block(scenario, n, t0, t1):
     os._exit(7)
 
 
@@ -835,3 +835,115 @@ def test_non_finite_mass_is_a_fail_verdict(tmp_path, capsys, command,
     assert quantity in body["reason"]
     report = json.loads((out_dir / f"mass_{command}.json").read_text())
     assert report["body"] == body
+
+
+HUGE_MASS_FAILURES = {"mass adm": "slice is not asymptotically flat",
+                      "mass komar": "Killing residual nan",
+                      "pc action": "error: tetrad degenerate",
+                      "pc eom": "error: tetrad degenerate",
+                      "killing residuals": "error: tetrad degenerate"}
+
+
+@pytest.mark.parametrize("mass", [1e40, 1e300])
+@pytest.mark.parametrize("command", HUGE_MASS_FAILURES)
+def test_a_huge_mass_ends_as_an_infinite_one_does(tmp_path, capsys, mass,
+                                                  command):
+    # the core radius 2M is finite, but its powers in the core polynomial
+    # overflow: the chart is NaN, as when 2M itself is inf (M = 1e308)
+    path = small_scenario_file(tmp_path, M=mass, grid={"L": 8.0, "N": 9},
+                               cutoff={"r": 2.0, "R": 3.0}, radii=[4.0, 5.0])
+    out_dir = tmp_path / "reports"
+    code = main([*command.split(), "--scenario", str(path),
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    failure = HUGE_MASS_FAILURES[command]
+    assert code == 1
+    if command.startswith("mass"):
+        assert captured.err == ""
+        body = json.loads(captured.out)
+        assert body["verdict"] == "fail" and failure in body["reason"]
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(failure)
+        assert captured.err.count("\n") == 1
+
+
+SCENARIO_COMMANDS = ["pc action", "pc eom", "mass adm", "mass komar",
+                     "killing residuals", "convergence"]
+
+
+@pytest.mark.parametrize("half_width", [1e78, 1e200])
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_box_whose_fourth_power_overflows_exits_2(tmp_path, capsys,
+                                                    half_width, command):
+    L = half_width
+    path = small_scenario_file(tmp_path, grid={"L": L, "N": 9},
+                               cutoff={"r": L / 10, "R": L / 2},
+                               radii=[L / 3, L / 2])
+    out_dir = tmp_path / "reports"
+    code = main([*command.split(), "--scenario", str(path),
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: grid.L: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_the_largest_box_runs_cleanly(tmp_path, capsys, command):
+    L = 1e77
+    path = small_scenario_file(tmp_path, grid={"L": L, "N": 9},
+                               cutoff={"r": L / 10, "R": L / 2},
+                               radii=[L / 3, L / 2], Ns=[9, 11, 13])
+    code = main([*command.split(), "--scenario", str(path),
+                 "--out", str(tmp_path / "reports"), "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 3) and captured.err == ""
+    json.loads(captured.out)
+
+
+def empty_region_file(tmp_path, name, **changes):
+    # at N = 7 on a box of half-width 20, no node 2 nodes off every face
+    # lies outside r = 12 (the spatial radius there is at most 11.6)
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc.update(radii=[8.0, 12.0], **changes)
+    doc["grid"]["N"] = 7
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name, argv, at_fault", [
+    ("spherical_schwarzschild.json", ["pc", "eom"], "grid.N"),
+    ("poincare_schwarzschild.json", ["killing", "residuals"], "Ns[0]"),
+    ("spherical_schwarzschild.json",
+     ["convergence", "--Ns", "7,9,11", "--quantities", "leibniz", "torsion"],
+     "Ns[0]"),
+    ("spherical_schwarzschild.json",
+     ["convergence", "--Ns", "7,9,11", "--quantities", "extra:L1"], "Ns[0]"),
+], ids=["pc-eom", "killing", "convergence-torsion", "convergence-extra"])
+def test_an_empty_norm_region_exits_2_naming_its_n(tmp_path, capsys, name,
+                                                   argv, at_fault):
+    # every norm on an empty region reads 0.0, which would pass as measured
+    path = empty_region_file(tmp_path, name, Ns=[5, 7])
+    out_dir = tmp_path / "reports"
+    code = main([*argv, "--scenario", str(path), "--out", str(out_dir),
+                 "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {at_fault}: the norm region")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "action"], ["mass", "adm"],
+    ["convergence", "--Ns", "7,9,11", "--quantities", "leibniz"],
+], ids=["pc-action", "mass-adm", "convergence-leibniz"])
+def test_commands_without_region_norms_run_on_an_empty_region(
+        tmp_path, capsys, argv):
+    path = empty_region_file(tmp_path, "spherical_schwarzschild.json")
+    code = main([*argv, "--scenario", str(path),
+                 "--out", str(tmp_path / "reports"), "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code != 2 and captured.err == ""
+    json.loads(captured.out)

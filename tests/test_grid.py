@@ -146,14 +146,6 @@ def test_integrate_zero():
     assert integrate_samples(np.zeros(g.shape), g) == 0.0
 
 
-def test_integrate_empty_region_warns():
-    g = Grid4(2.0, 9)
-    with pytest.warns(UserWarning, match="empty"):
-        out = integrate_samples(np.ones(g.shape), g,
-                                region=np.zeros(g.shape, dtype=bool))
-    assert out == 0.0
-
-
 def test_integrate_radial_gaussian_against_1d_oracle():
     g = Grid4(5.0, 17)
     rho = g.radius("4d")

@@ -291,7 +291,7 @@ def test_live_interpolation_equals_the_full_one(n, mass):
     for values in (spatial, mixed):
         points = _probe_points(grid)
         full = interpolate_slice(values, grid, points)
-        got = _interpolate_live(values, _live(values), grid, points)
+        got = _interpolate_live(values, grid, points)
         assert np.array_equal(got, full)
         assert got.tobytes() == full.tobytes()
 

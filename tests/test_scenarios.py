@@ -397,7 +397,7 @@ def test_non_finite_mass_study_is_a_fail_verdict():
     from pcgrav.scenarios import mass_study
     sc = small_scenario(M=1e308, grid={"L": 8.0, "N": 9}, Ns=[5, 9],
                         radii=[4.0, 5.0])
-    masses = mass_study(sc, "schwarzschild")
+    masses = mass_study(sc)
     assert masses["verdict"] == "fail"
     assert "slice is not asymptotically flat" in masses["reason"]
     json.dumps(masses, allow_nan=False)
@@ -414,7 +414,7 @@ def test_one_mass_part_computes_that_integral_alone(monkeypatch, part,
 
     monkeypatch.setattr(scenarios, skipped, refuse)
     sc = small_scenario(grid={"L": 8.0, "N": 13}, radii=[4.0, 5.0, 6.0])
-    body = scenarios.mass_study(sc, "schwarzschild", parts=(part,))
+    body = scenarios.mass_study(sc, parts=(part,))
     assert body["verdict"] == "pass"
     assert body["radii"] == [4.0, 5.0, 6.0]
     assert ("positivity" in body) == (part == "adm")

@@ -13,8 +13,8 @@ import pcgrav.scenarios as scenarios
 import pcgrav.symmetry as symmetry
 from pcgrav.action import (einstein_residual, extra_eom_term,
                            standard_test_form, torsion_residual)
-from pcgrav.fields import (FormField, MetricField, live_components,
-                           metric_from_tetrad, wedge)
+from pcgrav.fields import (FormField, MetricField, metric_from_tetrad,
+                           wedge)
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import FACE_LAYERS, Grid4
 from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
@@ -283,13 +283,12 @@ def every_slice_norms(e, g, gen, form):
     de = axis_derivatives(e.data, grid, [gen])
     dg = axis_derivatives(g.data, grid, [gen])
     factor = form.factor(gen)
-    live = live_components(factor.data)
     rows = []
     for t in range(FACE_LAYERS, grid.points - FACE_LAYERS):
         where = grid.window(t)
         xe = symmetry_residual(_on(e, where), gen, de)
         rows.append([xe.region_norm(),
-                     wedge(xe, _on(factor, where), b_live=live).region_norm(),
+                     wedge(xe, _on(factor, where)).region_norm(),
                      killing_residual(_on(g, where), gen, dg)[1]])
     return np.array(rows)
 

@@ -7,11 +7,14 @@ The same rule covers the public methods of public classes.  Since only the
 name is matched, a method whose name another object's method shares can go
 uncalled unseen: ``GradedBasis.index`` once hid behind ``tuple.index``.
 
-A parameter with a default counts as set when some call in ``src/``,
-``tests/``, ``demos/`` or ``bench/`` to a function of that name passes it,
-by keyword or by position; a call that unpacks ``*args`` or ``**kwargs``
-counts as setting everything.  Calls are matched by name alone, so the scan
-can miss a knob but does not flag one that is set.
+A parameter with a default counts as set when some call to a function of
+that name passes it, by keyword or by position; a call that unpacks
+``*args`` or ``**kwargs`` counts as setting everything.  For a function
+that production code (``src/`` or ``bench/``) calls, that call must be in
+production code too: a default that only tests set is not a parameter.
+A function that only ``tests/`` or ``demos/`` call may have its defaults
+set there.  Calls are matched by name alone, so the scan can miss a knob
+but does not flag one that is set.
 
 No public function or method of ``src/pcgrav`` takes the excised ball as
 a parameter (``r``, ``mode`` or a ``PcConfig``): the grid carries it, and
@@ -23,7 +26,8 @@ carries its cutoff, and its generator's plane is not a knob.
 
 No public function or method of ``src/pcgrav`` takes an ``out`` or
 ``scratch`` buffer, except ``diff_axis`` and ``diff_ring`` their ``out``: the
-kernels allocate their own results and temporaries.
+kernels allocate their own results and temporaries.  None takes a
+``b_live``: ``wedge`` finds the live components of its operands itself.
 
 No module of ``src/pcgrav`` holds a ``global`` statement.
 
@@ -110,8 +114,12 @@ def defaulted_parameters():
                 yield module, fn.name, arg.arg, None
 
 
+PRODUCTION = ("src", "bench")
+
+
 def calls_by_name():
-    """name -> [(positional count, keyword names, unpacks)] per call."""
+    """name -> [(folder, positional count, keyword names, unpacks)] per
+    call."""
     calls = defaultdict(list)
     for folder in ("src", "tests", "demos", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -122,17 +130,22 @@ def calls_by_name():
                         isinstance(a, ast.Starred) for a in node.args))
                     name = getattr(node.func, "id",
                                    getattr(node.func, "attr", None))
-                    calls[name].append((len(node.args), keywords, unpacks))
+                    calls[name].append((folder, len(node.args), keywords,
+                                        unpacks))
     return calls
 
 
 def test_no_defaulted_parameter_goes_unset():
     calls = calls_by_name()
-    unset = [f"{module}:{function}({parameter})"
-             for module, function, parameter, index in defaulted_parameters()
-             if not any(unpacks or parameter in keywords
-                        or (index is not None and positional > index)
-                        for positional, keywords, unpacks in calls[function])]
+    unset = []
+    for module, function, parameter, index in defaulted_parameters():
+        production = [call for call in calls[function]
+                      if call[0] in PRODUCTION]
+        if not any(unpacks or parameter in keywords
+                   or (index is not None and positional > index)
+                   for _, positional, keywords, unpacks
+                   in production or calls[function]):
+            unset.append(f"{module}:{function}({parameter})")
     assert unset == []
 
 
@@ -168,7 +181,7 @@ def test_kernels_own_their_buffers():
     stray = [f"{module}:{name}({arg.arg})"
              for module, name, fn, _ in public_functions()
              for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-             if arg.arg in ("out", "scratch")
+             if arg.arg in ("out", "scratch", "b_live")
              and f"{name}({arg.arg})" not in allowed]
     assert stray == []
 
