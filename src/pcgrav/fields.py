@@ -260,13 +260,13 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
     p_out = a.degree + b.degree
     shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
-    a_live, b_live = live_components(a.data), live_components(b.data)
+    live_a, live_b = live_components(a.data), live_components(b.data)
     # each output component's first term is written as 0.0 + term, the
     # bits that adding it to zeros gives; one with no term is zeros
     written = set()
     steps = []
     for i, u, j, v, outs in plan:
-        if a_live[i, u] and b_live[j, v]:
+        if live_a[i, u] and live_b[j, v]:
             marked = []
             for k, m, c in outs:
                 add = np.add if c > 0 else np.subtract
