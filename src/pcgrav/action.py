@@ -13,19 +13,21 @@ field equations are evaluated pointwise as residual forms:
 with Lambda a float argument.  Residual norms run outside the ball the
 fields' grid excises.  The equivariant extension adds a cutoff-localized
 coupling between the symmetry residual X.e of a chosen Poincare element
-and a test 2-form supported outside that ball.
+and a test 2-form supported outside that ball.  Its factor
+(Upsilon alpha) (x) X_R is built on the grid or on one t window of it,
+with only the components of the plane's nonzero entries computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conventions import LAMBDA_BASES
 from .fields import (FormField, check_nondegenerate, cov_d, curvature,
-                     integrate, scalar_form, trace4, wedge)
-from .grid import Grid4
+                     integrate, trace4, wedge)
+from .grid import Grid4, restrict
 from .symmetry import CutoffFunction, PoincareElement, symmetry_residual
 
 
@@ -66,12 +68,11 @@ class EquivariantTestForm:
 
     The support condition is exact: alpha must vanish identically on the
     closed ball its grid excises (multiply anything by the cutoff to
-    arrange it).  It is checked, and Upsilon alpha built, once per form.
+    arrange it).  It is checked once per form.
     """
 
     alpha: FormField
     cutoff: CutoffFunction
-    weighted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha.degree != 2 or self.alpha.internal != 0:
@@ -80,26 +81,38 @@ class EquivariantTestForm:
         # alpha and the mask broadcast against each other
         if np.any((self.alpha.data != 0.0) & ~grid.region_mask()):
             raise ValueError("test form must vanish on the excluded ball")
-        object.__setattr__(self, "weighted",        # (6,) + grid
-                           self.alpha.data[:, 0] * self.cutoff.on_grid(grid))
 
-    def factor(self, generator: PoincareElement) -> FormField:
-        """The factor (Upsilon alpha) (x) X_R, a Lambda^2-valued 2-form,
-        that X.e is wedged with; a pure translation has no X_R and borrows
-        ``REFERENCE_PLANE``."""
+    def factor(self, generator: PoincareElement, where) -> FormField:
+        """The factor (Upsilon alpha) (x) X_R on ``where``, the form's grid
+        or a window of it: a Lambda^2-valued 2-form that X.e is wedged
+        with.  A pure translation has no X_R and borrows
+        ``REFERENCE_PLANE``.
+
+        Upsilon alpha is built on ``where`` alone, and only the
+        components of the plane's nonzero entries are computed, as the
+        factor's live set; the others are zeros.
+        """
         plane = generator.rotation_pair_components
         if not np.any(plane != 0.0):
             plane = REFERENCE_PLANE
-        data = self.weighted[:, None] * plane[None, :, None, None, None, None]
-        return FormField(self.alpha.grid, 2, 2, data)
+        weighted = (restrict(self.alpha.data[:, 0], where)
+                    * self.cutoff.on_grid(where))
+        data = np.zeros((len(plane), len(plane)) + weighted.shape[1:])
+        live = np.zeros(data.shape[:2], dtype=bool)
+        for m in np.flatnonzero(plane):
+            np.multiply(weighted, plane[m], out=data[:, m])
+            live[:, m] = True
+        return FormField(where, 2, 2, data, _live=live)
 
 
 def standard_test_form(grid: Grid4,
                        cutoff: CutoffFunction) -> EquivariantTestForm:
     """Cutoff profile on every coordinate 2-plane: a maximally generic
-    test form whose support is exactly the cutoff's."""
+    test form whose support is exactly the cutoff's.  The six planes share
+    one read-only array of the profile."""
     ups = cutoff.on_grid(grid)
-    alpha = scalar_form(grid, 2, {st: ups for st in LAMBDA_BASES[2]})
+    alpha = FormField(grid, 2, 0, np.broadcast_to(
+        ups, (len(LAMBDA_BASES[2]), 1) + ups.shape))
     return EquivariantTestForm(alpha, cutoff)
 
 
@@ -108,7 +121,8 @@ def extra_eom_term(e: FormField, form: EquivariantTestForm,
     """(X.e) ^ (Upsilon alpha (x) X_R), with max-norm outside the ball; a
     pure translation's uses ``REFERENCE_PLANE``, so the diagnostic tracks
     X.e for every generator."""
-    term = wedge(symmetry_residual(e, generator), form.factor(generator))
+    term = wedge(symmetry_residual(e, generator),
+                 form.factor(generator, e.grid))
     return term, term.region_norm()
 
 
@@ -124,7 +138,7 @@ def equivariant_coupling(e: FormField, form: EquivariantTestForm,
         return 0.0
     residual = symmetry_residual(e, generator)
     return 0.5 * integrate(trace4(wedge(wedge(residual, residual),
-                                        form.factor(generator))))
+                                        form.factor(generator, e.grid))))
 
 
 def equivariant_action(e: FormField, omega: FormField,

@@ -144,8 +144,9 @@ def cmd_mass(args) -> int:
 RING = 5     # t slices the t stencil reads: two on each side
 
 
-def leibniz_residual_norms(scenario: Scenario, resolutions, threads: int):
-    """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields.
+def leibniz_residual_norms(scenario: Scenario, threads: int):
+    """Graded Leibniz defect of d on seeded random smooth Lambda^2 fields,
+    at each N of ``scenario.resolutions``.
 
     max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: each
     of ``min(threads, N)`` workers walks one contiguous t range
@@ -157,12 +158,12 @@ def leibniz_residual_norms(scenario: Scenario, resolutions, threads: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    size = min(threads, max(resolutions))
+    size = min(threads, max(scenario.resolutions))
     pool = contextlib.nullcontext() if size == 1 else ProcessPoolExecutor(
         size, mp_context=multiprocessing.get_context("fork"))
     with pool:
         norms, spacings = [], []
-        for n in resolutions:
+        for n in scenario.resolutions:
             workers = min(threads, n)
             bounds = [n * w // workers for w in range(workers + 1)]
             run = map if workers == 1 else pool.map
@@ -224,8 +225,7 @@ def cmd_convergence(args) -> int:
     scenario = _load(args)
     body = convergence_study(
         scenario, args.quantities or ["torsion", "einstein"],
-        lambda: leibniz_residual_norms(scenario, scenario.resolutions,
-                                       args.threads))
+        lambda: leibniz_residual_norms(scenario, args.threads))
     return _write(args, scenario, "convergence", body,
                   [("convergence", *convergence_csv_rows(body))])
 

@@ -14,12 +14,19 @@ t) stores one node along it, and products, sums and norms broadcast over
 that axis.  A field's max-norm (:meth:`FormField.region_norm`) runs
 outside the excised ball its grid carries.
 
+A field knows which of its components may be nonzero (``live``): every
+other one is exactly 0.0 at every node.  ``wedge`` gives its result the
+components it wrote and ``zeros`` none; any other field scans its data
+once, on first use, and keeps the set.  ``wedge`` multiplies only live
+components, and norms read only live ones.
+
 A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
 :class:`RingSlice`, which takes d/dt from a ring of its neighbours with
 the stencils of the grid.  The Leibniz ladder streams t this way, and so
-do the boost residuals of static fields in ``scenarios``.
+do the boost residuals of static fields in ``scenarios`` and, in radius
+mode "4d", every coupling term.
 ``wedge`` and ``ext_d`` allocate their own results, keep no state between
 calls and run in the calling thread, in one fixed order of operations, so
 results are the same bits whichever thread calls them.
@@ -27,7 +34,7 @@ results are the same bits whichever thread calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +58,29 @@ class DegenerateTetradError(FormFieldError):
 
 
 @dataclass(frozen=True)
-class FormField:
+class _Samples:
+    """Node samples whose components ``live`` names.
+
+    A producer that knows which components it wrote passes them as
+    ``_live``; any other field scans its data on the first read of
+    ``live`` (:func:`live_components`) and keeps the result.  A restriction
+    made with ``dataclasses.replace`` keeps the set, which holds on every
+    piece of the samples.
+    """
+    _live: np.ndarray = field(default=None, kw_only=True, repr=False,
+                              compare=False)
+
+    @property
+    def live(self) -> np.ndarray:
+        """Which components (leading axes) may be nonzero: every other one
+        is exactly 0.0 at every node."""
+        if self._live is None:
+            object.__setattr__(self, "_live", live_components(self.data))
+        return self._live
+
+
+@dataclass(frozen=True)
+class FormField(_Samples):
     grid: Grid4
     degree: int
     internal: int
@@ -96,8 +125,12 @@ class FormField:
         return float(np.abs(self.data).max())
 
     def region_norm(self) -> float:
-        """Max |component| outside the grid's ball, away from box faces."""
-        return region_max(self.data, self.grid)
+        """Max |component| outside the grid's ball, away from box faces.
+
+        Only the live components are read; with none live, one component
+        of zeros gives the 0.0 (and the warning of an empty region)."""
+        comps = [self.data[c] for c in zip(*np.nonzero(self.live))]
+        return region_max(comps or [self.data[0, 0]], self.grid)
 
     def _derivative(self, s: int, mu: int, out: np.ndarray) -> bool:
         """d_mu of the spacetime component ``data[s]`` (every internal
@@ -163,9 +196,11 @@ def live_components(data: np.ndarray) -> np.ndarray:
 
 
 def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
-    """The zero field, stored with extent 1 on every grid axis."""
+    """The zero field, stored with extent 1 on every grid axis; no
+    component is live."""
     shape = (len(LAMBDA_BASES[degree]), INTERNAL_DIMS[internal], 1, 1, 1, 1)
-    return FormField(grid, degree, internal, np.zeros(shape))
+    return FormField(grid, degree, internal, np.zeros(shape),
+                     _live=np.zeros(shape[:2], dtype=bool))
 
 
 def scalar_form(grid: Grid4, degree: int, components: dict) -> FormField:
@@ -250,8 +285,9 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     rule="action": so(3,1) representation of the first factor's Lambda^2
     values on the second factor's internal space.
 
-    Products of a component that is zero at every node of its operand
-    (``live_components``) are skipped: they contribute exact zeros.
+    Only products of live components (``FormField.live``) are computed:
+    the others contribute exact zeros.  The output components that get a
+    term are the live set of the result, and the rest are 0.0.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -260,7 +296,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
     p_out = a.degree + b.degree
     shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
-    live_a, live_b = live_components(a.data), live_components(b.data)
+    live_a, live_b = a.live, b.live
     # each output component's first term is written as 0.0 + term, the
     # bits that adding it to zeros gives; one with no term is zeros
     written = set()
@@ -274,10 +310,11 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
                 written.add((k, m))
             steps.append((i, u, j, v, marked))
     out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
+    live = np.zeros(out_shape[:2], dtype=bool)
+    for k, m in written:
+        live[k, m] = True
     out = np.empty(out_shape)
-    for k, m in np.ndindex(out_shape[:2]):
-        if (k, m) not in written:
-            out[k, m] = 0.0
+    out[~live] = 0.0
     prod = np.empty(shape[1:])
     # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
@@ -290,7 +327,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
             for k, m, add, first in outs:
                 dst = out_t[k, m]
                 add(0.0 if first else dst, prod, out=dst)
-    return FormField(a.grid, p_out, k_out, out)
+    return FormField(a.grid, p_out, k_out, out, _live=live)
 
 
 def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
@@ -373,7 +410,7 @@ DEGENERACY_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
-class MetricField:
+class MetricField(_Samples):
     grid: Grid4
     data: np.ndarray  # (4, 4) + grid extents, symmetric in the leading axes
 

@@ -227,7 +227,9 @@ def diff_axis(values: np.ndarray, axis: int, spacing: float,
     elif out.shape != values.shape or not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous with the shape of values")
     if values.shape[axis] == 1:
-        return np.subtract(values, values, out=out)
+        # inf - inf is the NaN documented above, not a fault to report
+        with np.errstate(invalid="ignore"):
+            return np.subtract(values, values, out=out)
     axis %= values.ndim
     values = np.ascontiguousarray(values)
     # flat node k's neighbours along the axis are k +- s and k +- 2s; the
@@ -296,18 +298,21 @@ def integrate_samples(values: np.ndarray, grid: Grid4) -> float:
     return math.fsum(weighted.ravel().tolist())
 
 
-def region_max(values: np.ndarray, grid) -> float:
+def region_max(values, grid) -> float:
     """Max |component| over (outside the grid's ball) & (away from box faces).
 
-    ``values`` has the grid on its last four axes; leading axes are
-    component indices and are maximized over as well.  Along an axis of
-    extent 1 the mask is reduced with ``any``, which gives the max of the
-    broadcast samples exactly.  On a :class:`Window` the mask is its row of
+    ``values`` is an array with the grid on its last four axes, whose
+    leading axes are component indices maximized over as well, or a list
+    of component arrays of one shape.  Along an axis of extent 1 the mask
+    is reduced with ``any``, which gives the max of the broadcast samples
+    exactly.  On a :class:`Window` the mask is its row of
     the grid's cached mask; a window outside the region gives 0.0, and
     warns only when the whole region is empty.  A NaN in any component
     makes the result NaN.
     """
-    shape = values.shape[-4:]
+    comps = (values.reshape((-1,) + values.shape[-4:])
+             if isinstance(values, np.ndarray) else values)
+    shape = comps[0].shape
     if isinstance(grid, Window):
         full = _norm_mask(grid.grid, grid.grid.shape[:1] + shape[1:])
         mask = restrict(full, grid)
@@ -317,5 +322,4 @@ def region_max(values: np.ndarray, grid) -> float:
         if not full.any():
             warnings.warn("norm region is empty", stacklevel=2)
         return 0.0
-    comps = values.reshape((-1,) + shape)
     return float(np.max([np.abs(c[mask]).max() for c in comps]))

@@ -255,12 +255,19 @@ def scenario_from_dict(doc: dict, source_hash: str = None,
     if not r < L:
         raise ScenarioError(f"grid.L: must exceed cutoff.r = {r!r} (r >= L "
                             f"swallows the box), got {L!r}")
-    # the mass surface integrals need a stencil's width inside the box
-    top = L - Grid4(L, values["grid.N"]).spacing
+    # the mass surface integrals need a stencil's width inside the box,
+    # and spheres no smaller than one spacing of the grid they read
+    h = Grid4(L, values["grid.N"]).spacing
+    top = L - h
     if max(radii) >= top:
         raise ScenarioError(
             f"radii: must stay below grid.L - h = {top!r} at grid.N = "
             f"{values['grid.N']}, got {max(radii)!r}")
+    for k, radius in enumerate(radii):
+        if radius < h:
+            raise ScenarioError(
+                f"radii[{k}]: must be at least the grid spacing h = {h!r} "
+                f"at grid.N = {values['grid.N']}, got {radius!r}")
     if (values["geometry"] == "schwarzschild"
             or values["scenario"] == "poincare"):
         try:
@@ -395,9 +402,10 @@ def fold_verdicts(verdicts) -> str:
 
 def _on(field, where):
     """``field`` (a FormField or MetricField) restricted to ``where``, its
-    grid or a window of it."""
+    grid or a window of it; the restriction keeps the field's live set."""
     return dataclasses.replace(field, grid=where,
-                               data=restrict(field.data, where))
+                               data=restrict(field.data, where),
+                               _live=field.live)
 
 
 def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
@@ -416,26 +424,34 @@ def _generator_norms(e, gens, form):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
     The derivative set and the test ``form`` do not depend on the
-    generator, so they are built once per N, and the coupling factor
-    (Upsilon alpha) (x) X_R once per generator.
+    generator, so they are built once per N.
     A residual that depends on t while e does not (a boost's) is evaluated
     one interior t slice at a time, on the windows ``t_windows`` picks from
     e and the mask: three in radius mode "spatial", every interior slice
-    in "4d".  ``form`` is ``standard_test_form``, whose factor comes from
-    the grid's radius as the mask does, so it depends on t exactly when
-    the mask does.  Each norm is the max over the windows, NaN if
-    any is.  Everything, the form too, is dropped on return, before the
-    field equations of the same N.
+    in "4d".  ``form`` is ``standard_test_form``, whose coupling factor
+    (Upsilon alpha) (x) X_R comes from the grid's radius as the mask does,
+    so it depends on t exactly when the mask does ("4d"), and is built on
+    each window a term is evaluated on.  A residual on the whole grid
+    meets such a factor on every interior slice, so no factor or coupling
+    term fills out t.  Each norm is the max over the windows, NaN if any
+    is.  Everything, the form too, is dropped on return, before the field
+    equations of the same N.
     """
-    derivatives = axis_derivatives(e.data, e.grid, gens)
+    grid = e.grid
+    derivatives = axis_derivatives(e, gens)
+    slices = [grid.window(t)
+              for t in range(FACE_LAYERS, grid.points - FACE_LAYERS)]
+    factor_moves = form.cutoff.on_grid(grid).shape[0] > 1
     sym, extra = [], []
     for gen in gens:
-        factor = form.factor(gen)
         norms = []
-        for where in t_windows(e.data, gen, e.grid):
+        for where in t_windows(e.data, gen, grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
-            term = F.wedge(residual, _on(factor, where))
-            norms.append((residual.region_norm(), term.region_norm()))
+            pieces = slices if where == grid and factor_moves else [where]
+            terms = [F.wedge(_on(residual, piece),
+                             form.factor(gen, piece)).region_norm()
+                     for piece in pieces]
+            norms.append((residual.region_norm(), np.max(terms)))
         snorm, enorm = np.max(norms, axis=0)
         sym.append(float(snorm))
         extra.append(float(enorm))
@@ -446,7 +462,7 @@ def _killing_norms(metric, gens) -> dict:
     """Killing-residual norm of each generator, one derivative set shared;
     a boost's is the max over the windows ``t_windows`` picks, as in
     :func:`_generator_norms`."""
-    derivatives = axis_derivatives(metric.data, metric.grid, gens)
+    derivatives = axis_derivatives(metric, gens)
     return {gen.name: float(np.max([
         killing_residual(_on(metric, where), gen, derivatives)[1]
         for where in t_windows(metric.data, gen, metric.grid)]))

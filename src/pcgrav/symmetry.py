@@ -26,8 +26,8 @@ import numpy as np
 
 from .algebras import poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
-from .fields import FormField, MetricField, live_components
-from .grid import FACE_LAYERS, Grid4, diff_axis, region_max
+from .fields import FormField, MetricField
+from .grid import FACE_LAYERS, Grid4, Window, diff_axis, region_max, restrict
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,11 @@ class CutoffFunction:
                     / (self.outer - self.inner), 0.0, 1.0)
         return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
-    def on_grid(self, grid: Grid4) -> np.ndarray:
-        """The profile of the grid's radius at every node; cached per grid,
-        read-only."""
-        return _profile_on_grid(self, grid)
+    def on_grid(self, where) -> np.ndarray:
+        """The profile of the grid's radius at every node of ``where``, the
+        grid or a window of it; cached per grid, read-only."""
+        grid = where.grid if isinstance(where, Window) else where
+        return restrict(_profile_on_grid(self, grid), where)
 
 
 @lru_cache(maxsize=8)
@@ -168,32 +169,34 @@ def _moved_axes(x: PoincareElement):
             if x.translation[lam] or np.any(x.rotation[lam])]
 
 
-def axis_derivatives(data: np.ndarray, grid: Grid4,
-                     generators) -> AxisDerivatives:
-    """Stencil derivatives of the live components of ``data`` along every
-    axis that one of ``generators`` moves: one set serves them all."""
+def axis_derivatives(field, generators) -> AxisDerivatives:
+    """Stencil derivatives of the live components of ``field`` (a
+    FormField or MetricField, ``field.live``) along every axis that one of
+    ``generators`` moves: one set serves them all."""
     axes = sorted({lam for x in generators for lam in _moved_axes(x)})
-    comps = data.reshape((-1,) + data.shape[-4:])
-    live = np.flatnonzero(live_components(comps))
+    comps = field.data.reshape((-1,) + field.data.shape[-4:])
+    live = np.flatnonzero(field.live)
     stacked = comps[live]
     return AxisDerivatives(live, {lam: diff_axis(stacked, 1 + lam,
-                                                 grid.spacing)
+                                                 field.grid.spacing)
                                   for lam in axes})
 
 
-def _lie_transport(data: np.ndarray, x: PoincareElement, grid: Grid4,
+def _lie_transport(field, x: PoincareElement,
                    derivatives: AxisDerivatives = None) -> np.ndarray:
-    """xi^lambda d_lambda of every component: the transport part of L_xi.
+    """xi^lambda d_lambda of every component of ``field``: the transport
+    part of L_xi.
 
     Grid stencils differentiate the components, read from ``derivatives``
     (built here when not given); callers add the Jacobian terms of the
     affine xi, which are its exact rotation matrix.  Along an axis where
-    ``data`` has extent 1 the derivative is exact zeros (NaN at a
+    the data has extent 1 the derivative is exact zeros (NaN at a
     non-finite sample), which xi^lambda would only rescale: that term is
-    the derivative itself, so it keeps the extent of ``data``.
+    the derivative itself, so it keeps the extent of the data.
     """
     if derivatives is None:
-        derivatives = axis_derivatives(data, grid, (x,))
+        derivatives = axis_derivatives(field, (x,))
+    data, grid = field.data, field.grid
     xi = _affine_components(x, grid)
     terms = [derivatives.by_axis[lam] if data.shape[-4 + lam] == 1
              else xi[lam] * derivatives.by_axis[lam]
@@ -257,7 +260,7 @@ def _entries(matrix: np.ndarray):
 def lie_derivative_one_form(field: FormField, x: PoincareElement,
                             derivatives: AxisDerivatives = None) -> np.ndarray:
     """(L_xi a)^I_mu for a 1-form, internal indices untouched."""
-    out = _lie_transport(field.data, x, field.grid, derivatives)
+    out = _lie_transport(field, x, derivatives)
     # + a^I_nu d_mu xi^nu with d_mu xi^nu = R^nu_mu
     for nu, mu, r in _entries(x.rotation):
         out[mu] += r * field.data[nu]
@@ -268,7 +271,7 @@ def symmetry_residual(e: FormField, x: PoincareElement,
                       derivatives: AxisDerivatives = None) -> FormField:
     """X . e = L_xi e - rho_V(R) e; zero iff xi acts isometrically on g_e.
 
-    ``derivatives`` is ``axis_derivatives(e.data, e.grid, generators)``,
+    ``derivatives`` is ``axis_derivatives(e, generators)``,
     shared by the generators of a sweep; it is built here when not given.
     """
     if e.degree != 1 or e.internal != 1:
@@ -283,10 +286,10 @@ def killing_residual(g: MetricField, x: PoincareElement,
                      derivatives: AxisDerivatives = None):
     """(L_xi g)_{mu nu} and its max-norm outside the grid's excised ball.
 
-    ``derivatives`` is ``axis_derivatives(g.data, g.grid, generators)``,
+    ``derivatives`` is ``axis_derivatives(g, generators)``,
     shared by the generators of a sweep; it is built here when not given.
     """
-    out = _lie_transport(g.data, x, g.grid, derivatives)
+    out = _lie_transport(g, x, derivatives)
     entries = _entries(x.rotation)
     for lam, mu, value in entries:
         out[mu] += value * g.data[lam]

@@ -158,7 +158,8 @@ def test_translation_coupling_vanishes_and_its_term_borrows_the_plane():
     _, norm = extra_eom_term(e, form, p1)
     assert norm > 1e-4  # reference plane keeps the diagnostic informative
     l3 = PoincareElement.from_name("L3")
-    assert np.array_equal(form.factor(p1).data, form.factor(l3).data)
+    assert np.array_equal(form.factor(p1, grid).data,
+                          form.factor(l3, grid).data)
 
 
 def test_test_form_support_is_enforced():

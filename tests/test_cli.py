@@ -214,8 +214,9 @@ def test_leibniz_ladder_norms_are_pinned(threads):
     # a change to the order of the float operations in wedge moves these,
     # and the worker count must not; at 3 workers the 13 and 17 slices
     # split 4/4/5 and 5/6/6, and every block builds its own halo slices
-    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
-    norms, _ = leibniz_residual_norms(scenario, (9, 13, 17), threads)
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json",
+                             Ns=[9, 13, 17])
+    norms, _ = leibniz_residual_norms(scenario, threads)
     assert norms == [1.5557802852622662, 0.7384922107658585,
                      0.3962308738065563]
 
@@ -226,13 +227,13 @@ def test_leibniz_ladder_peaks_below_one_dense_two_form(threads):
     # and peaks below one dense Lambda^2-valued 2-form at N = 25; at 2
     # workers each range runs in a process of its own, so the first one
     # is measured here, as its worker runs it
-    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json", Ns=[25])
     one_dense = 36 * 25 ** 4 * 8
     rings = 2 * cli.RING * 4 * 6 * 25 ** 3 * 8
     tracemalloc.start()
     try:
         if threads == 1:
-            top = leibniz_residual_norms(scenario, (25,), 1)[0][0]
+            top = leibniz_residual_norms(scenario, 1)[0][0]
         else:
             top = cli._leibniz_block(scenario, 25, 0, 12)
         peak = tracemalloc.get_traced_memory()[1]
@@ -344,7 +345,7 @@ def test_convergence_sweeps_once_and_not_for_leibniz_alone(tmp_path, capsys,
 
     monkeypatch.setattr(scenarios, "_sweep", counted)
     monkeypatch.setattr(cli, "leibniz_residual_norms",
-                        lambda scenario, ns, threads: ([4.0, 1.0, 0.25],
+                        lambda scenario, threads: ([4.0, 1.0, 0.25],
                                                        [4.0, 2.0, 1.0]))
     path = small_scenario_file(tmp_path, Ns=[9, 13, 17])
     ns = (9, 13, 17)
@@ -443,8 +444,9 @@ def test_a_single_leibniz_range_runs_in_the_calling_process(tmp_path,
     log = tmp_path / "ranges"
     monkeypatch.setattr(cli, "_leibniz_block",
                         functools.partial(recording_block, log))
-    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
-    leibniz_residual_norms(scenario, (9, 13), 1)
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json",
+                             Ns=[9, 13])
+    leibniz_residual_norms(scenario, 1)
     assert [line.split() for line in log.read_text().splitlines()] == [
         ["9", "0", "9", str(os.getpid())], ["13", "0", "13", str(os.getpid())]]
 
@@ -471,7 +473,8 @@ def test_leibniz_pool_leaves_no_process_behind(tmp_path):
 def test_a_failed_leibniz_worker_fails_the_call_promptly(monkeypatch, block,
                                                          error):
     monkeypatch.setattr(cli, "_leibniz_block", block)
-    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json")
+    scenario = load_scenario(SCENARIOS / "eom_schwarzschild.json",
+                             Ns=[9, 13])
 
     def hung(signum, frame):
         raise TimeoutError("the Leibniz ladder hung on a failed worker")
@@ -480,7 +483,7 @@ def test_a_failed_leibniz_worker_fails_the_call_promptly(monkeypatch, block,
     signal.alarm(60)
     try:
         with pytest.raises(error):
-            leibniz_residual_norms(scenario, (9, 13), 2)
+            leibniz_residual_norms(scenario, 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -553,6 +556,33 @@ def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys,
     assert code == 2
     assert f"error: {field}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["adm", "komar"])
+@pytest.mark.parametrize("geometry", ["schwarzschild", "minkowski"])
+@pytest.mark.parametrize("radii, k", [
+    ([1e-300, 1e-299, 1e-298], 0), ([4.0, 1.0, 6.0], 1)])
+def test_a_mass_sphere_inside_one_grid_spacing_exits_2_naming_it(
+        tmp_path, capfd, command, geometry, radii, k):
+    # h = 16/12 at N = 13; such a sphere once reached LAPACK, which wrote
+    # to fd 2 itself; warnings are errors here
+    path = small_scenario_file(tmp_path, geometry=geometry, radii=radii)
+    out_dir = tmp_path / "reports"
+    code = main(["mass", command, "--scenario", str(path),
+                 "--out", str(out_dir)])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: radii[{k}]: must be at least the grid spacing h = "
+        f"{16 / 12!r} at grid.N = 13, got {radii[k]!r}\n")
+    assert not out_dir.exists()
+
+
+def test_a_mass_sphere_of_one_grid_spacing_loads():
+    doc = {"scenario": "spherical", "grid": {"L": 8.0, "N": 13},
+           "cutoff": {"r": 3.0, "R": 5.0}, "radius_mode": "spatial",
+           "radii": [16 / 12, 4.0]}
+    assert scenario_from_dict(doc).radii == (16 / 12, 4.0)
 
 
 @pytest.mark.parametrize("command", [["mass", "adm"], ["pc", "action"]])

@@ -316,6 +316,23 @@ def test_ring_slices_match_whole_fields_bit_for_bit(p):
         assert np.array_equal(bracket_t.data[:, :, 0], bracket_whole[:, :, t])
 
 
+def test_an_infinite_sample_of_a_static_field_warns_nowhere():
+    # along the t axis of extent 1 diff_axis gives the documented NaN at
+    # the infinite sample, and ext_d skips that axis; neither warns
+    grid = Grid4(2.0, 9)
+    data = np.ones((4, 4, 1) + grid.shape[1:])
+    data[2, 1, 0, 4, 4, 4] = np.inf
+    a = F.FormField(grid, 1, 1, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_t = diff_axis(a.data, 2, grid.spacing)
+        d_a = F.ext_d(a).data
+    nan = np.isnan(d_t)
+    assert nan[2, 1, 0, 4, 4, 4] and np.count_nonzero(nan) == 1
+    assert not d_t[~nan].any()
+    assert not np.isnan(d_a).any() and np.isinf(d_a).any()
+
+
 def test_a_window_field_has_no_t_derivative_of_its_own():
     grid = Grid4(2.0, 9)
     data = np.random.default_rng(3).normal(size=(4, 6, 1) + grid.shape[1:])

@@ -13,8 +13,9 @@ import pcgrav.scenarios as scenarios
 import pcgrav.symmetry as symmetry
 from pcgrav.action import (einstein_residual, extra_eom_term,
                            standard_test_form, torsion_residual)
-from pcgrav.fields import (FormField, MetricField, metric_from_tetrad,
-                           wedge)
+from pcgrav.conventions import LAMBDA_BASES
+from pcgrav.fields import (INTERNAL_DIMS, FormField, MetricField,
+                           live_components, metric_from_tetrad, wedge, zeros)
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import FACE_LAYERS, Grid4
 from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
@@ -207,11 +208,22 @@ def test_streamed_norms_equal_whole_grid_norms(monkeypatch, n, mode, nan):
     assert streamed == ["K1", "K2", "K3"]
 
 
-def test_streamed_boost_sweep_peaks_below_one_dense_field():
-    sc = scenario_from_dict({
+def loaded(mode, load):
+    """``load()``, which warns of a Schwarzschild scenario in "4d" mode."""
+    if mode == "spatial":
+        return load()
+    with pytest.warns(UserWarning, match="'spatial' is recommended"):
+        return load()
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_streamed_boost_sweep_peaks_below_one_dense_field(mode):
+    # in "4d" mode the coupling factor depends on t: it and every
+    # coupling term are built one t slice at a time
+    sc = loaded(mode, lambda: scenario_from_dict({
         "scenario": "poincare", "M": 1.0, "grid": {"L": 20.0, "N": 25},
         "Ns": [25], "cutoff": {"r": 12.0, "R": 16.0},
-        "radius_mode": "spatial", "radii": [8.0, 12.0, 16.0]})
+        "radius_mode": mode, "radii": [8.0, 12.0, 16.0]}))
     for cached in (grid_module._region_mask, grid_module._norm_mask,
                    symmetry._profile_on_grid):
         cached.cache_clear()
@@ -224,16 +236,16 @@ def test_streamed_boost_sweep_peaks_below_one_dense_field():
         tracemalloc.stop()
     assert len(raw["killing"]) == len(raw["sym"]) == 10
     assert all(raw["killing"][f"K{i}"] > 0.0 for i in (1, 2, 3))
+    assert all(raw["extra"][name][0] > 0.0 for name in ("L1", "P1", "K1"))
     assert peak < one_dense, (peak, one_dense)
 
 
-def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field():
-    # the coupling term of generators[0] streams over t, as in the sweep;
-    # in 4d mode the coupling factor fills out t, so only spatial is held
-    sc = load_scenario(
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field(mode):
+    # the coupling term of generators[0] streams over t, as in the sweep
+    sc = loaded(mode, lambda: load_scenario(
         SCENARIOS / "poincare_schwarzschild.json",
-        generators=["K1"], grid={"L": 20.0, "N": 25},
-        radius_mode="spatial")
+        generators=["K1"], grid={"L": 20.0, "N": 25}, radius_mode=mode))
     for cached in (grid_module._region_mask, grid_module._norm_mask,
                    symmetry._profile_on_grid):
         cached.cache_clear()
@@ -246,6 +258,64 @@ def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field():
         tracemalloc.stop()
     assert body["extra_term_norm"] > 0.0
     assert peak < one_dense, (peak, one_dense)
+
+
+def dead_components_are_zeros(field):
+    """Every component outside ``field.live`` is exactly 0.0 at every
+    node; a NaN there counts as nonzero."""
+    return not np.any(field.data[~field.live] != 0.0)
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_no_component_outside_the_live_set_is_nonzero(mode):
+    grid = Grid4(8.0, 9, inner_radius=3.0, radius_mode=mode)
+    rng = np.random.default_rng(26)
+
+    def form(degree, internal, extents, dead, planted=()):
+        data = rng.normal(size=(len(LAMBDA_BASES[degree]),
+                                INTERNAL_DIMS[internal]) + extents)
+        for c in dead:
+            data[c] = 0.0
+        for node, value in planted:
+            data[node] = value
+        return FormField(grid, degree, internal, data)
+
+    static = (1,) + grid.shape[1:]
+    # non-finite samples in live components: inf * 0.0 is NaN
+    a = form(1, 2, static, [(0, 0), (2, 1), (3, 5)],
+             [((1, 3, 0, 4, 4, 4), np.inf), ((2, 0, 0, 1, 2, 3), np.nan)])
+    b = form(1, 2, grid.shape, [(1, 1), (1, 2), (1, 3)])
+    # a diagonal tetrad-like 1-form: most of its products are dead
+    e = form(1, 1, static, [(i, j) for i in range(4) for j in range(4)
+                            if i != j])
+    # inf - inf is NaN here, as it should be
+    with np.errstate(invalid="ignore"):
+        products = [wedge(a, b, "bracket"), wedge(a, b, "action"),
+                    wedge(a, e, "action"), wedge(e, e),
+                    wedge(a, a, "bracket")]
+        fields = [*products, a, b, e, products[0] + products[4],
+                  products[0] - products[4], zeros(grid, 2, 2)]
+    assert not zeros(grid, 2, 2).live.any()
+    assert not wedge(zeros(grid, 1, 2), b, "bracket").live.any()
+    form2 = standard_test_form(grid, CutoffFunction(3.0, 12.0))
+    windows = [grid.window(t) for t in range(grid.points)]
+    for gen in poincare_generators():
+        whole = form2.factor(gen, grid)
+        fields.append(whole)
+        for where in windows:
+            factor = form2.factor(gen, where)
+            piece = _on(whole, where)
+            assert np.array_equal(factor.data, piece.data)
+            assert np.array_equal(factor.live, piece.live)
+            fields += [factor, wedge(_on(e, where), factor)]
+    fields += [_on(field, where) for field in products for where in windows]
+    for field in fields:
+        assert dead_components_are_zeros(field)
+        # the set a producer gives is the written set: no narrower than
+        # a scan of its data
+        assert not np.any(live_components(field.data) & ~field.live)
+    assert not products[3].live.all()
+    assert all(np.isnan(field.data).any() for field in products[:3])
 
 
 class SeededChart:
@@ -280,9 +350,9 @@ def every_slice_norms(e, g, gen, form):
     """Symmetry, coupling and Killing norms of ``gen`` on each interior t
     slice, one window per slice, rows in t order."""
     grid = e.grid
-    de = axis_derivatives(e.data, grid, [gen])
-    dg = axis_derivatives(g.data, grid, [gen])
-    factor = form.factor(gen)
+    de = axis_derivatives(e, [gen])
+    dg = axis_derivatives(g, [gen])
+    factor = form.factor(gen, grid)
     rows = []
     for t in range(FACE_LAYERS, grid.points - FACE_LAYERS):
         where = grid.window(t)

@@ -264,8 +264,8 @@ def dense_fields():
 def test_shared_derivatives_match_the_reference_exactly():
     grid, e, g = dense_fields()
     gens = poincare_generators()
-    e_set = axis_derivatives(e.data, grid, gens)
-    g_set = axis_derivatives(g.data, grid, gens)
+    e_set = axis_derivatives(e, gens)
+    g_set = axis_derivatives(g, gens)
     for x in gens:
         want = reference_symmetry_residual(e, x)
         assert np.array_equal(symmetry_residual(e, x, e_set).data, want)
@@ -286,8 +286,8 @@ def test_shared_derivatives_match_the_reference_for_a_general_element():
     # the sparse loop adds the rotation terms one at a time, the reference
     # sums them first: entries may differ by a few ulp of their largest term,
     # which near a cancellation is not small relative to the entry itself
-    e_set = axis_derivatives(e.data, grid, [x])
-    g_set = axis_derivatives(g.data, grid, [x])
+    e_set = axis_derivatives(e, [x])
+    g_set = axis_derivatives(g, [x])
     cases = [(symmetry_residual(e, x, e_set).data,
               reference_symmetry_residual(e, x)),
              (killing_residual(g, x, derivatives=g_set)[0],
