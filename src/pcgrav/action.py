@@ -97,7 +97,7 @@ class EquivariantTestForm:
             plane = REFERENCE_PLANE
         weighted = (restrict(self.alpha.data[:, 0], where)
                     * self.cutoff.on_grid(where))
-        data = np.zeros((len(plane), len(plane)) + weighted.shape[1:])
+        data = np.zeros((len(weighted), len(plane)) + weighted.shape[1:])
         live = np.zeros(data.shape[:2], dtype=bool)
         for m in np.flatnonzero(plane):
             np.multiply(weighted, plane[m], out=data[:, m])
