@@ -89,8 +89,9 @@ class EquivariantTestForm:
         ``REFERENCE_PLANE``.
 
         Upsilon alpha is built on ``where`` alone, and only the
-        components of the plane's nonzero entries are computed, as the
-        factor's live set; the others are zeros.
+        components of the plane's nonzero entries are computed.  The
+        factor's live set is those columns on alpha's live rows; the
+        others are zeros.
         """
         plane = generator.rotation_pair_components
         if not np.any(plane != 0.0):
@@ -98,11 +99,10 @@ class EquivariantTestForm:
         weighted = (restrict(self.alpha.data[:, 0], where)
                     * self.cutoff.on_grid(where))
         data = np.zeros((len(weighted), len(plane)) + weighted.shape[1:])
-        live = np.zeros(data.shape[:2], dtype=bool)
         for m in np.flatnonzero(plane):
             np.multiply(weighted, plane[m], out=data[:, m])
-            live[:, m] = True
-        return FormField(where, 2, 2, data, _live=live)
+        return FormField(where, 2, 2, data,
+                         _live=np.outer(self.alpha.live[:, 0], plane != 0.0))
 
 
 def standard_test_form(grid: Grid4,

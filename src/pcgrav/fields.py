@@ -203,19 +203,6 @@ def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
                      _live=np.zeros(shape[:2], dtype=bool))
 
 
-def scalar_form(grid: Grid4, degree: int, components: dict) -> FormField:
-    """Scalar-valued p-form from {increasing multi-index: node samples}.
-
-    The samples broadcast; the form keeps their common grid extents.
-    """
-    shape = np.broadcast_shapes((1, 1, 1, 1),
-                                *(np.shape(v) for v in components.values()))
-    out = np.zeros((len(LAMBDA_BASES[degree]), 1) + shape)
-    for mi, samples in components.items():
-        out[_INDEX[degree][tuple(mi)], 0] = samples
-    return FormField(grid, degree, 0, out)
-
-
 # ---------------------------------------------------------------------------
 # Merge tables and the product planner
 # ---------------------------------------------------------------------------

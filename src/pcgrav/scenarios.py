@@ -430,10 +430,10 @@ def _generator_norms(e, gens, form):
     e and the mask: three in radius mode "spatial", every interior slice
     in "4d".  ``form`` is ``standard_test_form``, whose coupling factor
     (Upsilon alpha) (x) X_R comes from the grid's radius as the mask does,
-    so it depends on t exactly when the mask does ("4d").  A factor that
-    does not is built once per generator; one that does is built on each
-    interior slice, and a residual on the whole grid meets it there, so
-    no factor or coupling term fills out t.  Each norm is the max over the
+    so it depends on t exactly when the mask does ("4d").  The factor is
+    built where the residual is, except that a residual on the whole grid
+    meets a factor that depends on t one interior slice at a time, so no
+    factor or coupling term fills out t.  Each norm is the max over the
     windows, NaN if any is.  Everything, the form too, is dropped on
     return, before the field equations of the same N.
     """
@@ -444,14 +444,12 @@ def _generator_norms(e, gens, form):
     factor_moves = form.cutoff.on_grid(grid).shape[0] > 1
     sym, extra = [], []
     for gen in gens:
-        whole = None if factor_moves else form.factor(gen, grid)
         norms = []
         for where in t_windows(e.data, gen, grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
-            pieces = slices if whole is None and where == grid else [where]
+            pieces = slices if factor_moves and where == grid else [where]
             terms = [F.wedge(_on(residual, piece),
-                             form.factor(gen, piece) if whole is None
-                             else _on(whole, piece)).region_norm()
+                             form.factor(gen, piece)).region_norm()
                      for piece in pieces]
             norms.append((residual.region_norm(), np.max(terms)))
         snorm, enorm = np.max(norms, axis=0)

@@ -295,5 +295,5 @@ def killing_residual(g: MetricField, x: PoincareElement,
         out[mu] += value * g.data[lam]
     for lam, nu, value in entries:
         out[:, nu] += value * g.data[:, lam]
-    norm = region_max(out, g.grid)
+    norm = region_max(out.reshape((-1,) + out.shape[-4:]), g.grid)
     return out, norm

@@ -164,7 +164,10 @@ def test_translation_coupling_vanishes_and_its_term_borrows_the_plane():
 
 def test_test_form_support_is_enforced():
     grid = Grid4(4.0, 9, inner_radius=1.0)
-    alpha = F.scalar_form(grid, 2, {(0, 1): np.ones(grid.shape)})
+    # alpha = dt ^ dx on every node, the ball included
+    data = np.zeros((6, 1) + grid.shape)
+    data[0, 0] = 1.0
+    alpha = F.FormField(grid, 2, 0, data)
     with pytest.raises(ValueError, match="vanish"):
         EquivariantTestForm(alpha, CutoffFunction(1.0, 2.5))
 

@@ -23,6 +23,16 @@ def random_form(grid, p, k, rng=RNG):
     return F.FormField(grid, p, k, rng.normal(size=shape))
 
 
+def scalar_form(grid, degree, components):
+    """Scalar-valued p-form from {increasing multi-index: node samples}."""
+    shape = np.broadcast_shapes((1, 1, 1, 1),
+                                *(np.shape(v) for v in components.values()))
+    out = np.zeros((len(LAMBDA_BASES[degree]), 1) + shape)
+    for mi, samples in components.items():
+        out[LAMBDA_BASES[degree].index(mi), 0] = samples
+    return F.FormField(grid, degree, 0, out)
+
+
 def coordinate_field(grid, mu, power=1):
     return np.broadcast_to(grid.coordinate(mu), grid.shape) ** power
 
@@ -70,8 +80,8 @@ def test_graded_algebra_and_grid_share_so31_constants():
 # ---------------------------------------------------------------------------
 
 def test_wedge_of_coordinate_one_forms():
-    a = F.scalar_form(GRID, 1, {(0,): np.ones(GRID.shape)})
-    b = F.scalar_form(GRID, 1, {(1,): np.ones(GRID.shape)})
+    a = scalar_form(GRID, 1, {(0,): np.ones(GRID.shape)})
+    b = scalar_form(GRID, 1, {(1,): np.ones(GRID.shape)})
     ab = F.wedge(a, b)
     assert np.all(ab.component((0, 1)) == 1.0)
     for pair in LAMBDA_BASES[2]:
@@ -346,12 +356,12 @@ def test_a_window_field_has_no_t_derivative_of_its_own():
 
 
 def test_d_of_constant_vanishes():
-    c = F.scalar_form(GRID, 0, {(): np.full(GRID.shape, 3.25)})
+    c = scalar_form(GRID, 0, {(): np.full(GRID.shape, 3.25)})
     assert F.ext_d(c).max_abs() == 0.0
 
 
 def test_d_of_linear_one_form_is_exact():
-    a = F.scalar_form(GRID, 1, {(1,): coordinate_field(GRID, 0)})
+    a = scalar_form(GRID, 1, {(1,): coordinate_field(GRID, 0)})
     da = F.ext_d(a)
     assert np.all(da.component((0, 1)) == 1.0)
     assert da.max_abs() == 1.0
@@ -363,7 +373,7 @@ def test_d_squared_vanishes_to_roundoff():
     poly = sum(coeffs[m, n] * coordinate_field(GRID, m) *
                coordinate_field(GRID, n, 2) for m in range(4)
                for n in range(4))
-    f = F.scalar_form(GRID, 0, {(): poly})
+    f = scalar_form(GRID, 0, {(): poly})
     assert F.ext_d(F.ext_d(f)).max_abs() <= 1e-10
     a = random_form(GRID, 1, 2)
     scale = a.max_abs() / GRID.spacing ** 2
@@ -371,7 +381,7 @@ def test_d_squared_vanishes_to_roundoff():
 
 
 def test_d_exact_on_cubics_in_the_interior():
-    f = F.scalar_form(GRID, 0, {(): coordinate_field(GRID, 2, 3)})
+    f = scalar_form(GRID, 0, {(): coordinate_field(GRID, 2, 3)})
     df = F.ext_d(f)
     exact = 3.0 * coordinate_field(GRID, 2, 2)
     err = np.abs(df.component((2,)) - exact)

@@ -175,7 +175,7 @@ def test_region_max_masks_ball_and_faces():
     values[4, 4, 4, 4] = 10.0            # inside the ball: ignored
     values[0, 2, 2, 2] = 5.0             # on a box face: ignored
     values[2, 2, 2, 2] = 1.5
-    assert region_max(values, g) == 1.5
+    assert region_max([values], g) == 1.5
 
 
 def test_region_max_component_axes_lead():
@@ -233,10 +233,10 @@ def test_region_max_warns_on_an_empty_window_only_if_the_region_is_empty():
     values = np.ones(g.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert region_max(values[4:5], g.window(4)) == 0.0
-        assert region_max(values[2:3], g.window(2)) == 1.0
+        assert region_max([values[4:5]], g.window(4)) == 0.0
+        assert region_max([values[2:3]], g.window(2)) == 1.0
     with pytest.warns(UserWarning, match="norm region is empty"):
-        assert region_max(values[2:3], spatial.window(2)) == 0.0
+        assert region_max([values[2:3]], spatial.window(2)) == 0.0
 
 
 def test_region_max_mask_cache_matches_a_fresh_mask():

@@ -11,8 +11,9 @@ import pytest
 import pcgrav.grid as grid_module
 import pcgrav.scenarios as scenarios
 import pcgrav.symmetry as symmetry
-from pcgrav.action import (einstein_residual, extra_eom_term,
-                           standard_test_form, torsion_residual)
+from pcgrav.action import (EquivariantTestForm, einstein_residual,
+                           extra_eom_term, standard_test_form,
+                           torsion_residual)
 from pcgrav.conventions import LAMBDA_BASES
 from pcgrav.fields import (INTERNAL_DIMS, FormField, MetricField,
                            live_components, metric_from_tetrad, wedge, zeros)
@@ -308,6 +309,27 @@ def test_no_component_outside_the_live_set_is_nonzero(mode):
             assert np.array_equal(factor.data, piece.data)
             assert np.array_equal(factor.live, piece.live)
             fields += [factor, wedge(_on(e, where), factor)]
+    # a one-plane alpha: the factor's rows of the other planes are dead,
+    # so an infinite residual sample meets no 0.0 of theirs (inf * 0.0)
+    cutoff = CutoffFunction(3.0, 12.0)
+    alpha = np.zeros((6, 1) + grid.shape)
+    alpha[3, 0] = cutoff.on_grid(grid)
+    one_plane = EquivariantTestForm(FormField(grid, 2, 0, alpha), cutoff)
+    r = form(1, 1, grid.shape, [],
+             [((0, i, 2, 2, 2, 2), np.inf) for i in range(4)])
+    for gen in poincare_generators():
+        for where in [grid, *windows]:
+            factor = one_plane.factor(gen, where)
+            assert np.array_equal(factor.live, live_components(factor.data))
+            with np.errstate(invalid="ignore"):
+                term = wedge(_on(r, where), factor)
+                scanned = wedge(_on(r, where),
+                                FormField(where, 2, 2, factor.data))
+            assert np.array_equal(term.data, scanned.data, equal_nan=True)
+            assert np.array_equal(term.live, scanned.live)
+            fields.append(term)
+        # the infinite samples meet the live plane: the check has teeth
+        assert not np.isfinite(fields[-len(windows) - 1].data).all()
     fields += [_on(field, where) for field in products for where in windows]
     for field in fields:
         assert dead_components_are_zeros(field)
