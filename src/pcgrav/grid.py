@@ -301,16 +301,16 @@ def integrate_samples(values: np.ndarray, grid: Grid4) -> float:
 def region_max(values, grid) -> float:
     """Max |component| over (outside the grid's ball) & (away from box faces).
 
-    ``values`` is a sequence of arrays of one shape, with the grid on
-    their last four axes; their leading axes are component indices,
-    maximized over as well (an array with leading axes is such a
-    sequence).  Along an axis of extent 1 the mask is reduced with
-    ``any``, which gives the max of the broadcast samples exactly.  On a
-    :class:`Window` the mask is its row of the grid's cached mask; a
-    window outside the region gives 0.0, and warns only when the whole
-    region is empty.  A NaN in any component makes the result NaN.
+    ``values`` is a sequence of component arrays of one shape, on the
+    grid's four axes (an array with one leading component axis is such a
+    sequence); the max runs over every component.  Along an axis of
+    extent 1 the mask is reduced with ``any``, which gives the max of the
+    broadcast samples exactly.  On a :class:`Window` the mask is its row
+    of the grid's cached mask; a window outside the region gives 0.0, and
+    warns only when the whole region is empty.  A NaN in any component
+    makes the result NaN.
     """
-    shape = values[0].shape[-4:]
+    shape = values[0].shape
     if isinstance(grid, Window):
         full = _norm_mask(grid.grid, grid.grid.shape[:1] + shape[1:])
         mask = restrict(full, grid)
@@ -320,4 +320,4 @@ def region_max(values, grid) -> float:
         if not full.any():
             warnings.warn("norm region is empty", stacklevel=2)
         return 0.0
-    return float(np.max([np.abs(c[..., mask]).max() for c in values]))
+    return float(np.max([np.abs(c[mask]).max() for c in values]))
