@@ -6,6 +6,7 @@ list-of-lists Gaussian elimination is both exact and fast enough.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Matrix = list  # list[list[Fraction]]
@@ -93,10 +94,12 @@ def in_row_span(rows_mat: Matrix, vec: list) -> bool:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q' strings (also accepts plain ints, not bools); exactness
-    preserved."""
-    if isinstance(text, str):
-        return Fraction(text.strip())
+    """Parse 'p/q' or integer strings (also accepts plain ints, not bools);
+    exactness preserved.  Decimal and exponent strings are refused: a
+    ``"1e999999999"`` would build that integer."""
+    if isinstance(text, str) and re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*",
+                                              text):
+        return Fraction(text)
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     raise TypeError(f"rational must be an int or a 'p/q' string, got {text!r}")

@@ -6,20 +6,22 @@ finite exact loop -- no tolerances anywhere in this module.
 
 Brackets are stored sparsely: ``brackets[(i, j)] = {k: c}`` means
 ``[b_i, b_j] = sum_k c b_k``.  Linear maps (differentials, morphisms,
-action endomorphisms) use the row convention ``f(b_i) = sum_k M[i][k] b_k``;
-the dense ones are applied to a coefficient vector with :func:`exact.matmul`.
-One helper checks graded derivations, for ``d`` (Leibniz) and for each
-``alpha(x)`` of an action map.
+action endomorphisms) use the row convention ``f(b_i) = sum_k M[i][k] b_k``.
+Every axiom check works on sparse vectors ``{k: c}`` with no zero
+coefficients, so two vectors are equal exactly when their dicts are: a
+map is its sparse rows ``{i: f(b_i)}`` (a dense matrix is read into them
+once), and a vector's image is the sum of its coefficients times those
+rows.  One helper checks graded derivations, for ``d`` (Leibniz) and for
+each ``alpha(x)`` of an action map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 
 from . import exact
-from .exact import ZERO
+from .exact import ONE, ZERO
 
 
 class StructureError(ValueError):
@@ -55,6 +57,40 @@ def _normalize_sparse(table):
     return out
 
 
+def _sparse_rows(matrix) -> dict:
+    """Sparse rows ``{i: {k: c}}`` of a dense row-convention matrix."""
+    return _normalize_sparse(dict(enumerate(dict(enumerate(row))
+                                            for row in matrix)))
+
+
+def _add(acc: dict, vec: dict, c) -> dict:
+    """acc += c * vec on sparse vectors, dropping the zeros it makes."""
+    for k, v in vec.items():
+        x = acc.get(k, ZERO) + c * v
+        if x:
+            acc[k] = x
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def _image(vec: dict, rows: dict) -> dict:
+    """f(vec) for the map with sparse rows ``rows[i] = f(b_i)``."""
+    out = {}
+    for i, c in vec.items():
+        _add(out, rows.get(i, {}), c)
+    return out
+
+
+def _bracket(a, x: dict, y: dict) -> dict:
+    """[x, y] in ``a`` for sparse vectors x, y."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            _add(out, a.brackets.get((i, j), {}), xi * yj)
+    return out
+
+
 @dataclass(frozen=True)
 class GradedLieAlgebra:
     """Graded Lie algebra given by structure constants (not yet verified)."""
@@ -76,25 +112,17 @@ class GradedLieAlgebra:
         return self.bracket_basis(i, j).get(k, ZERO)
 
     def bracket_eval(self, x, y) -> list:
-        """[x, y] for coefficient vectors x, y in this basis (exact)."""
+        """[x, y] for dense coefficient vectors x, y in this basis (exact),
+        through the sparse bracket of the axiom checks."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError(
                 f"coefficient vectors must have length {self.dim}, "
                 f"got {len(x)} and {len(y)}"
             )
-        # Only nonzero coefficient pairs can contribute; the axiom checks
-        # feed mostly basis and zero vectors, so this is the hot path.
-        nx = [(i, Fraction(v)) for i, v in enumerate(x) if v != 0]
-        ny = [(j, Fraction(v)) for j, v in enumerate(y) if v != 0]
+        rows = _sparse_rows([x, y])
         out = [ZERO] * self.dim
-        for i, xi in nx:
-            for j, yj in ny:
-                row = self.brackets.get((i, j))
-                if row is None:
-                    continue
-                c = xi * yj
-                for k, v in row.items():
-                    out[k] += c * v
+        for k, c in _bracket(self, rows.get(0, {}), rows.get(1, {})).items():
+            out[k] = c
         return out
 
 
@@ -109,16 +137,6 @@ class Differential:
 
     def of_basis(self, i: int) -> dict:
         return self.rows.get(i, {})
-
-    def apply(self, vec) -> list:
-        out = [ZERO] * len(vec)
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            c = Fraction(c)
-            for k, v in self.of_basis(i).items():
-                out[k] += c * v
-        return out
 
 
 @dataclass(frozen=True)
@@ -142,9 +160,6 @@ class DglaMorphism:
     source: Dgla
     target: Dgla
     matrix: list  # dense rows: source basis -> target coefficients
-
-    def apply(self, vec) -> list:
-        return exact.matmul([vec], self.matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +195,6 @@ class AxiomReport:
 
 def _sign(n: int) -> int:
     return -1 if n % 2 else 1
-
-
-def _basis_vec(dim: int, i: int) -> list:
-    v = [ZERO] * dim
-    v[i] = Fraction(1)
-    return v
 
 
 def check_graded_lie(a: GradedLieAlgebra) -> list:
@@ -231,39 +240,31 @@ def check_graded_lie(a: GradedLieAlgebra) -> list:
                    for j in range(dim) for k in range(dim))
     for i, j, k in triples:
         # [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - (-1)^{|i||j|} [b_j,[b_i,b_k]]
-        acc = [ZERO] * dim
-        for m, c in a.bracket_basis(j, k).items():
-            for n, v in a.bracket_basis(i, m).items():
-                acc[n] += c * v
-        for m, c in a.bracket_basis(i, j).items():
-            for n, v in a.bracket_basis(m, k).items():
-                acc[n] -= c * v
-        s = _sign(deg[i] * deg[j])
-        for m, c in a.bracket_basis(i, k).items():
-            for n, v in a.bracket_basis(j, m).items():
-                acc[n] -= s * c * v
-        if any(x != 0 for x in acc):
+        acc = _bracket(a, {i: ONE}, a.bracket_basis(j, k))
+        _add(acc, _bracket(a, a.bracket_basis(i, j), {k: ONE}), -1)
+        _add(acc, _bracket(a, {j: ONE}, a.bracket_basis(i, k)),
+             -_sign(deg[i] * deg[j]))
+        if acc:
             violations.append(Violation(
                 "jacobi", (labels[i], labels[j], labels[k]),
                 "graded Jacobi identity fails"))
     return violations
 
 
-def _derivation_failures(f, degree: int, a: GradedLieAlgebra) -> list:
+def _derivation_failures(rows, degree: int, a: GradedLieAlgebra) -> list:
     """Basis pairs (m, n) where f[x,y] != [fx,y] + (-1)^{|f||x|} [x,fy].
 
-    ``f`` maps a coefficient vector of ``a`` to another, with degree |f|.
+    ``rows`` are the sparse images ``f(b_i)`` of the basis of ``a``, and
+    ``degree`` is |f|.
     """
     deg = a.basis.degrees
-    basis = [_basis_vec(a.dim, i) for i in range(a.dim)]
-    images = [f(v) for v in basis]
     failures = []
-    for m, (x, fx) in enumerate(zip(basis, images)):
+    for m in range(a.dim):
         s = _sign(degree * deg[m])
-        for n, (y, fy) in enumerate(zip(basis, images)):
-            rhs = [p + s * q for p, q in
-                   zip(a.bracket_eval(fx, y), a.bracket_eval(x, fy))]
-            if f(a.bracket_eval(x, y)) != rhs:
+        for n in range(a.dim):
+            rhs = _bracket(a, rows.get(m, {}), {n: ONE})
+            _add(rhs, _bracket(a, {m: ONE}, rows.get(n, {})), s)
+            if _image(a.bracket_basis(m, n), rows) != rhs:
                 failures.append((m, n))
     return failures
 
@@ -284,13 +285,13 @@ def check_dgla(d: Dgla) -> AxiomReport:
                     f"coefficient {exact.format_rational(c)} on {labels[k]} "
                     f"(degree {deg[k]} != {deg[i]} + 1)"))
 
+    rows = d.differential.rows
     for i in range(dim):
-        dd = d.differential.apply(d.differential.apply(_basis_vec(dim, i)))
-        if any(x != 0 for x in dd):
+        if _image(d.differential.of_basis(i), rows):
             violations.append(Violation(
                 "d-squared", (labels[i],), "d(d(b)) != 0"))
 
-    for i, j in _derivation_failures(d.differential.apply, 1, a):
+    for i, j in _derivation_failures(rows, 1, a):
         violations.append(Violation(
             "leibniz", (labels[i], labels[j]),
             "d[x,y] != [dx,y] + (-1)^|x| [x,dy]"))
@@ -302,29 +303,26 @@ def check_morphism(phi: DglaMorphism) -> list:
     violations = []
     src, tgt = phi.source, phi.target
     slab = src.basis.labels
+    rows = _sparse_rows(phi.matrix)
 
     for i in range(src.dim):
-        for k, c in enumerate(phi.matrix[i]):
-            if c != 0 and tgt.basis.degrees[k] != src.basis.degrees[i]:
+        for k in rows.get(i, {}):
+            if tgt.basis.degrees[k] != src.basis.degrees[i]:
                 violations.append(Violation(
                     "morphism-degree", (slab[i],),
                     f"image hits {tgt.basis.labels[k]} of different degree"))
 
     for i in range(src.dim):
-        via_src = phi.apply(src.differential.apply(_basis_vec(src.dim, i)))
-        via_tgt = tgt.differential.apply(phi.apply(_basis_vec(src.dim, i)))
-        if via_src != via_tgt:
+        if (_image(src.differential.of_basis(i), rows)
+                != _image(rows.get(i, {}), tgt.differential.rows)):
             violations.append(Violation(
                 "morphism-differential", (slab[i],),
                 "phi(d x) != d phi(x)"))
 
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = phi.apply(src.algebra.bracket_eval(
-                _basis_vec(src.dim, i), _basis_vec(src.dim, j)))
-            rhs = tgt.algebra.bracket_eval(
-                phi.apply(_basis_vec(src.dim, i)),
-                phi.apply(_basis_vec(src.dim, j)))
+            lhs = _image(src.algebra.bracket_basis(i, j), rows)
+            rhs = _bracket(tgt.algebra, rows.get(i, {}), rows.get(j, {}))
             if lhs != rhs:
                 violations.append(Violation(
                     "morphism-bracket", (slab[i], slab[j]),
@@ -350,9 +348,6 @@ class ActionMap:
     module: Dgla
     matrices: tuple  # one dense matrix per actor basis element
 
-    def apply(self, i: int, vec) -> list:
-        return exact.matmul([vec], self.matrices[i])[0]
-
     def __eq__(self, other):
         return (isinstance(other, ActionMap)
                 and self.actor.basis == other.actor.basis
@@ -369,51 +364,46 @@ def check_action_map(alpha: ActionMap) -> AxiomReport:
     violations = []
     g, h = alpha.actor, alpha.module
     glab, gdeg = g.basis.labels, g.basis.degrees
-    d_h = [h.differential.apply(_basis_vec(h.dim, m)) for m in range(h.dim)]
+    hdeg = h.basis.degrees
+    maps = [_sparse_rows(m) for m in alpha.matrices]
 
     for i in range(g.dim):
         di = gdeg[i]
-        for j in range(h.dim):
-            for k, c in enumerate(alpha.matrices[i][j]):
-                if c != 0 and h.basis.degrees[k] != h.basis.degrees[j] + di:
-                    violations.append(Violation(
-                        "action-degree", (glab[i],),
-                        f"alpha({glab[i]}) is not homogeneous of degree {di}"))
-                    break
+        for j, row in maps[i].items():
+            if any(hdeg[k] != hdeg[j] + di for k in row):
+                violations.append(Violation(
+                    "action-degree", (glab[i],),
+                    f"alpha({glab[i]}) is not homogeneous of degree {di}"))
 
     def is_commutator(row, f, f2, s):
         """alpha(sum_k c b_k) for sparse ``row`` {k: c} equals the graded
-        commutator f f2 - s f2 f; all maps are row-convention matrices, so
-        f(f2(e_m)) is row m of f2 times f."""
-        lhs = exact.zeros(h.dim, h.dim)
-        for k, c in row.items():
-            for lhs_m, alpha_m in zip(lhs, alpha.matrices[k]):
-                for n, x in enumerate(alpha_m):
-                    lhs_m[n] += c * x
-        rhs = [[x - s * y for x, y in zip(a, b)]
-               for a, b in zip(exact.matmul(f2, f), exact.matmul(f, f2))]
-        return lhs == rhs
+        commutator f f2 - s f2 f of the sparse-row maps f and f2."""
+        for m in range(h.dim):
+            lhs = _image(row, {k: maps[k].get(m, {}) for k in row})
+            rhs = _image(f2.get(m, {}), f)
+            _add(rhs, _image(f.get(m, {}), f2), -s)
+            if lhs != rhs:
+                return False
+        return True
 
     for i in range(g.dim):
         for j in range(g.dim):
             if not is_commutator(g.algebra.bracket_basis(i, j),
-                                 alpha.matrices[i], alpha.matrices[j],
-                                 _sign(gdeg[i] * gdeg[j])):
+                                 maps[i], maps[j], _sign(gdeg[i] * gdeg[j])):
                 violations.append(Violation(
                     "action-bracket", (glab[i], glab[j]),
                     "alpha[x,y] != alpha(x)alpha(y) "
                     "- (-1)^{|x||y|} alpha(y)alpha(x)"))
 
     for i in range(g.dim):
-        if not is_commutator(g.differential.of_basis(i), d_h,
-                             alpha.matrices[i], _sign(gdeg[i])):
+        if not is_commutator(g.differential.of_basis(i), h.differential.rows,
+                             maps[i], _sign(gdeg[i])):
             violations.append(Violation(
                 "action-differential", (glab[i],),
                 "alpha(dx) != [d_h, alpha(x)]"))
 
     for i in range(g.dim):
-        for m, n in _derivation_failures(partial(alpha.apply, i), gdeg[i],
-                                         h.algebra):
+        for m, n in _derivation_failures(maps[i], gdeg[i], h.algebra):
             violations.append(Violation(
                 "action-derivation",
                 (glab[i], h.basis.labels[m], h.basis.labels[n]),
@@ -536,8 +526,9 @@ def check_exactness(s: ActionStructure) -> AxiomReport:
         violations.append(Violation(
             "surjectivity", ("project",), "project is not onto"))
 
-    comp = exact.matmul(s.inject.matrix, s.project.matrix)
-    if any(any(x != 0 for x in row) for row in comp):
+    project = _sparse_rows(s.project.matrix)
+    if any(_image(row, project)
+           for row in _sparse_rows(s.inject.matrix).values()):
         violations.append(Violation(
             "exactness", ("project . inject",),
             "image(inject) not contained in kernel(project)"))

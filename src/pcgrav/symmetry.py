@@ -198,9 +198,12 @@ def _lie_transport(field, x: PoincareElement,
         derivatives = axis_derivatives(field, (x,))
     data, grid = field.data, field.grid
     xi = _affine_components(x, grid)
-    terms = [derivatives.by_axis[lam] if data.shape[-4 + lam] == 1
-             else xi[lam] * derivatives.by_axis[lam]
-             for lam in _moved_axes(x)]
+    # xi^lambda is 0 at its axis origin (t = 0 for a boost), where a
+    # derivative beside an infinite sample is inf: 0 * inf is the NaN above
+    with np.errstate(invalid="ignore"):
+        terms = [derivatives.by_axis[lam] if data.shape[-4 + lam] == 1
+                 else xi[lam] * derivatives.by_axis[lam]
+                 for lam in _moved_axes(x)]
     # the result has extent N on an axis only where data or a term does
     shape = np.broadcast_shapes(data.shape[-4:],
                                 *(term.shape[1:] for term in terms))

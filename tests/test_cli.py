@@ -716,6 +716,12 @@ def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
         c=True)),
     ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
         c="1/0")),
+    ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
+        c="1e999999999")),
+    ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
+        c="1e3")),
+    ("brackets[0].out[0].c", lambda d: d["brackets"][0]["out"][0].update(
+        c="0.5")),
     # a misspelt key would read as a missing one: brackets as none at all
     ("brakets", lambda d: d.update(brakets=d.pop("brackets"))),
     ("basis[0].lable", lambda d: d["basis"][0].update(
@@ -728,6 +734,8 @@ def test_malformed_field_types_exit_2_naming_the_field(tmp_path, capsys,
 ], ids=["label-list", "degree-1e400", "brackets-null", "bracket-null",
         "degree-fraction", "degree-true", "label-repeated",
         "coefficient-true", "coefficient-zero-denominator",
+        "coefficient-huge-exponent", "coefficient-exponent",
+        "coefficient-decimal",
         "brackets-misspelt", "label-misspelt", "bracket-unknown-key",
         "coefficient-unknown-key", "differential-unknown-key"])
 def test_malformed_algebra_exits_2_naming_the_path(tmp_path, capsys, path,

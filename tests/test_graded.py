@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,7 +226,7 @@ def test_adjoint_action_so3_recovers_ad():
     alpha = extract_action_map(s)
     for i in range(3):
         for j in range(3):
-            assert alpha.apply(i, basis_vec(3, j)) == \
+            assert exact.matmul([basis_vec(3, j)], alpha.matrices[i])[0] == \
                 g.algebra.bracket_eval(basis_vec(3, i), basis_vec(3, j))
 
 
@@ -560,3 +561,294 @@ def test_twenty_randomized_round_trips_exact():
         alpha = random_action_map(rng)
         assert check_action_map(alpha).passed
         assert extract_action_map(build_action_dgla(alpha)) == alpha
+
+
+# ---------------------------------------------------------------------------
+# The sparse checks against a dense brute-force reference (seeded)
+# ---------------------------------------------------------------------------
+
+def dense_bracket(a, x, y):
+    out = [Q(0)] * a.dim
+    for i in (i for i, xi in enumerate(x) if xi):
+        for j in (j for j, yj in enumerate(y) if yj):
+            for k in range(a.dim):
+                if a.structure_constant(i, j, k):
+                    out[k] += x[i] * y[j] * a.structure_constant(i, j, k)
+    return out
+
+
+def dense_apply(matrix, x):
+    """Row convention: f(x) = sum_i x_i M[i]."""
+    out = [Q(0)] * len(matrix[0])
+    for xi, row in zip(x, matrix):
+        if xi:
+            out = [o + xi * r for o, r in zip(out, row)]
+    return out
+
+
+def dense_compose(f, f2):
+    """Row-convention matrix of the map x -> f(f2(x))."""
+    return [dense_apply(f, row) for row in f2]
+
+
+def dense_combine(terms, n):
+    """sum of c * M over (c, M) pairs of n x n matrices."""
+    out = exact.zeros(n, n)
+    for c, m in terms:
+        if c:
+            out = [[o + c * x for o, x in zip(out_row, row)]
+                   for out_row, row in zip(out, m)]
+    return out
+
+
+def dense_differential(d):
+    return [[d.differential.of_basis(i).get(k, Q(0)) for k in range(d.dim)]
+            for i in range(d.dim)]
+
+
+def report_text(subject, lines):
+    if not lines:
+        return f"{subject}: pass"
+    return "\n".join([f"{subject}: {len(lines)} violation(s)"]
+                     + [f"  - {line}" for line in lines])
+
+
+def reference_dgla_lines(d):
+    a, n = d.algebra, d.dim
+    lab, deg = a.basis.labels, a.basis.degrees
+    c = a.structure_constant
+    e = [basis_vec(n, i) for i in range(n)]
+    lines = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c(i, j, k) and deg[k] != deg[i] + deg[j]:
+                    lines.append(
+                        f"bracket-degree at {(lab[i], lab[j])}: coefficient "
+                        f"{exact.format_rational(c(i, j, k))} on {lab[k]} "
+                        f"(degree {deg[k]} != {deg[i]} + {deg[j]})")
+    antisymmetric = True
+    for i in range(n):
+        for j in range(i, n):
+            s = (-1) ** (deg[i] * deg[j])
+            bad = [k for k in range(n) if c(j, i, k) != -s * c(i, j, k)]
+            if bad:
+                antisymmetric = False
+                lines.append(
+                    f"antisymmetry at {(lab[i], lab[j])}: [{lab[j]},{lab[i]}]"
+                    f" != {'-' if s > 0 else '+'}[{lab[i]},{lab[j]}] on "
+                    f"{lab[bad[0]]}")
+    for i in range(n):
+        for j in range(i if antisymmetric else 0, n):
+            for k in range(j if antisymmetric else 0, n):
+                s = (-1) ** (deg[i] * deg[j])
+                terms = zip(
+                    dense_bracket(a, e[i], dense_bracket(a, e[j], e[k])),
+                    dense_bracket(a, dense_bracket(a, e[i], e[j]), e[k]),
+                    dense_bracket(a, e[j], dense_bracket(a, e[i], e[k])))
+                if any(p - q - s * r for p, q, r in terms):
+                    lines.append(f"jacobi at {(lab[i], lab[j], lab[k])}: "
+                                 "graded Jacobi identity fails")
+    dm = dense_differential(d)
+    for i in range(n):
+        for k in range(n):
+            if dm[i][k] and deg[k] != deg[i] + 1:
+                lines.append(
+                    f"differential-degree at {(lab[i],)}: coefficient "
+                    f"{exact.format_rational(dm[i][k])} on {lab[k]} "
+                    f"(degree {deg[k]} != {deg[i]} + 1)")
+    for i in range(n):
+        if any(dense_apply(dm, dm[i])):
+            lines.append(f"d-squared at {(lab[i],)}: d(d(b)) != 0")
+    for m, n_ in reference_derivation_failures(dm, 1, a):
+        lines.append(f"leibniz at {(lab[m], lab[n_])}: "
+                     "d[x,y] != [dx,y] + (-1)^|x| [x,dy]")
+    return lines
+
+
+def reference_derivation_failures(f, degree, a):
+    e = [basis_vec(a.dim, i) for i in range(a.dim)]
+    deg = a.basis.degrees
+    return [(m, n) for m in range(a.dim) for n in range(a.dim)
+            if dense_apply(f, dense_bracket(a, e[m], e[n])) != [
+                p + (-1) ** (degree * deg[m]) * q for p, q in
+                zip(dense_bracket(a, f[m], e[n]),
+                    dense_bracket(a, e[m], f[n]))]]
+
+
+def reference_action_text(alpha):
+    g, h = alpha.actor, alpha.module
+    glab, gdeg, hdeg = g.basis.labels, g.basis.degrees, h.basis.degrees
+    mats = alpha.matrices
+    lines = []
+    for i in range(g.dim):
+        for j in range(h.dim):
+            if any(mats[i][j][k] and hdeg[k] != hdeg[j] + gdeg[i]
+                   for k in range(h.dim)):
+                lines.append(f"action-degree at {(glab[i],)}: alpha("
+                             f"{glab[i]}) is not homogeneous of degree "
+                             f"{gdeg[i]}")
+
+    def commutator(f, f2, s):
+        return dense_combine([(1, dense_compose(f, f2)),
+                              (-s, dense_compose(f2, f))], h.dim)
+
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = dense_combine([(g.algebra.structure_constant(i, j, k),
+                                  mats[k]) for k in range(g.dim)], h.dim)
+            if lhs != commutator(mats[i], mats[j],
+                                 (-1) ** (gdeg[i] * gdeg[j])):
+                lines.append(f"action-bracket at {(glab[i], glab[j])}: "
+                             f"{ACTION_BRACKET}")
+    dg, dh = dense_differential(g), dense_differential(h)
+    for i in range(g.dim):
+        lhs = dense_combine([(dg[i][k], mats[k]) for k in range(g.dim)],
+                            h.dim)
+        if lhs != commutator(dh, mats[i], (-1) ** gdeg[i]):
+            lines.append(f"action-differential at {(glab[i],)}: "
+                         "alpha(dx) != [d_h, alpha(x)]")
+    for i in range(g.dim):
+        for m, n in reference_derivation_failures(mats[i], gdeg[i],
+                                                  h.algebra):
+            lines.append(f"action-derivation at "
+                         f"{(glab[i], h.basis.labels[m], h.basis.labels[n])}"
+                         f": {NOT_A_DERIVATION}")
+    return report_text("action map", lines)
+
+
+def reference_morphism_lines(phi):
+    src, tgt = phi.source, phi.target
+    slab, m = src.basis.labels, phi.matrix
+    e = [basis_vec(src.dim, i) for i in range(src.dim)]
+    ds, dt = dense_differential(src), dense_differential(tgt)
+    lines = [f"morphism-degree at {(slab[i],)}: image hits "
+             f"{tgt.basis.labels[k]} of different degree"
+             for i in range(src.dim) for k in range(tgt.dim)
+             if m[i][k] and tgt.basis.degrees[k] != src.basis.degrees[i]]
+    lines += [f"morphism-differential at {(slab[i],)}: phi(d x) != d phi(x)"
+              for i in range(src.dim)
+              if dense_apply(m, ds[i]) != dense_apply(dt, m[i])]
+    lines += [f"morphism-bracket at {(slab[i], slab[j])}: "
+              "phi[x,y] != [phi x, phi y]"
+              for i in range(src.dim) for j in range(src.dim)
+              if dense_apply(m, dense_bracket(src.algebra, e[i], e[j]))
+              != dense_bracket(tgt.algebra, m[i], m[j])]
+    return lines
+
+
+def reference_exactness_text(s):
+    lines = [f"{side}-{line}" for side, phi in (("inject", s.inject),
+                                               ("project", s.project))
+             for line in reference_morphism_lines(phi)]
+    if exact.rank(s.inject.matrix) != s.module.dim:
+        lines.append("injectivity at ('inject',): inject has nontrivial "
+                     "kernel")
+    if exact.rank(s.project.matrix) != s.actor.dim:
+        lines.append("surjectivity at ('project',): project is not onto")
+    if any(any(dense_apply(s.project.matrix, row))
+           for row in s.inject.matrix):
+        lines.append("exactness at ('project . inject',): image(inject) not "
+                     "contained in kernel(project)")
+    elif (exact.rank(s.inject.matrix)
+          != s.total.dim - exact.rank(s.project.matrix)):
+        lines.append("exactness at ('dimensions',): image(inject) is a "
+                     "proper subspace of kernel(project)")
+    return report_text("exact sequence", lines)
+
+
+def tensor_dgla(g, p):
+    """g (x) A for a Lie algebra g and the cdga A = <1, u, du, u du>,
+    |u| = p odd, (du)^2 = 0: [x a, y b] = [x, y] ab and d(x a) = x da."""
+    names, degrees = ("1", "u", "du", "udu"), (0, p, p + 1, 2 * p + 1)
+    product = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 0): 1,
+               (2, 0): 2, (3, 0): 3, (1, 2): 3, (2, 1): 3}
+    index = {(x, a): 4 * x + a for x in range(g.dim) for a in range(4)}
+    basis = GradedBasis(tuple(f"{x}.{a}" for x in g.basis.labels
+                              for a in names), degrees * g.dim)
+    brackets = {}
+    for (x, y), row in g.algebra.brackets.items():
+        for (a, b), ab in product.items():
+            brackets[index[x, a], index[y, b]] = {
+                index[z, ab]: c for z, c in row.items()}
+    rows = {index[x, 1]: {index[x, 2]: Q(1)} for x in range(g.dim)}
+    return Dgla(GradedLieAlgebra(basis, brackets), Differential(rows))
+
+
+def perturbed(rng, matrix):
+    out = [row[:] for row in matrix]
+    i, k = rng.randrange(len(out)), rng.randrange(len(out[0]))
+    out[i][k] += rng.choice((-2, -1, 1, 2))
+    return out
+
+
+def perturbed_dgla(rng, d, kind):
+    brackets = {key: dict(row) for key, row in d.algebra.brackets.items()}
+    rows = {i: dict(row) for i, row in d.differential.rows.items()}
+    i, j, k = (rng.randrange(d.dim) for _ in range(3))
+    c = Q(rng.choice((-2, -1, 1, 2)))
+    if kind == "differential":
+        rows.setdefault(i, {})[k] = rows.get(i, {}).get(k, 0) + c
+    else:
+        brackets.setdefault((i, j), {})[k] = \
+            brackets.get((i, j), {}).get(k, 0) + c
+        if kind == "antisymmetric" and i != j:
+            s = (-1) ** (d.basis.degrees[i] * d.basis.degrees[j])
+            brackets.setdefault((j, i), {})[k] = \
+                brackets.get((j, i), {}).get(k, 0) - s * c
+    return Dgla(GradedLieAlgebra(d.basis, brackets), Differential(rows))
+
+
+def adjoint_map(d):
+    c = d.algebra.structure_constant
+    return ActionMap(d, d, tuple(
+        [[c(i, j, k) for k in range(d.dim)] for j in range(d.dim)]
+        for i in range(d.dim)))
+
+
+SOLVABLE = Dgla(GradedLieAlgebra(GradedBasis(("x", "y"), (0, 0)),
+                                 {(0, 1): {1: Q(1)}, (1, 0): {1: Q(-1)}}))
+
+
+def test_sparse_checks_match_a_dense_reference():
+    # graded algebras with odd degrees and a differential, each with one
+    # perturbed entry, reach every witness kind of the sparse checks
+    rng = random.Random(27)
+    seen = set()
+
+    def agree(got, want):
+        assert got == want
+        lines = want.splitlines()[1:] if isinstance(want, str) else want
+        seen.update(line.split(" at ")[0].strip(" -") for line in lines)
+
+    for _ in range(2):
+        for p in (1, -1):
+            d = tensor_dgla(SOLVABLE, p)
+            assert check_dgla(d).passed
+            for dgla in (d, *(perturbed_dgla(rng, d, kind) for kind in (
+                    "bracket", "antisymmetric", "differential"))):
+                agree(str(check_dgla(dgla)),
+                      report_text("dgla axioms", reference_dgla_lines(dgla)))
+            alpha = adjoint_map(d)
+            assert check_action_map(alpha).passed
+            mats = list(alpha.matrices)
+            i = rng.randrange(d.dim)
+            mats[i] = perturbed(rng, mats[i])
+            bent = ActionMap(d, d, tuple(mats))
+            agree(str(check_action_map(bent)), reference_action_text(bent))
+            phi = DglaMorphism(d, d, perturbed(rng, exact.identity(d.dim)))
+            agree([str(v) for v in check_morphism(phi)],
+                  reference_morphism_lines(phi))
+            s = adjoint_action(d)
+            for broken in (
+                    replace(s, inject=replace(s.inject, matrix=perturbed(
+                        rng, s.inject.matrix))),
+                    replace(s, project=replace(s.project, matrix=perturbed(
+                        rng, s.project.matrix)))):
+                agree(str(check_exactness(broken)),
+                      reference_exactness_text(broken))
+    assert seen >= {"bracket-degree", "antisymmetry", "jacobi",
+                    "differential-degree", "d-squared", "leibniz",
+                    "action-degree", "action-bracket", "action-differential",
+                    "action-derivation", "morphism-degree",
+                    "morphism-differential", "morphism-bracket"}, seen

@@ -7,10 +7,15 @@ Each checkout runs ``pc action``, ``pc eom``, ``mass adm``, ``mass komar``,
 symmetry:K1, extra:P1, extra:L3) with ``--threads 2``, and ``convergence
 --quantities leibniz`` with ``--threads 1``, whose single t range runs in
 the calling process, on each of the four shipped scenario documents, in
-both radius modes: 56 runs a side.  A
-run imports pcgrav from its checkout's ``src`` under ``python -W ignore``,
-in a fresh working directory where ``scenarios`` links to the checkout's,
-so both sides pass the same argv.
+both radius modes: 56 runs.  Then the algebra commands: ``algebra check``
+on ``so3.json``, ``r3.json`` and ``poincare_algebra.json`` and on a
+failing so(3) document, and ``algebra action`` on ``so3_vector_action.json``,
+on the Poincare adjoint action and on a rejected so(3) action: 63 runs a
+side.  The failing, adjoint and rejected documents are written into each
+working directory's ``generated`` from the shipped ones.  A run imports pcgrav from its
+checkout's ``src`` under ``python -W ignore``, in a fresh working
+directory where ``scenarios`` links to the checkout's, so both sides pass
+the same argv.
 
 Exit codes, stdout, stderr, CSV tables and report files must agree byte
 for byte; a report's manifest ``timestamp`` is left out.  Each run that
@@ -39,6 +44,20 @@ COMMANDS = {
 }
 THREADS = {"convergence_leibniz_threads1": "1"}     # the rest run at 2
 MODES = ("spatial", "4d")
+SO3, R3 = "scenarios/so3.json", "scenarios/r3.json"
+POINCARE = "scenarios/poincare_algebra.json"
+ALGEBRA_RUNS = {
+    "algebra_check_so3": ("check", SO3),
+    "algebra_check_r3": ("check", R3),
+    "algebra_check_poincare": ("check", POINCARE),
+    "algebra_check_failing_so3": ("check", "generated/failing_so3.json"),
+    "algebra_action_so3_vector": ("action", SO3, R3,
+                                  "scenarios/so3_vector_action.json"),
+    "algebra_action_poincare_adjoint": (
+        "action", POINCARE, POINCARE, "generated/poincare_adjoint.json"),
+    "algebra_action_rejected_so3": ("action", SO3, R3,
+                                    "generated/rejected_so3_action.json"),
+}
 
 
 def runs():
@@ -51,6 +70,32 @@ def runs():
                               "--radius-mode", mode,
                               "--threads", THREADS.get(name, "2"),
                               "--out", f"out/{label}"]
+    for label, argv in ALGEBRA_RUNS.items():
+        yield label, ["algebra", *argv]
+
+
+def write_generated(work: Path):
+    """The documents of the algebra runs that no checkout ships: the
+    Poincare adjoint action, alpha(x)(y) = [x, y] read off the bracket
+    table; so(3) with [L1, L2] doubled (one orientation only); and the
+    vector action with one entry doubled."""
+    def shipped(name):
+        return json.loads((work / "scenarios" / name).read_text())
+
+    rows = {}
+    for item in shipped("poincare_algebra.json")["brackets"]:
+        rows.setdefault(item["i"], []).append(
+            {"i": item["j"], "out": item["out"]})
+    adjoint = {"action": [{"x": x, "rows": rows[x]} for x in sorted(rows)]}
+    failing = shipped("so3.json")
+    failing["brackets"][0]["out"][0]["c"] = "2"
+    rejected = shipped("so3_vector_action.json")
+    rejected["action"][0]["rows"][0]["out"][0]["c"] = "2"
+    (work / "generated").mkdir()
+    for name, doc in (("poincare_adjoint.json", adjoint),
+                      ("failing_so3.json", failing),
+                      ("rejected_so3_action.json", rejected)):
+        (work / "generated" / name).write_text(json.dumps(doc, indent=2))
 
 
 def outputs(checkout: Path, work: Path, label: str, argv) -> dict:
@@ -86,6 +131,7 @@ def main(argv=None) -> int:
             work = Path(tmp) / side
             work.mkdir()
             (work / "scenarios").symlink_to(checkout / "scenarios")
+            write_generated(work)
             works.append(work)
         every = list(runs())
         for label, run_argv in every:
