@@ -568,6 +568,7 @@ def test_twenty_randomized_round_trips_exact():
 # ---------------------------------------------------------------------------
 
 def dense_bracket(a, x, y):
+    """[x, y] of dense vectors, summed over every basis pair and output."""
     out = [Q(0)] * a.dim
     for i in (i for i, xi in enumerate(x) if xi):
         for j in (j for j, yj in enumerate(y) if yj):
