@@ -35,8 +35,8 @@ def action_pc(e: FormField, omega: FormField, lam: float) -> float:
     """S = integral Tr[ e^e^F/2 + (Lambda/24) (e^e)^(e^e) ] over the box,
     with ``lam`` the cosmological constant Lambda."""
     check_nondegenerate(e)
-    ee = wedge(e, e)
-    integrand = 0.5 * wedge(ee, curvature(omega))
+    curv, ee = curvature(omega), wedge(e, e)    # e^e is not read before
+    integrand = 0.5 * wedge(ee, curv)
     if lam != 0.0:
         integrand = integrand + (lam / 24.0) * wedge(ee, ee)
     return integrate(trace4(integrand))
@@ -52,7 +52,9 @@ def einstein_residual(e: FormField, omega: FormField, lam: float):
     """e^F + (Lambda/6) e^e^e and its max-norm outside the ball."""
     residual = wedge(e, curvature(omega))
     if lam != 0.0:
-        residual = residual + (lam / 6.0) * wedge(wedge(e, e), e)
+        total = np.multiply(wedge(wedge(e, e), e).data, lam / 6.0,
+                            out=np.empty(residual.data.shape))
+        residual = residual._like(np.add(residual.data, total, out=total))
     return residual, residual.region_norm()
 
 

@@ -18,11 +18,11 @@ the verdict's exit code (``VERDICT_CODES``); no verdict is decided here.
 --threads sizes, as a callable.  Exit codes: 0 all verdicts
 pass, 1 any fail, 2 usage/parse error, 3 inconclusive (refinement needed).
 Reports land in --out, the PCGRAV_OUT env var, or ./pcgrav-reports.
---threads (default: the CPUs this process may use) is the number of
-contiguous t ranges the Leibniz ladder splits into, each run in a worker
-process of a pool that lives for one ladder, and is recorded in the
-manifest; each range runs in a fixed order, so numeric report bodies are
-byte-identical across --threads settings.
+--threads (default: the CPUs this process may use when the parser is first
+built) is the number of contiguous t ranges the Leibniz ladder splits into,
+each run in a worker process of a pool that lives for one ladder, and is
+recorded in the manifest; each range runs in a fixed order, so numeric
+report bodies are byte-identical across --threads settings.
 """
 
 from __future__ import annotations
@@ -253,6 +253,7 @@ def _float_list(text):
     return [float(x) for x in text.split(",") if x]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcgrav",

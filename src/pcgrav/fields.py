@@ -23,13 +23,14 @@ components, and norms read only live ones.
 A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
-:class:`RingSlice`, which takes d/dt from a ring of its neighbours with
-the stencils of the grid.  The Leibniz ladder streams t this way, and so
-do the boost residuals of static fields in ``scenarios`` and, in radius
-mode "4d", every coupling term.
+:class:`RingSlice`, which takes d/dt from a ring of its neighbours with the
+stencils of the grid.  The Leibniz ladder streams t this way, and so do the
+boost residuals of static fields in ``scenarios`` and, in radius mode "4d",
+every coupling term.
 ``wedge`` and ``ext_d`` allocate their own results, keep no state between
 calls and run in the calling thread, in one fixed order of operations, so
-results are the same bits whichever thread calls them.
+results are the same bits whichever thread calls them.  ``cov_d`` and
+``curvature`` add d a into a copy of their other term, made before it.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class FormField(_Samples):
     def __post_init__(self):
         _check_shape(self.data, (len(LAMBDA_BASES[self.degree]),
                                  INTERNAL_DIMS[self.internal]), self.grid)
-
-    @property
-    def internal_tag(self) -> str:
-        return INTERNAL_TAGS[self.internal]
 
     def component(self, st_index=(), internal_index=()) -> np.ndarray:
         """Named component on the grid, e.g. component((0, 1), (2, 3))."""
@@ -365,14 +362,18 @@ def cov_d(omega: FormField, a: FormField) -> FormField:
     if omega.degree != 1 or omega.internal != 2:
         raise FormFieldError("connection must be a Lambda^2-valued 1-form")
     if a.internal not in (1, 2):
-        raise FormFieldError(
-            f"covariant differential not defined on {a.internal_tag}")
-    return ext_d(a) + wedge(omega, a, rule="action")
+        raise FormFieldError("covariant differential not defined on "
+                             + INTERNAL_TAGS[a.internal])
+    total = wedge(omega, a, rule="action").data.copy()
+    d = ext_d(a)
+    return d._like(np.add(d.data, total, out=total))
 
 
 def curvature(omega: FormField) -> FormField:
     """F = d omega + (1/2)[omega, omega]."""
-    return ext_d(omega) + 0.5 * form_dgla_bracket(omega, omega)
+    total = form_dgla_bracket(omega, omega).data * 0.5
+    d = ext_d(omega)
+    return d._like(np.add(d.data, total, out=total))
 
 
 def trace4(a: FormField) -> FormField:

@@ -25,6 +25,7 @@ all four axes (``radius_mode`` "4d") or the spatial three ("spatial").
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,20 +85,21 @@ class Grid4:
         """
         _check_mode(mode)
         axes = range(4) if mode == "4d" else range(1, 4)
-        shape = self.shape if mode == "4d" else (1,) + self.shape[1:]
-        sq = sum(self.coordinate(mu) ** 2 for mu in axes)
-        return np.sqrt(np.broadcast_to(sq, shape))
+        return np.sqrt(sum(self.coordinate(mu) ** 2 for mu in axes))
 
     def region_mask(self) -> np.ndarray:
         """Nodes outside the excised ball; cached, read-only."""
         return _region_mask(self)
 
-    def interior_mask(self) -> np.ndarray:
-        """Nodes at least ``FACE_LAYERS`` nodes away from every box face."""
-        mask = np.zeros(self.shape, dtype=bool)
-        sl = slice(FACE_LAYERS, self.points - FACE_LAYERS)
-        mask[sl, sl, sl, sl] = True
-        return mask
+    def interior_mask(self, shape: tuple = None) -> np.ndarray:
+        """Nodes at least ``FACE_LAYERS`` nodes away from every box face,
+        on samples of ``shape`` (the grid's by default): one mask per axis,
+        broadcast, where an axis of extent 1 is one inside node."""
+        k = np.arange(self.points)
+        t, x, y, z = np.meshgrid(*(
+            np.minimum(k, k[::-1]) >= FACE_LAYERS if n > 1 else [True]
+            for n in shape or self.shape), indexing="ij", sparse=True)
+        return t & x & y & z
 
     def window(self, t: int) -> "Window":
         """The t slice ``t`` of this grid."""
@@ -164,9 +166,11 @@ def _norm_mask(grid: Grid4, shape: tuple) -> np.ndarray:
     """Region of the residual max-norms: outside the ball, off the faces.
 
     For samples of grid ``shape``, the mask is reduced with ``any`` over
-    the axes where that shape has extent 1.
+    the axes where that shape has extent 1; the interior mask has extent
+    N only where the samples or the region do.
     """
-    mask = grid.region_mask() & grid.interior_mask()
+    region = grid.region_mask()
+    mask = region & grid.interior_mask(tuple(map(max, region.shape, shape)))
     static = tuple(ax for ax, n in enumerate(shape) if n == 1)
     if static:
         mask = mask.any(axis=static, keepdims=True)
@@ -274,28 +278,19 @@ def diff_ring(ring: np.ndarray, t: int, points: int, spacing: float,
                     spacing, out, np.empty(out.shape))
 
 
-@lru_cache(maxsize=32)
-def _trapezoid_weights(points: int, spacing: float) -> np.ndarray:
-    w = np.full(points, spacing)
-    w[0] = w[-1] = 0.5 * spacing
-    return w
-
-
-def node_weights(grid: Grid4) -> np.ndarray:
-    """Product-trapezoid quadrature weights, shape (N,N,N,N)."""
-    w = _trapezoid_weights(grid.points, grid.spacing)
-    return (w[:, None, None, None] * w[None, :, None, None]
-            * w[None, None, :, None] * w[None, None, None, :])
-
-
 def integrate_samples(values: np.ndarray, grid: Grid4) -> float:
     """Box quadrature of scalar node samples, exactly-rounded fixed-order sum.
 
-    Samples broadcast against the full-grid weights, so the sum runs over
-    the same products as for dense samples.
+    One ``math.fsum`` takes the products of the samples, broadcast over
+    the grid, and the product-trapezoid weights ``((w_t w_x) w_y) w_z`` in
+    node order, one t slice at a time: no whole-grid array or list.
     """
-    weighted = values * node_weights(grid)
-    return math.fsum(weighted.ravel().tolist())
+    w = np.full(grid.points, grid.spacing)
+    w[0] = w[-1] = 0.5 * grid.spacing
+    values = np.broadcast_to(values, grid.shape)
+    return math.fsum(itertools.chain.from_iterable(
+        (values[t] * (((w_t * w[:, None, None]) * w[:, None]) * w)).ravel()
+        .tolist() for t, w_t in enumerate(w)))
 
 
 def region_max(values, grid) -> float:

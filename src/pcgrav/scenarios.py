@@ -473,8 +473,8 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
            killing_n: int = None) -> dict:
     """One pass over resolutions, building each field only where it is read.
 
-    No residual is held past its norm, and a t-dependent residual of
-    static fields only one t slice at a time.
+    No residual is held past its norm, no field past its last reader,
+    and a t-dependent residual of static fields only one t slice at a time.
     """
     gens = [PoincareElement.from_name(name) for name in scenario.generators]
     cutoff = scenario.cutoff()
@@ -490,8 +490,7 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
                      | ({killing_n} if killing_n else set()))
     for n in every_n:
         grid = scenario.grid(n)
-        if n in gen_ns or n in eom_ns:
-            e = chart.tetrad(grid)
+        e = chart.tetrad(grid) if n in gen_ns or n in eom_ns else None
         if n in gen_ns:
             raw["gen_spacings"].append(grid.spacing)
             sym, extra = _generator_norms(e, gens,
@@ -502,10 +501,10 @@ def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
         if n in eom_ns:
             raw["eom_spacings"].append(grid.spacing)
             omega = chart.connection(grid)
-            _, tn = torsion_residual(e, omega)
-            raw["torsion"].append(tn)
-            _, en = einstein_residual(e, omega, scenario.cosmological_constant)
-            raw["einstein"].append(en)
+            raw["torsion"].append(torsion_residual(e, omega)[1])
+            raw["einstein"].append(einstein_residual(
+                e, omega, scenario.cosmological_constant)[1])
+        e = omega = None                # the metric stage reads neither
         if n == killing_n:
             raw["killing"] = _killing_norms(chart.metric(grid), gens)
     return raw
@@ -627,8 +626,9 @@ def pc_study(scenario: Scenario, command: str) -> dict:
     body.update({"S": action} if reason is None
                 else {"reason": reason, "verdict": "fail"})
     if command == "eom":
-        _, body["torsion_norm"] = torsion_residual(e, omega)
-        _, body["einstein_norm"] = einstein_residual(e, omega, lam)
+        body["torsion_norm"] = torsion_residual(e, omega)[1]
+        body["einstein_norm"] = einstein_residual(e, omega, lam)[1]
+        del omega
         gen = PoincareElement.from_name(scenario.generators[0])
         form = standard_test_form(grid, scenario.cutoff())
         _, extra = _generator_norms(e, [gen], form)

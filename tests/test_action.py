@@ -52,6 +52,44 @@ def test_einstein_residual_linear_in_lambda():
     assert combo.max_abs() <= 1e-12 * max(1.0, fields[1.4].max_abs())
 
 
+def hex_bits(field):
+    return [v.hex() for v in field.data.ravel().tolist()]
+
+
+def seeded_fields(case):
+    """(e, omega): the static Schwarzschild chart, seeded fields that
+    depend on every coordinate, or a static e with such an omega."""
+    grid = Grid4(3.0, 9, inner_radius=1.0)
+    schw = SchwarzschildIsotropic(0.4, core_radius=0.5)
+    rng = np.random.default_rng(28)
+    e = (schw.tetrad(grid) if case != "dense"
+         else F.FormField(grid, 1, 1, minkowski_tetrad(grid).data
+                          + 0.1 * rng.normal(size=(4, 4) + grid.shape)))
+    omega = (schw.connection(grid) if case == "chart"
+             else F.FormField(grid, 1, 2,
+                              0.3 * rng.normal(size=(4, 6) + grid.shape)))
+    return e, omega
+
+
+@pytest.mark.parametrize("case", ["chart", "dense", "static-e"])
+def test_field_sums_are_the_bits_of_the_operator_expressions(case):
+    # each sum goes into a buffer of its own: the same elementwise
+    # operations, on the operands in the same order, as FormField's
+    # operators
+    e, omega = seeded_fields(case)
+    curvature = F.ext_d(omega) + 0.5 * F.form_dgla_bracket(omega, omega)
+    assert hex_bits(F.curvature(omega)) == hex_bits(curvature)
+    cov_d = F.ext_d(e) + F.wedge(omega, e, rule="action")
+    assert hex_bits(F.cov_d(omega, e)) == hex_bits(cov_d)
+    einstein = (F.wedge(e, curvature)
+                + (1.0 / 6.0) * F.wedge(F.wedge(e, e), e))
+    residual, norm = einstein_residual(e, omega, 1.0)
+    assert hex_bits(residual) == hex_bits(einstein)
+    assert norm == einstein.region_norm()
+    if case == "static-e":
+        assert e.data.shape[2] == 1 and residual.data.shape[2] == 9
+
+
 def test_non_levi_civita_connection_has_nondecaying_torsion():
     vec = np.zeros(6)
     vec[0] = 0.3

@@ -398,6 +398,21 @@ def test_threads_default_is_the_available_cpu_count(tmp_path, capsys):
     assert report["manifest"]["threads"] == len(os.sched_getaffinity(0))
 
 
+def test_the_parser_is_built_once_and_parsing_leaves_it_as_it_was():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["convergence", "--scenario", "a.json",
+                               "--Ns", "9,13", "--quantities", "leibniz",
+                               "--threads", "3", "--radius-mode", "4d"])
+    second = parser.parse_args(["convergence", "--scenario", "b.json"])
+    assert (first.ns, first.quantities, first.threads) == ([9, 13],
+                                                          ["leibniz"], 3)
+    assert (second.ns, second.quantities, second.radius_mode) == (None,
+                                                                 None, None)
+    assert second.threads == len(os.sched_getaffinity(0))
+    assert second.scenario == "b.json" and second.out is None
+
+
 def recording_block(log, scenario, n, t0, t1):
     """A ladder block that appends its range to ``log``, from any process."""
     with open(log, "a") as f:

@@ -1,12 +1,14 @@
 """Stencils, masks, and quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcgrav.grid import (Grid4, diff_axis, diff_ring, integrate_samples,
-                         node_weights, region_max, restrict)
+from pcgrav.grid import (FACE_LAYERS, Grid4, _norm_mask, _region_mask,
+                         diff_axis, diff_ring, integrate_samples, region_max,
+                         restrict)
 from pcgrav.scenarios import DEFAULT_THRESHOLDS, classify_sequence
 
 
@@ -131,6 +133,15 @@ def test_diff_axis_along_extent_one_is_exact_zero_or_nan():
     assert np.all(out[finite] == 0.0)
 
 
+def node_weights(grid):
+    """Product-trapezoid quadrature weights, shape (N,N,N,N): the reference
+    that ``integrate_samples`` streams one t slice at a time."""
+    w = np.full(grid.points, grid.spacing)
+    w[0] = w[-1] = 0.5 * grid.spacing
+    return (w[:, None, None, None] * w[None, :, None, None]
+            * w[None, None, :, None] * w[None, None, None, :])
+
+
 def test_weights_sum_to_box_volume():
     g = Grid4(2.0, 9)
     assert abs(node_weights(g).sum() - 4.0 ** 4) < 1e-10
@@ -155,6 +166,81 @@ def test_integrate_radial_gaussian_against_1d_oracle():
     r = np.linspace(0.0, 12.0, 200001)
     oracle = 2.0 * math.pi ** 2 * np.trapezoid(r ** 3 * np.exp(-0.5 * r ** 2), r)
     assert got == pytest.approx(oracle, rel=1e-2)
+
+
+SAMPLE_SHAPES = [(9, 9, 9, 9), (1, 9, 9, 9), (9, 1, 9, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+def test_integrate_samples_is_the_fsum_of_the_whole_grid_products(shape):
+    g = Grid4(2.0, 9)
+    values = np.random.default_rng(7).normal(size=shape) * 1e3
+    want = math.fsum((values * node_weights(g)).ravel().tolist())
+    assert integrate_samples(values, g).hex() == want.hex()
+
+
+@pytest.mark.parametrize("shape", [(9, 9, 9, 9), (1, 9, 9, 9)])
+def test_an_overflowing_quadrature_sum_raises(shape):
+    # h = 1: every product is finite, their sum is not
+    g = Grid4(4.0, 9)
+    with pytest.raises(OverflowError):
+        integrate_samples(np.full(shape, 1e307), g)
+
+
+def test_integrate_samples_on_static_samples_peaks_below_one_grid_array():
+    # the products stream one t slice at a time: no weights, products or
+    # list of the whole grid
+    g = Grid4(20.0, 25)
+    values = np.random.default_rng(8).normal(size=(1,) + g.shape[1:])
+    integrate_samples(values, g)
+    tracemalloc.start()
+    try:
+        integrate_samples(values, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.zeros(g.shape).nbytes, peak
+
+
+def full_interior(grid):
+    """Nodes at least FACE_LAYERS nodes from every face, as one array."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    inner = slice(FACE_LAYERS, grid.points - FACE_LAYERS)
+    mask[inner, inner, inner, inner] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+@pytest.mark.parametrize("mode", ["4d", "spatial"])
+def test_norm_masks_are_the_reduced_masks_of_the_whole_grid(mode, shape):
+    g = Grid4(2.0, 9, inner_radius=1.2, radius_mode=mode)
+    assert np.array_equal(g.interior_mask(), full_interior(g))
+    static = tuple(ax for ax, n in enumerate(shape) if n == 1)
+    assert np.array_equal(
+        g.interior_mask(shape),
+        full_interior(g).any(axis=static, keepdims=True))
+    want = (g.region_mask() & full_interior(g)).any(axis=static,
+                                                    keepdims=True)
+    _norm_mask.cache_clear()
+    got = _norm_mask(g, shape)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_the_norm_mask_of_static_samples_is_built_at_their_extents():
+    # spatial region and samples both static on t: no N^4 mask, not
+    # even a temporary one
+    g = Grid4(20.0, 25, inner_radius=12.0, radius_mode="spatial")
+    _norm_mask.cache_clear()
+    _region_mask.cache_clear()
+    g.region_mask()
+    tracemalloc.start()
+    try:
+        mask = _norm_mask(g, (1,) + g.shape[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (1,) + g.shape[1:]
+    assert peak < np.zeros(g.shape, dtype=bool).nbytes, peak
 
 
 def test_region_masks():

@@ -15,8 +15,9 @@ from pcgrav.action import (EquivariantTestForm, einstein_residual,
                            extra_eom_term, standard_test_form,
                            torsion_residual)
 from pcgrav.conventions import LAMBDA_BASES
-from pcgrav.fields import (INTERNAL_DIMS, FormField, MetricField,
-                           live_components, metric_from_tetrad, wedge, zeros)
+from pcgrav.fields import (INTERNAL_DIMS, FormField, MetricField, cov_d,
+                           curvature, live_components, metric_from_tetrad,
+                           wedge, zeros)
 from pcgrav.geometry import MinkowskiChart, SchwarzschildIsotropic
 from pcgrav.grid import FACE_LAYERS, Grid4
 from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
@@ -259,6 +260,51 @@ def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field(mode):
         tracemalloc.stop()
     assert body["extra_term_norm"] > 0.0
     assert peak < one_dense, (peak, one_dense)
+
+
+def traced_peak(run):
+    """Peak traced bytes of ``run()`` above what was allocated before."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["curvature", "cov_d"])
+def test_field_sums_peak_at_two_result_size_arrays(name):
+    # the sum goes into a buffer of its own, made before the second
+    # operand: two result-size arrays at once, plus ext_d's scratch (one
+    # target's components and a stencil chunk), where the sum of two
+    # results in a third held three
+    grid = Grid4(20.0, 25, 12.0, "spatial")
+    chart = SchwarzschildIsotropic(1.0)
+    e, omega = chart.tetrad(grid), chart.connection(grid)
+    run = {"curvature": lambda: curvature(omega),
+           "cov_d": lambda: cov_d(omega, e)}[name]
+    size = run().data.nbytes
+    peak = traced_peak(run)
+    assert peak < 2.5 * size, (peak / size)
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_pc_eom_holds_each_field_only_while_it_is_read(mode):
+    # the norms are kept and the residuals dropped, omega goes before the
+    # coupling term, and the curvature is built before e^e: the study
+    # peaks below four static Lambda^2-valued 2-forms; holding the
+    # residuals, omega, e^e and the sums' third buffers took about 5.6
+    sc = loaded(mode, lambda: load_scenario(
+        SCENARIOS / "poincare_schwarzschild.json",
+        generators=["K1"], grid={"L": 20.0, "N": 25}, radius_mode=mode))
+    for cached in (grid_module._region_mask, grid_module._norm_mask,
+                   symmetry._profile_on_grid):
+        cached.cache_clear()
+    two_form = np.zeros((6, 6, 1) + sc.grid().shape[1:]).nbytes
+    body = {}
+    peak = traced_peak(lambda: body.update(pc_study(sc, "eom")))
+    assert body["einstein_norm"] > 0.0 and body["extra_term_norm"] > 0.0
+    assert peak < 4 * two_form, (peak / two_form)
 
 
 def dead_components_are_zeros(field):

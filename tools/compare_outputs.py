@@ -20,7 +20,10 @@ the same argv.
 Exit codes, stdout, stderr, CSV tables and report files must agree byte
 for byte; a report's manifest ``timestamp`` is left out.  Each run that
 differs is named with what differs, and the script exits 1 if any does.
-Standard library only.
+Each run's line also gives its peak RSS on both sides (``ru_maxrss`` of
+the rusage ``os.wait4`` returns, which covers the children the run
+waited for), for reading only: it is not compared.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -98,14 +101,21 @@ def write_generated(work: Path):
         (work / "generated" / name).write_text(json.dumps(doc, indent=2))
 
 
-def outputs(checkout: Path, work: Path, label: str, argv) -> dict:
-    """What one run left behind, by name: exit code, streams and files."""
+def outputs(checkout: Path, work: Path, label: str, argv):
+    """What one run left behind, by name (exit code, streams and files),
+    and its peak RSS in MB."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    done = subprocess.run(
-        [sys.executable, "-W", "ignore", "-m", "pcgrav.cli", *argv],
-        cwd=work, env=env, capture_output=True, text=True)
-    found = {"exit": str(done.returncode), "stdout": done.stdout,
-             "stderr": done.stderr}
+    with tempfile.TemporaryFile("w+") as stdout, \
+            tempfile.TemporaryFile("w+") as stderr:
+        run = subprocess.Popen(
+            [sys.executable, "-W", "ignore", "-m", "pcgrav.cli", *argv],
+            cwd=work, env=env, stdout=stdout, stderr=stderr, text=True)
+        _, status, usage = os.wait4(run.pid, 0)
+        run.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        found = {"exit": str(run.returncode), "stdout": stdout.read(),
+                 "stderr": stderr.read()}
     out = work / "out" / label
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         text = path.read_text()
@@ -114,7 +124,7 @@ def outputs(checkout: Path, work: Path, label: str, argv) -> dict:
             report.get("manifest", {}).pop("timestamp", None)
             text = json.dumps(report, sort_keys=True, indent=2)
         found[path.name] = text
-    return found
+    return found, usage.ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -135,16 +145,18 @@ def main(argv=None) -> int:
             works.append(work)
         every = list(runs())
         for label, run_argv in every:
-            before, after = (outputs(checkout, work, label, run_argv)
-                             for checkout, work in zip(checkouts, works))
+            (before, rss0), (after, rss1) = (
+                outputs(checkout, work, label, run_argv)
+                for checkout, work in zip(checkouts, works))
+            rss = f"peak RSS {rss0:.1f} -> {rss1:.1f} MB"
             parts = sorted(key for key in before.keys() | after.keys()
                            if before.get(key) != after.get(key))
             if parts:
                 differ += 1
-                print(f"DIFFER {label}: {', '.join(parts)}")
+                print(f"DIFFER {label}: {', '.join(parts)}; {rss}")
             else:
                 print(f"same   {label} (exit {before['exit']}, "
-                      f"{len(before) - 3} files)")
+                      f"{len(before) - 3} files; {rss})")
     print(f"{len(every)} runs, {differ} differ")
     return 1 if differ else 0
 
