@@ -35,7 +35,7 @@ def action_pc(e: FormField, omega: FormField, lam: float) -> float:
     """S = integral Tr[ e^e^F/2 + (Lambda/24) (e^e)^(e^e) ] over the box,
     with ``lam`` the cosmological constant Lambda."""
     check_nondegenerate(e)
-    curv, ee = curvature(omega), wedge(e, e)    # e^e is not read before
+    curv, ee = curvature(omega), wedge(e, e)  # no e^e while F is built
     integrand = 0.5 * wedge(ee, curv)
     if lam != 0.0:
         integrand = integrand + (lam / 24.0) * wedge(ee, ee)

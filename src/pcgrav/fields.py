@@ -23,10 +23,10 @@ components, and norms read only live ones.
 A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
 slices around, so ``ext_d`` refuses a window field unless it is a
-:class:`RingSlice`, which takes d/dt from a ring of its neighbours with the
-stencils of the grid.  The Leibniz ladder streams t this way, and so do the
-boost residuals of static fields in ``scenarios`` and, in radius mode "4d",
-every coupling term.
+:class:`RingSlice`, which takes d/dt from a ring of its neighbours with
+the stencils of the grid.  The Leibniz ladder streams t this way, and so
+do the boost residuals of static fields in ``scenarios`` and, in radius
+mode "4d", every coupling term.
 ``wedge`` and ``ext_d`` allocate their own results, keep no state between
 calls and run in the calling thread, in one fixed order of operations, so
 results are the same bits whichever thread calls them.  ``cov_d`` and

@@ -173,8 +173,10 @@ SAMPLE_SHAPES = [(9, 9, 9, 9), (1, 9, 9, 9), (9, 1, 9, 1), (1, 1, 1, 1)]
 
 @pytest.mark.parametrize("shape", SAMPLE_SHAPES)
 def test_integrate_samples_is_the_fsum_of_the_whole_grid_products(shape):
-    g = Grid4(2.0, 9)
-    values = np.random.default_rng(7).normal(size=shape) * 1e3
+    # samples over twelve decades: the sum reads every product's low bits
+    g = Grid4(1.2, 9)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
     want = math.fsum((values * node_weights(g)).ravel().tolist())
     assert integrate_samples(values, g).hex() == want.hex()
 
