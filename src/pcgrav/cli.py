@@ -14,21 +14,20 @@ The algebra commands print their reports.  A scenario command loads its
 scenario, takes its body from one study of :mod:`pcgrav.scenarios` and
 hands it to ``_write``, which writes the report and CSV tables and returns
 the verdict's exit code (``VERDICT_CODES``); no verdict is decided here.
-``convergence`` hands its study the Leibniz ladder, whose worker pool
---threads sizes, as a callable.  Exit codes: 0 all verdicts
-pass, 1 any fail, 2 usage/parse error, 3 inconclusive (refinement needed).
-Reports land in --out, the PCGRAV_OUT env var, or ./pcgrav-reports.
---threads (default: the CPUs this process may use when the parser is first
-built) is the number of contiguous t ranges the Leibniz ladder splits into,
-each run in a worker process of a pool that lives for one ladder, and is
-recorded in the manifest; each range runs in a fixed order, so numeric
-report bodies are byte-identical across --threads settings.
+``killing residuals`` and ``convergence`` hand their study the map of
+:func:`worker_map`, and ``convergence`` the Leibniz ladder as a callable.
+Exit codes: 0 all verdicts pass, 1 any fail, 2 usage/parse error, 3
+inconclusive (refinement needed).  Reports land in --out, the PCGRAV_OUT
+env var, or ./pcgrav-reports.  --threads (default: the CPUs this process
+may use when the parser is first built) sizes the worker pools and is
+recorded in the manifest; each item runs in a fixed order of operations
+and results are assembled in item order, so numeric report bodies are
+byte-identical across --threads settings.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -87,6 +86,27 @@ def _load(args) -> Scenario:
         key: value for key, value in given.items() if value is not None})
 
 
+def worker_map(threads: int):
+    """The map of a command's independent items (sweep stages, Leibniz t
+    ranges): the builtin ``map`` at one thread, else a map over argument
+    lists that forks a pool of ``min(threads, items)`` workers for its call,
+    returns the results in item order and joins the pool before it returns
+    or raises (an item's exception, or ``BrokenProcessPool``)."""
+    if threads == 1:
+        return map
+
+    def run(fn, *columns):
+        # imported here, so commands that never fork skip it; forked, as
+        # spawned workers would import numpy and pcgrav again
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(min(threads, len(columns[0])),
+                                 mp_context=fork) as pool:
+            return list(pool.map(fn, *columns))
+    return run
+
+
 # ---------------------------------------------------------------------------
 # algebra
 # ---------------------------------------------------------------------------
@@ -124,7 +144,7 @@ def cmd_pc(args) -> int:
 
 def cmd_killing(args) -> int:
     scenario = _load(args)
-    body = run_scenario(scenario)
+    body = run_scenario(scenario, worker_map(args.threads))
     return _write(args, scenario, "killing residuals", body, [
         (f"residuals_{geometry}",
          *residual_csv_rows(section, scenario.generators))
@@ -149,29 +169,17 @@ def leibniz_residual_norms(scenario: Scenario, threads: int):
     at each N of ``scenario.resolutions``.
 
     max |d[a,b] - ([da,b] - [a,db])| over the grid, streamed over t: each
-    of ``min(threads, N)`` workers walks one contiguous t range
-    (:func:`_leibniz_block`), and the max over their maxima is the max
-    over the grid.  The workers are processes forked for this call and
-    joined before it returns; a single range runs in the calling process.
+    N splits into ``min(threads, N)`` contiguous t ranges
+    (:func:`_leibniz_block`), and the max over their maxima is the max over
+    the grid.  One :func:`worker_map` call runs every (N, t range) item.
     """
-    # imported here: commands that never start a pool skip their import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = min(threads, max(scenario.resolutions))
-    pool = contextlib.nullcontext() if size == 1 else ProcessPoolExecutor(
-        size, mp_context=multiprocessing.get_context("fork"))
-    with pool:
-        norms, spacings = [], []
-        for n in scenario.resolutions:
-            workers = min(threads, n)
-            bounds = [n * w // workers for w in range(workers + 1)]
-            run = map if workers == 1 else pool.map
-            tops = run(functools.partial(_leibniz_block, scenario, n),
-                       bounds[:-1], bounds[1:])
-            norms.append(float(np.max(list(tops))))
-            spacings.append(scenario.grid(n).spacing)
-    return norms, spacings
+    ranges = [(n, n * w // k, n * (w + 1) // k) for n in scenario.resolutions
+              for k in [min(threads, n)] for w in range(k)]
+    tops = list(worker_map(threads)(
+        functools.partial(_leibniz_block, scenario), *zip(*ranges)))
+    return ([float(np.max([top for (m, *_), top in zip(ranges, tops)
+                           if m == n])) for n in scenario.resolutions],
+            [scenario.grid(n).spacing for n in scenario.resolutions])
 
 
 def _leibniz_block(scenario: Scenario, n: int, t0: int, t1: int):
@@ -225,7 +233,8 @@ def cmd_convergence(args) -> int:
     scenario = _load(args)
     body = convergence_study(
         scenario, args.quantities or ["torsion", "einstein"],
-        lambda: leibniz_residual_norms(scenario, args.threads))
+        lambda: leibniz_residual_norms(scenario, args.threads),
+        worker_map(args.threads))
     return _write(args, scenario, "convergence", body,
                   [("convergence", *convergence_csv_rows(body))])
 
@@ -266,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=_thread_count,
                        default=len(os.sched_getaffinity(0)),
-                       help="worker processes that split the Leibniz "
-                            "ladder's t range (default: the CPUs this "
-                            "process may use); results do not depend on it")
+                       help="worker processes for sweep items and Leibniz "
+                            "t ranges (default: the CPUs this process may "
+                            "use); results do not depend on it")
         p.add_argument("--radius-mode", dest="radius_mode",
                        choices=RADIUS_MODES, default=None)
         p.add_argument("--Ns", dest="ns", type=_int_list, default=None)

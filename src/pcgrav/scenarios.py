@@ -37,6 +37,7 @@ which takes the Leibniz ladder as a callable (``convergence``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -413,7 +414,8 @@ def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
     region has no node: every norm there would read 0.0 as if measured."""
     for k, n in enumerate(ns):
         grid = scenario.grid(n)
-        if not (grid.region_mask() & grid.interior_mask()).any():
+        region = grid.region_mask()
+        if not (region & grid.interior_mask(region.shape)).any():
             raise ScenarioError(
                 f"{path.format(k)}: the norm region at N = {n} is empty: "
                 f"no node outside cutoff.r = {scenario.cutoff_inner!r} "
@@ -434,8 +436,7 @@ def _generator_norms(e, gens, form):
     built where the residual is, except that a residual on the whole grid
     meets a factor that depends on t one interior slice at a time, so no
     factor or coupling term fills out t.  Each norm is the max over the
-    windows, NaN if any is.  Everything, the form too, is dropped on
-    return, before the field equations of the same N.
+    windows, NaN if any is; everything, the form too, is dropped on return.
     """
     grid = e.grid
     derivatives = axis_derivatives(e, gens)
@@ -469,45 +470,61 @@ def _killing_norms(metric, gens) -> dict:
         for gen in gens}
 
 
-def _sweep(scenario: Scenario, geometry: str, gen_ns=(), eom_ns=(),
-           killing_n: int = None) -> dict:
-    """One pass over resolutions, building each field only where it is read.
-
-    No residual is held past its norm, no field past its last reader,
-    and a t-dependent residual of static fields only one t slice at a time.
-    """
+def _stage(scenario: Scenario, item):
+    """Norms of one (geometry, N, stage) item of a sweep, building only the
+    fields its stage reads: the tetrad for the generator norms, the tetrad
+    and connection for the field equations (torsion, then Einstein), the
+    metric for the Killing norms."""
+    geometry, n, stage = item
+    grid, chart = scenario.grid(n), scenario.chart(geometry)
     gens = [PoincareElement.from_name(name) for name in scenario.generators]
-    cutoff = scenario.cutoff()
-    chart = scenario.chart(geometry)
-    raw = {
-        "sym": {gen.name: [] for gen in gens},
-        "extra": {gen.name: [] for gen in gens},
-        "gen_spacings": [],
-        "torsion": [], "einstein": [], "eom_spacings": [],
-        "killing": None,
-    }
-    every_n = sorted(set(gen_ns) | set(eom_ns)
-                     | ({killing_n} if killing_n else set()))
-    for n in every_n:
-        grid = scenario.grid(n)
-        e = chart.tetrad(grid) if n in gen_ns or n in eom_ns else None
-        if n in gen_ns:
-            raw["gen_spacings"].append(grid.spacing)
-            sym, extra = _generator_norms(e, gens,
-                                          standard_test_form(grid, cutoff))
-            for gen, snorm, enorm in zip(gens, sym, extra):
-                raw["sym"][gen.name].append(snorm)
-                raw["extra"][gen.name].append(enorm)
-        if n in eom_ns:
-            raw["eom_spacings"].append(grid.spacing)
-            omega = chart.connection(grid)
-            raw["torsion"].append(torsion_residual(e, omega)[1])
-            raw["einstein"].append(einstein_residual(
-                e, omega, scenario.cosmological_constant)[1])
-        e = omega = None                # the metric stage reads neither
-        if n == killing_n:
-            raw["killing"] = _killing_norms(chart.metric(grid), gens)
-    return raw
+    if stage == "killing":
+        return _killing_norms(chart.metric(grid), gens)
+    e = chart.tetrad(grid)
+    if stage == "generators":
+        return _generator_norms(e, gens,
+                                standard_test_form(grid, scenario.cutoff()))
+    omega = chart.connection(grid)
+    return (torsion_residual(e, omega)[1], einstein_residual(
+        e, omega, scenario.cosmological_constant)[1])
+
+
+def _sweeps(scenario: Scenario, plans: dict, run=map) -> dict:
+    """Raw norms of each geometry of ``plans``, ``{geometry: {stage: Ns}}``
+    (Ns ascending) for the three stages of :func:`_stage`, from one ``run``
+    over their items, largest N first so that a pool starts the longest
+    first, assembled in N order.  ``run`` is ``map`` or the map of
+    ``cli.worker_map``, whose workers hold an item's arrays while the
+    caller holds none."""
+    order = sorted(((geometry, n, stage) for geometry, stages in plans.items()
+                    for stage, ns in stages.items() for n in ns),
+                   key=lambda item: -item[1])
+    done = dict(zip(order, run(functools.partial(_stage, scenario), order)))
+    raws, names = {}, scenario.generators
+    for geometry, stages in plans.items():
+        gen = [done[geometry, n, "generators"] for n in stages["generators"]]
+        eom = [done[geometry, n, "eom"] for n in stages["eom"]]
+        raws[geometry] = {
+            "sym": {name: [sym[k] for sym, _ in gen]
+                    for k, name in enumerate(names)},
+            "extra": {name: [extra[k] for _, extra in gen]
+                      for k, name in enumerate(names)},
+            "gen_spacings": [scenario.grid(n).spacing
+                             for n in stages["generators"]],
+            "torsion": [norm for norm, _ in eom],
+            "einstein": [norm for _, norm in eom],
+            "eom_spacings": [scenario.grid(n).spacing for n in stages["eom"]],
+            "killing": next((done[geometry, n, "killing"]
+                             for n in stages["killing"]), None)}
+    return raws
+
+
+def _sweep(scenario: Scenario, geometry: str, run=map, gen_ns=(),
+           eom_ns=(), killing_n=None) -> dict:
+    """Raw norms of one geometry's sweep (:func:`_sweeps`)."""
+    return _sweeps(scenario, {geometry: {
+        "generators": gen_ns, "eom": eom_ns,
+        "killing": (killing_n,) if killing_n else ()}}, run)[geometry]
 
 
 def _generator_section(scenario, raw, resolutions) -> dict:
@@ -550,15 +567,16 @@ def eom_study(scenario: Scenario, geometry: str, resolutions) -> dict:
                                          eom_ns=resolutions), resolutions)
 
 
-def convergence_study(scenario: Scenario, quantities, leibniz) -> dict:
+def convergence_study(scenario: Scenario, quantities, leibniz,
+                      run=map) -> dict:
     """Body of ``convergence``: one verdict per quantity ("torsion",
     "einstein", "leibniz", "symmetry:<GEN>" or "extra:<GEN>") and their fold.
 
     Every ladder's kind decides its verdict by decay alone, with no family
     threshold, and a decaying ladder that rises anywhere is inconclusive.
-    One sweep serves the field equations and exactly the requested
-    generators.  ``leibniz()`` gives the Leibniz ladder's (norms,
-    spacings); it is called at most once, after every refusal.
+    One sweep, mapped by ``run``, serves the field equations and exactly
+    the requested generators.  ``leibniz()`` gives the Leibniz ladder's
+    (norms, spacings); it is called at most once, after every refusal.
     """
     resolutions = scenario.resolutions
     if len(resolutions) < 3:
@@ -577,7 +595,7 @@ def convergence_study(scenario: Scenario, quantities, leibniz) -> dict:
     if eom_ns or gen_ns:
         _refuse_empty_norm_regions(scenario, resolutions, "Ns[{}]")
     raw = (_sweep(dataclasses.replace(scenario, generators=names),
-                  scenario.geometry, gen_ns=gen_ns, eom_ns=eom_ns)
+                  scenario.geometry, run, gen_ns=gen_ns, eom_ns=eom_ns)
            if eom_ns or gen_ns else {})
     entries = {}
     for quantity in quantities:
@@ -722,8 +740,9 @@ def _pattern_verdict(section: dict, expected, names) -> str:
     return fold_verdicts(verdicts)
 
 
-def run_scenario(scenario: Scenario) -> dict:
-    """Report body of a scenario: its sections, masses and verdict."""
+def run_scenario(scenario: Scenario, run=map) -> dict:
+    """Report body of a scenario: its sections, masses and verdict; one
+    ``run`` maps every geometry's sweep items."""
     if not scenario.generators:
         warnings.warn("scenario has no generators: vacuous pass")
         return {"scenario": scenario.echo(), "sections": {},
@@ -732,17 +751,19 @@ def run_scenario(scenario: Scenario) -> dict:
 
     geometries = ((scenario.geometry,) if scenario.kind == "spherical"
                   else ("minkowski", "schwarzschild"))
+    # flat-space symmetry residuals are identically zero, so one
+    # resolution settles them; the field equations always get the ladder
+    ladders = {geometry: (scenario.resolutions if geometry == "schwarzschild"
+                          else scenario.resolutions[:1])
+               for geometry in geometries}
+    raws = _sweeps(scenario, {
+        geometry: {"generators": ns, "eom": scenario.resolutions,
+                   "killing": ns[-1:]} for geometry, ns in ladders.items()},
+        run)
     sections = {}
     verdicts = []
-    for geometry in geometries:
-        # flat-space symmetry residuals are identically zero, so one
-        # resolution settles them; the field equations always get the ladder
-        resolutions = (scenario.resolutions
-                       if geometry == "schwarzschild"
-                       else scenario.resolutions[:1])
-        raw = _sweep(scenario, geometry, gen_ns=resolutions,
-                     eom_ns=scenario.resolutions,
-                     killing_n=max(resolutions))
+    for geometry, resolutions in ladders.items():
+        raw = raws[geometry]
         section = _generator_section(scenario, raw, resolutions)
         section["eom"] = _eom_section(scenario, raw, scenario.resolutions)
         section["killing_norms"] = raw["killing"]

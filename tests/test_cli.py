@@ -505,6 +505,169 @@ def test_a_failed_leibniz_worker_fails_the_call_promptly(monkeypatch, block,
     assert multiprocessing.active_children() == []
 
 
+REAL_STAGE = scenarios._stage
+REAL_GENERATOR_NORMS = scenarios._generator_norms
+
+
+def recording_stage(log, scenario, item):
+    """A sweep stage that appends its item to ``log``, from any process."""
+    with open(log, "a") as f:
+        f.write(f"{' '.join(map(str, item))} {os.getpid()}\n")
+    return REAL_STAGE(scenario, item)
+
+
+class StageFailed(ValueError):
+    pass
+
+
+def generator_norms_failing_past_9(e, gens, form):
+    if e.grid.points > 9:
+        raise StageFailed(f"generators at N = {e.grid.points}")
+    return REAL_GENERATOR_NORMS(e, gens, form)
+
+
+def failing_stage(scenario, item):
+    raise BlockFailed(f"item {item}")
+
+
+def dying_stage(scenario, item):
+    os._exit(7)
+
+
+def test_killing_sweep_items_run_in_workers_and_not_at_one_thread(
+        tmp_path, capsys, monkeypatch):
+    # every (geometry, N, stage) item runs once: in the calling process at
+    # --threads 1, which forks nothing, and in pool workers at --threads 2
+    log = tmp_path / "items"
+    monkeypatch.setattr(scenarios, "_stage",
+                        functools.partial(recording_stage, log))
+    path = small_scenario_file(tmp_path, scenario="poincare", Ns=[9, 13])
+    expected = sorted([("minkowski", 9, "generators"), ("minkowski", 9, "eom"),
+                       ("minkowski", 9, "killing"), ("minkowski", 13, "eom")]
+                      + [("schwarzschild", n, stage) for n in (9, 13)
+                         for stage in ("generators", "eom")]
+                      + [("schwarzschild", 13, "killing")])
+    bodies = []
+    for threads in ("1", "2"):
+        with monkeypatch.context() as patch:
+            if threads == "1":
+                patch.setattr(os, "fork", None)
+            code, out = run(["killing", "residuals", "--scenario", str(path),
+                             "--threads", threads,
+                             "--out", str(tmp_path / threads)],
+                            tmp_path, capsys)
+        bodies.append((code, out))
+        items = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        assert sorted((g, int(n), s) for g, n, s, _ in items) == expected
+        pids = {int(pid) for *_, pid in items}
+        assert (pids == {os.getpid()}) == (threads == "1"), pids
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["killing", "residuals"],
+    ["convergence", "--quantities", "torsion", "symmetry:K1"]])
+def test_a_value_error_in_a_sweep_worker_exits_1_as_at_one_thread(
+        tmp_path, capsys, monkeypatch, argv):
+    # N = 13 and 17 both fail: the items run largest N first, so N = 17's
+    # error ends the call at either thread count
+    monkeypatch.setattr(scenarios, "_generator_norms",
+                        generator_norms_failing_past_9)
+    path = small_scenario_file(tmp_path, scenario="poincare", Ns=[9, 13, 17])
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        code = main([*argv, "--scenario", str(path), "--threads", threads,
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: generators at N = 17\n", threads
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stage, error", [
+    (failing_stage, BlockFailed), (dying_stage, BrokenProcessPool)])
+def test_a_failed_sweep_worker_fails_the_call_promptly(monkeypatch, stage,
+                                                       error):
+    monkeypatch.setattr(scenarios, "_stage", stage)
+    scenario = load_scenario(SCENARIOS / "poincare_schwarzschild.json",
+                             Ns=[9, 13, 17])
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung on a failed worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(error):
+            scenarios.run_scenario(scenario, cli.worker_map(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_killing_pool_leaves_no_process_behind(tmp_path):
+    path = small_scenario_file(tmp_path, scenario="poincare", Ns=[9, 13, 17])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcgrav.cli", "killing", "residuals",
+         "--scenario", str(path), "--threads", "2",
+         "--out", str(tmp_path / "t")],
+        stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) in (0, 1, 3)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def stderr_documents(tmp_path):
+    """(name, path) of the shipped scenarios and of documents whose runs
+    warn or fail: a 4d exterior (warned at load), a mass whose chart
+    overflows to NaN, and a Lambda whose action overflows."""
+    yield from ((path.stem, path) for path in sorted(
+        SCENARIOS.glob("*_*.json")) if "scenario" in path.read_text())
+    yield "4d-exterior", small_scenario_file(
+        tmp_path / "4d", radius_mode="4d", Ns=[9, 11, 13])
+    yield "huge-mass", small_scenario_file(
+        tmp_path / "mass", M=1e40, grid={"L": 8.0, "N": 9},
+        cutoff={"r": 2.0, "R": 3.0}, radii=[4.0, 5.0], Ns=[9, 11, 13])
+    for lam in (1e305, 1e308):
+        doc = json.loads((SCENARIOS / "minkowski_lambda1.json").read_text())
+        doc["Lambda"] = lam
+        path = tmp_path / f"lambda_{lam:g}.json"
+        path.write_text(json.dumps(doc))
+        yield f"lambda-{lam:g}", path
+
+
+def test_stderr_does_not_depend_on_the_threads(tmp_path):
+    # a warning or error of a worker must be neither lost nor doubled;
+    # fresh processes, so that each run prints the warnings of its own
+    env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
+    for name in ("4d", "mass"):
+        (tmp_path / name).mkdir()
+    seen = set()
+    for name, path in stderr_documents(tmp_path):
+        for command in (["killing", "residuals"],
+                        ["convergence", "--quantities", "torsion",
+                         "einstein", "symmetry:K1", "extra:P1"]):
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "pcgrav.cli", *command, "--scenario",
+                 str(path), "--threads", threads,
+                 "--out", str(tmp_path / "out" / threads)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                for threads in ("1", "2")]
+            one, two = [(*proc.communicate(timeout=300), proc.returncode)
+                        for proc in procs]
+            assert one == two, (name, command)
+            seen.add(one[1].count(b"\n"))
+    # quiet runs, an error line, and a warning of two lines
+    assert seen >= {0, 1, 2}
+
+
 def test_algebra_action_checks_the_sum_dgla_once(tmp_path, capsys,
                                                  monkeypatch):
     calls = []

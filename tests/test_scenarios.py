@@ -306,7 +306,9 @@ def test_an_unexpected_killing_vector_fails_its_section(monkeypatch):
                 "eom_spacings": [scenario.grid(n).spacing for n in eom_ns],
                 "killing": {name: 0.0 for name in scenario.generators}}
 
-    monkeypatch.setattr(scenarios, "_sweep", sweep)
+    monkeypatch.setattr(scenarios, "_sweeps", lambda scenario, plans, run: {
+        geometry: sweep(scenario, geometry, stages["generators"],
+                        stages["eom"]) for geometry, stages in plans.items()})
     body = run_scenario(small_scenario(
         scenario="poincare", Ns=[9, 13, 17],
         generators=["P0", "L1", "L2", "L3", "P1"]))
@@ -487,3 +489,63 @@ def test_sweep_builds_the_test_form_once_per_n(monkeypatch):
     raw = _sweep(sc, "schwarzschild", gen_ns=(9,))
     assert built == [9]
     assert len(raw["extra"]) == 10
+
+
+def serial_sweep(sc, geometry, ns):
+    """The raw norms of a sweep of every stage at each of ``ns``, computed
+    one N after another in the calling process, as a reference."""
+    from pcgrav.action import (einstein_residual, standard_test_form,
+                               torsion_residual)
+    from pcgrav.symmetry import PoincareElement
+    gens = [PoincareElement.from_name(name) for name in sc.generators]
+    chart = sc.chart(geometry)
+    raw = {"sym": {gen.name: [] for gen in gens},
+           "extra": {gen.name: [] for gen in gens},
+           "gen_spacings": [], "torsion": [], "einstein": [],
+           "eom_spacings": []}
+    for n in ns:
+        grid = sc.grid(n)
+        e = chart.tetrad(grid)
+        sym, extra = scenarios._generator_norms(
+            e, gens, standard_test_form(grid, sc.cutoff()))
+        for gen, snorm, enorm in zip(gens, sym, extra):
+            raw["sym"][gen.name].append(snorm)
+            raw["extra"][gen.name].append(enorm)
+        omega = chart.connection(grid)
+        raw["torsion"].append(torsion_residual(e, omega)[1])
+        raw["einstein"].append(einstein_residual(
+            e, omega, sc.cosmological_constant)[1])
+        raw["gen_spacings"].append(grid.spacing)
+        raw["eom_spacings"].append(grid.spacing)
+    raw["killing"] = scenarios._killing_norms(
+        chart.metric(sc.grid(ns[-1])), gens)
+    return raw
+
+
+def hexed(value):
+    """``value`` with every float replaced by its hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    return [hexed(item) for item in value]
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+def test_pooled_sweeps_keep_every_bit_of_the_serial_ones(mode):
+    # the items run largest N first, in any worker; the norms must come
+    # back in N order, each as one process alone computes it
+    from pcgrav.cli import worker_map
+    sc = small_scenario(scenario="poincare", geometry="minkowski",
+                        radius_mode=mode, Ns=list(NS))
+    references = {geometry: hexed(serial_sweep(sc, geometry, NS))
+                  for geometry in ("minkowski", "schwarzschild")}
+    bodies = set()
+    for threads in (1, 2, 3):
+        run = worker_map(threads)
+        for geometry, reference in references.items():
+            raw = scenarios._sweep(sc, geometry, run, gen_ns=NS, eom_ns=NS,
+                                   killing_n=NS[-1])
+            assert hexed(raw) == reference, (geometry, threads)
+        bodies.add(json.dumps(run_scenario(sc, run), sort_keys=True))
+    assert len(bodies) == 1

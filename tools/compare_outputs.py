@@ -4,15 +4,17 @@
 
 Each checkout runs ``pc action``, ``pc eom``, ``mass adm``, ``mass komar``,
 ``killing residuals`` and ``convergence`` (torsion, einstein, leibniz,
-symmetry:K1, extra:P1, extra:L3) with ``--threads 2``, and ``convergence
---quantities leibniz`` with ``--threads 1``, whose single t range runs in
-the calling process, on each of the four shipped scenario documents, in
-both radius modes: 56 runs.  Then the algebra commands: ``algebra check``
-on ``so3.json``, ``r3.json`` and ``poincare_algebra.json`` and on a
-failing so(3) document, and ``algebra action`` on ``so3_vector_action.json``,
-on the Poincare adjoint action and on a rejected so(3) action: 63 runs a
-side.  The failing, adjoint and rejected documents are written into each
-working directory's ``generated`` from the shipped ones.  A run imports pcgrav from its
+symmetry:K1, extra:P1, extra:L3) with ``--threads 2``, whose sweep items
+and Leibniz t ranges run on a worker pool, and ``killing residuals``,
+``convergence`` without leibniz and ``convergence --quantities leibniz``
+with ``--threads 1``, which run every item in the calling process, on each
+of the four shipped scenario documents, in both radius modes: 72 runs.
+Then the algebra commands: ``algebra check`` on ``so3.json``, ``r3.json``
+and ``poincare_algebra.json`` and on a failing so(3) document, and
+``algebra action`` on ``so3_vector_action.json``, on the Poincare adjoint
+action and on a rejected so(3) action: 79 runs a side.  The failing,
+adjoint and rejected documents are written into each working directory's
+``generated`` from the shipped ones.  A run imports pcgrav from its
 checkout's ``src`` under ``python -W ignore``, in a fresh working
 directory where ``scenarios`` links to the checkout's, so both sides pass
 the same argv.
@@ -43,9 +45,13 @@ COMMANDS = {
     "killing_residuals": ("killing", "residuals"),
     "convergence": ("convergence", "--quantities", "torsion", "einstein",
                     "leibniz", "symmetry:K1", "extra:P1", "extra:L3"),
+    "killing_residuals_threads1": ("killing", "residuals"),
+    "convergence_threads1": ("convergence", "--quantities", "torsion",
+                             "einstein", "symmetry:K1", "extra:P1",
+                             "extra:L3"),
     "convergence_leibniz_threads1": ("convergence", "--quantities", "leibniz"),
 }
-THREADS = {"convergence_leibniz_threads1": "1"}     # the rest run at 2
+THREADS = {name: "1" for name in COMMANDS if name.endswith("_threads1")}
 MODES = ("spatial", "4d")
 SO3, R3 = "scenarios/so3.json", "scenarios/r3.json"
 POINCARE = "scenarios/poincare_algebra.json"
