@@ -63,6 +63,12 @@ def einstein_residual(e: FormField, omega: FormField, lam: float):
 REFERENCE_PLANE = PoincareElement.from_name("L3").rotation_pair_components
 
 
+def coupling_plane(generator: PoincareElement) -> np.ndarray:
+    """X_R of ``generator`` (Lambda^2 basis), or ``REFERENCE_PLANE``."""
+    plane = generator.rotation_pair_components
+    return plane if np.any(plane != 0.0) else REFERENCE_PLANE
+
+
 @dataclass(frozen=True)
 class EquivariantTestForm:
     """Scalar test 2-form alpha supported outside the ball, localized by
@@ -95,9 +101,7 @@ class EquivariantTestForm:
         factor's live set is those columns on alpha's live rows; the
         others are zeros.
         """
-        plane = generator.rotation_pair_components
-        if not np.any(plane != 0.0):
-            plane = REFERENCE_PLANE
+        plane = coupling_plane(generator)
         weighted = (restrict(self.alpha.data[:, 0], where)
                     * self.cutoff.on_grid(where))
         data = np.zeros((len(weighted), len(plane)) + weighted.shape[1:])

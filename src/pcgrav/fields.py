@@ -18,7 +18,8 @@ A field knows which of its components may be nonzero (``live``): every
 other one is exactly 0.0 at every node.  ``wedge`` gives its result the
 components it wrote and ``zeros`` none; any other field scans its data
 once, on first use, and keeps the set.  ``wedge`` multiplies only live
-components, and norms read only live ones.
+components, norms read only live ones, and a diagonal live set gives a
+tetrad's determinant as a product (:func:`tetrad_determinants`).
 
 A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
@@ -261,6 +262,12 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
     return k_out, plan
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """Uninitialised floats on a 64-byte line: vector stores split none."""
+    buf = np.empty(np.prod(shape, dtype=int) + 8)
+    return buf[-buf.ctypes.data % 64 // 8:][:buf.size - 8].reshape(shape)
+
+
 def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
     """Graded wedge on spacetime indices with the named internal pairing.
 
@@ -299,7 +306,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
         live[k, m] = True
     out = np.empty(out_shape)
     out[~live] = 0.0
-    prod = np.empty(shape[1:])
+    prod = _aligned_empty(shape[1:])
     # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
     for t in range(shape[0]):
@@ -406,14 +413,24 @@ class MetricField(_Samples):
         _check_shape(self.data, (4, 4), self.grid)
 
 
-def tetrad_field(grid: Grid4, data: np.ndarray) -> FormField:
-    """V-valued 1-form e^a_mu = data[mu, a], checked nondegenerate."""
-    e = FormField(grid, 1, 1, data)
+def tetrad_field(grid: Grid4, data: np.ndarray, live=None) -> FormField:
+    """V-valued 1-form e^a_mu = data[mu, a] with live set ``live`` (None:
+    scanned), checked nondegenerate."""
+    e = FormField(grid, 1, 1, data, _live=live)
     check_nondegenerate(e)
     return e
 
 
 def tetrad_determinants(e: FormField) -> np.ndarray:
+    """det e at every node: (e00 e11)(e22 e33) for a diagonal live set with
+    each diagonal entry 0.0 or within 1e+-150 in magnitude, so each pair is
+    normal or zero: det to a few ulp where det is normal, far below the
+    threshold where it is not.  ``np.linalg.det`` for any other tetrad."""
+    diagonal = [e.data[m, m] for m in range(4)]
+    if not (e.live & ~np.eye(4, dtype=bool)).any() and all(
+            np.all((a <= 1e150) & ((a >= 1e-150) | (a == 0.0)))
+            for a in map(np.abs, diagonal)):
+        return (diagonal[0] * diagonal[1]) * (diagonal[2] * diagonal[3])
     # a NaN sample gives a NaN determinant, which the caller reports
     with np.errstate(invalid="ignore"):
         return np.linalg.det(np.moveaxis(e.data, (0, 1), (-2, -1)))
@@ -424,9 +441,10 @@ def check_nondegenerate(e: FormField) -> None:
     bad = ~(dets > DEGENERACY_THRESHOLD)  # NaN counts as degenerate
     if bad.any():
         # along an axis of extent 1 the field is the same at every node;
-        # index 0 names a real one
+        # index 0 names a real one (on a window, its own slice)
         node = np.unravel_index(np.argmax(bad), bad.shape)
-        coords = [float(e.grid.axis_coordinates()[i]) for i in node]
+        coords = [float(e.grid.coordinate(mu).flat[i])
+                  for mu, i in enumerate(node)]
         raise DegenerateTetradError(
             f"tetrad degenerate at node {tuple(int(i) for i in node)} "
             f"(x = {coords}, |det| = {dets[node]:.3e})")

@@ -17,7 +17,8 @@ connection below is the connection of the continued tetrad everywhere, so
 its covariant torsion vanishes identically in the continuum.
 
 Both geometries are static, so their fields are stored with extent 1 on
-the t axis of the grid (flat space: on every axis).
+the t axis of the grid (flat space: on every axis), and their diagonal
+tetrads and metrics carry that live set.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def minkowski_tetrad(grid: Grid4) -> FormField:
     data = np.zeros((4, 4) + _CONSTANT)
     for mu in range(4):
         data[mu, mu] = 1.0
-    return tetrad_field(grid, data)
+    return tetrad_field(grid, data, np.eye(4, dtype=bool))
 
 
 def minkowski_metric(grid: Grid4) -> MetricField:
@@ -76,7 +77,7 @@ def minkowski_metric(grid: Grid4) -> MetricField:
     data[0, 0] = -1.0
     for i in range(1, 4):
         data[i, i] = 1.0
-    return MetricField(grid, data)
+    return MetricField(grid, data, _live=np.eye(4, dtype=bool))
 
 
 class MinkowskiChart:
@@ -191,7 +192,7 @@ class SchwarzschildIsotropic:
         data[0, 0] = a
         for i in range(1, 4):
             data[i, i] = b
-        return tetrad_field(grid, data)
+        return tetrad_field(grid, data, np.eye(4, dtype=bool))
 
     def connection(self, grid: Grid4) -> FormField:
         """Closed-form Levi-Civita spin connection of the (blended) tetrad.
@@ -219,7 +220,7 @@ class SchwarzschildIsotropic:
         data[0, 0] = -a ** 2
         for i in range(1, 4):
             data[i, i] = b ** 2
-        return MetricField(grid, data)
+        return MetricField(grid, data, _live=np.eye(4, dtype=bool))
 
     def areal_radius(self, rho):
         return rho * (1.0 + self.mass / (2.0 * np.asarray(rho, float))) ** 2

@@ -48,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as F
-from .action import (action_pc, einstein_residual, standard_test_form,
-                     torsion_residual)
+from .action import (action_pc, coupling_plane, einstein_residual,
+                     standard_test_form, torsion_residual)
 from .conventions import GENERATOR_ALIASES, POINCARE_NAMES
 from .geometry import MinkowskiChart, SchwarzschildIsotropic
 from .grid import FACE_LAYERS, RADIUS_MODES, Grid4, restrict
@@ -432,25 +432,32 @@ def _generator_norms(e, gens, form):
     e and the mask: three in radius mode "spatial", every interior slice
     in "4d".  ``form`` is ``standard_test_form``, whose coupling factor
     (Upsilon alpha) (x) X_R comes from the grid's radius as the mask does,
-    so it depends on t exactly when the mask does ("4d").  The factor is
+    so it depends on t exactly when the mask does ("4d").  There it is
     built where the residual is, except that a residual on the whole grid
-    meets a factor that depends on t one interior slice at a time, so no
-    factor or coupling term fills out t.  Each norm is the max over the
-    windows, NaN if any is; everything, the form too, is dropped on return.
+    meets it one interior t slice at a time, so no factor or coupling term
+    fills out t.  In "spatial" mode it depends only on ``coupling_plane``:
+    one factor on the grid, the only one held, serves a run of generators
+    sharing a plane, on each window through ``_on``.  Each norm is the max
+    over the windows, NaN if any is; all, the form too, is dropped on return.
     """
     grid = e.grid
     derivatives = axis_derivatives(e, gens)
     slices = [grid.window(t)
               for t in range(FACE_LAYERS, grid.points - FACE_LAYERS)]
     factor_moves = form.cutoff.on_grid(grid).shape[0] > 1
+    held = plane = None
     sym, extra = [], []
     for gen in gens:
+        if not factor_moves and not np.array_equal(coupling_plane(gen), plane):
+            held = None  # freed before the next one is built
+            held, plane = form.factor(gen, grid), coupling_plane(gen)
         norms = []
         for where in t_windows(e.data, gen, grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
             pieces = slices if factor_moves and where == grid else [where]
             terms = [F.wedge(_on(residual, piece),
-                             form.factor(gen, piece)).region_norm()
+                             form.factor(gen, piece) if held is None
+                             else _on(held, piece)).region_norm()
                      for piece in pieces]
             norms.append((residual.region_norm(), np.max(terms)))
         snorm, enorm = np.max(norms, axis=0)

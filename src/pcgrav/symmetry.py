@@ -183,36 +183,39 @@ def axis_derivatives(field, generators) -> AxisDerivatives:
 
 
 def _lie_transport(field, x: PoincareElement,
-                   derivatives: AxisDerivatives = None) -> np.ndarray:
-    """xi^lambda d_lambda of every component of ``field``: the transport
-    part of L_xi.
+                   derivatives: AxisDerivatives = None):
+    """The transport part xi^lambda d_lambda of L_xi on every component of
+    ``field``, and the components it writes (``derivatives.live``).
 
     Grid stencils differentiate the components, read from ``derivatives``
     (built here when not given); callers add the Jacobian terms of the
     affine xi, which are its exact rotation matrix.  Along an axis where
     the data has extent 1 the derivative is exact zeros (NaN at a
     non-finite sample), which xi^lambda would only rescale: that term is
-    the derivative itself, so it keeps the extent of the data.
+    the derivative itself, so it keeps the extent of the data.  Terms are
+    added one live component at a time, in axis order: none are stacked.
     """
     if derivatives is None:
         derivatives = axis_derivatives(field, (x,))
     data, grid = field.data, field.grid
     xi = _affine_components(x, grid)
-    # xi^lambda is 0 at its axis origin (t = 0 for a boost), where a
-    # derivative beside an infinite sample is inf: 0 * inf is the NaN above
-    with np.errstate(invalid="ignore"):
-        terms = [derivatives.by_axis[lam] if data.shape[-4 + lam] == 1
-                 else xi[lam] * derivatives.by_axis[lam]
-                 for lam in _moved_axes(x)]
+    axes = _moved_axes(x)
     # the result has extent N on an axis only where data or a term does
-    shape = np.broadcast_shapes(data.shape[-4:],
-                                *(term.shape[1:] for term in terms))
-    transported = np.zeros((len(derivatives.live),) + shape)
-    for term in terms:
-        transported += term
+    shape = np.broadcast_shapes(data.shape[-4:], *(
+        xi[lam].shape for lam in axes if data.shape[-4 + lam] > 1))
     out = np.zeros(data.shape[:-4] + shape)
-    out.reshape((-1,) + shape)[derivatives.live] = transported
-    return out
+    flat = out.reshape((-1,) + shape)
+    for k, c in enumerate(derivatives.live):
+        for lam in axes:
+            term = derivatives.by_axis[lam][k]
+            if data.shape[-4 + lam] > 1:
+                # xi^lambda = 0 (a boost's t = 0) times an inf derivative: NaN
+                with np.errstate(invalid="ignore"):
+                    term = xi[lam] * term
+            flat[c] += term
+    written = np.zeros(data.shape[:-4], dtype=bool)
+    written.flat[derivatives.live] = True
+    return out, written
 
 
 def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4) -> list:
@@ -261,13 +264,15 @@ def _entries(matrix: np.ndarray):
 
 
 def lie_derivative_one_form(field: FormField, x: PoincareElement,
-                            derivatives: AxisDerivatives = None) -> np.ndarray:
-    """(L_xi a)^I_mu for a 1-form, internal indices untouched."""
-    out = _lie_transport(field, x, derivatives)
+                            derivatives: AxisDerivatives = None):
+    """(L_xi a)^I_mu for a 1-form, internal indices untouched, and the
+    components written (as :func:`_lie_transport`)."""
+    out, live = _lie_transport(field, x, derivatives)
     # + a^I_nu d_mu xi^nu with d_mu xi^nu = R^nu_mu
     for nu, mu, r in _entries(x.rotation):
         out[mu] += r * field.data[nu]
-    return out
+        live[mu] |= field.live[nu]
+    return out, live
 
 
 def symmetry_residual(e: FormField, x: PoincareElement,
@@ -276,13 +281,15 @@ def symmetry_residual(e: FormField, x: PoincareElement,
 
     ``derivatives`` is ``axis_derivatives(e, generators)``,
     shared by the generators of a sweep; it is built here when not given.
+    Its live set is the components the transport and rotation terms write.
     """
     if e.degree != 1 or e.internal != 1:
         raise ValueError("symmetry residual is defined for V-valued 1-forms")
-    data = lie_derivative_one_form(e, x, derivatives)
+    data, live = lie_derivative_one_form(e, x, derivatives)
     for a, b, r in _entries(x.rotation):
         data[:, a] -= r * e.data[:, b]
-    return FormField(e.grid, 1, 1, data)
+        live[:, a] |= e.live[:, b]
+    return FormField(e.grid, 1, 1, data, _live=live)
 
 
 def killing_residual(g: MetricField, x: PoincareElement,
@@ -291,12 +298,15 @@ def killing_residual(g: MetricField, x: PoincareElement,
 
     ``derivatives`` is ``axis_derivatives(g, generators)``,
     shared by the generators of a sweep; it is built here when not given.
+    The norm reads only what the transport and rotation terms write.
     """
-    out = _lie_transport(g, x, derivatives)
+    out, live = _lie_transport(g, x, derivatives)
     entries = _entries(x.rotation)
     for lam, mu, value in entries:
         out[mu] += value * g.data[lam]
+        live[mu] |= g.live[lam]
     for lam, nu, value in entries:
         out[:, nu] += value * g.data[:, lam]
-    norm = region_max(out.reshape((-1,) + out.shape[-4:]), g.grid)
-    return out, norm
+        live[:, nu] |= g.live[:, lam]
+    comps = [out[c] for c in zip(*np.nonzero(live))] or [out[0, 0]]
+    return out, region_max(comps, g.grid)

@@ -559,6 +559,95 @@ def test_nan_tetrad_is_degenerate():
             F.tetrad_field(GRID, data)
 
 
+def det_reference(e):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linalg.det(np.moveaxis(e.data, (0, 1), (-2, -1)))
+
+
+def nondegenerate_verdict(e):
+    """check_nondegenerate's error message, or None."""
+    try:
+        F.check_nondegenerate(e)
+    except F.DegenerateTetradError as err:
+        return str(err)
+    return None
+
+
+def node_of(message):
+    return message and message.split(" (x")[0]
+
+
+def diagonal_tetrads(rng):
+    """Seeded diagonal tetrads: random signs, magnitudes over +-150
+    decades, a zero on the diagonal, extent-1 axes and one-slice windows."""
+    grid = Grid4(3.0, 7)
+    for extents in [grid.shape, (1, 7, 7, 7), (1, 1, 1, 1), (7, 1, 7, 1)]:
+        for decades in (0.5, 4.0, 150.0):
+            data = np.zeros((4, 4) + extents)
+            for m in range(4):
+                data[m, m] = (rng.choice([-1.0, 1.0], size=extents)
+                              * 10.0 ** rng.uniform(-decades, decades,
+                                                    size=extents))
+            yield F.FormField(grid, 1, 1, data)
+            data = data.copy()
+            data[2, 2].flat[rng.integers(data[2, 2].size)] = 0.0
+            yield F.FormField(grid, 1, 1, data)
+            for t in (0, 3):
+                window = grid.window(t)
+                yield F.FormField(window, 1, 1,
+                                  data[:, :, t:t + 1] if extents[0] > 1
+                                  else data)
+
+
+def test_diagonal_determinant_matches_linalg_det():
+    rng = np.random.default_rng(3030)
+    products = degenerate = 0
+    for e in diagonal_tetrads(rng):
+        assert not (e.live & ~np.eye(4, dtype=bool)).any()
+        with np.errstate(over="ignore"):
+            got = F.tetrad_determinants(e)
+        want = det_reference(e)
+        assert got.shape == want.shape
+        # 3 digits wherever the determinant is a normal number
+        np.testing.assert_allclose(np.abs(got), np.abs(want), rtol=1e-3,
+                                   atol=np.finfo(float).tiny)
+        assert np.array_equal(np.abs(got) > F.DEGENERACY_THRESHOLD,
+                              np.abs(want) > F.DEGENERACY_THRESHOLD)
+        # a dense live set sends the same samples through np.linalg.det
+        reference = F.FormField(e.grid, 1, 1, e.data,
+                                _live=np.ones((4, 4), dtype=bool))
+        with np.errstate(over="ignore"):
+            verdicts = [nondegenerate_verdict(f) for f in (e, reference)]
+        assert node_of(verdicts[0]) == node_of(verdicts[1])
+        products += not np.array_equal(got, want)
+        degenerate += verdicts[0] is not None
+    # the diagonal path ran, and found the zeros and the tiny products
+    assert products and degenerate
+
+
+def test_other_tetrads_keep_linalg_det_bits():
+    rng = np.random.default_rng(3031)
+    grid = Grid4(3.0, 7)
+    diagonal = np.zeros((4, 4) + grid.shape)
+    for m in range(4):
+        diagonal[m, m] = rng.uniform(0.5, 2.0, size=grid.shape)
+    dense = rng.normal(size=(4, 4) + grid.shape)
+    off = diagonal.copy()
+    off[1, 2] = rng.normal(size=grid.shape)
+    swapped = diagonal[[1, 0, 2, 3]]
+    cases = [dense, off, swapped]
+    for value in (np.nan, np.inf, -np.inf, 1e151, 1e-151):
+        planted = diagonal.copy()
+        planted[3, 3, 2, 3, 4, 5] = value
+        cases.append(planted)
+    for data in cases:
+        e = F.FormField(grid, 1, 1, data)
+        with np.errstate(over="ignore", under="ignore"):
+            got = F.tetrad_determinants(e)
+        want = det_reference(e)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # Levi-Civita connection
 # ---------------------------------------------------------------------------

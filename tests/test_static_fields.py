@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pcgrav.fields as fields_module
 import pcgrav.grid as grid_module
 import pcgrav.scenarios as scenarios
 import pcgrav.symmetry as symmetry
@@ -520,3 +521,141 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
     for (kind, name), slices in where.items():
         expected = boost_slices if name.startswith("K") else ["grid"]
         assert slices == expected, (kind, name)
+
+
+# ---------------------------------------------------------------------------
+# Live sets from the writers, one coupling factor per plane
+# ---------------------------------------------------------------------------
+
+def scanned(field):
+    """The same samples with no live set given: it is scanned on use."""
+    return dataclasses.replace(field, _live=None)
+
+
+def reference_generator_norms(e, gens, form):
+    """``_generator_norms`` with every live set scanned and one coupling
+    factor built per (generator, window)."""
+    grid, e = e.grid, scanned(e)
+    derivatives = axis_derivatives(e, gens)
+    slices = [grid.window(t)
+              for t in range(FACE_LAYERS, grid.points - FACE_LAYERS)]
+    factor_moves = form.cutoff.on_grid(grid).shape[0] > 1
+    sym, extra = [], []
+    for gen in gens:
+        norms = []
+        for where in t_windows(e.data, gen, grid):
+            xe = scanned(symmetry_residual(_on(e, where), gen, derivatives))
+            pieces = slices if factor_moves and where == grid else [where]
+            terms = [wedge(_on(xe, piece), form.factor(gen, piece))
+                     .region_norm() for piece in pieces]
+            norms.append((xe.region_norm(), np.max(terms)))
+        snorm, enorm = np.max(norms, axis=0)
+        sym.append(float(snorm))
+        extra.append(float(enorm))
+    return sym, extra
+
+
+def reference_killing_norms(g, gens):
+    """Killing norms read over all 16 components of a scanned metric."""
+    g = scanned(g)
+    derivatives = axis_derivatives(g, gens)
+    norms = {}
+    for gen in gens:
+        rows = []
+        for where in t_windows(g.data, gen, g.grid):
+            out = killing_residual(_on(g, where), gen, derivatives)[0]
+            rows.append(grid_module.region_max(
+                out.reshape((-1,) + out.shape[2:]), where))
+        norms[gen.name] = float(np.max(rows))
+    return norms
+
+
+@pytest.mark.parametrize("mode", ["spatial", "4d"])
+@pytest.mark.parametrize("geometry", ["minkowski", "schwarzschild"])
+def test_sweep_norms_equal_the_rescanning_reference(geometry, mode):
+    ns = (9, 13, 17)
+    sc = loaded("spatial" if geometry == "minkowski" else mode,
+                lambda: scenario_from_dict({
+                    "scenario": "poincare", "geometry": geometry, "M": 0.5,
+                    "grid": {"L": 8.0, "N": 17}, "Ns": list(ns),
+                    "cutoff": {"r": 3.0, "R": 5.0}, "radius_mode": mode,
+                    "radii": [4.0, 5.0]}))
+    raw = _sweep(sc, geometry, gen_ns=ns, killing_n=ns[-1])
+    gens = poincare_generators()
+    chart = sc.chart(geometry)
+    for k, n in enumerate(ns):
+        grid = sc.grid(n)
+        sym, extra = reference_generator_norms(
+            chart.tetrad(grid), gens, standard_test_form(grid, sc.cutoff()))
+        for gen, s, x in zip(gens, sym, extra):
+            assert raw["sym"][gen.name][k].hex() == s.hex(), (n, gen.name)
+            assert raw["extra"][gen.name][k].hex() == x.hex(), (n, gen.name)
+    want = reference_killing_norms(chart.metric(sc.grid(ns[-1])), gens)
+    assert {name: v.hex() for name, v in raw["killing"].items()} == {
+        name: v.hex() for name, v in want.items()}
+    assert (want["K1"] > 0.0) == (geometry == "schwarzschild")
+
+
+def written_sets_cases():
+    """Tetrads and metrics with live sets of every kind, on 9 nodes."""
+    grid = Grid4(8.0, 9, inner_radius=3.0, radius_mode="spatial")
+    for chart in (*CHARTS.values(), SeededChart(1), PerturbedChart(True)):
+        yield grid, chart.tetrad(grid), chart.metric(grid)
+    rng = np.random.default_rng(3032)
+    a = rng.normal(size=(4, 4) + grid.shape)
+    yield (grid, FormField(grid, 1, 1, rng.normal(size=a.shape)),
+           MetricField(grid, a + a.swapaxes(0, 1)))
+    # off the diagonal, few live: a rotation's row and column terms each
+    # write components that nothing else does.  Each g is constant and
+    # not symmetric, so its norm is that of what only its row (or only its
+    # column) terms write
+    for row in (0, 1):
+        e, g = np.zeros_like(a), np.zeros((4, 4, 1, 1, 1, 1))
+        e[row, 1 - row], e[3, 2] = a[0, 1], a[3, 2]
+        g[row, 1 - row] = 1.0
+        yield grid, FormField(grid, 1, 1, e), MetricField(grid, g)
+
+
+def test_written_live_sets_cover_the_data_and_the_killing_norm():
+    for grid, e, g in written_sets_cases():
+        for gen in poincare_generators():
+            for where in [grid, *t_windows(e.data, gen, grid)]:
+                with np.errstate(invalid="ignore"):
+                    xe = symmetry_residual(_on(e, where), gen)
+                    out, norm = killing_residual(_on(g, where), gen)
+                assert not np.any(live_components(xe.data) & ~xe.live)
+                full = grid_module.region_max(
+                    out.reshape((-1,) + out.shape[2:]), where)
+                assert np.array_equal(norm, full, equal_nan=True), gen.name
+
+
+def test_spatial_sweep_builds_a_factor_per_plane_and_no_determinant(
+        monkeypatch):
+    sc = load_scenario(SCENARIOS / "poincare_schwarzschild.json")
+    det_calls, builds = [], collections.Counter()
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda a: det_calls.append(a.shape) or det(a))
+    factor = EquivariantTestForm.factor
+
+    def counted(self, gen, where):
+        builds[where.points if where == self.alpha.grid else "window"] += 1
+        return factor(self, gen, where)
+
+    monkeypatch.setattr(EquivariantTestForm, "factor", counted)
+    scans = []
+    monkeypatch.setattr(fields_module, "live_components",
+                        lambda data: scans.append(data.shape)
+                        or live_components(data))
+    for n in sc.resolutions:
+        grid = sc.grid(n)
+        chart = sc.chart("schwarzschild")
+        e = chart.tetrad(grid)
+        assert chart.metric(grid).live.sum() == 4
+        # the chart's fields carry their live sets: neither is scanned
+        assert not det_calls and not scans
+        _generator_norms(e, poincare_generators(),
+                         standard_test_form(grid, sc.cutoff()))
+        assert builds.pop(n) <= 8 and not builds, n
+        scans.clear()  # the test form's alpha is scanned
+    assert sc.radius_mode == "spatial" and len(sc.resolutions) == 3
