@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import LAMBDA_BASES
-from .fields import (FormField, check_nondegenerate, cov_d, curvature,
+from .fields import (FormField, _sum, check_nondegenerate, cov_d, curvature,
                      integrate, trace4, wedge)
 from .grid import Grid4, restrict
 from .symmetry import CutoffFunction, PoincareElement, symmetry_residual
@@ -52,9 +52,7 @@ def einstein_residual(e: FormField, omega: FormField, lam: float):
     """e^F + (Lambda/6) e^e^e and its max-norm outside the ball."""
     residual = wedge(e, curvature(omega))
     if lam != 0.0:
-        total = np.multiply(wedge(wedge(e, e), e).data, lam / 6.0,
-                            out=np.empty(residual.data.shape))
-        residual = residual._like(np.add(residual.data, total, out=total))
+        residual = _sum(residual, wedge(wedge(e, e), e), lam / 6.0)
     return residual, residual.region_norm()
 
 
@@ -87,7 +85,7 @@ class EquivariantTestForm:
             raise ValueError("test form must be a scalar-valued 2-form")
         grid = self.alpha.grid
         # alpha and the mask broadcast against each other
-        if np.any((self.alpha.data != 0.0) & ~grid.region_mask()):
+        if np.any((self.alpha.stack != 0.0) & ~grid.region_mask()):
             raise ValueError("test form must vanish on the excluded ball")
 
     def factor(self, generator: PoincareElement, where) -> FormField:
@@ -96,19 +94,18 @@ class EquivariantTestForm:
         with.  A pure translation has no X_R and borrows
         ``REFERENCE_PLANE``.
 
-        Upsilon alpha is built on ``where`` alone, and only the
-        components of the plane's nonzero entries are computed.  The
-        factor's live set is those columns on alpha's live rows; the
-        others are zeros.
+        Upsilon alpha is built on ``where`` alone, from alpha's live
+        rows.  The factor's live set is the columns of the plane's nonzero
+        entries on those rows, and only they are computed and stored.
         """
         plane = coupling_plane(generator)
-        weighted = (restrict(self.alpha.data[:, 0], where)
+        columns = np.flatnonzero(plane)
+        weighted = (restrict(self.alpha.stack, where)
                     * self.cutoff.on_grid(where))
-        data = np.zeros((len(weighted), len(plane)) + weighted.shape[1:])
-        for m in np.flatnonzero(plane):
-            np.multiply(weighted, plane[m], out=data[:, m])
-        return FormField(where, 2, 2, data,
-                         _live=np.outer(self.alpha.live[:, 0], plane != 0.0))
+        stack = weighted[:, None] * plane[columns, None, None, None, None]
+        return FormField(where, 2, 2, stack=stack.reshape(
+            (-1,) + weighted.shape[1:]),
+            _live=np.outer(self.alpha.live[:, 0], plane != 0.0))
 
 
 def standard_test_form(grid: Grid4,

@@ -3,23 +3,21 @@
 A :class:`FormField` is a spacetime p-form (p = 0..4) taking values in an
 internal antisymmetric power Lambda^k V of the 4-dim reference space V
 (k = 0 is a scalar, k = 1 is V itself, k = 2 carries the so(3,1) bracket).
-Components are stored component-major, on strictly increasing multi-indices
-for both the spacetime and the internal slots:
+Components are indexed component-major, on strictly increasing
+multi-indices for both the spacetime and the internal slots:
 
     data[S, I, t, x, y, z]   S over LAMBDA_BASES[p], I over LAMBDA_BASES[k]
 
-so each component is a contiguous node array.  Each grid axis has extent
-N or 1: a field that does not depend on a coordinate (a static field on
-t) stores one node along it, and products, sums and norms broadcast over
-that axis.  A field's max-norm (:meth:`FormField.region_norm`) runs
-outside the excised ball its grid carries.
+Each grid axis has extent N or 1: a field that does not depend on a
+coordinate (a static field on t) stores one node along it, and products,
+sums and norms broadcast over that axis.  A field's max-norm
+(:meth:`FormField.region_norm`) runs outside the excised ball its grid
+carries.
 
-A field knows which of its components may be nonzero (``live``): every
-other one is exactly 0.0 at every node.  ``wedge`` gives its result the
-components it wrote and ``zeros`` none; any other field scans its data
-once, on first use, and keeps the set.  ``wedge`` multiplies only live
-components, norms read only live ones, and a diagonal live set gives a
-tetrad's determinant as a product (:func:`tetrad_determinants`).
+A field stores only the components that may be nonzero, ``live``, each a
+contiguous node array of its ``stack``; the storage rule, who writes the
+live sets and who may read the dense ``data`` are in docs/conventions.md,
+"Live components".
 
 A field may also live on a :class:`~pcgrav.grid.Window`, one t slice.
 ``wedge`` is pointwise and runs on one as on the grid, but d/dt needs the
@@ -31,12 +29,13 @@ mode "4d", every coupling term.
 ``wedge`` and ``ext_d`` allocate their own results, keep no state between
 calls and run in the calling thread, in one fixed order of operations, so
 results are the same bits whichever thread calls them.  ``cov_d`` and
-``curvature`` add d a into a copy of their other term, made before it.
+``curvature`` sum into the stack of a term that has every live component
+of the sum, else into a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -61,24 +60,90 @@ class DegenerateTetradError(FormFieldError):
 
 @dataclass(frozen=True)
 class _Samples:
-    """Node samples whose components ``live`` names.
+    """Node samples stored as their live components (docs/conventions.md,
+    "Live components"): ``stack``, shape ``(n_live,) + extents``, in
+    row-major component order, and ``live``, the mask over the component
+    axes.  Every component outside ``live`` is exactly 0.0.
 
-    A producer that knows which components it wrote passes them as
-    ``_live``; any other field scans its data on the first read of
-    ``live`` (:func:`live_components`) and keeps the result.  A restriction
-    made with ``dataclasses.replace`` keeps the set, which holds on every
-    piece of the samples.
+    Built from dense ``data`` with a declared ``_live`` (None: scanned,
+    :func:`live_components`), or from a ``stack`` and its ``_live``; given
+    both, ``data`` is used.  ``.data`` is the dense array, built on each
+    read.
     """
+    stack: np.ndarray = field(default=None, kw_only=True, repr=False,
+                              compare=False)
     _live: np.ndarray = field(default=None, kw_only=True, repr=False,
                               compare=False)
+
+    def __post_init__(self, data):
+        leading = self._components()
+        if data is not None:
+            _check_shape(data, leading, self.grid)
+            stack, live = _stack_of(data, self._live)
+            object.__setattr__(self, "stack", stack)
+            object.__setattr__(self, "_live", live)
+        elif self._live.shape != leading:
+            raise FormFieldError(f"live set of shape {self._live.shape}, "
+                                 f"expected {leading}")
+        _check_shape(self.stack, (int(self._live.sum()),), self.grid)
 
     @property
     def live(self) -> np.ndarray:
         """Which components (leading axes) may be nonzero: every other one
         is exactly 0.0 at every node."""
-        if self._live is None:
-            object.__setattr__(self, "_live", live_components(self.data))
         return self._live
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense samples, components leading (:func:`dense`)."""
+        return dense(self.stack, self.live)
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.stack).max()) if len(self.stack) else 0.0
+
+    def region_norm(self) -> float:
+        """Max |component| outside the grid's ball, away from box faces.
+
+        Only the live components are read; with none live, zeros of the
+        field's extents give the 0.0 (and the warning of an empty region)."""
+        return region_max(self.stack if len(self.stack) else
+                          np.broadcast_to(0.0, (1,) + self.stack.shape[1:]),
+                          self.grid)
+
+
+def stack_rows(live: np.ndarray) -> np.ndarray:
+    """The row of each component in a stack of ``live``'s components, -1
+    for a dead one."""
+    return np.where(live, np.cumsum(live).reshape(live.shape) - 1, -1)
+
+
+def _stack_of(data: np.ndarray, live) -> tuple:
+    """The stack of ``data``'s live components and the live set, ``live``
+    or a scan: a view when every component is live, else a gather."""
+    live = live_components(data) if live is None else np.asarray(live)
+    return (data.reshape((live.size,) + data.shape[live.ndim:])
+            if live.all() else data[live]), live
+
+
+def dense(stack: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Components ``live`` set to ``stack``'s rows, every other one 0.0: a
+    view of the stack when every component is live."""
+    if live.all():
+        return stack.reshape(live.shape + stack.shape[1:])
+    out = np.zeros(live.shape + stack.shape[1:])
+    out[live] = stack
+    return out
+
+
+def stacked(comps: dict, leading: tuple) -> dict:
+    """The ``stack`` and ``_live`` arguments of a field of component shape
+    ``leading`` whose nonzero components are ``comps``, {index: samples};
+    the samples broadcast to one shape."""
+    live = np.zeros(leading, dtype=bool)
+    for index in comps:
+        live[index] = True
+    return {"stack": np.stack(np.broadcast_arrays(*map(
+        comps.get, sorted(comps)))), "_live": live}
 
 
 @dataclass(frozen=True)
@@ -86,62 +151,52 @@ class FormField(_Samples):
     grid: Grid4
     degree: int
     internal: int
-    data: np.ndarray
+    data: InitVar[np.ndarray] = None
 
-    def __post_init__(self):
-        _check_shape(self.data, (len(LAMBDA_BASES[self.degree]),
-                                 INTERNAL_DIMS[self.internal]), self.grid)
+    def _components(self) -> tuple:
+        return len(LAMBDA_BASES[self.degree]), INTERNAL_DIMS[self.internal]
 
     def component(self, st_index=(), internal_index=()) -> np.ndarray:
-        """Named component on the grid, e.g. component((0, 1), (2, 3))."""
-        s = _INDEX[self.degree][tuple(st_index)]
-        i = _INDEX[self.internal][tuple(internal_index)]
-        return self.data[s, i]
+        """Named component on the grid, e.g. component((0, 1), (2, 3));
+        read-only zeros when it is dead."""
+        row = stack_rows(self.live)[
+            _INDEX[self.degree][tuple(st_index)],
+            _INDEX[self.internal][tuple(internal_index)]]
+        return (self.stack[row] if row >= 0
+                else np.broadcast_to(0.0, self.stack.shape[1:]))
 
-    def _like(self, data) -> "FormField":
-        return FormField(self.grid, self.degree, self.internal, data)
+    def _with(self, stack, live) -> "FormField":
+        """The field of this one's degrees stored as ``stack`` of
+        ``live``."""
+        return FormField(self.grid, self.degree, self.internal, stack=stack,
+                         _live=live)
 
     def __add__(self, other):
-        self._check_like(other)
-        return self._like(self.data + other.data)
+        return _sum(self, other)
 
     def __sub__(self, other):
-        self._check_like(other)
-        return self._like(self.data - other.data)
+        return _sum(self, other, -1.0)
 
     def __mul__(self, scalar):
-        return self._like(self.data * float(scalar))
+        return self._with(self.stack * float(scalar), self.live)
 
     __rmul__ = __mul__
 
-    def _check_like(self, other):
-        if (self.grid != other.grid or self.degree != other.degree
-                or self.internal != other.internal):
-            raise FormFieldError("fields live in different spaces")
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.data).max())
-
-    def region_norm(self) -> float:
-        """Max |component| outside the grid's ball, away from box faces.
-
-        Only the live components are read; with none live, one component
-        of zeros gives the 0.0 (and the warning of an empty region)."""
-        comps = [self.data[c] for c in zip(*np.nonzero(self.live))]
-        return region_max(comps or [self.data[0, 0]], self.grid)
-
-    def _derivative(self, s: int, mu: int, out: np.ndarray) -> bool:
-        """d_mu of the spacetime component ``data[s]`` (every internal
-        component) into ``out``; False along an axis of extent 1, where it
-        is exact zeros."""
+    def _moves(self, mu: int) -> bool:
+        """Whether d_mu is read from samples: not along an axis of extent
+        1, where it is exact zeros."""
         if mu == 0 and isinstance(self.grid, Window):
             raise FormFieldError(
                 "d/dt of a field on a t window reads slices outside it; "
                 "differentiate a RingSlice")
-        if self.data.shape[2 + mu] == 1:
-            return False
-        diff_axis(self.data[s], 1 + mu, self.grid.spacing, out=out)
-        return True
+        return self.stack.shape[1 + mu] > 1
+
+    def _derivative(self, s: int, mu: int, out: np.ndarray):
+        """d_mu of the live components of spacetime component ``s`` into
+        ``out``."""
+        rows = stack_rows(self.live)[s][self.live[s]]
+        diff_axis(self.stack[rows[0]:rows[-1] + 1], 1 + mu,
+                  self.grid.spacing, out=out)
 
 
 @dataclass(frozen=True)
@@ -150,22 +205,24 @@ class RingSlice(FormField):
     in a ring (an array or list): ``ring[i % len(ring)]`` holds slice i,
     components first, for every slice i within two of this one.  ``ext_d``
     takes d/dt from it with the stencil of :func:`~pcgrav.grid.diff_axis`."""
-    ring: np.ndarray | list
+    ring: np.ndarray | list = field(default=None, kw_only=True)
 
     @classmethod
     def of(cls, ring, grid: Grid4, t: int, degree: int,
            internal: int) -> "RingSlice":
         return cls(grid.window(t), degree, internal,
-                   ring[t % len(ring)][:, :, None], ring)
+                   ring[t % len(ring)][:, :, None], ring=ring)
+
+    def _moves(self, mu):
+        return mu == 0 or super()._moves(mu)
 
     def _derivative(self, s, mu, out):
         if mu:
             return super()._derivative(s, mu, out)
         # one internal component at a time: its five slices stay in cache
-        for c, dst in enumerate(out):
+        for c, dst in zip(np.flatnonzero(self.live[s]), out):
             diff_ring([slot[s, c] for slot in self.ring], self.grid.t,
                       self.grid.grid.points, self.grid.spacing, dst[0])
-        return True
 
 
 def _check_shape(data: np.ndarray, leading: tuple, grid) -> None:
@@ -194,11 +251,44 @@ def live_components(data: np.ndarray) -> np.ndarray:
 
 
 def zeros(grid: Grid4, degree: int, internal: int) -> FormField:
-    """The zero field, stored with extent 1 on every grid axis; no
-    component is live."""
-    shape = (len(LAMBDA_BASES[degree]), INTERNAL_DIMS[internal], 1, 1, 1, 1)
-    return FormField(grid, degree, internal, np.zeros(shape),
-                     _live=np.zeros(shape[:2], dtype=bool))
+    """The zero field: no component is live."""
+    return FormField(grid, degree, internal,
+                     stack=np.empty((0, 1, 1, 1, 1)),
+                     _live=np.zeros((len(LAMBDA_BASES[degree]),
+                                     INTERNAL_DIMS[internal]), dtype=bool))
+
+
+def _sum(a: FormField, b: FormField, scale=None,
+         fresh=False) -> FormField:
+    """a + b (b times ``scale`` first, when given), fields of one space,
+    over the union of their live sets: a component live in both is
+    fl(a + fl(b scale)), one live in one is that operand's, the bits of
+    adding it to 0.0 but for the sign of an exact zero.  With ``fresh`` no
+    one holds b, whose stack is scaled in place.  The sum goes into b's
+    scaled copy or fresh stack when b has every live component and the
+    sum's extents, else into a new array.
+    """
+    if (a.grid, a.degree, a.internal) != (b.grid, b.degree, b.internal):
+        raise FormFieldError("fields live in different spaces")
+    live, sb = a.live | b.live, b.stack
+    if fresh:
+        sb.setflags(write=True)
+    if scale is not None:
+        sb = np.multiply(sb, scale, out=sb if fresh else None)
+    shape = np.broadcast_shapes(a.stack.shape[1:], sb.shape[1:])
+    rows, in_b = stack_rows(live), stack_rows(b.live)
+    if (sb.flags.writeable and np.array_equal(b.live, live)
+            and sb.shape[1:] == shape):
+        out = sb
+    else:
+        out = np.empty((len(rows[live]),) + shape)
+        out[rows[b.live]] = sb
+    for row, r, j in zip(a.stack, rows[a.live], in_b[a.live]):
+        if j >= 0:
+            np.add(row, out[r], out=out[r])
+        else:
+            out[r] = row
+    return a._with(out, live)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +368,7 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
 
     Only products of live components (``FormField.live``) are computed:
     the others contribute exact zeros.  The output components that get a
-    term are the live set of the result, and the rest are 0.0.
+    term are the live set of the result, and only they are stored.
     """
     if a.grid != b.grid:
         raise FormFieldError("fields on different grids")
@@ -286,39 +376,36 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
         raise FormFieldError("spacetime degree overflow")
     k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
     p_out = a.degree + b.degree
-    shape = np.broadcast_shapes(a.data.shape[2:], b.data.shape[2:])
-    live_a, live_b = a.live, b.live
+    shape = np.broadcast_shapes(a.stack.shape[1:], b.stack.shape[1:])
+    rows_a, rows_b = stack_rows(a.live), stack_rows(b.live)
     # each output component's first term is written as 0.0 + term, the
-    # bits that adding it to zeros gives; one with no term is zeros
-    written = set()
-    steps = []
+    # bits that adding it to zeros gives
+    written, steps = set(), []
     for i, u, j, v, outs in plan:
-        if live_a[i, u] and live_b[j, v]:
-            marked = []
-            for k, m, c in outs:
-                add = np.add if c > 0 else np.subtract
-                marked.append((k, m, add, (k, m) not in written))
-                written.add((k, m))
-            steps.append((i, u, j, v, marked))
-    out_shape = (len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]) + shape
-    live = np.zeros(out_shape[:2], dtype=bool)
+        if rows_a[i, u] >= 0 and rows_b[j, v] >= 0:
+            steps.append((rows_a[i, u], rows_b[j, v], [
+                ((k, m), np.add if c > 0 else np.subtract,
+                 (k, m) not in written) for k, m, c in outs]))
+            written.update((k, m) for k, m, _ in outs)
+    live = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]),
+                    dtype=bool)
     for k, m in written:
         live[k, m] = True
-    out = np.empty(out_shape)
-    out[~live] = 0.0
+    rows = stack_rows(live)
+    out = np.empty((len(written),) + shape)
     prod = _aligned_empty(shape[1:])
     # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
     for t in range(shape[0]):
-        a_t = a.data[:, :, min(t, a.data.shape[2] - 1)]
-        b_t = b.data[:, :, min(t, b.data.shape[2] - 1)]
-        out_t = out[:, :, t]
-        for i, u, j, v, outs in steps:
-            np.multiply(a_t[i, u], b_t[j, v], out=prod)
-            for k, m, add, first in outs:
-                dst = out_t[k, m]
+        a_t = a.stack[:, min(t, a.stack.shape[1] - 1)]
+        b_t = b.stack[:, min(t, b.stack.shape[1] - 1)]
+        out_t = out[:, t]
+        for ra, rb, outs in steps:
+            np.multiply(a_t[ra], b_t[rb], out=prod)
+            for km, add, first in outs:
+                dst = out_t[rows[km]]
                 add(0.0 if first else dst, prod, out=dst)
-    return FormField(a.grid, p_out, k_out, out, _live=live)
+    return FormField(a.grid, p_out, k_out, stack=out, _live=live)
 
 
 def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
@@ -330,38 +417,45 @@ def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
 def ext_d(a: FormField) -> FormField:
     """Finite-difference exterior derivative (4th order interior stencils).
 
-    Derivatives along a grid axis of extent 1 are exact zeros and skipped.
-    For each target, the first live term is differentiated straight into
-    the output (negated in place if its sign is odd), the later ones into a
-    buffer and then added in order, all internal components at once.  A
-    target with no live term is 0.0.  Against adding every term to zeros,
-    only the sign of an exact zero can differ.  ``a`` is a field on the
-    grid or a :class:`RingSlice`.
+    Derivatives along a grid axis of extent 1 are exact zeros, and so are
+    those of dead components: both are skipped.  A target component is
+    live when it has a term left, and its terms go in order: the first is
+    stored (negated if its sign is odd), the later ones added.  A term
+    none of whose components has one yet is differentiated straight into
+    the output, any other into a buffer.  Against adding every term to
+    zeros, only the sign of an exact zero can differ.  ``a`` is a field
+    on the grid or a :class:`RingSlice`.
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
     p = a.degree
-    targets = LAMBDA_BASES[p + 1]
-    target_shape = (INTERNAL_DIMS[a.internal],) + a.data.shape[2:]
-    out = np.empty((len(targets),) + target_shape)
-    term = np.empty(target_shape)
-    for acc, target in zip(out, targets):
-        first = True
-        for m, mu in enumerate(target):
-            source = _INDEX[p][target[:m] + target[m + 1:]]
-            if not a._derivative(source, mu, acc if first else term):
-                continue
-            if first:
-                if m % 2:
-                    np.negative(acc, out=acc)
-                first = False
-            elif m % 2:
-                acc -= term
-            else:
-                acc += term
-        if first:
-            acc[...] = 0.0
-    return FormField(a.grid, p + 1, a.internal, out)
+    # each target's terms with a live source: (sign, axis, source)
+    plan = [[(m % 2, mu, s) for m, mu in enumerate(target)
+             for s in [_INDEX[p][target[:m] + target[m + 1:]]]
+             if a._moves(mu) and a.live[s].any()]
+            for target in LAMBDA_BASES[p + 1]]
+    live = np.array([np.any([a.live[s] for *_, s in terms], axis=0)
+                     if terms else np.zeros_like(a.live[0])
+                     for terms in plan])
+    extents = a.stack.shape[1:]
+    out, rows = np.empty((int(live.sum()),) + extents), stack_rows(live)
+    for k, terms in enumerate(plan):
+        done = np.zeros(live.shape[1], dtype=bool)
+        for odd, mu, s in terms:
+            comps = np.flatnonzero(a.live[s])
+            dst, first = rows[k, comps], ~done[comps]
+            direct = first.all() and dst[-1] - dst[0] == len(dst) - 1
+            term = (out[dst[0]:dst[-1] + 1] if direct
+                    else np.empty((len(comps),) + extents))
+            a._derivative(s, mu, term)
+            for r, row, new in zip(dst, term, first):
+                if not new:
+                    (np.subtract if odd else np.add)(out[r], row,
+                                                     out=out[r])
+                elif odd or not direct:
+                    (np.negative if odd else np.positive)(row, out=out[r])
+            done[comps] = True
+    return FormField(a.grid, p + 1, a.internal, stack=out, _live=live)
 
 
 def cov_d(omega: FormField, a: FormField) -> FormField:
@@ -371,30 +465,27 @@ def cov_d(omega: FormField, a: FormField) -> FormField:
     if a.internal not in (1, 2):
         raise FormFieldError("covariant differential not defined on "
                              + INTERNAL_TAGS[a.internal])
-    total = wedge(omega, a, rule="action").data.copy()
-    d = ext_d(a)
-    return d._like(np.add(d.data, total, out=total))
+    return _sum(ext_d(a), wedge(omega, a, rule="action"), fresh=True)
 
 
 def curvature(omega: FormField) -> FormField:
     """F = d omega + (1/2)[omega, omega]."""
-    total = form_dgla_bracket(omega, omega).data * 0.5
-    d = ext_d(omega)
-    return d._like(np.add(d.data, total, out=total))
+    return _sum(ext_d(omega), form_dgla_bracket(omega, omega), 0.5,
+                fresh=True)
 
 
 def trace4(a: FormField) -> FormField:
     """Contract Lambda^4 values with eps (eps_0123 = +1, no raising)."""
     if a.degree != 4 or a.internal != 4:
         raise FormFieldError("trace needs a Lambda^4-valued 4-form")
-    return FormField(a.grid, 4, 0, a.data)
+    return FormField(a.grid, 4, 0, stack=a.stack, _live=a.live)
 
 
 def integrate(a: FormField) -> float:
     """Quadrature of a scalar 4-form's single component over the box."""
     if a.degree != 4 or a.internal != 0:
         raise FormFieldError("integrate needs a scalar-valued 4-form")
-    return integrate_samples(a.data[0, 0], a.grid)
+    return integrate_samples(a.component((0, 1, 2, 3)), a.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +498,22 @@ DEGENERACY_THRESHOLD = 1e-8
 @dataclass(frozen=True)
 class MetricField(_Samples):
     grid: Grid4
-    data: np.ndarray  # (4, 4) + grid extents, symmetric in the leading axes
+    data: InitVar[np.ndarray] = None  # (4, 4) + grid extents, symmetric
 
-    def __post_init__(self):
-        _check_shape(self.data, (4, 4), self.grid)
+    def _components(self) -> tuple:
+        return 4, 4
 
 
-def tetrad_field(grid: Grid4, data: np.ndarray, live=None) -> FormField:
-    """V-valued 1-form e^a_mu = data[mu, a] with live set ``live`` (None:
-    scanned), checked nondegenerate."""
-    e = FormField(grid, 1, 1, data, _live=live)
+# the class defaults of the ``data`` init arguments would hide _Samples.data
+del FormField.data, MetricField.data
+
+
+def tetrad_field(grid: Grid4, data: np.ndarray = None,
+                 **stored) -> FormField:
+    """V-valued 1-form e^a_mu = data[mu, a], its live set scanned, or
+    ``stored`` as ``stack=`` and ``_live=`` (:func:`stacked`); checked
+    nondegenerate."""
+    e = FormField(grid, 1, 1, data, **stored)
     check_nondegenerate(e)
     return e
 
@@ -426,7 +523,7 @@ def tetrad_determinants(e: FormField) -> np.ndarray:
     each diagonal entry 0.0 or within 1e+-150 in magnitude, so each pair is
     normal or zero: det to a few ulp where det is normal, far below the
     threshold where it is not.  ``np.linalg.det`` for any other tetrad."""
-    diagonal = [e.data[m, m] for m in range(4)]
+    diagonal = [e.component((m,), (m,)) for m in range(4)]
     if not (e.live & ~np.eye(4, dtype=bool)).any() and all(
             np.all((a <= 1e150) & ((a >= 1e-150) | (a == 0.0)))
             for a in map(np.abs, diagonal)):

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conventions import PAIR_INDEX
-from .fields import FormField, MetricField, tetrad_field, zeros
+from .conventions import ETA_DIAG, PAIR_INDEX
+from .fields import FormField, MetricField, stacked, tetrad_field, zeros
 from .grid import Grid4
 
 _ORDER = 5  # truncated series length (value + 4 derivatives)
@@ -65,19 +65,19 @@ def _series_log(u):
 _CONSTANT = (1, 1, 1, 1)    # grid extents of a field constant on the box
 
 
+def _diagonal(entries) -> dict:
+    """The stored form (:func:`~pcgrav.fields.stacked`) of a (4, 4) field
+    whose diagonal is ``entries``, every other component 0.0."""
+    return stacked({(mu, mu): v for mu, v in enumerate(entries)}, (4, 4))
+
+
 def minkowski_tetrad(grid: Grid4) -> FormField:
-    data = np.zeros((4, 4) + _CONSTANT)
-    for mu in range(4):
-        data[mu, mu] = 1.0
-    return tetrad_field(grid, data, np.eye(4, dtype=bool))
+    return tetrad_field(grid, **_diagonal([np.ones(_CONSTANT)] * 4))
 
 
 def minkowski_metric(grid: Grid4) -> MetricField:
-    data = np.zeros((4, 4) + _CONSTANT)
-    data[0, 0] = -1.0
-    for i in range(1, 4):
-        data[i, i] = 1.0
-    return MetricField(grid, data, _live=np.eye(4, dtype=bool))
+    return MetricField(grid, **_diagonal(
+        [np.full(_CONSTANT, float(eta)) for eta in ETA_DIAG]))
 
 
 class MinkowskiChart:
@@ -187,12 +187,8 @@ class SchwarzschildIsotropic:
         return (rho,) + self.profiles(rho)
 
     def tetrad(self, grid: Grid4) -> FormField:
-        rho, a, b = self._grid_profiles(grid)
-        data = np.zeros((4, 4) + rho.shape)
-        data[0, 0] = a
-        for i in range(1, 4):
-            data[i, i] = b
-        return tetrad_field(grid, data, np.eye(4, dtype=bool))
+        _, a, b = self._grid_profiles(grid)
+        return tetrad_field(grid, **_diagonal([a, b, b, b]))
 
     def connection(self, grid: Grid4) -> FormField:
         """Closed-form Levi-Civita spin connection of the (blended) tetrad.
@@ -201,26 +197,20 @@ class SchwarzschildIsotropic:
         """
         rho, a, b = self._grid_profiles(grid)
         da_r, db_r = self.radial_ratios(rho, a, b)
-        data = np.zeros((4, 6) + rho.shape)
-        for i in range(1, 4):
-            xi = grid.coordinate(i)
-            data[0, PAIR_INDEX[(0, i)]] = (da_r / b) * xi
+        comps = {(0, PAIR_INDEX[(0, i)]): (da_r / b) * grid.coordinate(i)
+                 for i in range(1, 4)}
         ratio = db_r / b
         for i in range(1, 4):
             for j in range(i + 1, 4):
                 xi, xj = grid.coordinate(i), grid.coordinate(j)
                 p = PAIR_INDEX[(i, j)]
-                data[i, p] += ratio * xj   # omega^{ij}_i = (B'/B) n_j
-                data[j, p] -= ratio * xi   # omega^{ij}_j = -(B'/B) n_i
-        return FormField(grid, 1, 2, data)
+                comps[i, p] = 0.0 + ratio * xj   # omega^{ij}_i = (B'/B) n_j
+                comps[j, p] = 0.0 - ratio * xi   # omega^{ij}_j = -(B'/B) n_i
+        return FormField(grid, 1, 2, **stacked(comps, (4, 6)))
 
     def metric(self, grid: Grid4) -> MetricField:
-        rho, a, b = self._grid_profiles(grid)
-        data = np.zeros((4, 4) + rho.shape)
-        data[0, 0] = -a ** 2
-        for i in range(1, 4):
-            data[i, i] = b ** 2
-        return MetricField(grid, data, _live=np.eye(4, dtype=bool))
+        _, a, b = self._grid_profiles(grid)
+        return MetricField(grid, **_diagonal([-a ** 2] + [b ** 2] * 3))
 
     def areal_radius(self, rho):
         return rho * (1.0 + self.mass / (2.0 * np.asarray(rho, float))) ** 2

@@ -58,7 +58,7 @@ from .mass import (MassDomainError, adm_energy, komar_mass,
 from .report import sha256_of_file, sha256_of_text, canonical_json
 from .symmetry import (POINCARE_GENERATOR_NAMES, SPHERICAL_GENERATOR_NAMES,
                        CutoffFunction, PoincareElement, axis_derivatives,
-                       killing_residual, symmetry_residual, t_windows)
+                       lie_derivative_metric, symmetry_residual, t_windows)
 
 
 class ScenarioError(ValueError):
@@ -404,9 +404,8 @@ def fold_verdicts(verdicts) -> str:
 def _on(field, where):
     """``field`` (a FormField or MetricField) restricted to ``where``, its
     grid or a window of it; the restriction keeps the field's live set."""
-    return dataclasses.replace(field, grid=where,
-                               data=restrict(field.data, where),
-                               _live=field.live)
+    return dataclasses.replace(field, grid=where, data=None,
+                               stack=restrict(field.stack, where))
 
 
 def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
@@ -452,7 +451,7 @@ def _generator_norms(e, gens, form):
             held = None  # freed before the next one is built
             held, plane = form.factor(gen, grid), coupling_plane(gen)
         norms = []
-        for where in t_windows(e.data, gen, grid):
+        for where in t_windows(e.stack, gen, grid):
             residual = symmetry_residual(_on(e, where), gen, derivatives)
             pieces = slices if factor_moves and where == grid else [where]
             terms = [F.wedge(_on(residual, piece),
@@ -472,8 +471,9 @@ def _killing_norms(metric, gens) -> dict:
     :func:`_generator_norms`."""
     derivatives = axis_derivatives(metric, gens)
     return {gen.name: float(np.max([
-        killing_residual(_on(metric, where), gen, derivatives)[1]
-        for where in t_windows(metric.data, gen, metric.grid)]))
+        lie_derivative_metric(_on(metric, where), gen,
+                              derivatives).region_norm()
+        for where in t_windows(metric.stack, gen, metric.grid)]))
         for gen in gens}
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebras import poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
-from .fields import FormField, MetricField
+from .fields import FormField, MetricField, stack_rows
 from .grid import FACE_LAYERS, Grid4, Window, diff_axis, region_max, restrict
 
 
@@ -146,22 +146,6 @@ def generated_vector_field(x: PoincareElement, grid: Grid4) -> np.ndarray:
     return np.broadcast_to(stacked, (4,) + grid.shape)
 
 
-@dataclass(frozen=True)
-class AxisDerivatives:
-    """d_0 ... d_3 of the components of a field that are not identically zero.
-
-    ``live`` holds the flat indices of those components (leading axes
-    flattened); ``by_axis[lam]`` holds d_lam of each, stacked in that order.
-    A component that is zero everywhere has zero derivatives, so the
-    transport skips it exactly.  Along a grid axis of extent 1 the
-    derivatives keep that extent (``diff_axis`` gives exact zeros, NaN
-    where a sample is not finite), so they cost one slice.
-    """
-
-    live: np.ndarray
-    by_axis: dict
-
-
 def _moved_axes(x: PoincareElement):
     """Axes lambda along which xi^lambda = T^lambda + R^lambda_nu x^nu
     is not identically zero."""
@@ -169,53 +153,62 @@ def _moved_axes(x: PoincareElement):
             if x.translation[lam] or np.any(x.rotation[lam])]
 
 
-def axis_derivatives(field, generators) -> AxisDerivatives:
+def axis_derivatives(field, generators) -> dict:
     """Stencil derivatives of the live components of ``field`` (a
-    FormField or MetricField, ``field.live``) along every axis that one of
-    ``generators`` moves: one set serves them all."""
+    FormField or MetricField), stacked as its ``stack``, by axis lambda,
+    along every axis that one of ``generators`` moves: one set serves
+    them all.  Along a grid axis of extent 1 they keep that extent
+    (``diff_axis`` gives exact zeros, NaN where a sample is not finite),
+    so they cost one slice."""
     axes = sorted({lam for x in generators for lam in _moved_axes(x)})
-    comps = field.data.reshape((-1,) + field.data.shape[-4:])
-    live = np.flatnonzero(field.live)
-    stacked = comps[live]
-    return AxisDerivatives(live, {lam: diff_axis(stacked, 1 + lam,
-                                                 field.grid.spacing)
-                                  for lam in axes})
+    return {lam: diff_axis(field.stack, 1 + lam, field.grid.spacing)
+            for lam in axes}
 
 
-def _lie_transport(field, x: PoincareElement,
-                   derivatives: AxisDerivatives = None):
-    """The transport part xi^lambda d_lambda of L_xi on every component of
-    ``field``, and the components it writes (``derivatives.live``).
+def _lie_transport(field, x: PoincareElement, derivatives, terms):
+    """Stack and live set of xi^lambda d_lambda ``field`` plus the affine
+    ``terms``, (target, sign, coefficient, source) component tuples, each
+    sign * coefficient * source.
 
-    Grid stencils differentiate the components, read from ``derivatives``
-    (built here when not given); callers add the Jacobian terms of the
-    affine xi, which are its exact rotation matrix.  Along an axis where
-    the data has extent 1 the derivative is exact zeros (NaN at a
-    non-finite sample), which xi^lambda would only rescale: that term is
-    the derivative itself, so it keeps the extent of the data.  Terms are
-    added one live component at a time, in axis order: none are stacked.
+    Grid stencils differentiate the live components, read from
+    ``derivatives`` (built here when None); the affine xi's Jacobian terms
+    are its exact rotation matrix, which the callers' ``terms`` carry.
+    Along an axis where the data has extent 1 the derivative is exact
+    zeros (NaN at a non-finite sample), which xi^lambda would only
+    rescale: that term is the derivative itself, so it keeps the extent of
+    the data.  Each component gets its transport terms in axis order, then
+    its ``terms`` with a live source in their order, and is live if it
+    gets any; the first is stored, the bits of adding it to 0.0 but for
+    the sign of an exact zero.
     """
     if derivatives is None:
         derivatives = axis_derivatives(field, (x,))
-    data, grid = field.data, field.grid
-    xi = _affine_components(x, grid)
-    axes = _moved_axes(x)
+    stack, rows = field.stack, stack_rows(field.live)
+    xi, axes = _affine_components(x, field.grid), _moved_axes(x)
+    # each written component's terms: (sign, factor or None, samples)
+    steps = {c: [(1, xi[lam] if stack.shape[1 + lam] > 1 else None,
+                  derivatives[lam][k]) for lam in axes]
+             for k, c in enumerate(zip(*np.nonzero(field.live))) if axes}
+    for target, sign, value, source in terms:
+        if rows[source] >= 0:
+            steps.setdefault(target, []).append(
+                (sign, value, stack[rows[source]]))
+    live = np.zeros(field.live.shape, dtype=bool)
+    for c in steps:
+        live[c] = True
     # the result has extent N on an axis only where data or a term does
-    shape = np.broadcast_shapes(data.shape[-4:], *(
-        xi[lam].shape for lam in axes if data.shape[-4 + lam] > 1))
-    out = np.zeros(data.shape[:-4] + shape)
-    flat = out.reshape((-1,) + shape)
-    for k, c in enumerate(derivatives.live):
-        for lam in axes:
-            term = derivatives.by_axis[lam][k]
-            if data.shape[-4 + lam] > 1:
-                # xi^lambda = 0 (a boost's t = 0) times an inf derivative: NaN
-                with np.errstate(invalid="ignore"):
-                    term = xi[lam] * term
-            flat[c] += term
-    written = np.zeros(data.shape[:-4], dtype=bool)
-    written.flat[derivatives.live] = True
-    return out, written
+    out = np.empty((len(steps),) + np.broadcast_shapes(stack.shape[1:], *(
+        xi[lam].shape for lam in axes if stack.shape[1 + lam] > 1)))
+    for dst, c in zip(out, sorted(steps)):
+        for n, (sign, factor, samples) in enumerate(steps[c]):
+            # xi^lambda = 0 (a boost's t = 0) times an inf derivative: NaN
+            with np.errstate(invalid="ignore"):
+                term = samples if factor is None else factor * samples
+            if n == 0:
+                (np.positive if sign > 0 else np.negative)(term, out=dst)
+            else:
+                (np.add if sign > 0 else np.subtract)(dst, term, out=dst)
+    return out, live
 
 
 def t_windows(data: np.ndarray, x: PoincareElement, grid: Grid4) -> list:
@@ -263,20 +256,16 @@ def _entries(matrix: np.ndarray):
     return [(i, j, matrix[i, j]) for i, j in zip(*np.nonzero(matrix))]
 
 
-def lie_derivative_one_form(field: FormField, x: PoincareElement,
-                            derivatives: AxisDerivatives = None):
-    """(L_xi a)^I_mu for a 1-form, internal indices untouched, and the
-    components written (as :func:`_lie_transport`)."""
-    out, live = _lie_transport(field, x, derivatives)
-    # + a^I_nu d_mu xi^nu with d_mu xi^nu = R^nu_mu
-    for nu, mu, r in _entries(x.rotation):
-        out[mu] += r * field.data[nu]
-        live[mu] |= field.live[nu]
-    return out, live
+def _row_terms(x: PoincareElement, columns: int) -> list:
+    """The terms a^I_nu d_mu xi^nu = a^I_nu R^nu_mu of the Lie derivative
+    of a 1-form a with ``columns`` internal components, for
+    :func:`_lie_transport`."""
+    return [((mu, i), 1, r, (nu, i))
+            for nu, mu, r in _entries(x.rotation) for i in range(columns)]
 
 
 def symmetry_residual(e: FormField, x: PoincareElement,
-                      derivatives: AxisDerivatives = None) -> FormField:
+                      derivatives: dict = None) -> FormField:
     """X . e = L_xi e - rho_V(R) e; zero iff xi acts isometrically on g_e.
 
     ``derivatives`` is ``axis_derivatives(e, generators)``,
@@ -285,28 +274,29 @@ def symmetry_residual(e: FormField, x: PoincareElement,
     """
     if e.degree != 1 or e.internal != 1:
         raise ValueError("symmetry residual is defined for V-valued 1-forms")
-    data, live = lie_derivative_one_form(e, x, derivatives)
-    for a, b, r in _entries(x.rotation):
-        data[:, a] -= r * e.data[:, b]
-        live[:, a] |= e.live[:, b]
-    return FormField(e.grid, 1, 1, data, _live=live)
+    internal = [((mu, a), -1, r, (mu, b))
+                for a, b, r in _entries(x.rotation) for mu in range(4)]
+    return e._with(*_lie_transport(e, x, derivatives,
+                                  _row_terms(x, 4) + internal))
+
+
+def lie_derivative_metric(g: MetricField, x: PoincareElement,
+                          derivatives: dict = None) -> MetricField:
+    """(L_xi g)_{mu nu}, live on the components the transport and rotation
+    terms write.  ``derivatives`` is ``axis_derivatives(g, generators)``,
+    shared by the generators of a sweep; it is built here when not
+    given."""
+    entries = _entries(x.rotation)
+    stack, live = _lie_transport(g, x, derivatives, _row_terms(x, 4) + [
+        ((mu, nu), 1, value, (mu, lam))
+        for lam, nu, value in entries for mu in range(4)])
+    return MetricField(g.grid, stack=stack, _live=live)
 
 
 def killing_residual(g: MetricField, x: PoincareElement,
-                     derivatives: AxisDerivatives = None):
-    """(L_xi g)_{mu nu} and its max-norm outside the grid's excised ball.
-
-    ``derivatives`` is ``axis_derivatives(g, generators)``,
-    shared by the generators of a sweep; it is built here when not given.
-    The norm reads only what the transport and rotation terms write.
-    """
-    out, live = _lie_transport(g, x, derivatives)
-    entries = _entries(x.rotation)
-    for lam, mu, value in entries:
-        out[mu] += value * g.data[lam]
-        live[mu] |= g.live[lam]
-    for lam, nu, value in entries:
-        out[:, nu] += value * g.data[:, lam]
-        live[:, nu] |= g.live[:, lam]
-    comps = [out[c] for c in zip(*np.nonzero(live))] or [out[0, 0]]
-    return out, region_max(comps, g.grid)
+                     derivatives: dict = None):
+    """(L_xi g)_{mu nu} as dense samples and its max-norm outside the
+    grid's excised ball, which reads only what the transport and rotation
+    terms write (:func:`lie_derivative_metric`)."""
+    lg = lie_derivative_metric(g, x, derivatives)
+    return lg.data, lg.region_norm()

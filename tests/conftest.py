@@ -1,9 +1,10 @@
 """Suite-wide checks.
 
-Every field built from node samples with a declared live set (``_live``)
-is checked against a scan of those samples: a declaration narrower than
+Every field built from dense node samples with a declared live set
+(``_live``) is checked against those samples: a declaration narrower than
 the data would drop a component from every norm, so that norm would read
-low and its check could pass falsely.
+low and its check could pass falsely.  Producers that store only their
+live components (``stack=``) have no other components to check.
 """
 
 import numpy as np
@@ -14,24 +15,18 @@ from pcgrav import fields
 
 @pytest.fixture(autouse=True, scope="session")
 def declared_live_sets_cover_the_data():
-    patched = {cls: cls.__post_init__
-               for cls in (fields.FormField, fields.MetricField)}
+    stack_of = fields._stack_of
 
-    def checked(post_init):
-        def __post_init__(self):
-            post_init(self)
-            if self._live is not None:
-                # the declared set covers the scan iff no other component
-                # is nonzero anywhere: only those are read, one at a time
-                missed = [c.tolist() for c in np.argwhere(~self._live)
-                          if np.any(self.data[tuple(c)] != 0.0)]
-                assert not missed, (
-                    f"{type(self).__name__} declares live {self._live}, "
-                    f"but components {missed} are nonzero")
-        return __post_init__
+    def checked(data, live):
+        if live is not None:
+            # the declared set covers the scan iff no other component is
+            # nonzero anywhere: only those are read, one at a time
+            missed = [c.tolist() for c in np.argwhere(~np.asarray(live))
+                      if np.any(data[tuple(c)] != 0.0)]
+            assert not missed, (f"declared live {live}, but components "
+                                f"{missed} are nonzero")
+        return stack_of(data, live)
 
-    for cls, post_init in patched.items():
-        cls.__post_init__ = checked(post_init)
+    fields._stack_of = checked
     yield
-    for cls, post_init in patched.items():
-        cls.__post_init__ = post_init
+    fields._stack_of = stack_of

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from pcgrav.fields import MetricField
+from pcgrav.fields import MetricField, dense, live_components
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
 from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _interpolate_live,
-                         _live, adm_energy, central_slice,
-                         extrapolate_in_radius, interpolate_slice, komar_mass,
-                         positivity_check, sphere_quadrature)
+                         _spatial, adm_energy, extrapolate_in_radius,
+                         interpolate_slice, komar_mass, positivity_check,
+                         sphere_quadrature)
 
 RADII = [8.0, 12.0, 16.0]
 
@@ -282,16 +282,16 @@ def test_live_interpolation_equals_the_full_one(n, mass):
     grid = big_grid(n)
     metric = (SchwarzschildIsotropic(mass).metric(grid) if mass
               else minkowski_metric(grid))
-    spatial = central_slice(metric)[1:, 1:]
-    live = _live(spatial)
+    spatial, live = _spatial(metric)
     assert np.array_equal(live, np.eye(3, dtype=bool))
     # a seeded off-diagonal component is live too
-    mixed = np.array(spatial)
+    mixed = dense(spatial, live)
     mixed[0, 1] = _samples((), n)
-    for values in (spatial, mixed):
+    for values in (dense(spatial, live), mixed):
         points = _probe_points(grid)
         full = interpolate_slice(values, grid, points)
-        got = _interpolate_live(values, grid, points)
+        live = live_components(values[:, :, None])    # a t axis
+        got = _interpolate_live(values[live], live, grid, points)
         assert np.array_equal(got, full)
         assert got.tobytes() == full.tobytes()
 

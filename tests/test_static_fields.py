@@ -25,8 +25,9 @@ from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
                               _sweep, load_scenario, pc_study, run_scenario,
                               scenario_from_dict)
 from pcgrav.symmetry import (CutoffFunction, PoincareElement, axis_derivatives,
-                             killing_residual, poincare_generators,
-                             symmetry_residual, t_windows)
+                             killing_residual, lie_derivative_metric,
+                             poincare_generators, symmetry_residual,
+                             t_windows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BOOSTS = [PoincareElement.from_name(f"K{i}") for i in (1, 2, 3)]
@@ -505,8 +506,8 @@ def test_boosts_read_three_windows_in_spatial_mode(monkeypatch, mode):
 
     monkeypatch.setattr(scenarios, "symmetry_residual",
                         counted("symmetry", symmetry_residual))
-    monkeypatch.setattr(scenarios, "killing_residual",
-                        counted("killing", killing_residual))
+    monkeypatch.setattr(scenarios, "lie_derivative_metric",
+                        counted("killing", lie_derivative_metric))
     sc = scenario_from_dict({
         "scenario": "poincare", "geometry": "minkowski", "M": 0.0,
         "grid": {"L": 8.0, "N": n}, "Ns": [n],
@@ -659,3 +660,51 @@ def test_spatial_sweep_builds_a_factor_per_plane_and_no_determinant(
         assert builds.pop(n) <= 8 and not builds, n
         scans.clear()  # the test form's alpha is scanned
     assert sc.radius_mode == "spatial" and len(sc.resolutions) == 3
+
+
+# ---------------------------------------------------------------------------
+# Live-only storage: the sweep stores, zero-fills and faults in no dead
+# component
+# ---------------------------------------------------------------------------
+
+# traced peaks of the N = 33 Schwarzschild items of poincare_schwarzschild
+# .json, grid caches cleared, when every field held all its components
+DENSE_LAYOUT_PEAK_MIB = {"generators": 30.1, "eom": 33.0, "killing": 15.5}
+
+
+@pytest.mark.parametrize("stage", sorted(DENSE_LAYOUT_PEAK_MIB))
+def test_n33_sweep_items_peak_at_two_thirds_of_the_dense_layout(stage):
+    sc = load_scenario(SCENARIOS / "poincare_schwarzschild.json")
+    for cached in (grid_module._region_mask, grid_module._norm_mask,
+                   symmetry._profile_on_grid):
+        cached.cache_clear()
+    peak = traced_peak(lambda: scenarios._stage(
+        sc, ("schwarzschild", 33, stage)))
+    assert peak <= 2 / 3 * DENSE_LAYOUT_PEAK_MIB[stage] * 2 ** 20, (
+        stage, peak / 2 ** 20)
+
+
+def test_killing_residuals_build_no_dense_samples(monkeypatch):
+    built = []
+    dense_of = fields_module.dense
+    monkeypatch.setattr(fields_module, "dense", lambda stack, live: (
+        built.append(live.shape) or dense_of(stack, live)))
+    body = run_scenario(load_scenario(
+        SCENARIOS / "poincare_schwarzschild.json"))
+    assert body["verdict"] in ("pass", "fail", "inconclusive")
+    assert built == []
+
+
+def test_an_all_live_field_stores_its_dense_samples_as_they_are():
+    rng = np.random.default_rng(31)
+    grid = Grid4(2.0, 9)
+    data = rng.normal(size=(4, 6) + grid.shape)
+    a = FormField(grid, 1, 2, data)
+    assert a.live.all()
+    assert np.shares_memory(a.stack, data) and np.shares_memory(a.data, data)
+    # the Leibniz ladder's ring slices and their all-live brackets
+    ring = rng.normal(size=(5, 4, 6) + grid.shape[1:])
+    a_t = fields_module.RingSlice.of(ring, grid, 2, 1, 2)
+    assert np.shares_memory(a_t.stack, ring)
+    ab = wedge(a_t, a_t, "bracket")
+    assert ab.live.all() and np.shares_memory(ab.data, ab.stack)

@@ -22,10 +22,11 @@ the same argv.
 Exit codes, stdout, stderr, CSV tables and report files must agree byte
 for byte; a report's manifest ``timestamp`` is left out.  Each run that
 differs is named with what differs, and the script exits 1 if any does.
-Each run's line also gives its peak RSS on both sides (``ru_maxrss`` of
-the rusage ``os.wait4`` returns, which covers the children the run
-waited for), for reading only: it is not compared.  Standard library
-only.
+Each run's line also gives, on both sides, its peak RSS (``ru_maxrss``)
+and its minor page faults (``ru_minflt``) from the rusage ``os.wait4``
+returns: the peak covers the run and the children it waited for, and the
+faults sum over that whole tree.  Both are for reading only: they are not
+compared.  Standard library only.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def write_generated(work: Path):
 
 def outputs(checkout: Path, work: Path, label: str, argv):
     """What one run left behind, by name (exit code, streams and files),
-    and its peak RSS in MB."""
+    its peak RSS in MB and its minor page faults."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryFile("w+") as stdout, \
             tempfile.TemporaryFile("w+") as stderr:
@@ -130,7 +131,7 @@ def outputs(checkout: Path, work: Path, label: str, argv):
             report.get("manifest", {}).pop("timestamp", None)
             text = json.dumps(report, sort_keys=True, indent=2)
         found[path.name] = text
-    return found, usage.ru_maxrss / 1024
+    return found, usage.ru_maxrss / 1024, usage.ru_minflt
 
 
 def main(argv=None) -> int:
@@ -151,10 +152,11 @@ def main(argv=None) -> int:
             works.append(work)
         every = list(runs())
         for label, run_argv in every:
-            (before, rss0), (after, rss1) = (
+            (before, rss0, flt0), (after, rss1, flt1) = (
                 outputs(checkout, work, label, run_argv)
                 for checkout, work in zip(checkouts, works))
-            rss = f"peak RSS {rss0:.1f} -> {rss1:.1f} MB"
+            rss = (f"peak RSS {rss0:.1f} -> {rss1:.1f} MB, "
+                   f"minor faults {flt0} -> {flt1}")
             parts = sorted(key for key in before.keys() | after.keys()
                            if before.get(key) != after.get(key))
             if parts:
