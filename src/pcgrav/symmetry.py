@@ -27,7 +27,7 @@ import numpy as np
 from .algebras import poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
 from .fields import FormField, MetricField, stack_rows
-from .grid import FACE_LAYERS, Grid4, Window, diff_axis, region_max, restrict
+from .grid import FACE_LAYERS, Grid4, Window, diff_axis, restrict
 
 
 @dataclass(frozen=True)
