@@ -191,12 +191,10 @@ class FormField(_Samples):
                 "differentiate a RingSlice")
         return self.stack.shape[1 + mu] > 1
 
-    def _derivative(self, s: int, mu: int, out: np.ndarray):
-        """d_mu of the live components of spacetime component ``s`` into
-        ``out``."""
-        rows = stack_rows(self.live)[s][self.live[s]]
-        diff_axis(self.stack[rows[0]:rows[-1] + 1], 1 + mu,
-                  self.grid.spacing, out=out)
+    def _derivative(self, s: int, rows: slice, mu: int, out: np.ndarray):
+        """d_mu of the live components of spacetime component ``s``, stack
+        rows ``rows``, into ``out``."""
+        diff_axis(self.stack[rows], 1 + mu, self.grid.spacing, out=out)
 
 
 @dataclass(frozen=True)
@@ -216,9 +214,9 @@ class RingSlice(FormField):
     def _moves(self, mu):
         return mu == 0 or super()._moves(mu)
 
-    def _derivative(self, s, mu, out):
+    def _derivative(self, s, rows, mu, out):
         if mu:
-            return super()._derivative(s, mu, out)
+            return super()._derivative(s, rows, mu, out)
         # one internal component at a time: its five slices stay in cache
         for c, dst in zip(np.flatnonzero(self.live[s]), out):
             diff_ring([slot[s, c] for slot in self.ring], self.grid.t,
@@ -352,6 +350,36 @@ def _wedge_plan(pa: int, ka: int, pb: int, kb: int, rule: str):
     return k_out, plan
 
 
+@lru_cache(maxsize=256)
+def _wedge_steps(pa: int, ka: int, pb: int, kb: int, rule: str,
+                 live_a: bytes, live_b: bytes):
+    """Internal degree, live set and products of a wedge of operands whose
+    live sets are the mask bytes ``live_a`` and ``live_b``: per product of
+    live components, (row of a, row of b, [(output row, np.add or
+    np.subtract, first)]).  Each output component's first term is written
+    as 0.0 + term, the bits that adding it to zeros gives."""
+    k_out, plan = _wedge_plan(pa, ka, pb, kb, rule)
+    rows_a, rows_b = (stack_rows(np.frombuffer(live, dtype=bool).reshape(
+        len(LAMBDA_BASES[p]), INTERNAL_DIMS[k])) for p, k, live in (
+            (pa, ka, live_a), (pb, kb, live_b)))
+    written, steps = set(), []
+    for i, u, j, v, outs in plan:
+        if rows_a[i, u] >= 0 and rows_b[j, v] >= 0:
+            steps.append((rows_a[i, u], rows_b[j, v], [
+                ((k, m), np.add if c > 0 else np.subtract,
+                 (k, m) not in written) for k, m, c in outs]))
+            written.update((k, m) for k, m, _ in outs)
+    live = np.zeros((len(LAMBDA_BASES[pa + pb]), INTERNAL_DIMS[k_out]),
+                    dtype=bool)
+    for k, m in written:
+        live[k, m] = True
+    live.setflags(write=False)
+    rows = stack_rows(live)
+    return k_out, live, [(ra, rb, [(int(rows[km]), add, first)
+                                   for km, add, first in outs])
+                         for ra, rb, outs in steps]
+
+
 def _aligned_empty(shape) -> np.ndarray:
     """Uninitialised floats on a 64-byte line: vector stores split none."""
     buf = np.empty(np.prod(shape, dtype=int) + 8)
@@ -374,25 +402,11 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
         raise FormFieldError("fields on different grids")
     if a.degree + b.degree > 4:
         raise FormFieldError("spacetime degree overflow")
-    k_out, plan = _wedge_plan(a.degree, a.internal, b.degree, b.internal, rule)
-    p_out = a.degree + b.degree
+    k_out, live, steps = _wedge_steps(a.degree, a.internal, b.degree,
+                                      b.internal, rule, a.live.tobytes(),
+                                      b.live.tobytes())
     shape = np.broadcast_shapes(a.stack.shape[1:], b.stack.shape[1:])
-    rows_a, rows_b = stack_rows(a.live), stack_rows(b.live)
-    # each output component's first term is written as 0.0 + term, the
-    # bits that adding it to zeros gives
-    written, steps = set(), []
-    for i, u, j, v, outs in plan:
-        if rows_a[i, u] >= 0 and rows_b[j, v] >= 0:
-            steps.append((rows_a[i, u], rows_b[j, v], [
-                ((k, m), np.add if c > 0 else np.subtract,
-                 (k, m) not in written) for k, m, c in outs]))
-            written.update((k, m) for k, m, _ in outs)
-    live = np.zeros((len(LAMBDA_BASES[p_out]), INTERNAL_DIMS[k_out]),
-                    dtype=bool)
-    for k, m in written:
-        live[k, m] = True
-    rows = stack_rows(live)
-    out = np.empty((len(written),) + shape)
+    out = np.empty((int(live.sum()),) + shape)
     prod = _aligned_empty(shape[1:])
     # one t slice at a time, so a slice's operands stay in cache; an
     # operand of t extent 1 reads its single slice
@@ -402,10 +416,11 @@ def wedge(a: FormField, b: FormField, rule: str = "wedge") -> FormField:
         out_t = out[:, t]
         for ra, rb, outs in steps:
             np.multiply(a_t[ra], b_t[rb], out=prod)
-            for km, add, first in outs:
-                dst = out_t[rows[km]]
+            for r, add, first in outs:
+                dst = out_t[r]
                 add(0.0 if first else dst, prod, out=dst)
-    return FormField(a.grid, p_out, k_out, stack=out, _live=live)
+    return FormField(a.grid, a.degree + b.degree, k_out, stack=out,
+                     _live=live)
 
 
 def form_dgla_bracket(a: FormField, b: FormField) -> FormField:
@@ -428,32 +443,43 @@ def ext_d(a: FormField) -> FormField:
     """
     if a.degree >= 4:
         raise FormFieldError("cannot raise degree above 4")
-    p = a.degree
-    # each target's terms with a live source: (sign, axis, source)
-    plan = [[(m % 2, mu, s) for m, mu in enumerate(target)
+    p, source = a.degree, stack_rows(a.live)
+    # each target's terms with a live source: (sign, axis, source, its
+    # stack rows, its live internal components)
+    plan = [[(m % 2, mu, s, slice(rows[0], rows[-1] + 1),
+              np.flatnonzero(a.live[s]))
+             for m, mu in enumerate(target)
              for s in [_INDEX[p][target[:m] + target[m + 1:]]]
-             if a._moves(mu) and a.live[s].any()]
+             for rows in [source[s][a.live[s]]] if a._moves(mu) and len(rows)]
             for target in LAMBDA_BASES[p + 1]]
-    live = np.array([np.any([a.live[s] for *_, s in terms], axis=0)
+    live = np.array([np.any([a.live[s] for *_, s, _, _ in terms], axis=0)
                      if terms else np.zeros_like(a.live[0])
                      for terms in plan])
     extents = a.stack.shape[1:]
     out, rows = np.empty((int(live.sum()),) + extents), stack_rows(live)
     for k, terms in enumerate(plan):
         done = np.zeros(live.shape[1], dtype=bool)
-        for odd, mu, s in terms:
-            comps = np.flatnonzero(a.live[s])
+        for odd, mu, s, src, comps in terms:
             dst, first = rows[k, comps], ~done[comps]
-            direct = first.all() and dst[-1] - dst[0] == len(dst) - 1
-            term = (out[dst[0]:dst[-1] + 1] if direct
-                    else np.empty((len(comps),) + extents))
-            a._derivative(s, mu, term)
-            for r, row, new in zip(dst, term, first):
-                if not new:
-                    (np.subtract if odd else np.add)(out[r], row,
-                                                     out=out[r])
-                elif odd or not direct:
-                    (np.negative if odd else np.positive)(row, out=out[r])
+            block = (slice(dst[0], dst[-1] + 1)
+                     if dst[-1] - dst[0] == len(dst) - 1 else None)
+            if block is not None and first.all():
+                a._derivative(s, src, mu, out[block])
+                if odd:
+                    np.negative(out[block], out=out[block])
+            else:
+                term = np.empty((len(comps),) + extents)
+                a._derivative(s, src, mu, term)
+                add = np.subtract if odd else np.add
+                if block is not None and not first.any():
+                    add(out[block], term, out=out[block])
+                else:
+                    for r, row, new in zip(dst, term, first):
+                        if new:
+                            (np.negative if odd else np.positive)(
+                                row, out=out[r])
+                        else:
+                            add(out[r], row, out=out[r])
             done[comps] = True
     return FormField(a.grid, p + 1, a.internal, stack=out, _live=live)
 

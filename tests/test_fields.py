@@ -303,6 +303,24 @@ def test_ext_d_matches_accumulated_reference_bit_for_bit(p, k, extents,
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_ext_d_of_partly_dead_fields_matches_the_reference(p, k):
+    # with dead components a target's terms cover different internal
+    # components, so some are first written by a later term, and a
+    # target's components need not be adjacent rows of the result
+    rng = np.random.default_rng(400 + 10 * p + k)
+    grid = Grid4(2.0, 9)
+    for extents in [(9, 9, 9, 9), (1, 9, 9, 9)] * 3:
+        data = rng.normal(size=(len(LAMBDA_BASES[p]), F.INTERNAL_DIMS[k])
+                          + extents)
+        data[rng.random(data.shape[:2]) < 0.5] = 0.0
+        a = F.FormField(grid, p, k, data)
+        got, want = F.ext_d(a), accumulated_ext_d(a)
+        assert np.array_equal(got.data, want)
+        assert not np.any(F.live_components(want) & ~got.live)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_ring_slices_match_whole_fields_bit_for_bit(p):
     # ext_d of a RingSlice and wedge on one-slice windows give the t slices
     # of the whole-field results
