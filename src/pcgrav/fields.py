@@ -26,9 +26,10 @@ slices around, so ``ext_d`` refuses a window field unless it is a
 the stencils of the grid.  The Leibniz ladder streams t this way, and so
 do the boost residuals of static fields in ``scenarios`` and, in radius
 mode "4d", every coupling term.
-``wedge`` and ``ext_d`` allocate their own results, keep no state between
-calls and run in the calling thread, in one fixed order of operations, so
-results are the same bits whichever thread calls them.  ``cov_d`` and
+``wedge`` and ``ext_d`` allocate their own results and run in the calling
+thread, in one fixed order of operations; the only state they keep between
+calls is ``wedge``'s cache of products per pair of live sets, a function
+of its key.  So results are the same bits whichever thread calls them.  ``cov_d`` and
 ``curvature`` sum into the stack of a term that has every live component
 of the sum, else into a new one.
 """
@@ -457,6 +458,7 @@ def ext_d(a: FormField) -> FormField:
                      for terms in plan])
     extents = a.stack.shape[1:]
     out, rows = np.empty((int(live.sum()),) + extents), stack_rows(live)
+    buf = np.empty((live.shape[1],) + extents)
     for k, terms in enumerate(plan):
         done = np.zeros(live.shape[1], dtype=bool)
         for odd, mu, s, src, comps in terms:
@@ -468,7 +470,7 @@ def ext_d(a: FormField) -> FormField:
                 if odd:
                     np.negative(out[block], out=out[block])
             else:
-                term = np.empty((len(comps),) + extents)
+                term = buf[:len(comps)]
                 a._derivative(s, src, mu, term)
                 add = np.subtract if odd else np.add
                 if block is not None and not first.any():
