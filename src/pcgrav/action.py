@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import LAMBDA_BASES
-from .fields import (FormField, _sum, check_nondegenerate, cov_d, curvature,
+from .fields import (FormField, check_nondegenerate, cov_d, curvature,
                      integrate, trace4, wedge)
 from .grid import Grid4, restrict
 from .symmetry import CutoffFunction, PoincareElement, symmetry_residual
@@ -52,7 +52,7 @@ def einstein_residual(e: FormField, omega: FormField, lam: float):
     """e^F + (Lambda/6) e^e^e and its max-norm outside the ball."""
     residual = wedge(e, curvature(omega))
     if lam != 0.0:
-        residual = _sum(residual, wedge(wedge(e, e), e), lam / 6.0)
+        residual = residual + (lam / 6.0) * wedge(wedge(e, e), e)
     return residual, residual.region_norm()
 
 
