@@ -34,7 +34,7 @@ from .action import (EquivariantTestForm, action_pc,       # noqa: F401
                      equivariant_coupling, extra_eom_term,
                      standard_test_form, torsion_residual)
 from .symmetry import (CutoffFunction, PoincareElement,   # noqa: F401
-                       generated_vector_field, killing_residual,
+                       generated_vector_field, lie_derivative_metric,
                        symmetry_residual)
 from .mass import (adm_energy, komar_mass,                # noqa: F401
                    positivity_check, sphere_quadrature)

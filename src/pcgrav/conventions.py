@@ -65,29 +65,6 @@ def lorentz_generator(a: int, b: int) -> np.ndarray:
 J_MATS = np.stack([lorentz_generator(a, b) for a, b in LAMBDA2])
 
 
-def _so31_structure() -> np.ndarray:
-    """f[p][q][s] with [J_p, J_q] = sum_s f[p][q][s] J_s (exact integers)."""
-    f = np.zeros((6, 6, 6), dtype=np.int64)
-    for p, (a, b) in enumerate(LAMBDA2):
-        for q, (c, d) in enumerate(LAMBDA2):
-            # [J_ab, J_cd] = eta_bc J_ad - eta_bd J_ac - eta_ac J_bd + eta_ad J_bc
-            for coeff, (x, y) in (
-                (ETA_DIAG[b] if b == c else 0, (a, d)),
-                (-ETA_DIAG[b] if b == d else 0, (a, c)),
-                (-ETA_DIAG[a] if a == c else 0, (b, d)),
-                (ETA_DIAG[a] if a == d else 0, (b, c)),
-            ):
-                if coeff == 0 or x == y:
-                    continue
-                if x < y:
-                    f[p, q, PAIR_INDEX[(x, y)]] += coeff
-                else:
-                    f[p, q, PAIR_INDEX[(y, x)]] -= coeff
-    return f
-
-
-SO31_STRUCTURE = _so31_structure()
-
 # Action of Lambda^2 V = so(3,1) on Lambda^k V, as matrices in the
 # increasing-multi-index bases: (RHO[k][p])[i, j] is the coefficient of
 # basis element j in J_p . (basis element i).
@@ -114,6 +91,10 @@ def _rho_on_lambda(k: int) -> np.ndarray:
 
 
 RHO_ON_LAMBDA = {k: _rho_on_lambda(k) for k in (1, 2, 3, 4)}
+
+# so(3,1) structure constants, [J_p, J_q] = sum_s f[p][q][s] J_s: the
+# adjoint action is the action on Lambda^2 V.
+SO31_STRUCTURE = RHO_ON_LAMBDA[2]
 
 # Poincare generator names, in basis order used everywhere.
 TRANSLATION_NAMES = ("P0", "P1", "P2", "P3")

@@ -11,8 +11,13 @@ Every axiom check works on sparse vectors ``{k: c}`` with no zero
 coefficients, so two vectors are equal exactly when their dicts are: a
 map is its sparse rows ``{i: f(b_i)}`` (a dense matrix is read into them
 once), and a vector's image is the sum of its coefficients times those
-rows.  One helper checks graded derivations, for ``d`` (Leibniz) and for
-each ``alpha(x)`` of an action map.
+rows.  Two kernels, the Jacobiator of a basis triple and the Leibniz
+defect of ``d`` on a basis pair, check every Jacobi and Leibniz axiom.
+
+An action of g on h is its sum dgla g (+) h: the action axioms are the
+sum's axioms on mixed basis triples (:func:`check_action_map`), and
+:func:`extract_action_map` accepts a structure only if it is the sum of
+the action it reads off.
 """
 
 from __future__ import annotations
@@ -197,6 +202,23 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _jacobiator(a: GradedLieAlgebra, i: int, j: int, k: int) -> dict:
+    """[b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - (-1)^{|i||j|} [b_j,[b_i,b_k]]."""
+    acc = _bracket(a, {i: ONE}, a.bracket_basis(j, k))
+    _add(acc, _bracket(a, a.bracket_basis(i, j), {k: ONE}), -1)
+    return _add(acc, _bracket(a, {j: ONE}, a.bracket_basis(i, k)),
+                -_sign(a.basis.degrees[i] * a.basis.degrees[j]))
+
+
+def _leibniz(d: Dgla, i: int, j: int) -> dict:
+    """d[b_i,b_j] - [d b_i,b_j] - (-1)^{|i|} [b_i,d b_j]."""
+    a, rows = d.algebra, d.differential.rows
+    acc = _image(a.bracket_basis(i, j), rows)
+    _add(acc, _bracket(a, rows.get(i, {}), {j: ONE}), -1)
+    return _add(acc, _bracket(a, {i: ONE}, rows.get(j, {})),
+                -_sign(a.basis.degrees[i]))
+
+
 def check_graded_lie(a: GradedLieAlgebra) -> list:
     """Violations of bracket degree, graded antisymmetry, graded Jacobi."""
     violations = []
@@ -238,35 +260,10 @@ def check_graded_lie(a: GradedLieAlgebra) -> list:
     else:
         triples = ((i, j, k) for i in range(dim)
                    for j in range(dim) for k in range(dim))
-    for i, j, k in triples:
-        # [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - (-1)^{|i||j|} [b_j,[b_i,b_k]]
-        acc = _bracket(a, {i: ONE}, a.bracket_basis(j, k))
-        _add(acc, _bracket(a, a.bracket_basis(i, j), {k: ONE}), -1)
-        _add(acc, _bracket(a, {j: ONE}, a.bracket_basis(i, k)),
-             -_sign(deg[i] * deg[j]))
-        if acc:
-            violations.append(Violation(
-                "jacobi", (labels[i], labels[j], labels[k]),
-                "graded Jacobi identity fails"))
+    violations += [Violation("jacobi", (labels[i], labels[j], labels[k]),
+                             "graded Jacobi identity fails")
+                   for i, j, k in triples if _jacobiator(a, i, j, k)]
     return violations
-
-
-def _derivation_failures(rows, degree: int, a: GradedLieAlgebra) -> list:
-    """Basis pairs (m, n) where f[x,y] != [fx,y] + (-1)^{|f||x|} [x,fy].
-
-    ``rows`` are the sparse images ``f(b_i)`` of the basis of ``a``, and
-    ``degree`` is |f|.
-    """
-    deg = a.basis.degrees
-    failures = []
-    for m in range(a.dim):
-        s = _sign(degree * deg[m])
-        for n in range(a.dim):
-            rhs = _bracket(a, rows.get(m, {}), {n: ONE})
-            _add(rhs, _bracket(a, {m: ONE}, rows.get(n, {})), s)
-            if _image(a.bracket_basis(m, n), rows) != rhs:
-                failures.append((m, n))
-    return failures
 
 
 def check_dgla(d: Dgla) -> AxiomReport:
@@ -291,10 +288,10 @@ def check_dgla(d: Dgla) -> AxiomReport:
             violations.append(Violation(
                 "d-squared", (labels[i],), "d(d(b)) != 0"))
 
-    for i, j in _derivation_failures(rows, 1, a):
-        violations.append(Violation(
-            "leibniz", (labels[i], labels[j]),
-            "d[x,y] != [dx,y] + (-1)^|x| [x,dy]"))
+    violations += [Violation("leibniz", (labels[i], labels[j]),
+                             "d[x,y] != [dx,y] + (-1)^|x| [x,dy]")
+                   for i in range(dim) for j in range(dim)
+                   if _leibniz(d, i, j)]
     return AxiomReport("dgla axioms", tuple(violations))
 
 
@@ -361,53 +358,31 @@ def zero_action(actor: Dgla, module: Dgla) -> ActionMap:
 
 
 def check_action_map(alpha: ActionMap) -> AxiomReport:
-    violations = []
-    g, h = alpha.actor, alpha.module
-    glab, gdeg = g.basis.labels, g.basis.degrees
-    hdeg = h.basis.degrees
-    maps = [_sparse_rows(m) for m in alpha.matrices]
-
-    for i in range(g.dim):
-        di = gdeg[i]
-        for j, row in maps[i].items():
-            if any(hdeg[k] != hdeg[j] + di for k in row):
-                violations.append(Violation(
-                    "action-degree", (glab[i],),
-                    f"alpha({glab[i]}) is not homogeneous of degree {di}"))
-
-    def is_commutator(row, f, f2, s):
-        """alpha(sum_k c b_k) for sparse ``row`` {k: c} equals the graded
-        commutator f f2 - s f2 f of the sparse-row maps f and f2."""
-        for m in range(h.dim):
-            lhs = _image(row, {k: maps[k].get(m, {}) for k in row})
-            rhs = _image(f2.get(m, {}), f)
-            _add(rhs, _image(f.get(m, {}), f2), -s)
-            if lhs != rhs:
-                return False
-        return True
-
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if not is_commutator(g.algebra.bracket_basis(i, j),
-                                 maps[i], maps[j], _sign(gdeg[i] * gdeg[j])):
-                violations.append(Violation(
-                    "action-bracket", (glab[i], glab[j]),
-                    "alpha[x,y] != alpha(x)alpha(y) "
-                    "- (-1)^{|x||y|} alpha(y)alpha(x)"))
-
-    for i in range(g.dim):
-        if not is_commutator(g.differential.of_basis(i), h.differential.rows,
-                             maps[i], _sign(gdeg[i])):
-            violations.append(Violation(
-                "action-differential", (glab[i],),
-                "alpha(dx) != [d_h, alpha(x)]"))
-
-    for i in range(g.dim):
-        for m, n in _derivation_failures(maps[i], gdeg[i], h.algebra):
-            violations.append(Violation(
-                "action-derivation",
-                (glab[i], h.basis.labels[m], h.basis.labels[n]),
-                "alpha(x) is not a graded derivation of [-,-]_h"))
+    """The action axioms, as the axioms of the sum dgla g (+) h on mixed
+    basis triples (x, y in g; v, w in h): bracket degree on (x, w) is the
+    degree of alpha(x), Jacobi on (x, y, w) makes alpha a Lie map, Leibniz
+    on (x, w) makes it commute with the differentials, and Jacobi on
+    (x, v, w) makes alpha(x) a graded derivation of h."""
+    total = _action_sum(alpha).total
+    a, deg = total.algebra, total.basis.degrees
+    lab = alpha.actor.basis.labels + alpha.module.basis.labels
+    g, h = range(alpha.actor.dim), range(alpha.actor.dim, total.dim)
+    violations = [Violation(
+        "action-degree", (lab[x],),
+        f"alpha({lab[x]}) is not homogeneous of degree {deg[x]}")
+        for x in g for w in h
+        if any(deg[k] != deg[x] + deg[w] for k in a.bracket_basis(x, w))]
+    violations += [Violation(
+        "action-bracket", (lab[x], lab[y]),
+        "alpha[x,y] != alpha(x)alpha(y) - (-1)^{|x||y|} alpha(y)alpha(x)")
+        for x in g for y in g if any(_jacobiator(a, x, y, w) for w in h)]
+    violations += [Violation("action-differential", (lab[x],),
+                             "alpha(dx) != [d_h, alpha(x)]")
+                   for x in g if any(_leibniz(total, x, w) for w in h)]
+    violations += [Violation("action-derivation", (lab[x], lab[v], lab[w]),
+                             "alpha(x) is not a graded derivation of [-,-]_h")
+                   for x in g for v in h for w in h
+                   if _jacobiator(a, x, v, w)]
     return AxiomReport("action map", tuple(violations))
 
 
@@ -470,6 +445,15 @@ def _sum_structure(g: Dgla, h: Dgla, cross,
         project=DglaMorphism(total, g, proj))
 
 
+def _action_sum(alpha: ActionMap,
+                plus_variant: bool = False) -> ActionStructure:
+    """g (+) h with the cross brackets of ``alpha``, unchecked."""
+    def cross(i, j):
+        return {k: c for k, c in enumerate(alpha.matrices[i][j]) if c != 0}
+
+    return _sum_structure(alpha.actor, alpha.module, cross, plus_variant)
+
+
 def build_action_dgla(alpha: ActionMap,
                       plus_variant: bool = False) -> ActionStructure:
     """Semidirect-sum dgla on g (+) h from an action map.
@@ -477,29 +461,27 @@ def build_action_dgla(alpha: ActionMap,
     Cross bracket: [[(X,0),(0,w)]] = (0, alpha(X) w), extended to the other
     orientation by graded antisymmetry, i.e. the v-term in
     [[(X,v),(Y,w)]] carries -(-1)^{|X||Y|} alpha(Y)(v).  The sum is
-    checked with :func:`check_dgla`; the passing report is kept as
-    ``total_report``.
+    checked once with :func:`check_dgla`, which covers the action axioms
+    (:func:`check_action_map`); the passing report is kept as
+    ``total_report``.  A failing sum raises a StructureError naming the
+    first action violation if alpha has one, else the sum's first.
 
     ``plus_variant=True`` instead uses +alpha(Y)(v) in both orientations
     (a symmetric cross term).  The result is *not* a Lie bracket whenever
     alpha != 0; it is kept only so the axiom checker can exhibit the
-    antisymmetry witness.  No self-check is run for the variant.
+    antisymmetry witness.  Only alpha is checked for the variant.
     """
-    report = check_action_map(alpha)
-    if not report.passed:
-        raise StructureError(f"invalid action map: {report.violations[0]}")
-
-    def cross(i, j):
-        return {k: c for k, c in enumerate(alpha.matrices[i][j]) if c != 0}
-
-    structure = _sum_structure(alpha.actor, alpha.module, cross, plus_variant)
+    structure = _action_sum(alpha, plus_variant)
+    report = None if plus_variant else check_dgla(structure.total)
+    if report and report.passed:
+        return replace(structure, total_report=report)
+    action = check_action_map(alpha)
+    if not action.passed:
+        raise StructureError(f"invalid action map: {action.violations[0]}")
     if plus_variant:
         return structure
-    report = check_dgla(structure.total)
-    if not report.passed:
-        raise StructureError(
-            f"constructed sum fails dgla axioms: {report.violations[0]}")
-    return replace(structure, total_report=report)
+    raise StructureError(
+        f"constructed sum fails dgla axioms: {report.violations[0]}")
 
 
 def adjoint_action(g: Dgla) -> ActionStructure:
@@ -541,41 +523,33 @@ def check_exactness(s: ActionStructure) -> AxiomReport:
 
 
 def extract_action_map(s: ActionStructure) -> ActionMap:
-    """Recover alpha(X)(w) as the h-part of [[(X,0),(0,w)]].
+    """Read alpha(X)(w) off the h-part of [[(X,0),(0,w)]], and accept it
+    only if ``s.total`` is the sum that alpha builds.
 
-    Requires the canonical section g -> total (the leading g-block) to be a
-    subalgebra embedding and the cross brackets to land in image(inject);
-    otherwise the structure does not come from an action and a
-    StructureError names the witness.
+    ``s`` must pass :func:`check_exactness`.  The first bracket or
+    differential entry of ``s.total`` that differs from that sum (an h
+    part in the g block, a g part in a cross bracket, a (h, g) orientation
+    that is not graded antisymmetric, a differential between the blocks)
+    raises a StructureError naming its basis labels.
     """
     report = check_exactness(s)
     if not report.passed:
         raise StructureError(f"not an exact action structure: "
                              f"{report.violations[0]}")
-    g, h, total = s.actor, s.module, s.total
-    ng, nh = g.dim, h.dim
-
-    for i in range(ng):
-        for j in range(ng):
-            row = total.algebra.bracket_basis(i, j)
-            expected = g.algebra.bracket_basis(i, j)
-            if {k: c for k, c in row.items() if k < ng} != expected or \
-                    any(k >= ng and c != 0 for k, c in row.items()):
+    total, ng, nh = s.total, s.actor.dim, s.module.dim
+    alpha = ActionMap(s.actor, s.module, tuple(
+        [[total.algebra.structure_constant(i, ng + j, ng + k)
+          for k in range(nh)] for j in range(nh)] for i in range(ng)))
+    rebuilt = _action_sum(alpha).total
+    for kind, got, want in (
+            ("bracket", total.algebra.brackets, rebuilt.algebra.brackets),
+            ("differential",
+             {(i,): row for i, row in total.differential.rows.items()},
+             {(i,): row for i, row in rebuilt.differential.rows.items()})):
+        for key in sorted(set(got) | set(want)):
+            if got.get(key) != want.get(key):
                 raise StructureError(
-                    "section of g is not a subalgebra: bracket "
-                    f"({g.basis.labels[i]}, {g.basis.labels[j]}) "
-                    "leaves the g block")
-
-    matrices = []
-    for i in range(ng):
-        m = exact.zeros(nh, nh)
-        for j in range(nh):
-            row = total.algebra.bracket_basis(i, ng + j)
-            if any(k < ng and c != 0 for k, c in row.items()):
-                raise StructureError(
-                    "cross bracket has a g component; "
-                    "structure is not an action")
-            for k, c in row.items():
-                m[j][k - ng] = c
-        matrices.append(m)
-    return ActionMap(g, h, tuple(matrices))
+                    f"not the sum of an action: {kind} at "
+                    f"{tuple(total.basis.labels[i] for i in key)} differs "
+                    "from the sum of the action read off its cross brackets")
+    return alpha

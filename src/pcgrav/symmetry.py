@@ -291,12 +291,3 @@ def lie_derivative_metric(g: MetricField, x: PoincareElement,
         ((mu, nu), 1, value, (mu, lam))
         for lam, nu, value in entries for mu in range(4)])
     return MetricField(g.grid, stack=stack, _live=live)
-
-
-def killing_residual(g: MetricField, x: PoincareElement,
-                     derivatives: dict = None):
-    """(L_xi g)_{mu nu} as dense samples and its max-norm outside the
-    grid's excised ball, which reads only what the transport and rotation
-    terms write (:func:`lie_derivative_metric`)."""
-    lg = lie_derivative_metric(g, x, derivatives)
-    return lg.data, lg.region_norm()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from pcgrav.algebras import (abelian, closure_check, dgla_from_json,
 from pcgrav.conventions import ETA_DIAG, LAMBDA2, lorentz_generator
 from pcgrav.graded import (ActionMap, Dgla, DglaMorphism, Differential,
                            GradedBasis, GradedLieAlgebra, StructureError,
-                           adjoint_action, build_action_dgla,
+                           _action_sum, adjoint_action, build_action_dgla,
                            check_action_map, check_dgla, check_exactness,
                            check_morphism, extract_action_map, zero_action)
 
@@ -231,10 +232,12 @@ def test_adjoint_action_so3_recovers_ad():
 
 
 def test_build_after_extract_reproduces_adjoint_structure():
-    s = adjoint_action(so3())
-    rebuilt = build_action_dgla(extract_action_map(s))
-    assert rebuilt.total.algebra.brackets == s.total.algebra.brackets
-    assert rebuilt.total.differential.rows == s.total.differential.rows
+    for d in (so3(), poincare_dgla(), tensor_dgla(SOLVABLE, 1),
+              tensor_dgla(SOLVABLE, -1)):
+        s = adjoint_action(d)
+        rebuilt = build_action_dgla(extract_action_map(s))
+        assert rebuilt.total.algebra.brackets == s.total.algebra.brackets
+        assert rebuilt.total.differential.rows == s.total.differential.rows
 
 
 def test_adjoint_action_abelian_is_abelian():
@@ -258,6 +261,58 @@ def test_adjoint_action_with_differential_passes():
     assert check_exactness(s).passed
 
 
+def with_total(s, brackets=None, rows=None):
+    """``s`` with its total's brackets or differential replaced, and its
+    inject and project maps reading the new total."""
+    total = Dgla(GradedLieAlgebra(
+        s.total.basis,
+        s.total.algebra.brackets if brackets is None else brackets),
+        Differential(s.total.differential.rows if rows is None else rows))
+    return replace(s, total=total, inject=replace(s.inject, target=total),
+                   project=replace(s.project, source=total))
+
+
+def test_extract_refuses_a_differential_from_g_into_h():
+    # d(g.x) = h.u keeps every dgla axiom and the exact sequence, but no
+    # action's sum has it: its differential is d_g (+) d_h
+    h = Dgla(GradedLieAlgebra(GradedBasis(("u",), (1,)), {}))
+    s = with_total(build_action_dgla(zero_action(abelian(("x",)), h)),
+                   rows={0: {1: Q(1)}})
+    assert check_dgla(s.total).passed and check_exactness(s).passed
+    with pytest.raises(StructureError, match=re.escape(
+            "differential at ('g.x',)")):
+        extract_action_map(s)
+
+
+def test_extract_refuses_the_plus_variant():
+    s = build_action_dgla(vector_representation_so3(), plus_variant=True)
+    assert check_exactness(s).passed
+    with pytest.raises(StructureError, match=re.escape(
+            "not the sum of an action: bracket at ('h.e1', 'g.L2')")):
+        extract_action_map(s)
+
+
+def test_extract_refuses_a_g_bracket_with_an_h_part():
+    s = build_action_dgla(vector_representation_so3())
+    brackets = {key: dict(row) for key, row in s.total.algebra.brackets.items()}
+    brackets[(0, 1)][3] = Q(1)  # [g.L1, g.L2] = g.L3 + h.e1
+    s = with_total(s, brackets=brackets)
+    assert check_exactness(s).passed
+    with pytest.raises(StructureError, match=re.escape(
+            "bracket at ('g.L1', 'g.L2')")):
+        extract_action_map(s)
+
+
+def test_extract_refuses_a_cross_bracket_with_a_g_part():
+    # project kills h, so the exact sequence already names it
+    s = build_action_dgla(vector_representation_so3())
+    brackets = {key: dict(row) for key, row in s.total.algebra.brackets.items()}
+    brackets[(0, 4)][0] = Q(1)  # [g.L1, h.e2] = h.e3 + g.L1
+    with pytest.raises(StructureError, match=re.escape(
+            "project-morphism-bracket at ('g.L1', 'h.e2')")):
+        extract_action_map(with_total(s, brackets=brackets))
+
+
 def test_invalid_action_map_is_rejected_by_name():
     g, h = so3(), abelian(("e1", "e2", "e3"))
     mats = list(vector_representation_so3().matrices)
@@ -277,14 +332,14 @@ def broken_leibniz_report():
     return check_dgla(Dgla(alg, Differential({0: {1: Q(1)}})))
 
 
-def negated_vector_representation_report():
+def negated_vector_representation():
     alpha = vector_representation_so3()
     mats = [[row[:] for row in m] for m in alpha.matrices]
     mats[0][1][2] = -mats[0][1][2]
-    return check_action_map(ActionMap(alpha.actor, alpha.module, tuple(mats)))
+    return ActionMap(alpha.actor, alpha.module, tuple(mats))
 
 
-def noncommuting_differential_report():
+def noncommuting_differential_action():
     # so(3) rotates e1..e3 and fixes f; d e1 = f does not commute with that
     h = Dgla(GradedLieAlgebra(GradedBasis(("e1", "e2", "e3", "f"),
                                           (0, 0, 0, 1)), {}),
@@ -295,19 +350,38 @@ def noncommuting_differential_report():
         for j in range(3):
             big[j][:3] = m[j]
         mats.append(big)
-    return check_action_map(ActionMap(so3(), h, tuple(mats)))
+    return ActionMap(so3(), h, tuple(mats))
+
+
+def mixed_degree_action():
+    h = Dgla(GradedLieAlgebra(GradedBasis(("u", "v"), (0, 1)), {}))
+    return ActionMap(abelian(("x",)), h, ([[Q(0), Q(1)], [Q(0), Q(0)]],))
+
+
+def identity_on_so3_action():
+    # the identity map is not a derivation of a nonzero bracket
+    return ActionMap(abelian(("x",)), so3(), (exact.identity(3),))
+
+
+FAILING_ACTIONS = (negated_vector_representation,
+                   noncommuting_differential_action, mixed_degree_action,
+                   identity_on_so3_action)
+
+
+def negated_vector_representation_report():
+    return check_action_map(negated_vector_representation())
+
+
+def noncommuting_differential_report():
+    return check_action_map(noncommuting_differential_action())
 
 
 def mixed_degree_report():
-    h = Dgla(GradedLieAlgebra(GradedBasis(("u", "v"), (0, 1)), {}))
-    return check_action_map(ActionMap(abelian(("x",)), h,
-                                      ([[Q(0), Q(1)], [Q(0), Q(0)]],)))
+    return check_action_map(mixed_degree_action())
 
 
 def identity_on_so3_report():
-    # the identity map is not a derivation of a nonzero bracket
-    return check_action_map(ActionMap(abelian(("x",)), so3(),
-                                      (exact.identity(3),)))
+    return check_action_map(identity_on_so3_action())
 
 
 def plus_variant_report():
@@ -376,6 +450,27 @@ dgla axioms: 18 violation(s)
 def test_failing_report_text_is_pinned(kind):
     build, expected = PINNED_REPORTS[kind]
     assert str(build()) == expected
+
+
+def assert_sum_pass_names_the_action_violation(alpha):
+    """Where ``alpha`` fails its axioms, its sum fails the dgla axioms, so
+    build_action_dgla's one check_dgla pass rejects it, naming the first
+    action violation."""
+    report = check_action_map(alpha)
+    if report.passed:
+        return
+    assert not check_dgla(_action_sum(alpha).total).passed
+    with pytest.raises(StructureError) as raised:
+        build_action_dgla(alpha)
+    assert str(raised.value) == f"invalid action map: {report.violations[0]}"
+
+
+@pytest.mark.parametrize("build", FAILING_ACTIONS,
+                         ids=lambda build: build.__name__)
+def test_one_sum_pass_rejects_each_pinned_failing_action(build):
+    alpha = build()
+    assert not check_action_map(alpha).passed
+    assert_sum_pass_names_the_action_violation(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +932,7 @@ def test_sparse_checks_match_a_dense_reference():
             mats[i] = perturbed(rng, mats[i])
             bent = ActionMap(d, d, tuple(mats))
             agree(str(check_action_map(bent)), reference_action_text(bent))
+            assert_sum_pass_names_the_action_violation(bent)
             phi = DglaMorphism(d, d, perturbed(rng, exact.identity(d.dim)))
             agree([str(v) for v in check_morphism(phi)],
                   reference_morphism_lines(phi))

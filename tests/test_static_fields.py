@@ -25,9 +25,8 @@ from pcgrav.scenarios import (Scenario, _generator_norms, _killing_norms, _on,
                               _sweep, load_scenario, pc_study, run_scenario,
                               scenario_from_dict)
 from pcgrav.symmetry import (CutoffFunction, PoincareElement, axis_derivatives,
-                             killing_residual, lie_derivative_metric,
-                             poincare_generators, symmetry_residual,
-                             t_windows)
+                             lie_derivative_metric, poincare_generators,
+                             symmetry_residual, t_windows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BOOSTS = [PoincareElement.from_name(f"K{i}") for i in (1, 2, 3)]
@@ -72,8 +71,8 @@ def residual_fields(e, omega, g, cutoff):
         out.append((f"symmetry {gen.name}", xe.data, xe.region_norm()))
         term, norm = extra_eom_term(e, form, gen)
         out.append((f"coupling {gen.name}", term.data, norm))
-        lg, norm = killing_residual(g, gen)
-        out.append((f"killing {gen.name}", lg, norm))
+        lg = lie_derivative_metric(g, gen)
+        out.append((f"killing {gen.name}", lg.data, lg.region_norm()))
     return out
 
 
@@ -198,7 +197,7 @@ def test_streamed_norms_equal_whole_grid_norms(monkeypatch, n, mode, nan):
     for gen in poincare_generators():
         xe = symmetry_residual(e, gen)
         whole = [xe.region_norm(), extra_eom_term(e, form, gen)[1],
-                 killing_residual(g, gen)[1]]
+                 lie_derivative_metric(g, gen).region_norm()]
         got = [raw["sym"][gen.name][0], raw["extra"][gen.name][0],
                raw["killing"][gen.name]]
         assert np.array_equal(got, whole, equal_nan=True), (gen.name, got,
@@ -429,7 +428,8 @@ def every_slice_norms(e, g, gen, form):
         xe = symmetry_residual(_on(e, where), gen, de)
         rows.append([xe.region_norm(),
                      wedge(xe, _on(factor, where)).region_norm(),
-                     killing_residual(_on(g, where), gen, dg)[1]])
+                     lie_derivative_metric(_on(g, where), gen,
+                                           dg).region_norm()])
     return np.array(rows)
 
 
@@ -564,7 +564,8 @@ def reference_killing_norms(g, gens):
     for gen in gens:
         rows = []
         for where in t_windows(g.data, gen, g.grid):
-            out = killing_residual(_on(g, where), gen, derivatives)[0]
+            out = lie_derivative_metric(_on(g, where), gen,
+                                        derivatives).data
             rows.append(grid_module.region_max(
                 out.reshape((-1,) + out.shape[2:]), where))
         norms[gen.name] = float(np.max(rows))
@@ -623,7 +624,8 @@ def test_written_live_sets_cover_the_data_and_the_killing_norm():
             for where in [grid, *t_windows(e.data, gen, grid)]:
                 with np.errstate(invalid="ignore"):
                     xe = symmetry_residual(_on(e, where), gen)
-                    out, norm = killing_residual(_on(g, where), gen)
+                    lg = lie_derivative_metric(_on(g, where), gen)
+                    out, norm = lg.data, lg.region_norm()
                 assert not np.any(live_components(xe.data) & ~xe.live)
                 full = grid_module.region_max(
                     out.reshape((-1,) + out.shape[2:]), where)

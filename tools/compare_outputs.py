@@ -12,12 +12,14 @@ of the four shipped scenario documents, in both radius modes: 72 runs.
 Then the algebra commands: ``algebra check`` on ``so3.json``, ``r3.json``
 and ``poincare_algebra.json`` and on a failing so(3) document, and
 ``algebra action`` on ``so3_vector_action.json``, on the Poincare adjoint
-action and on a rejected so(3) action: 79 runs a side.  The failing,
-adjoint and rejected documents are written into each working directory's
-``generated`` from the shipped ones.  A run imports pcgrav from its
-checkout's ``src`` under ``python -W ignore``, in a fresh working
-directory where ``scenarios`` links to the checkout's, so both sides pass
-the same argv.
+action, on a rejected so(3) action and on an empty action of the failing
+so(3), which passes the action axioms while its sum fails: 80 runs a
+side, so both of ``build_action_dgla``'s rejection messages are compared.
+The failing, adjoint, rejected and empty documents are written into each
+working directory's ``generated`` from the shipped ones.  A run imports
+pcgrav from its checkout's ``src`` under ``python -W ignore``, in a fresh
+working directory where ``scenarios`` links to the checkout's, so both
+sides pass the same argv.
 
 Exit codes, stdout, stderr, CSV tables and report files must agree byte
 for byte; a report's manifest ``timestamp`` is left out.  Each run that
@@ -67,6 +69,9 @@ ALGEBRA_RUNS = {
         "action", POINCARE, POINCARE, "generated/poincare_adjoint.json"),
     "algebra_action_rejected_so3": ("action", SO3, R3,
                                     "generated/rejected_so3_action.json"),
+    "algebra_action_empty_on_failing_so3": (
+        "action", "generated/failing_so3.json", R3,
+        "generated/empty_action.json"),
 }
 
 
@@ -87,8 +92,8 @@ def runs():
 def write_generated(work: Path):
     """The documents of the algebra runs that no checkout ships: the
     Poincare adjoint action, alpha(x)(y) = [x, y] read off the bracket
-    table; so(3) with [L1, L2] doubled (one orientation only); and the
-    vector action with one entry doubled."""
+    table; so(3) with [L1, L2] doubled (one orientation only); the vector
+    action with one entry doubled; and the empty action."""
     def shipped(name):
         return json.loads((work / "scenarios" / name).read_text())
 
@@ -104,7 +109,8 @@ def write_generated(work: Path):
     (work / "generated").mkdir()
     for name, doc in (("poincare_adjoint.json", adjoint),
                       ("failing_so3.json", failing),
-                      ("rejected_so3_action.json", rejected)):
+                      ("rejected_so3_action.json", rejected),
+                      ("empty_action.json", {"action": []})):
         (work / "generated" / name).write_text(json.dumps(doc, indent=2))
 
 
