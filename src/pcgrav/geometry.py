@@ -145,42 +145,43 @@ class SchwarzschildIsotropic:
                 f"horizon, above 0.55 |M| = {0.55 * abs(self.mass)!r}")
 
     def _regions(self, rho: np.ndarray):
-        """Outside-core mask, rho clamped to the core outside it, and
-        rho^2 zeroed outside it, so neither branch overflows."""
-        outside = rho >= self.core_radius
-        return (outside, np.where(outside, rho, self.core_radius),
-                np.where(outside, 0.0, rho) ** 2)
+        """Core mask, rho clamped to the core radius on the core (so the
+        closed form stays finite at every node), and rho^2 at the core
+        nodes alone, the only nodes that evaluate the polynomial."""
+        core = ~(rho >= self.core_radius)     # a NaN radius is core
+        return core, np.where(core, self.core_radius, rho), rho[core] ** 2
 
     def profiles(self, rho: np.ndarray):
-        """A and B at the spatial radii ``rho``."""
+        """A and B at the spatial radii ``rho``: the closed form at every
+        node, then exp of the core polynomial written into the core nodes."""
         rho = np.asarray(rho, dtype=float)
-        outside, rho_safe, r2 = self._regions(rho)
+        core, rho_safe, r2 = self._regions(rho)
         m = self.mass / (2.0 * rho_safe)
+        a, b = np.asarray((1.0 - m) / (1.0 + m)), np.asarray((1.0 + m) ** 2)
         ca, cb = _core_coefficients(self.mass, self.core_radius)
-        pa = sum(c * r2 ** k for k, c in enumerate(ca))
-        pb = sum(c * r2 ** k for k, c in enumerate(cb))
-        a = np.where(outside, (1.0 - m) / (1.0 + m), np.exp(pa))
-        b = np.where(outside, (1.0 + m) ** 2, np.exp(pb))
+        a[core] = np.exp(sum(c * r2 ** k for k, c in enumerate(ca)))
+        b[core] = np.exp(sum(c * r2 ** k for k, c in enumerate(cb)))
         return a, b
 
     def radial_ratios(self, rho: np.ndarray, a: np.ndarray, b: np.ndarray):
         """(dA/drho)/rho and (dB/drho)/rho, given A and B at ``rho``.
 
         The ratios stay finite on the axis; only the connection reads them.
-        Inside the core dP/drho = P d(ln P)/drho, with ln P the even
+        The closed form is taken at every node; at the core nodes it is
+        overwritten by dP/drho = P d(ln P)/drho, with ln P the even
         polynomial of ``profiles``.
         """
         rho = np.asarray(rho, dtype=float)
-        outside, rho_safe, r2 = self._regions(rho)
+        core, rho_safe, r2 = self._regions(rho)
         m = self.mass / (2.0 * rho_safe)
-        da_out = self.mass / (rho_safe ** 2 * (1.0 + m) ** 2)
-        db_out = -self.mass * (1.0 + m) / rho_safe ** 2
+        da = np.asarray(self.mass / (rho_safe ** 2 * (1.0 + m) ** 2) / rho_safe)
+        db = np.asarray(-self.mass * (1.0 + m) / rho_safe ** 2 / rho_safe)
         ca, cb = _core_coefficients(self.mass, self.core_radius)
         # d/drho of sum c_k rho^(2k), divided by rho: even polynomial again
         dpa = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(ca) if k)
         dpb = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(cb) if k)
-        return (np.where(outside, da_out / rho_safe, a * dpa),
-                np.where(outside, db_out / rho_safe, b * dpb))
+        da[core], db[core] = a[core] * dpa, b[core] * dpb
+        return da, db
 
     def _grid_profiles(self, grid: Grid4):
         rho = grid.radius("spatial")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +47,14 @@ STATIONARITY_TOL = 1e-8       # Komar: Killing residual / max(1, max|g|)
 # Sphere quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def sphere_quadrature():
     """Gauss-Legendre x uniform-azimuth product rule on the unit sphere:
     (directions, cos theta, phi, weights) per node.
 
     Exact for spherical harmonics up to degree min(2 N_THETA - 1,
-    N_PHI - 1); the weights sum to 4 pi.
+    N_PHI - 1); the weights sum to 4 pi.  The rule is built once: every
+    call returns the same read-only arrays.
     """
     c, w = np.polynomial.legendre.leggauss(N_THETA)
     phi = 2.0 * np.pi * np.arange(N_PHI) / N_PHI
@@ -59,7 +62,10 @@ def sphere_quadrature():
     ww = np.repeat(w[:, None], N_PHI, axis=1) * (2.0 * np.pi / N_PHI)
     s = np.sqrt(1.0 - cc ** 2)
     direction = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
-    return direction.reshape(-1, 3), cc.reshape(-1), pp.reshape(-1), ww.reshape(-1)
+    rule = direction.reshape(-1, 3), cc.ravel(), pp.ravel(), ww.ravel()
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def _fsum(values: np.ndarray) -> float:

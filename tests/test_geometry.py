@@ -5,7 +5,8 @@ import pytest
 
 from pcgrav import fields as F
 from pcgrav.conventions import ETA_DIAG, LAMBDA_BASES
-from pcgrav.geometry import SchwarzschildIsotropic, minkowski_tetrad
+from pcgrav.geometry import (SchwarzschildIsotropic, _core_coefficients,
+                             minkowski_tetrad)
 from pcgrav.grid import Grid4
 
 
@@ -121,3 +122,78 @@ def test_kretschmann_profile_on_mid_shell():
     expected = schw.kretschmann(np.broadcast_to(rho, grid.shape)[shell])
     rel = np.abs(k - expected) / expected
     assert rel.max() < 0.02, rel.max()
+
+def _split_by_where(schw, rho, a=None, b=None):
+    """Reference (A, B, A'/rho, B'/rho): both branches at every node, the
+    core polynomial on rho^2 zeroed outside the core, joined by np.where."""
+    rho = np.asarray(rho, dtype=float)
+    outside = rho >= schw.core_radius
+    rho_safe = np.where(outside, rho, schw.core_radius)
+    r2 = np.where(outside, 0.0, rho) ** 2
+    m = schw.mass / (2.0 * rho_safe)
+    ca, cb = _core_coefficients(schw.mass, schw.core_radius)
+    pa = sum(c * r2 ** k for k, c in enumerate(ca))
+    pb = sum(c * r2 ** k for k, c in enumerate(cb))
+    if a is None:
+        a = np.where(outside, (1.0 - m) / (1.0 + m), np.exp(pa))
+        b = np.where(outside, (1.0 + m) ** 2, np.exp(pb))
+    da_out = schw.mass / (rho_safe ** 2 * (1.0 + m) ** 2)
+    db_out = -schw.mass * (1.0 + m) / rho_safe ** 2
+    dpa = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(ca) if k)
+    dpb = sum(2 * k * c * r2 ** (k - 1) for k, c in enumerate(cb) if k)
+    return (a, b, np.where(outside, da_out / rho_safe, a * dpa),
+            np.where(outside, db_out / rho_safe, b * dpb))
+
+
+def _same_bits(got, expected):
+    assert type(got) is type(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# M = 1e3 puts every node of the L = 20 box in the core; M = 0 and M < 0
+# take the default core radius 1
+CHARTS = [SchwarzschildIsotropic(m) for m in (0.0, -0.3, 0.5, 1.0, 2.0, 1e3)]
+CHARTS.append(SchwarzschildIsotropic(0.5, core_radius=0.8))
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+@pytest.mark.parametrize("schw", CHARTS, ids=repr)
+def test_branch_split_is_bit_identical_on_the_grid(schw, n):
+    rho = Grid4(20.0, n).radius("spatial")
+    a, b = schw.profiles(rho)
+    got = (a, b) + schw.radial_ratios(rho, a, b)
+    expected = _split_by_where(schw, rho)
+    core = rho < schw.core_radius
+    assert core.any() and (schw.mass < 1e3 or core.all())
+    for g, e in zip(got, expected):
+        _same_bits(g, e)
+
+
+@pytest.mark.parametrize("schw", CHARTS, ids=repr)
+def test_branch_split_is_bit_identical_through_the_junction(schw):
+    rc = schw.core_radius
+    junction = [np.nextafter(rc, 0.0), rc, np.nextafter(rc, np.inf)]
+    for rho in (np.linspace(0.0, 2.0 * rc, 257),
+                np.array(junction + [rc * (1 - 1e-9), rc * (1 + 1e-9)]),
+                np.linspace(rc, 3.0 * rc, 33),          # no core node
+                np.linspace(0.0, 0.999 * rc, 33)):      # every node core
+        a, b = schw.profiles(rho)
+        got = (a, b) + schw.radial_ratios(rho, a, b)
+        for g, e in zip(got, _split_by_where(schw, rho)):
+            _same_bits(g, e)
+
+
+@pytest.mark.parametrize("rho", [1.0, 3.0])
+def test_scalar_radii_keep_their_types_and_bits(rho):
+    # a 0-d radius inside (1.0) and outside (3.0) the core of M = 1
+    schw = SchwarzschildIsotropic(1.0)
+    a, b = schw.profiles(rho)
+    expected = _split_by_where(schw, rho)
+    for g, e in zip((a, b) + schw.radial_ratios(rho, a, b), expected):
+        assert isinstance(g, np.ndarray) and g.shape == ()
+        _same_bits(g, e)
+    # ratios of given 0-d profiles, as the connection passes them
+    for g, e in zip(schw.radial_ratios(np.float64(rho), a, b),
+                    _split_by_where(schw, rho, a, b)[2:]):
+        _same_bits(g, e)

@@ -23,6 +23,15 @@ def test_quadrature_weights_sum_to_sphere_area():
     assert weights.sum() == pytest.approx(4.0 * np.pi * 9.0, rel=1e-12)
 
 
+def test_quadrature_is_built_once_and_read_only():
+    first, second = sphere_quadrature(), sphere_quadrature()
+    assert all(a is b for a, b in zip(first, second))
+    for array in first:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_quadrature_integrates_low_harmonics_exactly():
     n, _, _, w = sphere_quadrature()
     # moments of the unit sphere: <n_i n_j> = (4 pi / 3) delta_ij

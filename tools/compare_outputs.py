@@ -15,11 +15,19 @@ and ``poincare_algebra.json`` and on a failing so(3) document, and
 action, on a rejected so(3) action and on an empty action of the failing
 so(3), which passes the action axioms while its sum fails: 80 runs a
 side, so both of ``build_action_dgla``'s rejection messages are compared.
-The failing, adjoint, rejected and empty documents are written into each
-working directory's ``generated`` from the shipped ones.  A run imports
-pcgrav from its checkout's ``src`` under ``python -W ignore``, in a fresh
-working directory where ``scenarios`` links to the checkout's, so both
-sides pass the same argv.
+Last, ``pc action``, ``pc eom``, ``mass adm`` and ``mass komar`` run on a
+spherical Schwarzschild document with a large core: M = 2 (core radius 4)
+on L = 6, N = 17, Ns 9/13/17, cutoff r = 4.5, R = 5, radii 4.2/4.6/5.0
+and the default thresholds, so that 619 of its 4,913 nodes (12.6%) take
+the core polynomial, where the shipped documents (M = 1 on L = 20) put at
+most 19 of 35,937 nodes in the core.  ``pc eom`` fails its 1e-8
+tolerance and ``mass adm`` refuses a slice that is not flat enough, so
+these exit 0, 1, 1 and 0, each with a report: 84 runs a side.
+The failing, adjoint, rejected, empty and large-core documents are
+written into each working directory's ``generated`` from the shipped
+ones.  A run imports pcgrav from its checkout's ``src`` under ``python -W
+ignore``, in a fresh working directory where ``scenarios`` links to the
+checkout's, so both sides pass the same argv.
 
 Exit codes, stdout, stderr, CSV tables and report files must agree byte
 for byte; a report's manifest ``timestamp`` is left out.  Each run that
@@ -75,6 +83,10 @@ ALGEBRA_RUNS = {
 }
 
 
+CORE_COMMANDS = ("pc_action", "pc_eom", "mass_adm", "mass_komar")
+CORE = "generated/large_core_schwarzschild.json"
+
+
 def runs():
     """(label, argv) of every run; the label names its output directory."""
     for scenario in SCENARIOS:
@@ -87,13 +99,18 @@ def runs():
                               "--out", f"out/{label}"]
     for label, argv in ALGEBRA_RUNS.items():
         yield label, ["algebra", *argv]
+    for name in CORE_COMMANDS:
+        label = f"large_core_{name}"
+        yield label, [*COMMANDS[name], "--scenario", CORE, "--out",
+                      f"out/{label}"]
 
 
 def write_generated(work: Path):
-    """The documents of the algebra runs that no checkout ships: the
+    """The generated documents, which no checkout ships: the
     Poincare adjoint action, alpha(x)(y) = [x, y] read off the bracket
     table; so(3) with [L1, L2] doubled (one orientation only); the vector
-    action with one entry doubled; and the empty action."""
+    action with one entry doubled; the empty action; and the spherical
+    Schwarzschild document with a large core (``CORE``)."""
     def shipped(name):
         return json.loads((work / "scenarios" / name).read_text())
 
@@ -106,11 +123,16 @@ def write_generated(work: Path):
     failing["brackets"][0]["out"][0]["c"] = "2"
     rejected = shipped("so3_vector_action.json")
     rejected["action"][0]["rows"][0]["out"][0]["c"] = "2"
+    core = shipped("spherical_schwarzschild.json")
+    del core["thresholds"]
+    core.update({"M": 2.0, "grid": {"L": 6.0, "N": 17}, "Ns": [9, 13, 17],
+                 "cutoff": {"r": 4.5, "R": 5.0}, "radii": [4.2, 4.6, 5.0]})
     (work / "generated").mkdir()
     for name, doc in (("poincare_adjoint.json", adjoint),
                       ("failing_so3.json", failing),
                       ("rejected_so3_action.json", rejected),
-                      ("empty_action.json", {"action": []})):
+                      ("empty_action.json", {"action": []}),
+                      (Path(CORE).name, core)):
         (work / "generated" / name).write_text(json.dumps(doc, indent=2))
 
 
