@@ -3,9 +3,10 @@
 Both take the metric on the central t = const slice of the 4D grid.
 Spatial derivatives use the grid stencils, on the components that are not
 zero everywhere; values are interpolated to the quadrature spheres with
-separable cubic Lagrange interpolation, one batched contraction per
-sphere; sums are fixed-order and exactly rounded, so results are
-bit-reproducible.
+separable cubic Lagrange interpolation, in one pass per integral over all
+of its spheres (ADM's flatness probe at the largest radius is one more),
+from a cached gather plan of the sphere nodes; sums are fixed-order and
+exactly rounded, so results are bit-reproducible.
 
 Conventions (documented in docs/conventions.md):
 
@@ -68,10 +69,6 @@ def sphere_quadrature():
     return rule
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.ravel().tolist())
-
-
 # ---------------------------------------------------------------------------
 # Slice extraction and interpolation
 # ---------------------------------------------------------------------------
@@ -95,19 +92,29 @@ def _spatial(g: MetricField):
     return central_slice(g)[stack_rows(g.live)[1:, 1:][live]], live
 
 
-def _lagrange_coefficients(frac: np.ndarray) -> np.ndarray:
-    """Weights of the points i0..i0+INTERPOLATION_ORDER for unit spacing.
-
-    ``frac`` is a vector of positions past i0; returns (n, ORDER + 1).
-    Each weight is a running product over the other nodes, in node order.
-    """
-    nodes = np.arange(INTERPOLATION_ORDER + 1, dtype=float)
-    weights = np.ones(np.shape(frac) + nodes.shape)
-    for k in range(len(nodes)):
-        for m in range(len(nodes)):
-            if m != k:
-                weights[:, k] *= (frac - nodes[m]) / (nodes[k] - nodes[m])
-    return weights
+@lru_cache(maxsize=4)
+def _gather_plan(grid: Grid4, key: bytes):
+    """The plan of the (n, 3) points whose float64 bytes are ``key``: the
+    flat node index and the weight ``(wx * wy) * wz`` of each of a point's
+    64 block terms, as read-only (64, n) arrays, terms in C order of
+    (i, j, k).  Each Lagrange weight is a running product over the other
+    nodes of its axis, in node order."""
+    n, order, h = grid.points, INTERPOLATION_ORDER, grid.spacing
+    coords = (np.frombuffer(key).reshape(-1, 3) + grid.half_width) / h
+    base = np.clip(np.floor(coords).astype(int) - (order - 1) // 2,
+                   0, n - order - 1)
+    frac, steps = (coords - base).T, np.arange(order + 1)
+    wx, wy, wz = weights = np.ones((3, order + 1, len(base)))
+    for k in steps:
+        for m in steps[steps != k]:
+            weights[:, k] *= (frac - m) / float(k - m)
+    ix, iy, iz = base.T[:, None] + steps[:, None]
+    plan = tuple(a.reshape(-1, len(base)) for a in (
+        (ix[:, None, None] * n + iy[:, None]) * n + iz,
+        (wx[:, None, None] * wy[:, None]) * wz))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 def interpolate_slice(values: np.ndarray, grid: Grid4,
@@ -115,25 +122,24 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
     """Separable cubic Lagrange interpolation of slice samples at points.
 
     ``values`` has shape (..., N, N, N) with components leading; ``points``
-    is (n, 3) in box coordinates.  Returns (n, ...).
+    is (n, 3) in box coordinates.  Returns a C-contiguous (n, ...) array.
 
     Each point reads the 4x4x4 block of nodes around it, shifted inward at
-    a box face.  One gather collects the blocks of all points and one
-    contraction weights them; each point's sum is the one a contraction of
-    its block alone gives, term by term in the same order.
+    a box face.  The plan of the points (:func:`_gather_plan`, cached) gives
+    each block term's node and weight; each output is the sum over the 64
+    terms in C order of (i, j, k), from +0.0, of weight times sample: one
+    gather, one multiply and one add per term over all points and
+    components, which is the sum a contraction of each block alone gives.
     """
-    order = INTERPOLATION_ORDER
-    n = grid.points
-    h = grid.spacing
-    coords = (np.asarray(points) + grid.half_width) / h
-    base = np.floor(coords).astype(int) - (order - 1) // 2
-    base = np.clip(base, 0, n - order - 1)
-    frac = coords - base
-    wx, wy, wz = (_lagrange_coefficients(frac[:, a]) for a in range(3))
-    ix, iy, iz = (base[:, a, None] + np.arange(order + 1) for a in range(3))
-    blocks = values[..., ix[:, :, None, None], iy[:, None, :, None],
-                    iz[:, None, None, :]]
-    return np.einsum("pi,pj,pk,...pijk->p...", wx, wy, wz, blocks)
+    index, weight = _gather_plan(grid, np.asarray(points, float).tobytes())
+    flat = values.reshape(values.shape[:-3] + (-1,))
+    total = np.zeros(flat.shape[:-1] + (len(points),))
+    term = np.empty(total.shape)
+    for nodes, w in zip(index, weight):
+        # the nodes are in range: "clip" only spares take a buffered copy
+        np.take(flat, nodes, axis=-1, out=term, mode="clip")
+        np.add(total, np.multiply(term, w, out=term), out=total)
+    return np.ascontiguousarray(np.moveaxis(total, -1, 0))
 
 
 def _interpolate_live(values: np.ndarray, live: np.ndarray, grid: Grid4,
@@ -144,20 +150,6 @@ def _interpolate_live(values: np.ndarray, live: np.ndarray, grid: Grid4,
     out = np.zeros((len(points),) + live.shape)
     out[:, live] = interpolate_slice(values, grid, points)
     return out
-
-
-def _slice_gradient(values: np.ndarray, live: np.ndarray,
-                    h: float) -> np.ndarray:
-    """d_i of the stacked slice components ``values`` of the live set
-    ``live``, scattered on a new leading axis.
-
-    The others keep the +0.0 of ``np.zeros``, which is what the stencils
-    give on zero samples.
-    """
-    grads = np.zeros((3,) + live.shape + values.shape[1:])
-    for i, axis in enumerate((-3, -2, -1)):
-        grads[i][live] = diff_axis(values, axis, h)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +187,29 @@ def extrapolate_in_radius(radii, values):
 # ---------------------------------------------------------------------------
 
 def _spheres(grid: Grid4, radii):
-    """Sorted radii, checked inside the box, and the unit-sphere rule."""
+    """Sorted radii, checked inside the box, the unit-sphere rule, and the
+    nodes of every sphere, radius by radius."""
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise ValueError("need at least one radius")
     if radii[-1] >= grid.half_width - grid.spacing:
         raise ValueError("largest radius too close to the box boundary")
-    return radii, sphere_quadrature()
+    rule = sphere_quadrature()
+    return radii, rule, np.concatenate([rho * rule[0] for rho in radii])
 
 
 def _surface_integrals(quantity: str, radii, weighted_integrand,
-                       normalization: float):
-    """Exactly rounded sum of ``weighted_integrand(rho)`` per radius, over
-    ``normalization``, and the 1/rho extrapolation of those values.
+                       normalization: float, *samples):
+    """Exactly rounded sum of ``weighted_integrand(rho, *rows)`` per radius,
+    over ``normalization``, and the 1/rho extrapolation of those values.
+    ``samples`` hold every sphere's nodes in radius order, and ``rows`` are
+    the radius's own C-contiguous rows of each.
 
     A non-finite value is refused, naming ``quantity`` and its radius.
     """
-    values = [_fsum(weighted_integrand(rho)) / normalization for rho in radii]
+    values = [math.fsum(weighted_integrand(rho, *rows).tolist())
+              / normalization for rho, *rows in zip(
+                  radii, *(np.split(a, len(radii)) for a in samples))]
     for rho, value in zip(radii, values):
         if not math.isfinite(value):
             raise MassDomainError(f"{quantity} is {value!r} at rho = {rho!r}")
@@ -227,7 +225,7 @@ def adm_energy(g: MetricField, radii):
     at the largest requested radius.
     """
     grid = g.grid
-    radii, (directions, _, _, unit_w) = _spheres(grid, radii)
+    radii, (directions, _, _, unit_w), points = _spheres(grid, radii)
     spatial, live = _spatial(g)
 
     # flatness check at the largest radius
@@ -238,15 +236,18 @@ def adm_energy(g: MetricField, radii):
             f"slice is not asymptotically flat: |g - delta| = {deviation:.3f} "
             f"at rho = {radii[-1]}")
 
-    # V_i = d_j g_ij - d_i g_jj, from grid stencils on the slice
-    grads = _slice_gradient(spatial, live, grid.spacing)  # d_k g_ij
+    # V_i = d_j g_ij - d_i g_jj, from grid stencils on the slice; d_k g_ij
+    # of the dead components keeps the +0.0 the stencils give on zeros
+    grads = np.zeros((3,) + live.shape + spatial.shape[1:])
+    for k in range(3):
+        grads[k][live] = diff_axis(spatial, k - 3, grid.spacing)
     v = np.einsum("jij...->i...", grads) - np.einsum("ijj...->i...", grads)
 
-    def flux(rho):
-        samples = interpolate_slice(v, grid, rho * directions)
+    def flux(rho, samples):
         return np.einsum("ni,ni->n", samples, directions) * unit_w * rho ** 2
 
-    return _surface_integrals("ADM energy", radii, flux, 16.0 * np.pi)
+    return _surface_integrals("ADM energy", radii, flux, 16.0 * np.pi,
+                              interpolate_slice(v, grid, points))
 
 
 def komar_mass(g: MetricField, radii):
@@ -256,7 +257,7 @@ def komar_mass(g: MetricField, radii):
     checked through the Killing residual.
     """
     grid = g.grid
-    radii, (directions, cosines, phis, unit_w) = _spheres(grid, radii)
+    radii, (directions, cosines, phis, unit_w), points = _spheres(grid, radii)
     # stationarity is checked outside the smallest sphere, spatially,
     # whatever ball the metric's own grid excises
     ball = replace(grid, inner_radius=radii[0], radius_mode="spatial")
@@ -273,10 +274,16 @@ def komar_mass(g: MetricField, radii):
     if tt < 0 or np.any(central_slice(g)[tt] >= 0.0):
         raise MassDomainError("slice has non-timelike Killing direction")
     # g_tt < 0 everywhere: the lapse is live
-    lapse = np.sqrt(-central_slice(g)[tt:tt + 1])
+    lapse = np.sqrt(-central_slice(g)[tt])
     spatial, live = _spatial(g)
-    dlapse = _slice_gradient(lapse, np.ones(1, dtype=bool),
-                             grid.spacing)[:, 0]
+    # one stack for the one pass: the live g_ij, then d_i alpha in its rows
+    fields = np.empty((len(spatial) + 3,) + lapse.shape)
+    fields[:-3] = spatial
+    for axis in range(3):
+        diff_axis(lapse, axis, grid.spacing, out=fields[axis - 3])
+    samples = interpolate_slice(fields, grid, points)
+    gammas = np.zeros((len(points), 3, 3))
+    gammas[:, live] = samples[:, :-3]
     # embedding tangents in (c, phi) on the unit sphere; d/dc of
     # (s cosp, s sinp, c) uses ds/dc = -c/s (Gauss nodes are interior, s > 0)
     s = np.sqrt(1.0 - cosines ** 2)
@@ -286,10 +293,7 @@ def komar_mass(g: MetricField, radii):
     unit_t_p = np.stack([-np.sin(phis) * s, np.cos(phis) * s,
                          np.zeros_like(s)], axis=-1)
 
-    def flux(rho):
-        pts = rho * directions
-        gamma = _interpolate_live(spatial, live, grid, pts)
-        grad_a = interpolate_slice(dlapse, grid, pts)
+    def flux(rho, gamma, grad_a):
         gamma_inv = np.linalg.inv(gamma)
         raised = np.einsum("nij,nj->ni", gamma_inv, directions)
         length = np.sqrt(np.einsum("ni,ni->n", raised, directions))
@@ -301,7 +305,8 @@ def komar_mass(g: MetricField, radii):
         area = np.sqrt(np.clip(e_cc * e_pp - e_cp ** 2, 0.0, None))
         return np.einsum("ni,ni->n", normal, grad_a) * area * unit_w
 
-    return _surface_integrals("Komar mass", radii, flux, 4.0 * np.pi)
+    return _surface_integrals("Komar mass", radii, flux, 4.0 * np.pi, gammas,
+                              np.ascontiguousarray(samples[:, -3:]))
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,22 @@ def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
                 f"lies {FACE_LAYERS} nodes inside every box face")
 
 
+def _refuse_core_spheres(scenario: Scenario) -> None:
+    """Refuse the k-th radius, as ``radii[k]``, if a Schwarzschild chart
+    with M > 0 puts that mass sphere within its core radius 2M: the sphere
+    would read the core polynomial, not the exterior whose mass it
+    measures.  A core the chart cannot evaluate (NaN, once the powers of
+    2M overflow) is left to the integrals, which fail with that reason."""
+    chart = scenario.chart()
+    for k, radius in enumerate(scenario.radii):
+        if (scenario.geometry == "schwarzschild" and scenario.mass > 0
+                and radius <= chart.core_radius
+                and np.isfinite(chart.profiles(radius)).all()):
+            raise ScenarioError(
+                f"radii[{k}]: must exceed the Schwarzschild core radius "
+                f"2M = {chart.core_radius!r}, got {radius!r}")
+
+
 def _generator_norms(e, gens, form):
     """Symmetry-residual and coupling-term norms of each generator at one N.
 
@@ -669,7 +685,9 @@ def mass_study(scenario: Scenario, parts=("adm", "komar")) -> dict:
     """Mass observables of the scenario's geometry at its radii: one part's
     own result, or both by name with their agreement and the recovery of
     the mass parameter.  The ADM energy must pass the positivity check,
-    and a metric outside an integral's domain fails with the reason."""
+    and a metric outside an integral's domain fails with the reason.  A
+    mass sphere within the Schwarzschild core is refused first."""
+    _refuse_core_spheres(scenario)
     metric = scenario.chart().metric(scenario.grid())
     integrals = {"adm": adm_energy, "komar": komar_mass}
     try:
@@ -755,6 +773,8 @@ def run_scenario(scenario: Scenario, run=map) -> dict:
         return {"scenario": scenario.echo(), "sections": {},
                 "verdict": "pass", "vacuous": True}
     _refuse_empty_norm_regions(scenario, scenario.resolutions, "Ns[{}]")
+    if scenario.kind == "spherical":
+        _refuse_core_spheres(scenario)
 
     geometries = ((scenario.geometry,) if scenario.kind == "spherical"
                   else ("minkowski", "schwarzschild"))

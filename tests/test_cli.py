@@ -786,6 +786,30 @@ def test_a_negative_mass_past_the_core_exits_2_naming_it(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [["mass", "adm"], ["mass", "komar"],
+                                     ["killing", "residuals"]])
+@pytest.mark.parametrize("mass, radii, k", [
+    (1e20, [2.5, 3.0, 3.5], 0), (1.5, [3.5, 3.0, 5.0], 1)])
+def test_a_mass_sphere_inside_the_core_exits_2_naming_it(tmp_path, capfd,
+                                                        command, mass, radii,
+                                                        k):
+    # at M = 1e20 every node lies inside the core radius 2M, and Komar
+    # once passed with the values [0.0, 0.0, 0.0]; a sphere at 2M itself
+    # is refused too
+    path = small_scenario_file(tmp_path, M=mass, grid={"L": 8.0, "N": 9},
+                               Ns=[9], cutoff={"r": 2.0, "R": 3.0},
+                               radii=radii)
+    out_dir = tmp_path / "reports"
+    code = main([*command, "--scenario", str(path), "--out", str(out_dir),
+                 "--threads", "1"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: radii[{k}]: must exceed the Schwarzschild core radius "
+        f"2M = {2.0 * mass!r}, got {radii[k]!r}\n")
+    assert not out_dir.exists()
+
+
 def test_a_small_negative_mass_still_fails_positivity(tmp_path, capsys):
     path = small_scenario_file(tmp_path, M=-0.5, grid={"L": 8.0, "N": 17})
     code, out = run(["mass", "adm", "--scenario", str(path),

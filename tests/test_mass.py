@@ -6,8 +6,8 @@ import pytest
 from pcgrav.fields import MetricField, dense, live_components
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
-from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _interpolate_live,
-                         _spatial, adm_energy, extrapolate_in_radius,
+from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _gather_plan,
+                         _interpolate_live, _spatial, adm_energy, extrapolate_in_radius,
                          interpolate_slice, komar_mass, positivity_check,
                          sphere_quadrature)
 
@@ -303,6 +303,58 @@ def test_live_interpolation_equals_the_full_one(n, mass):
         got = _interpolate_live(values[live], live, grid, points)
         assert np.array_equal(got, full)
         assert got.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_one_pass_over_radii_and_stacked_fields_equals_one_call_each(n):
+    # the surface integrals interpolate every sphere, and Komar the metric
+    # and the lapse gradient stacked, in one call
+    grid = big_grid(n)
+    points = _probe_points(grid)
+    parts = np.split(points, [128, 256, 384])     # three spheres, the faces
+    assert len(parts[-1]) == 6
+    fields = [_samples((3, 3), n, seed=1), _samples((3,), n, seed=2),
+              _samples((), n, seed=3)]
+    stack = np.concatenate([f.reshape((-1, n, n, n)) for f in fields])
+    got = interpolate_slice(stack, grid, points)
+    for rows, part in zip(np.split(got, [128, 256, 384]), parts):
+        for piece, field in zip(np.split(rows, [9, 12], axis=1), fields):
+            want = interpolate_slice(field, grid, part)
+            assert np.ascontiguousarray(piece).reshape(
+                want.shape).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("components", [(), (3,), (3, 3), (12,)])
+def test_interpolation_returns_a_c_contiguous_array(components):
+    # a strided result once changed how np.einsum summed the ADM flux
+    grid = big_grid(17)
+    points = _probe_points(grid)
+    for values in (_samples(components, 17),
+                   np.asfortranarray(_samples(components, 17)),
+                   np.broadcast_to(_samples(components, 1),
+                                   components + (17, 17, 17))):
+        got = interpolate_slice(values, grid, points)
+        assert got.shape == (len(points),) + components
+        assert got.flags.c_contiguous
+
+
+def test_a_repeated_call_reads_the_same_read_only_plan():
+    grid = big_grid(17)
+    points = _probe_points(grid)
+    values = _samples((3,), 17)
+    first = interpolate_slice(values, grid, points)
+    index, weight = plan = _gather_plan(grid, points.tobytes())
+    hits = _gather_plan.cache_info().hits
+    again = interpolate_slice(values, grid, points.copy())
+    assert _gather_plan.cache_info().hits == hits + 1
+    assert all(a is b for a, b in zip(plan, _gather_plan(grid,
+                                                         points.tobytes())))
+    assert again.tobytes() == first.tobytes()
+    assert index.shape == weight.shape == (64, len(points))
+    for array in plan:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_mass_ladders_are_pinned():

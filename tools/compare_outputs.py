@@ -22,7 +22,11 @@ and the default thresholds, so that 619 of its 4,913 nodes (12.6%) take
 the core polynomial, where the shipped documents (M = 1 on L = 20) put at
 most 19 of 35,937 nodes in the core.  ``pc eom`` fails its 1e-8
 tolerance and ``mass adm`` refuses a slice that is not flat enough, so
-these exit 0, 1, 1 and 0, each with a report: 84 runs a side.
+these exit 0, 1, 1 and 0, each with a report.  Then ``mass adm`` and
+``mass komar`` run on ``poincare_schwarzschild.json`` (L = 20, N = 33)
+with ``--radii 8,12,18.7``: the outer sphere lies just under
+L - h = 18.75, and 40 of its 128 nodes read interpolation blocks that
+hold the nodes of a box face: 86 runs a side.
 The failing, adjoint, rejected, empty and large-core documents are
 written into each working directory's ``generated`` from the shipped
 ones.  A run imports pcgrav from its checkout's ``src`` under ``python -W
@@ -85,6 +89,7 @@ ALGEBRA_RUNS = {
 
 CORE_COMMANDS = ("pc_action", "pc_eom", "mass_adm", "mass_komar")
 CORE = "generated/large_core_schwarzschild.json"
+FACE_RADII = "8,12,18.7"     # the outer sphere's blocks reach the faces
 
 
 def runs():
@@ -103,6 +108,11 @@ def runs():
         label = f"large_core_{name}"
         yield label, [*COMMANDS[name], "--scenario", CORE, "--out",
                       f"out/{label}"]
+    for name in ("mass_adm", "mass_komar"):
+        label = f"face_blocks_{name}"
+        yield label, [*COMMANDS[name], "--scenario",
+                      "scenarios/poincare_schwarzschild.json",
+                      "--radii", FACE_RADII, "--out", f"out/{label}"]
 
 
 def write_generated(work: Path):
