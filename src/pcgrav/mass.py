@@ -241,6 +241,7 @@ def adm_energy(g: MetricField, radii):
     grads = np.zeros((3,) + live.shape + spatial.shape[1:])
     for k in range(3):
         grads[k][live] = diff_axis(spatial, k - 3, grid.spacing)
+    del spatial    # read no more: not held beside the contractions' outputs
     v = np.einsum("jij...->i...", grads) - np.einsum("ijj...->i...", grads)
 
     def flux(rho, samples):

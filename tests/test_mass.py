@@ -7,9 +7,9 @@ from pcgrav.fields import MetricField, dense, live_components
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
 from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _gather_plan,
-                         _interpolate_live, _spatial, adm_energy, extrapolate_in_radius,
-                         interpolate_slice, komar_mass, positivity_check,
-                         sphere_quadrature)
+                         _interpolate_live, _spatial, adm_energy,
+                         extrapolate_in_radius, interpolate_slice, komar_mass,
+                         positivity_check, sphere_quadrature)
 
 RADII = [8.0, 12.0, 16.0]
 
