@@ -280,6 +280,7 @@ def komar_mass(g: MetricField, radii):
     # one stack for the one pass: the live g_ij, then d_i alpha in its rows
     fields = np.empty((len(spatial) + 3,) + lapse.shape)
     fields[:-3] = spatial
+    del spatial    # copied into the stack: not held through the pass
     for axis in range(3):
         diff_axis(lapse, axis, grid.spacing, out=fields[axis - 3])
     samples = interpolate_slice(fields, grid, points)
