@@ -88,8 +88,22 @@ class Grid4:
         return np.sqrt(sum(self.coordinate(mu) ** 2 for mu in axes))
 
     def region_mask(self) -> np.ndarray:
-        """Nodes outside the excised ball; cached, read-only."""
-        return _region_mask(self)
+        """Nodes outside the excised ball (:func:`held`)."""
+        return held(self, self, lambda: self.radius(self.radius_mode)
+                    > self.inner_radius)
+
+    def norm_mask(self, shape: tuple) -> np.ndarray:
+        """Region of the max-norms of samples of ``shape``, outside the ball
+        and off the faces (:func:`held`), reduced with ``any`` over the axes
+        where ``shape`` has extent 1.  The interior mask has extent N only
+        where the samples or the region do."""
+        def build():
+            region = self.region_mask()
+            mask = region & self.interior_mask(
+                tuple(map(max, region.shape, shape)))
+            static = tuple(ax for ax, n in enumerate(shape) if n == 1)
+            return mask.any(axis=static, keepdims=True) if static else mask
+        return held(self, (self, shape), build)
 
     def interior_mask(self, shape: tuple = None) -> np.ndarray:
         """Nodes at least ``FACE_LAYERS`` nodes away from every box face,
@@ -115,7 +129,7 @@ class Window:
     on the grid, not fields of their own.  Pointwise work runs on a window
     as on the grid: :func:`restrict` cuts a grid field down to it,
     :meth:`coordinate` gives its coordinates, and :func:`region_max` reads
-    the row of the grid's cached norm mask.  The Leibniz ladder and the
+    the row of the grid's norm mask.  The Leibniz ladder and the
     boost residuals of static fields stream t this way.
     """
     grid: Grid4
@@ -154,28 +168,24 @@ def _check_mode(mode: str) -> None:
             f"radius mode must be '4d' or 'spatial', got {mode!r}")
 
 
-@lru_cache(maxsize=16)
-def _region_mask(grid: Grid4) -> np.ndarray:
-    mask = grid.radius(grid.radius_mode) > grid.inner_radius
-    mask.setflags(write=False)
-    return mask
+@lru_cache(maxsize=1)
+def _lattice_store(half_width: float, points: int) -> dict:
+    """The one store of grid-derived arrays (:func:`held`): every grid on
+    the lattice of ``half_width`` and ``points`` shares it, whatever ball it
+    excises, until the first use of another lattice drops it."""
+    return {}
 
 
-@lru_cache(maxsize=32)
-def _norm_mask(grid: Grid4, shape: tuple) -> np.ndarray:
-    """Region of the residual max-norms: outside the ball, off the faces.
-
-    For samples of grid ``shape``, the mask is reduced with ``any`` over
-    the axes where that shape has extent 1; the interior mask has extent
-    N only where the samples or the region do.
-    """
-    region = grid.region_mask()
-    mask = region & grid.interior_mask(tuple(map(max, region.shape, shape)))
-    static = tuple(ax for ax, n in enumerate(shape) if n == 1)
-    if static:
-        mask = mask.any(axis=static, keepdims=True)
-    mask.setflags(write=False)
-    return mask
+def held(grid: Grid4, key, build):
+    """``build()``'s array, or tuple of arrays, for ``key`` (what it depends
+    on besides the grid's lattice): built on first use, made read-only and
+    held in the lattice's store (:func:`_lattice_store`)."""
+    store = _lattice_store(grid.half_width, grid.points)
+    if key not in store:
+        store[key] = value = build()
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
+    return store[key]
 
 
 def _stencil(f, below: int, above: int, spacing: float, out: np.ndarray,
@@ -301,16 +311,16 @@ def region_max(values, grid) -> float:
     sequence); the max runs over every component.  Along an axis of
     extent 1 the mask is reduced with ``any``, which gives the max of the
     broadcast samples exactly.  On a :class:`Window` the mask is its row
-    of the grid's cached mask; a window outside the region gives 0.0, and
+    of the grid's mask; a window outside the region gives 0.0, and
     warns only when the whole region is empty.  A NaN in any component
     makes the result NaN.
     """
     shape = values[0].shape
     if isinstance(grid, Window):
-        full = _norm_mask(grid.grid, grid.grid.shape[:1] + shape[1:])
+        full = grid.grid.norm_mask(grid.grid.shape[:1] + shape[1:])
         mask = restrict(full, grid)
     else:
-        full = mask = _norm_mask(grid, shape)
+        full = mask = grid.norm_mask(shape)
     if not mask.any():
         if not full.any():
             warnings.warn("norm region is empty", stacklevel=2)

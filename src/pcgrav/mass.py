@@ -5,7 +5,7 @@ Spatial derivatives use the grid stencils, on the components that are not
 zero everywhere; values are interpolated to the quadrature spheres with
 separable cubic Lagrange interpolation, in one pass per integral over all
 of its spheres (ADM's flatness probe at the largest radius is one more),
-from a cached gather plan of the sphere nodes; sums are fixed-order and
+from a held gather plan of the sphere nodes; sums are fixed-order and
 exactly rounded, so results are bit-reproducible.
 
 Conventions (documented in docs/conventions.md):
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import MetricField, stack_rows
-from .grid import Grid4, diff_axis
+from .grid import Grid4, diff_axis, held
 from .symmetry import PoincareElement, lie_derivative_metric
 
 
@@ -92,15 +92,13 @@ def _spatial(g: MetricField):
     return central_slice(g)[stack_rows(g.live)[1:, 1:][live]], live
 
 
-@lru_cache(maxsize=4)
-def _gather_plan(grid: Grid4, key: bytes):
-    """The plan of the (n, 3) points whose float64 bytes are ``key``: the
-    flat node index and the weight ``(wx * wy) * wz`` of each of a point's
-    64 block terms, as read-only (64, n) arrays, terms in C order of
-    (i, j, k).  Each Lagrange weight is a running product over the other
-    nodes of its axis, in node order."""
+def _gather_plan(grid: Grid4, points: np.ndarray):
+    """The plan of the (n, 3) float64 ``points``: the flat node index and
+    the weight ``(wx * wy) * wz`` of each of a point's 64 block terms, as
+    (64, n) arrays, terms in C order of (i, j, k).  Each Lagrange weight is
+    a running product over the other nodes of its axis, in node order."""
     n, order, h = grid.points, INTERPOLATION_ORDER, grid.spacing
-    coords = (np.frombuffer(key).reshape(-1, 3) + grid.half_width) / h
+    coords = (points + grid.half_width) / h
     base = np.clip(np.floor(coords).astype(int) - (order - 1) // 2,
                    0, n - order - 1)
     frac, steps = (coords - base).T, np.arange(order + 1)
@@ -109,12 +107,9 @@ def _gather_plan(grid: Grid4, key: bytes):
         for m in steps[steps != k]:
             weights[:, k] *= (frac - m) / float(k - m)
     ix, iy, iz = base.T[:, None] + steps[:, None]
-    plan = tuple(a.reshape(-1, len(base)) for a in (
+    return tuple(a.reshape(-1, len(base)) for a in (
         (ix[:, None, None] * n + iy[:, None]) * n + iz,
         (wx[:, None, None] * wy[:, None]) * wz))
-    for array in plan:
-        array.setflags(write=False)
-    return plan
 
 
 def interpolate_slice(values: np.ndarray, grid: Grid4,
@@ -125,13 +120,15 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
     is (n, 3) in box coordinates.  Returns a C-contiguous (n, ...) array.
 
     Each point reads the 4x4x4 block of nodes around it, shifted inward at
-    a box face.  The plan of the points (:func:`_gather_plan`, cached) gives
+    a box face.  The plan of the points (:func:`_gather_plan`, held) gives
     each block term's node and weight; each output is the sum over the 64
     terms in C order of (i, j, k), from +0.0, of weight times sample: one
     gather, one multiply and one add per term over all points and
     components, which is the sum a contraction of each block alone gives.
     """
-    index, weight = _gather_plan(grid, np.asarray(points, float).tobytes())
+    points = np.asarray(points, float)
+    index, weight = held(grid, points.tobytes(),
+                         lambda: _gather_plan(grid, points))
     flat = values.reshape(values.shape[:-3] + (-1,))
     total = np.zeros(flat.shape[:-1] + (len(points),))
     term = np.empty(total.shape)

@@ -409,12 +409,11 @@ def _on(field, where):
 
 
 def _refuse_empty_norm_regions(scenario: Scenario, ns, path: str) -> None:
-    """Refuse the k-th N of ``ns``, as ``path.format(k)``, if its norm
-    region has no node: every norm there would read 0.0 as if measured."""
+    """Refuse the k-th N of ``ns``, as ``path.format(k)``, if the norm mask
+    of static samples is empty: every norm would read 0.0 as if measured."""
     for k, n in enumerate(ns):
         grid = scenario.grid(n)
-        region = grid.region_mask()
-        if not (region & grid.interior_mask(region.shape)).any():
+        if not grid.norm_mask((1,) + grid.shape[1:]).any():
             raise ScenarioError(
                 f"{path.format(k)}: the norm region at N = {n} is empty: "
                 f"no node outside cutoff.r = {scenario.cutoff_inner!r} "

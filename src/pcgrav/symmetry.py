@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .algebras import poincare_coefficients
 from .conventions import ETA, LAMBDA2, lorentz_generator
 from .fields import FormField, MetricField, stack_rows
-from .grid import FACE_LAYERS, Grid4, Window, diff_axis, restrict
+from .grid import FACE_LAYERS, Grid4, Window, diff_axis, held, restrict
 
 
 @dataclass(frozen=True)
@@ -106,16 +105,11 @@ class CutoffFunction:
 
     def on_grid(self, where) -> np.ndarray:
         """The profile of the grid's radius at every node of ``where``, the
-        grid or a window of it; cached per grid, read-only."""
+        grid or a window of it; held per radius mode (:func:`grid.held`)."""
         grid = where.grid if isinstance(where, Window) else where
-        return restrict(_profile_on_grid(self, grid), where)
-
-
-@lru_cache(maxsize=8)
-def _profile_on_grid(cutoff: CutoffFunction, grid: Grid4) -> np.ndarray:
-    ups = cutoff.profile(grid.radius(grid.radius_mode))
-    ups.setflags(write=False)
-    return ups
+        mode = grid.radius_mode
+        return restrict(held(grid, (self, mode),
+                             lambda: self.profile(grid.radius(mode))), where)
 
 
 # ---------------------------------------------------------------------------

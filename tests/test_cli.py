@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pcgrav import cli, graded, scenarios
+from pcgrav import cli, graded, grid, scenarios
 from pcgrav.algebras import AlgebraFormatError, dgla_from_json
 from pcgrav.cli import leibniz_residual_norms, main
 from pcgrav.graded import DglaMorphism, check_dgla, check_morphism
@@ -281,6 +281,26 @@ def test_killing_residuals_full_spherical_scenario(tmp_path, capsys):
     body = json.loads(out)
     assert body["verdict"] == "pass"
     assert body["masses"]["komar_adm_agreement"]["verdict"] == "pass"
+
+
+def test_killing_residuals_leave_one_lattice_held(tmp_path, capsys):
+    # 4d masks and profiles are N^4 arrays per resolution: once a later N
+    # is in use, a finished one's must not stay held beside it
+    store = grid._lattice_store
+    store.cache_clear()
+    with pytest.warns(UserWarning, match="'spatial' is recommended"):
+        code, _ = run(["killing", "residuals", "--scenario",
+                       str(SCENARIOS / "poincare_schwarzschild.json"),
+                       "--radius-mode", "4d", "--threads", "1",
+                       "--out", str(tmp_path / "k")], tmp_path, capsys)
+    assert code == 3
+    assert store.cache_info().currsize == 1
+    # the items run largest N first: N = 17 is the lattice in use
+    hits = store.cache_info().hits
+    arrays = [a for value in store(20.0, 17).values()
+              for a in (value if isinstance(value, tuple) else (value,))]
+    assert store.cache_info().hits == hits + 1
+    assert arrays and all({*a.shape} <= {1, 17} for a in arrays)
 
 
 def test_convergence_needs_three_resolutions(tmp_path, capsys):

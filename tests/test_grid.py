@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcgrav.grid import (FACE_LAYERS, Grid4, _norm_mask, _region_mask,
-                         diff_axis, diff_ring, integrate_samples, region_max,
-                         restrict)
+from pcgrav.grid import (FACE_LAYERS, Grid4, _lattice_store, diff_axis,
+                         diff_ring, integrate_samples, region_max, restrict)
 from pcgrav.scenarios import DEFAULT_THRESHOLDS, classify_sequence
 
 
@@ -223,8 +222,8 @@ def test_norm_masks_are_the_reduced_masks_of_the_whole_grid(mode, shape):
         full_interior(g).any(axis=static, keepdims=True))
     want = (g.region_mask() & full_interior(g)).any(axis=static,
                                                     keepdims=True)
-    _norm_mask.cache_clear()
-    got = _norm_mask(g, shape)
+    _lattice_store.cache_clear()
+    got = g.norm_mask(shape)
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -232,12 +231,11 @@ def test_the_norm_mask_of_static_samples_is_built_at_their_extents():
     # spatial region and samples both static on t: no N^4 mask, not
     # even a temporary one
     g = Grid4(20.0, 25, inner_radius=12.0, radius_mode="spatial")
-    _norm_mask.cache_clear()
-    _region_mask.cache_clear()
+    _lattice_store.cache_clear()
     g.region_mask()
     tracemalloc.start()
     try:
-        mask = _norm_mask(g, (1,) + g.shape[1:])
+        mask = g.norm_mask((1,) + g.shape[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -328,7 +326,6 @@ def test_region_max_warns_on_an_empty_window_only_if_the_region_is_empty():
 
 
 def test_region_max_mask_cache_matches_a_fresh_mask():
-    from pcgrav.grid import _norm_mask, _region_mask
     g = Grid4(2.0, 9, inner_radius=0.5)
     rng = np.random.default_rng(3)
     # largest near the centre, so each region has its own maximum
@@ -343,11 +340,10 @@ def test_region_max_mask_cache_matches_a_fresh_mask():
 
     assert fresh(grids[0]) != fresh(grids[1])
     for order in (grids, grids[::-1]):
-        _region_mask.cache_clear()
-        _norm_mask.cache_clear()
-        for grid in order + order:      # the second pass reads the cache
+        _lattice_store.cache_clear()
+        for grid in order + order:      # the second pass reads the store
             assert region_max(values, grid) == fresh(grid)
     for grid in grids:
-        for cached in (grid.region_mask(), _norm_mask(grid, grid.shape)):
+        for cached in (grid.region_mask(), grid.norm_mask(grid.shape)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0, 0, 0] = True

@@ -1,17 +1,22 @@
 """Surface-integral mass observables against closed-form oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcgrav.mass as mass_module
+from pcgrav.cli import main
 from pcgrav.fields import MetricField, dense, live_components
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
 from pcgrav.grid import Grid4
-from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError, _gather_plan,
+from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError,
                          _interpolate_live, _spatial, adm_energy,
                          extrapolate_in_radius, interpolate_slice, komar_mass,
                          positivity_check, sphere_quadrature)
 
 RADII = [8.0, 12.0, 16.0]
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def big_grid(n=33):
@@ -338,23 +343,34 @@ def test_interpolation_returns_a_c_contiguous_array(components):
         assert got.flags.c_contiguous
 
 
-def test_a_repeated_call_reads_the_same_read_only_plan():
+def test_a_repeated_call_reads_the_same_read_only_plan(monkeypatch, tmp_path):
+    plans = []
+    held = mass_module.held
+    monkeypatch.setattr(mass_module, "held", lambda *args: (
+        plans.append(held(*args)) or plans[-1]))
     grid = big_grid(17)
     points = _probe_points(grid)
     values = _samples((3,), 17)
     first = interpolate_slice(values, grid, points)
-    index, weight = plan = _gather_plan(grid, points.tobytes())
-    hits = _gather_plan.cache_info().hits
     again = interpolate_slice(values, grid, points.copy())
-    assert _gather_plan.cache_info().hits == hits + 1
-    assert all(a is b for a, b in zip(plan, _gather_plan(grid,
-                                                         points.tobytes())))
     assert again.tobytes() == first.tobytes()
+    index, weight = plan = plans[0]
+    assert all(a is b for a, b in zip(*plans))
     assert index.shape == weight.shape == (64, len(points))
     for array in plan:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0
+    # Komar checks stationarity on a grid of its own, on the metric's
+    # lattice: ADM and Komar read the same sphere plan around it
+    plans.clear()
+    scenario = str(SCENARIOS / "poincare_schwarzschild.json")
+    for command in ("komar", "adm", "komar"):
+        assert main(["mass", command, "--scenario", scenario,
+                     "--out", str(tmp_path / command)]) == 0
+    komar, probe, adm, komar_again = plans
+    assert probe[0].shape[1] * len(RADII) == adm[0].shape[1]
+    assert all(a is b is c for a, b, c in zip(komar, adm, komar_again))
 
 
 def test_mass_ladders_are_pinned():

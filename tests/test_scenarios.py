@@ -449,9 +449,7 @@ def test_sweep_does_generator_independent_work_once(monkeypatch):
                         counted("radius", grid_module.Grid4.radius))
 
     def sweep(generators, **stages):
-        for cached in (grid_module._region_mask, grid_module._norm_mask,
-                       symmetry._profile_on_grid):
-            cached.cache_clear()
+        grid_module._lattice_store.cache_clear()
         calls.update(diff_axis=0, radius=0)
         sc = small_scenario(scenario="poincare", generators=generators)
         return _sweep(sc, "schwarzschild", **stages)
@@ -462,7 +460,7 @@ def test_sweep_does_generator_independent_work_once(monkeypatch):
         # one derivative per axis, all ten generators moving all four
         assert calls["diff_axis"] <= 4, stage
     # the tetrad, the metric, one cutoff sample and one norm mask; the
-    # region_max calls of the ten generators read the cached mask, the
+    # region_max calls of the ten generators read the held mask, the
     # boosts' one t slice at a time
     sweep(["P0"], gen_ns=(9,), killing_n=9)
     single = calls["radius"]

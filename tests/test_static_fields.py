@@ -11,7 +11,6 @@ import pytest
 import pcgrav.fields as fields_module
 import pcgrav.grid as grid_module
 import pcgrav.scenarios as scenarios
-import pcgrav.symmetry as symmetry
 from pcgrav.action import (EquivariantTestForm, einstein_residual,
                            extra_eom_term, standard_test_form,
                            torsion_residual)
@@ -133,9 +132,7 @@ def test_static_sweep_allocates_less_than_one_dense_field():
         "scenario": "spherical", "M": 1.0, "grid": {"L": 20.0, "N": 25},
         "Ns": [25], "cutoff": {"r": 12.0, "R": 16.0},
         "radius_mode": "spatial"})
-    for cached in (grid_module._region_mask, grid_module._norm_mask,
-                   symmetry._profile_on_grid):
-        cached.cache_clear()
+    grid_module._lattice_store.cache_clear()
     one_dense = np.zeros((4, 4) + sc.grid(25).shape).nbytes
     tracemalloc.start()
     try:
@@ -227,9 +224,7 @@ def test_streamed_boost_sweep_peaks_below_one_dense_field(mode):
         "scenario": "poincare", "M": 1.0, "grid": {"L": 20.0, "N": 25},
         "Ns": [25], "cutoff": {"r": 12.0, "R": 16.0},
         "radius_mode": mode, "radii": [8.0, 12.0, 16.0]}))
-    for cached in (grid_module._region_mask, grid_module._norm_mask,
-                   symmetry._profile_on_grid):
-        cached.cache_clear()
+    grid_module._lattice_store.cache_clear()
     one_dense = np.zeros((4, 4) + sc.grid(25).shape).nbytes
     tracemalloc.start()
     try:
@@ -249,9 +244,7 @@ def test_pc_eom_with_a_boost_first_peaks_below_one_dense_field(mode):
     sc = loaded(mode, lambda: load_scenario(
         SCENARIOS / "poincare_schwarzschild.json",
         generators=["K1"], grid={"L": 20.0, "N": 25}, radius_mode=mode))
-    for cached in (grid_module._region_mask, grid_module._norm_mask,
-                   symmetry._profile_on_grid):
-        cached.cache_clear()
+    grid_module._lattice_store.cache_clear()
     one_dense = np.zeros((4, 4) + sc.grid().shape).nbytes
     tracemalloc.start()
     try:
@@ -298,9 +291,7 @@ def test_pc_eom_holds_each_field_only_while_it_is_read(mode):
     sc = loaded(mode, lambda: load_scenario(
         SCENARIOS / "poincare_schwarzschild.json",
         generators=["K1"], grid={"L": 20.0, "N": 25}, radius_mode=mode))
-    for cached in (grid_module._region_mask, grid_module._norm_mask,
-                   symmetry._profile_on_grid):
-        cached.cache_clear()
+    grid_module._lattice_store.cache_clear()
     two_form = np.zeros((6, 6, 1) + sc.grid().shape[1:]).nbytes
     body = {}
     peak = traced_peak(lambda: body.update(pc_study(sc, "eom")))
@@ -677,9 +668,7 @@ DENSE_LAYOUT_PEAK_MIB = {"generators": 30.1, "eom": 33.0, "killing": 15.5}
 @pytest.mark.parametrize("stage", sorted(DENSE_LAYOUT_PEAK_MIB))
 def test_n33_sweep_items_peak_at_two_thirds_of_the_dense_layout(stage):
     sc = load_scenario(SCENARIOS / "poincare_schwarzschild.json")
-    for cached in (grid_module._region_mask, grid_module._norm_mask,
-                   symmetry._profile_on_grid):
-        cached.cache_clear()
+    grid_module._lattice_store.cache_clear()
     peak = traced_peak(lambda: scenarios._stage(
         sc, ("schwarzschild", 33, stage)))
     assert peak <= 2 / 3 * DENSE_LAYOUT_PEAK_MIB[stage] * 2 ** 20, (

@@ -29,7 +29,10 @@ No public function or method of ``src/pcgrav`` takes an ``out`` or
 kernels allocate their own results and temporaries.  None takes a
 ``b_live``: ``wedge`` finds the live components of its operands itself.
 
-No module of ``src/pcgrav`` holds a ``global`` statement.
+No module of ``src/pcgrav`` holds a ``global`` statement, and no function
+decorated with ``lru_cache`` or ``functools.cache`` takes a ``Grid4``: an
+array derived from a grid is held in ``grid``'s one lattice store, not in
+a second cache beside it.
 
 ``cli.py`` imports no name from ``action``, ``geometry``, ``mass`` or
 ``symmetry``, and no verdict function: each scenario command's body,
@@ -194,6 +197,26 @@ def test_no_module_rebinds_global_state():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Global)]
     assert rebinding == []
+
+
+def test_no_cache_is_keyed_by_a_grid():
+    # a grid-keyed cache would keep its arrays by its own bound, not for as
+    # long as the lattice is in use
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            decorators = [getattr(d, "func", d) for d in node.decorator_list]
+            cached = any(getattr(d, "attr", getattr(d, "id", None))
+                         in ("lru_cache", "cache") for d in decorators)
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            takes_grid = any(arg.arg == "grid" or (
+                arg.annotation is not None
+                and "Grid4" in ast.unparse(arg.annotation)) for arg in args)
+            if cached and takes_grid:
+                stray.append(f"{path.name}:{node.name}")
+    assert stray == []
 
 
 def test_the_command_line_imports_no_field_physics():
