@@ -1,9 +1,10 @@
 """ADM energy and Komar mass as large-sphere surface integrals.
 
 Both take the metric on the central t = const slice of the 4D grid.
-Spatial derivatives use the grid stencils, on the components that are not
-zero everywhere; values are interpolated to the quadrature spheres with
-separable cubic Lagrange interpolation, in one pass per integral over all
+Spatial derivatives use the grid stencils on the live rows of the slice at
+their stored extents (an axis of extent 1 gives exact zeros), summed over
+the live components only; values are interpolated to the quadrature spheres
+with separable cubic Lagrange interpolation, in one pass per integral over all
 of its spheres (ADM's flatness probe at the largest radius is one more),
 from a held gather plan of the sphere nodes; sums are fixed-order and
 exactly rounded, so results are bit-reproducible.
@@ -75,19 +76,20 @@ def sphere_quadrature():
 
 def central_slice(g: MetricField) -> np.ndarray:
     """The live metric components on the t = 0 slice, stacked in the
-    order of ``g.live``: shape (n_live, N, N, N).
+    order of ``g.live``, at their stored extents: a view of the stack of
+    shape (n_live, X, Y, Z), each extent N or 1.
 
-    A static metric stores one t node, which is that slice; a read-only
-    view broadcasts any spatial axis of extent 1.
+    A static metric stores one t node, which is that slice.  The integrals
+    differentiate these rows as stored, so an axis of extent 1 costs no
+    stencil; only :func:`interpolate_slice` reads them broadcast to N^3.
     """
-    n, stack = g.grid.points, g.stack
-    return np.broadcast_to(stack[:, (stack.shape[1] - 1) // 2],
-                           (len(stack), n, n, n))
+    stack = g.stack
+    return stack[:, (stack.shape[1] - 1) // 2]
 
 
 def _spatial(g: MetricField):
     """The live components of g_ij (i, j = 1..3) on the t = 0 slice,
-    stacked, and their (3, 3) live set."""
+    stacked at their stored extents, and their (3, 3) live set."""
     live = g.live[1:, 1:]
     return central_slice(g)[stack_rows(g.live)[1:, 1:][live]], live
 
@@ -116,8 +118,11 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
                       points: np.ndarray) -> np.ndarray:
     """Separable cubic Lagrange interpolation of slice samples at points.
 
-    ``values`` has shape (..., N, N, N) with components leading; ``points``
-    is (n, 3) in box coordinates.  Returns a C-contiguous (n, ...) array.
+    ``values`` has shape (..., X, Y, Z) with components leading, each of
+    X, Y, Z N or 1 (samples constant along that axis); they are read as
+    one C-contiguous (..., N, N, N) array, a copy unless ``values`` is one.
+    ``points`` is (n, 3) in box coordinates.  Returns a C-contiguous
+    (n, ...) array.
 
     Each point reads the 4x4x4 block of nodes around it, shifted inward at
     a box face.  The plan of the points (:func:`_gather_plan`, held) gives
@@ -129,7 +134,9 @@ def interpolate_slice(values: np.ndarray, grid: Grid4,
     points = np.asarray(points, float)
     index, weight = held(grid, points.tobytes(),
                          lambda: _gather_plan(grid, points))
-    flat = values.reshape(values.shape[:-3] + (-1,))
+    leading = values.shape[:-3]
+    flat = np.ascontiguousarray(np.broadcast_to(
+        values, leading + grid.shape[1:])).reshape(leading + (-1,))
     total = np.zeros(flat.shape[:-1] + (len(points),))
     term = np.empty(total.shape)
     for nodes, w in zip(index, weight):
@@ -221,7 +228,7 @@ def adm_energy(g: MetricField, radii):
     The slice must be asymptotically flat in the chart: |g_ij - delta| < 1
     at the largest requested radius.
     """
-    grid = g.grid
+    grid, h = g.grid, g.grid.spacing
     radii, (directions, _, _, unit_w), points = _spheres(grid, radii)
     spatial, live = _spatial(g)
 
@@ -233,13 +240,18 @@ def adm_energy(g: MetricField, radii):
             f"slice is not asymptotically flat: |g - delta| = {deviation:.3f} "
             f"at rho = {radii[-1]}")
 
-    # V_i = d_j g_ij - d_i g_jj, from grid stencils on the slice; d_k g_ij
-    # of the dead components keeps the +0.0 the stencils give on zeros
-    grads = np.zeros((3,) + live.shape + spatial.shape[1:])
-    for k in range(3):
-        grads[k][live] = diff_axis(spatial, k - 3, grid.spacing)
-    del spatial    # read no more: not held beside the contractions' outputs
-    v = np.einsum("jij...->i...", grads) - np.einsum("ijj...->i...", grads)
+    del spatial    # the probe's copy: the stencils read the metric's rows
+
+    # V_i = d_j g_ij - d_i g_jj over the live g_ij: each side sums from 0
+    # in ascending j, the order of a contraction of the dense gradient, and
+    # d_i g_ii is taken once for both
+    rows, slice_ = stack_rows(g.live)[1:, 1:], central_slice(g)
+    v = np.empty((3,) + slice_.shape[1:])
+    for i in range(3):
+        d_i = {j: diff_axis(slice_[rows[j, j]], i, h)
+               for j in range(3) if live[j, j]}
+        v[i] = (sum(d_i[j] if j == i else diff_axis(slice_[rows[i, j]], j, h)
+                    for j in range(3) if live[i, j]) - sum(d_i.values()))
 
     def flux(rho, samples):
         return np.einsum("ni,ni->n", samples, directions) * unit_w * rho ** 2
@@ -268,16 +280,17 @@ def komar_mass(g: MetricField, radii):
         raise MassDomainError(
             f"metric is not stationary: Killing residual {kr_norm:.3e}")
 
-    tt = stack_rows(g.live)[0, 0]
-    if tt < 0 or np.any(central_slice(g)[tt] >= 0.0):
+    rows, slice_ = stack_rows(g.live), central_slice(g)
+    tt = rows[0, 0]
+    if tt < 0 or np.any(slice_[tt] >= 0.0):
         raise MassDomainError("slice has non-timelike Killing direction")
     # g_tt < 0 everywhere: the lapse is live
-    lapse = np.sqrt(-central_slice(g)[tt])
-    spatial, live = _spatial(g)
-    # one stack for the one pass: the live g_ij, then d_i alpha in its rows
-    fields = np.empty((len(spatial) + 3,) + lapse.shape)
-    fields[:-3] = spatial
-    del spatial    # copied into the stack: not held through the pass
+    lapse = np.sqrt(-slice_[tt])
+    live = g.live[1:, 1:]
+    # one stack for the one pass, at the slice's stored extents: the live
+    # g_ij, each copied once from the metric, then d_i alpha in its rows
+    fields = np.empty((live.sum() + 3,) + lapse.shape)
+    np.take(slice_, rows[1:, 1:][live], axis=0, out=fields[:-3], mode="clip")
     for axis in range(3):
         diff_axis(lapse, axis, grid.spacing, out=fields[axis - 3])
     samples = interpolate_slice(fields, grid, points)

@@ -1,5 +1,6 @@
 """Surface-integral mass observables against closed-form oracles."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 import pcgrav.mass as mass_module
 from pcgrav.cli import main
-from pcgrav.fields import MetricField, dense, live_components
+from pcgrav.fields import MetricField, dense, live_components, stack_rows
 from pcgrav.geometry import SchwarzschildIsotropic, minkowski_metric
-from pcgrav.grid import Grid4
+from pcgrav.grid import Grid4, diff_axis
 from pcgrav.mass import (INTERPOLATION_ORDER, MassDomainError,
                          _interpolate_live, _spatial, adm_energy,
                          extrapolate_in_radius, interpolate_slice, komar_mass,
@@ -171,6 +172,140 @@ def test_non_finite_surface_integral_names_the_quantity():
 
 
 # ---------------------------------------------------------------------------
+# The live-only ADM divergence
+# ---------------------------------------------------------------------------
+
+def _dense_adm_energy(g, radii):
+    """adm_energy through the dense gradient: the slice broadcast to N^3, a
+    zero-filled (3, 3, 3, N, N, N) gradient of the live g_ij and two
+    contractions of it, then one interpolation pass."""
+    grid = g.grid
+    radii, (directions, _, _, unit_w), points = mass_module._spheres(grid,
+                                                                     radii)
+    n, stack = grid.points, g.stack
+    slice_ = np.broadcast_to(stack[:, (stack.shape[1] - 1) // 2],
+                             (len(stack), n, n, n))
+    live = g.live[1:, 1:]
+    spatial = slice_[stack_rows(g.live)[1:, 1:][live]]
+    probe = mass_module._interpolate_live(spatial, live, grid,
+                                          radii[-1] * directions)
+    deviation = np.abs(probe - np.eye(3)).max()
+    if not deviation < 1.0:
+        raise MassDomainError(
+            f"slice is not asymptotically flat: |g - delta| = {deviation:.3f} "
+            f"at rho = {radii[-1]}")
+    grads = np.zeros((3,) + live.shape + spatial.shape[1:])
+    for k in range(3):
+        grads[k][live] = diff_axis(spatial, k - 3, grid.spacing)
+    v = np.einsum("jij...->i...", grads) - np.einsum("ijj...->i...", grads)
+
+    def flux(rho, samples):
+        return np.einsum("ni,ni->n", samples, directions) * unit_w * rho ** 2
+
+    return mass_module._surface_integrals(
+        "ADM energy", radii, flux, 16.0 * np.pi,
+        interpolate_slice(v, grid, points))
+
+
+def _random_metric(n, seed):
+    """A seeded near-flat metric and the features it has: a random live
+    set, each axis stored with extent N or 1, a dead diagonal g_ij when
+    seed % 4 == 1, and a NaN sample of a live diagonal g_ij on a box edge,
+    outside the flatness probe's sphere, when seed % 3 == 2."""
+    rng = np.random.default_rng(seed)
+    extents = (n if n == 9 and seed % 5 == 0 else 1,) + tuple(
+        n if rng.random() < 0.7 else 1 for _ in range(3))
+    data = np.zeros((4, 4) + extents)
+    data[0, 0] = -1.0 - 0.1 * rng.random(extents)
+    for i in range(4):
+        for j in range(i, 4):
+            if i == j > 0 or rng.random() < 0.4:
+                noise = 0.05 * rng.standard_normal(extents)
+                data[i, j] = data[j, i] = (i == j > 0) + noise
+    dead = rng.integers(1, 4) if seed % 4 == 1 else 0
+    if dead:
+        data[dead, dead] = 0.0
+    if 1 in extents[1:]:
+        # samples of 21 bits: 7 a and 3 a are exact, so the stencil of a
+        # line broadcast from one node gives the exact zeros diff_axis
+        # returns along an axis of extent 1
+        data = np.round(data * 2.0 ** 20) / 2.0 ** 20
+    nan = seed % 3 == 2
+    if nan:
+        node = [(extents[0] - 1) // 2] + [rng.integers(e) for e in extents[1:]]
+        a, b = 1 + rng.permutation(3)[:2]
+        node[a], node[b] = 0, extents[b] - 1
+        i = 2 if dead == 1 else 1
+        data[(i, i) + tuple(node)] = np.nan
+    metric = MetricField(big_grid(n), data)
+    return metric, {"off-diagonal": metric.live[1:, 1:][np.triu_indices(
+        3, 1)].any(), "dead diagonal": dead > 0,
+        "extent 1": 1 in extents[1:], "nan": nan}
+
+
+def _outcome(g, integral):
+    try:
+        return [value.hex() for value in integral(g, [7.0, 10.0, 13.0])[
+            "values"]]
+    except MassDomainError as error:
+        return str(error)
+
+
+def test_live_divergence_equals_the_dense_gradient(monkeypatch):
+    features, outcomes = [], []
+    for n in (9, 17):
+        for seed in range(30):
+            metric, has = _random_metric(n, seed)
+            want = _outcome(metric, _dense_adm_energy)
+            assert _outcome(metric, adm_energy) == want, (n, seed)
+            features.append(has)
+            outcomes.append(want if isinstance(want, str) else "finite")
+    # a dead diagonal is never flat: read the divergence of every live set
+    # with the probe reading flat on both sides
+    monkeypatch.setattr(mass_module, "_interpolate_live", lambda values,
+                        live, grid, points: np.broadcast_to(
+                            np.eye(3), (len(points), 3, 3)))
+    for n in (9, 17):
+        for seed in range(30):
+            metric, _ = _random_metric(n, seed)
+            want = _outcome(metric, _dense_adm_energy)
+            assert _outcome(metric, adm_energy) == want, (n, seed)
+            outcomes.append(want if isinstance(want, str) else "finite")
+    for feature in ("off-diagonal", "dead diagonal", "extent 1", "nan"):
+        assert any(has[feature] for has in features), feature
+    assert "finite" in outcomes
+    assert any("ADM energy is nan" in o for o in outcomes)
+    assert any("not asymptotically flat" in o for o in outcomes)
+
+
+def test_adm_energy_traces_less_than_one_dense_gradient(
+        schwarzschild_metric):
+    n = schwarzschild_metric.grid.points
+    tracemalloc.start()
+    try:
+        adm_energy(schwarzschild_metric, RADII)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 3 * 3 * n ** 3 * 8, peak
+
+
+def test_a_constant_metric_is_differentiated_at_its_stored_extents(
+        monkeypatch):
+    shapes = []
+
+    def recording(values, *args, **kwargs):
+        shapes.append(values.shape)
+        return diff_axis(values, *args, **kwargs)
+
+    monkeypatch.setattr(mass_module, "diff_axis", recording)
+    metric = minkowski_metric(big_grid(33))
+    adm_energy(metric, RADII)
+    komar_mass(metric, RADII)
+    assert shapes and all(33 not in shape for shape in shapes), shapes
+
+
+# ---------------------------------------------------------------------------
 # interpolate_slice
 # ---------------------------------------------------------------------------
 
@@ -297,6 +432,7 @@ def test_live_interpolation_equals_the_full_one(n, mass):
     metric = (SchwarzschildIsotropic(mass).metric(grid) if mass
               else minkowski_metric(grid))
     spatial, live = _spatial(metric)
+    spatial = np.broadcast_to(spatial, (len(spatial),) + grid.shape[1:])
     assert np.array_equal(live, np.eye(3, dtype=bool))
     # a seeded off-diagonal component is live too
     mixed = dense(spatial, live)

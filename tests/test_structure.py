@@ -34,6 +34,11 @@ decorated with ``lru_cache`` or ``functools.cache`` takes a ``Grid4``: an
 array derived from a grid is held in ``grid``'s one lattice store, not in
 a second cache beside it.
 
+No ``np.einsum`` in ``src/pcgrav`` has ``...`` in its subscripts, except
+in ``fields.metric_from_tetrad``, the dense reference tests compare
+against: a contraction over whole grids of components would bring back
+the zero-filled arrays the live stacks avoid.
+
 ``cli.py`` imports no name from ``action``, ``geometry``, ``mass`` or
 ``symmetry``, and no verdict function: each scenario command's body,
 verdict included, comes from one study in ``scenarios``, and the command
@@ -216,6 +221,24 @@ def test_no_cache_is_keyed_by_a_grid():
                 and "Grid4" in ast.unparse(arg.annotation)) for arg in args)
             if cached and takes_grid:
                 stray.append(f"{path.name}:{node.name}")
+    assert stray == []
+
+
+def test_no_einsum_contracts_whole_grids():
+    allowed = {"fields.py:metric_from_tetrad"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "einsum"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and "..." in str(node.args[0].value)
+                        and f"{path.name}:{fn.name}" not in allowed):
+                    stray.append(f"{path.name}:{fn.name}:{node.lineno}")
     assert stray == []
 
 
