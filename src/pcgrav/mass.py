@@ -242,9 +242,9 @@ def adm_energy(g: MetricField, radii):
 
     del spatial    # the probe's copy: the stencils read the metric's rows
 
-    # V_i = d_j g_ij - d_i g_jj over the live g_ij: each side sums from 0
-    # in ascending j, the order of a contraction of the dense gradient, and
-    # d_i g_ii is taken once for both
+    # V_i = d_j g_ij - d_i g_jj over the live g_ij, each side summed from 0
+    # in ascending j (docs/conventions.md, "Mass normalizations"); d_i g_ii
+    # is taken once for both
     rows, slice_ = stack_rows(g.live)[1:, 1:], central_slice(g)
     v = np.empty((3,) + slice_.shape[1:])
     for i in range(3):
